@@ -9,7 +9,10 @@ Conventions (scalar sandwich s(omega) = d . G^(1)(z, z, omega) . conj(d)):
 
 with w the (possibly shifted) transition frequency.  For ideal mirrors the
 tensor has closed forms, used by default; the axion half-space goes through
-the numeric k-quadrature at every xi node.  The xi integral is evaluated on
+the numeric k-quadrature.  There, each round of the adaptive xi-integral
+hands all of its new xi nodes to one lockstep k-quadrature
+(`greens.imaginary_axis_greens`), which integrates the three tensor kernels
+at every node together.  The xi integral is evaluated on
 xi = (c/2z) u, u in (0, u_max], which maps the e^{-2 xi z/c} damping to
 e^{-u} uniformly in z (tail beyond u_max=50 is ~2e-22 relative).
 """
@@ -23,7 +26,8 @@ from scipy.integrate import solve_ivp
 
 from .constants import Constants, SCALED
 from .greens import (ComplexDyadic, EvaluationPoint, greens_nonreciprocal_mirror,
-                     greens_perfect_conductor, scattering_greens_numeric)
+                     greens_perfect_conductor, imaginary_axis_greens,
+                     scattering_greens_numeric)
 from .media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
                     delta as axion_delta, nonretarded_limit_coefficients,
                     retarded_limit_coefficients)
@@ -155,20 +159,19 @@ def nonresonant_shift_terms(transition: Transition, z: float, medium,
         if use_closed:
             s = _sandwich_closed(medium, z, 1j * xi, transition.dipole, constants)
         else:
-            vals = []
-            for x in np.atleast_1d(xi):
-                g = scattering_greens_numeric(EvaluationPoint(z, 1j * x), medium,
-                                              constants=constants, config=cfg)
-                inner_err += g.quad_error
-                inner_neval += g.neval
-                vals.append(g.contract(transition.dipole))
-            s = np.array(vals).reshape(np.shape(xi))
+            g = imaginary_axis_greens(z, xi.ravel(), medium, constants, cfg)
+            inner_err += float(g.quad_error.sum())
+            inner_neval += int(g.neval.sum())
+            a, b, cw = _dipole_weights(transition.dipole)
+            s = (a * g.diag + b * g.zz + cw * g.xy).reshape(np.shape(xi))
         w_im = xi ** 3 / (xi ** 2 + w ** 2)
         w_re = xi ** 2 * w / (xi ** 2 + w ** 2)
         # pack both real integrands into one complex quadrature pass
         return w_im * s.imag + 1j * (w_re * s.real)
 
-    res = integrate(f, 0.0, cfg.xi_cutoff, rel_tol=cfg.xi_rel_tol)
+    res = integrate(f, 0.0, cfg.xi_cutoff, rel_tol=cfg.xi_rel_tol,
+                    abs_tol=cfg.abs_tol, max_depth=cfg.max_depth,
+                    max_panels=cfg.max_panels)
     pref = constants.mu0 / (math.pi * constants.hbar) * scale
     return NonresonantTerms(im_term=pref * res.value.real,
                             re_term=-pref * res.value.imag,

@@ -7,7 +7,6 @@ Subcommands:
     shift  --medium M --zeta Z [...]    one-point shift query (CSV to stdout)
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
-CPSHIFT_THREADS overrides the worker-thread count for scans and figures.
 """
 from __future__ import annotations
 
@@ -75,8 +74,8 @@ def _build_medium(args):
 
 
 def _single_point(args) -> int:
-    if args.zeta <= 0:
-        raise ConfigError(f"--zeta must be positive, got {args.zeta}")
+    if not (math.isfinite(args.zeta) and args.zeta > 0):
+        raise ConfigError(f"--zeta must be positive and finite, got {args.zeta}")
     medium = _build_medium(args)
     transition = canonical_transition(args.handedness)
     gamma0 = free_space_rate_formula(transition, SCALED)

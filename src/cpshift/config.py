@@ -58,6 +58,9 @@ class ScanConfig:
         if self.medium_kind not in _MEDIA:
             raise ConfigError(f"unknown medium {self.medium_kind!r}; "
                               f"expected one of {', '.join(_MEDIA)}")
+        if not (math.isfinite(self.zeta_min) and math.isfinite(self.zeta_max)):
+            raise ConfigError(f"zeta_min and zeta_max must be finite, got "
+                              f"[{self.zeta_min}, {self.zeta_max}]")
         if self.zeta_min <= 0:
             raise ConfigError(f"zeta_min must be > 0, got {self.zeta_min}")
         if self.zeta_max <= self.zeta_min:

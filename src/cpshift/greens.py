@@ -16,22 +16,34 @@ e^{-2 kappa z}.  For omega = i*xi the whole path is parametrized by
 k_perp = i*kappa1, kappa1 >= xi/c, every factor is real, and the tensor
 comes out real (Schwarz reflection principle).
 
+Each kernel on each segment is its own integral, but they all need the
+reflection matrix, so they run as owners of one lockstep quadrature
+(`quadrature.integrate_batch`): the six real-axis integrals of one point in
+one call, and on the imaginary axis the three kernels at every xi of a
+batch (`imaginary_axis_greens`, which the nonresonant shift calls once per
+round of its xi-integral).  Every round evaluates the reflection matrix
+once, on the nodes of all live panels.
+
 Ideal mirrors additionally have closed forms, used as oracles and as the
 fast path for the scan grids.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .constants import Constants, SCALED
-from .quadrature import QuadratureConfig, integrate
+# integrate is not called here but stays importable from this module:
+# perfbench/tracer.py wraps it by this name.
+from .quadrature import QuadratureConfig, integrate, integrate_batch  # noqa: F401
 
 __all__ = [
-    "ComplexDyadic", "EvaluationPoint",
+    "ComplexDyadic", "EvaluationPoint", "PlanarTensors",
     "greens_perfect_conductor", "greens_nonreciprocal_mirror",
-    "scattering_greens_numeric", "generalized_re", "generalized_im",
+    "scattering_greens_numeric", "imaginary_axis_greens",
+    "generalized_re", "generalized_im",
 ]
 
 
@@ -142,37 +154,68 @@ def greens_nonreciprocal_mirror(z: float, omega: complex, sign: float = -1.0,
     return ComplexDyadic(m)
 
 
-def _segment(medium, omega, z, c, k_perp_of, k_par_of, lo, hi, rel_tol):
-    """Integrate the three kernels over one path segment.
+def _kernels(medium, omega, z, c, kp, kpar, component):
+    """Radial kernel `component` (0 diag, 1 zz, 2 xy) at each node.
 
-    k_perp_of/k_par_of map the quadrature variable t in [lo, hi] to the
-    (complex) k_perp and (real) k_par on this piece of the contour.
-    Returns (diag, zz, xy) integrals plus summed error and eval count.
+    kp/kpar are the (complex) k_perp and (real) k_par of each node; omega is
+    a scalar or an array aligned with them.
     """
     q = omega / c
-    results = []
-    err = 0.0
-    neval = 0
+    r = medium.reflection(omega, kpar, c=c)
+    damp = np.exp(2j * kp * z)
+    return np.choose(component, (
+        damp * (r.r_ss - r.r_pp * kp ** 2 / q ** 2),
+        damp * 2.0 * r.r_pp * kpar ** 2 / q ** 2,
+        damp * (r.r_sp + r.r_ps) * kp / q))
 
-    def make(component):
-        def f(t):
-            kp = k_perp_of(t)
-            kpar = k_par_of(t)
-            r = medium.reflection(omega, kpar, c=c)
-            damp = np.exp(2j * kp * z)
-            if component == "diag":
-                return damp * (r.r_ss - r.r_pp * kp ** 2 / q ** 2)
-            if component == "zz":
-                return damp * 2.0 * r.r_pp * kpar ** 2 / q ** 2
-            return damp * (r.r_sp + r.r_ps) * kp / q
-        return f
 
-    for component in ("diag", "zz", "xy"):
-        res = integrate(make(component), lo, hi, rel_tol=rel_tol)
-        results.append(res.value)
-        err += res.error
-        neval += res.neval
-    return results[0], results[1], results[2], err, neval
+class PlanarTensors(NamedTuple):
+    """G_xx = G_yy, G_zz and G_xy = -G_yx at a batch of frequencies.
+
+    quad_error and neval are per frequency, summed over the three kernels.
+    """
+
+    diag: np.ndarray
+    zz: np.ndarray
+    xy: np.ndarray
+    quad_error: np.ndarray
+    neval: np.ndarray
+
+
+def imaginary_axis_greens(z: float, xi, medium, constants: Constants = SCALED,
+                          config: QuadratureConfig | None = None) -> PlanarTensors:
+    """Scattering tensor at omega = i*xi for every xi > 0, in one lockstep call.
+
+    Owner 3*j + m integrates kernel m at xi[j] along k_perp = i*kappa1,
+    kappa1 in [xi/c, xi/c + kappa_max]; the measure -i dkappa1 combines with
+    the i/8pi prefactor to 1/8pi.
+    """
+    if z <= 0:
+        raise ValueError(f"atom height must be positive, got z={z}")
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if not np.all(xi > 0):
+        raise ValueError(f"need xi > 0 at every point, got {xi[~(xi > 0)]}")
+    cfg = config or QuadratureConfig()
+    c = constants.c
+    owner_xi = np.repeat(xi, 3)
+    owner_kernel = np.tile(np.arange(3), xi.size)
+    lo = owner_xi / c
+
+    def f(t, owner):
+        node_xi = owner_xi[owner]
+        return _kernels(medium, 1j * node_xi, z, c, 1j * t,
+                        np.sqrt(np.maximum(t * t - (node_xi / c) ** 2, 0.0)),
+                        owner_kernel[owner])
+
+    values, errors, neval = integrate_batch(
+        f, lo, lo + cfg.kappa_cutoff / (2.0 * z), rel_tol=cfg.rel_tol,
+        abs_tol=cfg.abs_tol, max_depth=cfg.max_depth, max_panels=cfg.max_panels)
+    pref = 1.0 / (8 * np.pi)
+    g = (pref * values).reshape(-1, 3)
+    err = errors.reshape(-1, 3)
+    return PlanarTensors(g[:, 0], g[:, 1], g[:, 2],
+                         pref * (err[:, 0] + err[:, 1] + err[:, 2]),
+                         neval.reshape(-1, 3).sum(axis=1))
 
 
 def scattering_greens_numeric(point: EvaluationPoint, medium,
@@ -183,41 +226,37 @@ def scattering_greens_numeric(point: EvaluationPoint, medium,
     c = constants.c
     z = point.z
     omega = complex(point.frequency)
-    kappa_max = cfg.kappa_cutoff / (2.0 * z)
 
     if point.is_imaginary:
-        xi = omega.imag
-        lo = xi / c
-        # k_perp = i*kappa1 along the whole rotated path; measure -i dkappa1
-        # combines with the i/8pi prefactor to 1/8pi.
-        diag, zz, xy, err, neval = _segment(
-            medium, omega, z, c,
-            k_perp_of=lambda t: 1j * t,
-            k_par_of=lambda t: np.sqrt(np.maximum(t * t - (xi / c) ** 2, 0.0)),
-            lo=lo, hi=lo + kappa_max, rel_tol=cfg.rel_tol)
-        pref = 1.0 / (8 * np.pi)
-        g_diag, g_zz, g_xy = pref * diag, pref * zz, pref * xy
-        quad_err = pref * err
+        g = imaginary_axis_greens(z, omega.imag, medium, constants, cfg)
+        g_diag, g_zz, g_xy = g.diag[0], g.zz[0], g.xy[0]
+        quad_err = float(g.quad_error[0])
+        neval = int(g.neval[0])
     else:
         q = omega.real / c
-        # propagating: k_perp in (0, q], Jacobian cancels the 1/k_perp measure
-        d1, z1, x1, e1, n1 = _segment(
-            medium, omega, z, c,
-            k_perp_of=lambda t: t,
-            k_par_of=lambda t: np.sqrt(np.maximum(q * q - t * t, 0.0)),
-            lo=0.0, hi=q, rel_tol=cfg.rel_tol)
-        # evanescent: k_perp = i*kappa, measure -i dkappa, e^{-2 kappa z} decay
-        d2, z2, x2, e2, n2 = _segment(
-            medium, omega, z, c,
-            k_perp_of=lambda t: 1j * t,
-            k_par_of=lambda t: np.sqrt(q * q + t * t),
-            lo=0.0, hi=kappa_max, rel_tol=cfg.rel_tol)
+        kappa_max = cfg.kappa_cutoff / (2.0 * z)
+
+        # owners 0-2: propagating, k_perp = t in (0, q], whose Jacobian
+        # cancels the 1/k_perp measure; owners 3-5: evanescent, k_perp =
+        # i*t, measure -i dt, e^{-2 t z} decay
+        def f(t, owner):
+            prop = owner < 3
+            return _kernels(medium, omega, z, c, np.where(prop, t, 1j * t),
+                            np.where(prop, np.sqrt(np.maximum(q * q - t * t, 0.0)),
+                                     np.sqrt(q * q + t * t)),
+                            owner % 3)
+
+        values, errors, nevals = integrate_batch(
+            f, np.zeros(6), np.repeat([q, kappa_max], 3), rel_tol=cfg.rel_tol,
+            abs_tol=cfg.abs_tol, max_depth=cfg.max_depth, max_panels=cfg.max_panels)
+        d1, z1, x1, d2, z2, x2 = values.tolist()
+        e = errors.tolist()
         pref = 1j / (8 * np.pi)
         g_diag = pref * (d1 - 1j * d2)
         g_zz = pref * (z1 - 1j * z2)
         g_xy = pref * (x1 - 1j * x2)
-        quad_err = abs(pref) * (e1 + e2)
-        neval = n1 + n2
+        quad_err = abs(pref) * ((e[0] + e[1] + e[2]) + (e[3] + e[4] + e[5]))
+        neval = int(nevals.sum())
 
     m = np.zeros((3, 3), dtype=complex)
     m[0, 0] = m[1, 1] = g_diag

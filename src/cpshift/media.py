@@ -6,7 +6,8 @@ half-space with permittivity/permeability plus an axion magneto-electric
 coupling theta.  Medium 1 (where the atom sits) is always vacuum.
 
 All reflection evaluations are vectorized over k_par and accept real
-frequencies as well as purely imaginary omega = i*xi.
+frequencies as well as purely imaginary omega = i*xi, either one omega for
+all k_par or an array of omega aligned with k_par.
 """
 from __future__ import annotations
 
@@ -66,10 +67,11 @@ def perpendicular_wavenumber(omega, k_par, epsilon: float = 1.0, mu: float = 1.0
 
     Branch: Im(k_perp) >= 0 so that e^{i k_perp z} decays for z > 0; on the
     real axis (propagating waves) the root with Re >= 0 is taken.  Works for
-    real omega and for omega = i*xi (result then purely imaginary positive).
+    real omega and for omega = i*xi (result then purely imaginary positive);
+    omega may be a scalar or an array aligned with k_par.
     """
     k_par = np.asarray(k_par, dtype=float)
-    if omega == 0 and np.any(k_par == 0):
+    if np.any((np.asarray(omega) == 0) & (k_par == 0)):
         raise ValueError("k_perp undefined at omega = k_par = 0")
     kz = np.sqrt(epsilon * mu * (omega / c) ** 2 - k_par ** 2 + 0j)
     # np.sqrt of a negative real with -0j imaginary part lands on the wrong

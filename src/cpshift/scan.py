@@ -2,15 +2,13 @@
 
 All outputs are scaled: lengths as zeta = w z / c, rates and shifts divided
 by the free-space rate of the scan's transition.  Grid points are evaluated
-concurrently (thread pool, CPSHIFT_THREADS overrides the worker count) and
-collected in grid order so identical configs give byte-identical CSV files.
+in grid order on the calling thread, so identical configs give
+byte-identical CSV files.
 """
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +24,7 @@ from .units import canonical_transition, free_space_rate_formula
 from .version import __version__
 
 __all__ = ["ScanError", "RunManifest", "ScanResult", "run_scan", "figure",
-           "FIGURE_NAMES", "worker_count"]
+           "FIGURE_NAMES"]
 
 
 class ScanError(RuntimeError):
@@ -37,20 +35,6 @@ class ScanError(RuntimeError):
         self.zeta = zeta
 
 
-def worker_count() -> int:
-    """Thread count: CPSHIFT_THREADS if set, else the CPU count."""
-    env = os.environ.get("CPSHIFT_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(f"CPSHIFT_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise ConfigError(f"CPSHIFT_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
-
-
 @dataclass(frozen=True)
 class RunManifest:
     """Machine-readable record emitted for every run, successful or not."""
@@ -58,7 +42,6 @@ class RunManifest:
     command: str
     config: dict
     quadrature: dict
-    threads: int
     wall_time_s: float
     points: int
     quad_error_max: float
@@ -74,7 +57,6 @@ class RunManifest:
             "command": self.command,
             "config": self.config,
             "quadrature": self.quadrature,
-            "threads": self.threads,
             "wall_time_s": self.wall_time_s,
             "points": self.points,
             "quad_error": {"max": self.quad_error_max,
@@ -141,15 +123,6 @@ def _evaluate_point(zeta: float, medium, transition, quantities,
     return out, err
 
 
-def _parallel_grid(zetas, fn, threads):
-    """Map fn over the grid concurrently, collecting in grid order."""
-    if threads <= 1 or len(zetas) < 4:
-        return [fn(z) for z in zetas]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, z) for z in zetas]
-        return [f.result() for f in futures]
-
-
 def _format_csv(columns, zetas, values) -> str:
     lines = [",".join(("zeta",) + tuple(columns))]
     for zeta, row in zip(zetas, values):
@@ -178,7 +151,6 @@ def run_scan(config: ScanConfig, out_dir,
     columns = tuple(QUANTITY_COLUMNS[q] for q in config.quantities)
     csv_path = out / f"{config.name}.csv"
     manifest_path = out / f"{config.name}.manifest.json"
-    threads = worker_count()
     t0 = time.perf_counter()
 
     def point(zeta):
@@ -190,9 +162,9 @@ def run_scan(config: ScanConfig, out_dir,
                             zeta=zeta) from exc
 
     base = dict(command="scan", config=_config_echo(config),
-                quadrature=_quad_dict(qcfg), threads=threads)
+                quadrature=_quad_dict(qcfg))
     try:
-        results = _parallel_grid(zetas, point, threads)
+        results = [point(zeta) for zeta in zetas]
     except ScanError as exc:
         manifest = RunManifest(**base, wall_time_s=time.perf_counter() - t0,
                                points=len(zetas), quad_error_max=float("nan"),
@@ -257,7 +229,6 @@ def _difference_traces(name_prefix, quantity, grid, out, qcfg, epsilon=16.0):
         "minus": AxionMedium(epsilon=epsilon, theta=-np.pi),
         "zero": AxionMedium(epsilon=epsilon, theta=0.0),
     }
-    threads = worker_count()
     column = QUANTITY_COLUMNS[quantity]
 
     def point(zeta):
@@ -269,7 +240,7 @@ def _difference_traces(name_prefix, quantity, grid, out, qcfg, epsilon=16.0):
             err += e
         return vals, err
 
-    results = _parallel_grid(zetas, point, threads)
+    results = [point(zeta) for zeta in zetas]
     outputs = []
     for which, sign_name in (("plus", "theta_pi"), ("minus", "theta_minus_pi")):
         diff = np.array([[r[0][which] - r[0]["zero"]] for r in results])
@@ -353,7 +324,6 @@ def figure(name: str, out_dir, qcfg: QuadratureConfig | None = None) -> list:
     except ScanError as exc:
         manifest = RunManifest(command=f"figure:{name}", config={"figure": name},
                                quadrature=_quad_dict(qcfg),
-                               threads=worker_count(),
                                wall_time_s=time.perf_counter() - t0,
                                points=npts, quad_error_max=float("nan"),
                                quad_error_mean=float("nan"), status="failed",
@@ -363,7 +333,7 @@ def figure(name: str, out_dir, qcfg: QuadratureConfig | None = None) -> list:
         raise
 
     manifest = RunManifest(command=f"figure:{name}", config={"figure": name},
-                           quadrature=_quad_dict(qcfg), threads=worker_count(),
+                           quadrature=_quad_dict(qcfg),
                            wall_time_s=time.perf_counter() - t0,
                            points=npts, quad_error_max=err_max,
                            quad_error_mean=err_sum / max(npts, 1), status="ok",

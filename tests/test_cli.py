@@ -124,18 +124,14 @@ name = fail
     assert manifest["status"] == "failed"
 
 
-def test_invalid_thread_env_exits_one(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "scan.cfg"
-    cfg.write_text("""\
-medium = perfect_conductor
-zeta_min = 0.3
-zeta_max = 2.0
-count = 5
-""", encoding="utf-8")
-    monkeypatch.setenv("CPSHIFT_THREADS", "many")
-    code, _, _ = run(capsys, "scan", "--config", str(cfg), "--out",
-                     str(tmp_path / "out"))
-    assert code == 1
+def test_non_finite_zeta_exits_one(capsys):
+    for command in ("rates", "shift"):
+        for zeta in ("nan", "inf", "-inf"):
+            code, out, err = run(capsys, command, "--medium", "axion",
+                                 "--zeta", zeta)
+            assert code == 1
+            assert out == ""
+            assert "--zeta" in err
 
 
 def test_figure_subcommand(tmp_path, capsys):

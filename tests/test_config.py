@@ -142,6 +142,14 @@ def test_scan_config_validation():
             ScanConfig(**{**ok, **bad})
 
 
+def test_scan_config_rejects_non_finite_zeta():
+    ok = dict(medium_kind="axion", zeta_min=0.1, zeta_max=2.0, count=5)
+    for bad in (dict(zeta_min=math.nan), dict(zeta_max=math.nan),
+                dict(zeta_max=math.inf), dict(zeta_min=math.inf, zeta_max=math.inf)):
+        with pytest.raises(ConfigError, match="finite"):
+            ScanConfig(**{**ok, **bad})
+
+
 def test_grid_spacings():
     lin = ScanConfig(medium_kind="perfect_conductor", zeta_min=0.1,
                      zeta_max=2.0, count=5).grid()

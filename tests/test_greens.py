@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from cpshift.greens import (ComplexDyadic, EvaluationPoint, generalized_im,
                             generalized_re, greens_nonreciprocal_mirror,
-                            greens_perfect_conductor, scattering_greens_numeric)
+                            greens_perfect_conductor, imaginary_axis_greens,
+                            scattering_greens_numeric)
 from cpshift.media import (AxionMedium, ConstantReflectionMedium, PerfectConductor,
                            PerfectNonreciprocalMirror)
-from cpshift.quadrature import QuadratureConfig
+from cpshift.quadrature import QuadratureConfig, QuadratureError
 
 
 def _conductor_xx(z, w):
@@ -142,6 +143,39 @@ def test_imaginary_frequency_tensor_is_real():
     assert np.abs(g.matrix.imag).max() <= 1e-15
     gc = greens_perfect_conductor(0.7, 2.3j)
     assert np.abs(gc.matrix.imag).max() <= 1e-15
+
+
+def test_imaginary_axis_batch_matches_per_point_loop():
+    medium = AxionMedium(epsilon=16.0, theta=math.pi)
+    for zeta in (0.01, 1.0, 10.0):
+        # the xi nodes the nonresonant shift uses, xi = u c / 2z
+        xi = np.geomspace(0.02, 50.0, 9) / (2.0 * zeta)
+        batch = imaginary_axis_greens(zeta, xi, medium)
+        for j, x in enumerate(xi):
+            one = scattering_greens_numeric(EvaluationPoint(zeta, 1j * x), medium)
+            assert one.xx == pytest.approx(batch.diag[j], rel=1e-14, abs=0.0)
+            assert one.zz == pytest.approx(batch.zz[j], rel=1e-14, abs=0.0)
+            assert one.xy == pytest.approx(batch.xy[j], rel=1e-14, abs=0.0)
+            assert one.neval == batch.neval[j]
+            assert one.quad_error == pytest.approx(batch.quad_error[j], rel=1e-6)
+
+
+def test_imaginary_axis_rejects_bad_points():
+    medium = AxionMedium(epsilon=16.0)
+    for z, xi in ((0.0, [1.0]), (1.0, [1.0, 0.0]), (1.0, [np.nan]), (1.0, [-2.0])):
+        with pytest.raises(ValueError):
+            imaginary_axis_greens(z, xi, medium)
+
+
+def test_config_caps_reach_the_quadrature():
+    medium = AxionMedium(epsilon=16.0, theta=math.pi)
+    for w in (1.0, 1.0j):
+        with pytest.raises(QuadratureError, match="budget 1 exhausted"):
+            scattering_greens_numeric(EvaluationPoint(0.5, w), medium,
+                                      config=QuadratureConfig(max_panels=1))
+        with pytest.raises(QuadratureError, match="exceeded 1 levels"):
+            scattering_greens_numeric(EvaluationPoint(0.5, w), medium,
+                                      config=QuadratureConfig(max_depth=1))
 
 
 def test_tightened_tolerance_stays_within_reported_error():

@@ -43,6 +43,20 @@ def test_perpendicular_wavenumber_vectorized_branch_signs():
         assert v == pytest.approx(perpendicular_wavenumber(1.0, float(kp), epsilon=4.0))
 
 
+def test_frequency_array_aligned_with_k_par():
+    m = AxionMedium(epsilon=16.0, theta=math.pi)
+    omega = np.array([0.5j, 2.0j, 1.0, 0.0])
+    k_par = np.array([0.3, 0.0, 2.0, 1.5])
+    rv = m.reflection(omega, k_par)
+    for i, (w, kp) in enumerate(zip(omega, k_par)):
+        rs = m.reflection(complex(w), float(kp))
+        for name in ("r_ss", "r_sp", "r_ps", "r_pp"):
+            assert getattr(rv, name)[i] == pytest.approx(getattr(rs, name), rel=1e-14)
+    # only a node with omega = k_par = 0 is undefined
+    with pytest.raises(ValueError):
+        perpendicular_wavenumber(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+
+
 def test_perfect_conductor_coefficients():
     r = PerfectConductor().reflection(1.0, 0.7)
     assert (r.r_ss, r.r_pp, r.r_sp, r.r_ps) == (-1.0, 1.0, 0.0, 0.0)

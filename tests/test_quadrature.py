@@ -1,11 +1,12 @@
-"""Adaptive Gauss-Kronrod engine: exactness, adaptivity, failure modes."""
+"""Adaptive Gauss-Kronrod engines: exactness, adaptivity, lockstep, failure modes."""
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpshift.quadrature import QuadratureConfig, QuadratureError, integrate
+from cpshift.quadrature import (QuadratureConfig, QuadratureError, integrate,
+                                integrate_batch)
 
 
 def test_polynomial_single_pass():
@@ -91,3 +92,103 @@ def test_polynomials_match_antiderivative(coeffs, a, width):
     res = integrate(lambda x: poly(x), a, a + width, rel_tol=1e-12)
     exact = poly.integ()(a + width) - poly.integ()(a)
     assert math.isclose(res.value.real, exact, rel_tol=1e-9, abs_tol=1e-9)
+
+
+def test_config_rejects_invalid_values():
+    QuadratureConfig(abs_tol=0.0)
+    for bad in (dict(rel_tol=-1.0), dict(rel_tol=0.0), dict(xi_rel_tol=math.nan),
+                dict(kappa_cutoff=-5.0), dict(xi_cutoff=math.inf),
+                dict(abs_tol=-1e-12), dict(abs_tol=math.inf),
+                dict(max_depth=0), dict(max_panels=0)):
+        with pytest.raises(ValueError):
+            QuadratureConfig(**bad)
+    with pytest.raises(ValueError):
+        QuadratureConfig().tighter(0.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_integrand_fails_fast():
+    for bad in (math.nan, math.inf):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.where(x > 0.5, bad, x)
+
+        with pytest.raises(QuadratureError, match="non-finite"):
+            integrate(f, 0.0, 1.0)
+        assert len(calls) == 1
+
+        def g(x, owner):
+            calls.append(x.size)
+            return np.where((owner == 1) & (x > 0.5), bad, x)
+
+        calls.clear()
+        with pytest.raises(QuadratureError, match="integral 1"):
+            integrate_batch(g, [0.0, 0.0], [1.0, 1.0])
+        assert len(calls) == 1
+
+
+def _lockstep_integrand(params):
+    """Owner i: scale * e^{i k x} / (1 + ((x - x0)/w)^2), complex-valued."""
+    scale, k, x0, w = (np.array(p) for p in zip(*params))
+
+    def f(x, owner):
+        return (scale[owner] * np.exp(1j * k[owner] * x)
+                / (1.0 + ((x - x0[owner]) / w[owner]) ** 2))
+    return f
+
+
+@given(owners=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 4.0),
+                                 st.floats(-5.0, 5.0), st.floats(0.0, 20.0),
+                                 st.floats(-3.0, 3.0), st.floats(1e-3, 1.0)),
+                       min_size=1, max_size=6),
+       rel_tol=st.sampled_from([1e-6, 1e-10]))
+@settings(max_examples=40, deadline=None)
+def test_lockstep_owners_match_standalone_integrate(owners, rel_tol):
+    a = [o[0] for o in owners]
+    b = [o[0] + o[1] for o in owners]
+    f = _lockstep_integrand([o[2:] for o in owners])
+    values, errors, neval = integrate_batch(f, a, b, rel_tol=rel_tol)
+    for i, (lo, hi) in enumerate(zip(a, b)):
+        alone = integrate(lambda x: f(x, np.full(x.shape, i)), lo, hi, rel_tol=rel_tol)
+        assert neval[i] == alone.neval
+        assert abs(values[i] - alone.value) <= 1e-14 * abs(alone.value)
+        assert errors[i] == pytest.approx(alone.error, rel=1e-6,
+                                          abs=1e-15 * abs(alone.value))
+
+
+def test_zero_owner_stops_after_first_round():
+    seen = []
+
+    def f(x, owner):
+        seen.append(set(owner.tolist()))
+        return np.where(owner == 1, 0.0, np.cos(30.0 * x) * np.exp(-x))
+
+    values, errors, neval = integrate_batch(f, [0.0, 0.0, 1.0], [5.0, 5.0, 4.0],
+                                            rel_tol=1e-10)
+    assert seen[0] == {0, 1, 2}
+    assert len(seen) > 2 and all(1 not in owners for owners in seen[1:])
+    assert (values[1], errors[1], neval[1]) == (0.0, 0.0, 15)
+    assert neval[0] > 15 and neval[2] > 15
+    exact = (1.0 - math.exp(-5.0) * (math.cos(150.0) - 30.0 * math.sin(150.0))) / 901.0
+    assert abs(values[0] - exact) < 1e-12
+
+
+def test_lockstep_failure_in_one_owner_raises():
+    def singular(x, owner):
+        return np.where(owner == 1, np.abs(x) ** -0.5, 1.0)
+
+    with pytest.raises(QuadratureError, match="exceeded 3 levels in integral 1"):
+        integrate_batch(singular, [0.0, 0.0], [1.0, 1.0], rel_tol=1e-12, max_depth=3)
+
+    def kink(x, owner):
+        return np.where(owner == 0, np.sqrt(np.abs(x - 0.3)), x)
+
+    with pytest.raises(QuadratureError, match="budget 4 exhausted in integral 0"):
+        integrate_batch(kink, [0.0, 0.0], [1.0, 1.0], rel_tol=1e-15, max_panels=4)
+
+
+def test_lockstep_rejects_empty_intervals():
+    with pytest.raises(ValueError, match="integral 1"):
+        integrate_batch(lambda x, owner: x, [0.0, 1.0], [1.0, 1.0])

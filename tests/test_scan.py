@@ -7,7 +7,7 @@ import pytest
 
 from cpshift.atomics import decay_rate, nonresonant_shift, resonant_shift
 from cpshift.config import ConfigError, ScanConfig
-from cpshift.scan import FIGURE_NAMES, ScanError, figure, run_scan, worker_count
+from cpshift.scan import FIGURE_NAMES, ScanError, figure, run_scan
 from cpshift.media import PerfectConductor, PerfectNonreciprocalMirror
 from cpshift.units import canonical_transition
 
@@ -56,7 +56,6 @@ def test_scan_manifest_contents(tmp_path):
     assert manifest["status"] == "ok"
     assert manifest["error"] is None
     assert manifest["points"] == 4
-    assert manifest["threads"] >= 1
     assert manifest["wall_time_s"] >= 0.0
     assert manifest["config"]["medium"] == "axion"
     assert manifest["config"]["epsilon"] == 16.0
@@ -78,29 +77,14 @@ def test_failed_scan_still_writes_manifest(tmp_path):
     assert not (tmp_path / "fail.csv").exists()
 
 
-def test_scan_deterministic_across_thread_counts(tmp_path, monkeypatch):
+def test_scan_deterministic_csv(tmp_path):
     cfg = ScanConfig(medium_kind="axion", zeta_min=0.3, zeta_max=2.0, count=8,
                      theta=math.pi, quantities=("rate", "resonant_shift"),
                      name="det")
-    monkeypatch.setenv("CPSHIFT_THREADS", "1")
     run_scan(cfg, tmp_path / "a")
-    monkeypatch.setenv("CPSHIFT_THREADS", "7")
     run_scan(cfg, tmp_path / "b")
     assert (tmp_path / "a" / "det.csv").read_bytes() == \
         (tmp_path / "b" / "det.csv").read_bytes()
-
-
-def test_worker_count_env_override(monkeypatch):
-    monkeypatch.delenv("CPSHIFT_THREADS", raising=False)
-    assert worker_count() >= 1
-    monkeypatch.setenv("CPSHIFT_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("CPSHIFT_THREADS", "abc")
-    with pytest.raises(ConfigError):
-        worker_count()
-    monkeypatch.setenv("CPSHIFT_THREADS", "0")
-    with pytest.raises(ConfigError):
-        worker_count()
 
 
 def test_mirror_sign_scans_negate_exactly(tmp_path):
