@@ -9,10 +9,14 @@ Conventions (scalar sandwich s(omega) = d . G^(1)(z, z, omega) . conj(d)):
 
 with w the (possibly shifted) transition frequency.  For ideal mirrors the
 tensor has closed forms, used by default; the axion half-space goes through
-the numeric k-quadrature.  There, each round of the adaptive xi-integral
-hands all of its new xi nodes to one lockstep k-quadrature
-(`greens.imaginary_axis_greens`), which integrates the three tensor kernels
-at every node together.  The xi integral is evaluated on
+the numeric k-quadrature.  The grid functions take an array of heights:
+`sandwich_grid` gets the real-axis tensors of all heights from one lockstep
+call, and `nonresonant_shift_grid` runs the xi-integrals of all heights as
+owners of one lockstep quadrature, each round handing all of its new xi
+nodes to one closed-form evaluation or to one lockstep k-quadrature
+(`greens.imaginary_axis_greens`).  The one-height functions are their N = 1
+cases or share their arithmetic, so a grid value equals the one-height
+value bit for bit.  The xi integral is evaluated on
 xi = (c/2z) u, u in (0, u_max], which maps the e^{-2 xi z/c} damping to
 e^{-u} uniformly in z (tail beyond u_max=50 is ~2e-22 relative).
 """
@@ -27,16 +31,20 @@ from scipy.integrate import solve_ivp
 from .constants import Constants, SCALED
 from .greens import (ComplexDyadic, EvaluationPoint, greens_nonreciprocal_mirror,
                      greens_perfect_conductor, imaginary_axis_greens,
-                     scattering_greens_numeric)
+                     real_axis_greens, scattering_greens_numeric)
 from .media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
                     delta as axion_delta, nonretarded_limit_coefficients,
                     retarded_limit_coefficients)
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import QuadratureConfig, integrate_batch
+# integrate is not called here but stays importable from this module:
+# perfbench/tracer.py wraps it by this name.
+from .quadrature import integrate  # noqa: F401
 from .units import AtomModel, Transition, free_space_rate_formula
 
 __all__ = [
     "ShiftBreakdown", "AsymptoticCase", "PopulationState", "NonresonantTerms",
     "decay_rate", "resonant_shift", "nonresonant_shift", "nonresonant_shift_terms",
+    "nonresonant_shift_grid", "sandwich_grid",
     "total_shift", "self_consistent_shift", "asymptotic", "axion_difference",
     "evolve_populations",
 ]
@@ -76,19 +84,44 @@ def _dipole_weights(dipole: np.ndarray):
 
 
 def _sandwich_closed(medium, z, omega, dipole, constants):
-    """Vectorized d.G.d* over an omega array, closed-form mirrors only."""
+    """Vectorized d.G.d* over an omega array, closed-form mirrors only.
+
+    z is (z, z**2, z**3), each one height or aligned with omega.
+    """
     cc = constants.c
+    z, z2, z3 = z
     a, b, cw = _dipole_weights(dipole)
     phase = np.exp(2j * omega * z / cc)
     if isinstance(medium, PerfectConductor):
-        xx = (-1.0 / (8 * np.pi * z) - 1j * cc / (16 * np.pi * omega * z ** 2)
-              + cc ** 2 / (32 * np.pi * omega ** 2 * z ** 3)) * phase
-        zz = (-1j * cc / (8 * np.pi * omega * z ** 2)
-              + cc ** 2 / (16 * np.pi * omega ** 2 * z ** 3)) * phase
+        xx = (-1.0 / (8 * np.pi * z) - 1j * cc / (16 * np.pi * omega * z2)
+              + cc ** 2 / (32 * np.pi * omega ** 2 * z3)) * phase
+        zz = (-1j * cc / (8 * np.pi * omega * z2)
+              + cc ** 2 / (16 * np.pi * omega ** 2 * z3)) * phase
         return a * xx + b * zz
     sgn = medium.sign
-    xy = sgn * (1.0 / (8 * np.pi * z) + 1j * cc / (16 * np.pi * omega * z ** 2)) * phase
+    xy = sgn * (1.0 / (8 * np.pi * z) + 1j * cc / (16 * np.pi * omega * z2)) * phase
     return cw * xy
+
+
+def sandwich_grid(transition: Transition, z, medium,
+                  constants: Constants = SCALED,
+                  config: QuadratureConfig | None = None):
+    """s = d . G(z, z, w) . d* at the transition frequency for every height.
+
+    Returns (s complex[N], quad_error float[N]).  The axion tensors of all
+    heights come from one lockstep call (`greens.real_axis_greens`); the
+    closed forms stay point by point (`greens_tensor`), which keeps each
+    value equal to decay_rate's and resonant_shift's bit for bit.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    w = transition.frequency
+    if _has_closed_form(medium):
+        tensors = [greens_tensor(medium, zj, w, constants, config) for zj in z.tolist()]
+    else:
+        g = real_axis_greens(z, w, medium, constants, config)
+        tensors = [g.dyadic(j) for j in range(z.size)]
+    s = np.array([t.contract(transition.dipole) for t in tensors], dtype=complex)
+    return s, np.array([t.quad_error for t in tensors], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +159,8 @@ class NonresonantTerms:
 
     im_term carries Im s(i xi) (nonzero only for nonreciprocal media),
     re_term carries -Re s(i xi) (the only survivor for reciprocal ones).
+    Scalars for one height; arrays aligned with the heights from
+    nonresonant_shift_grid.
     """
 
     im_term: float
@@ -138,45 +173,74 @@ class NonresonantTerms:
         return self.im_term + self.re_term
 
 
-def nonresonant_shift_terms(transition: Transition, z: float, medium,
-                            constants: Constants = SCALED,
-                            config: QuadratureConfig | None = None,
-                            method: str = "auto") -> NonresonantTerms:
-    """Both xi-integral terms of the nonresonant shift, separately."""
-    if z <= 0:
-        raise ValueError(f"atom height must be positive, got z={z}")
+def nonresonant_shift_grid(transition: Transition, z, medium,
+                           constants: Constants = SCALED,
+                           config: QuadratureConfig | None = None,
+                           method: str = "auto") -> NonresonantTerms:
+    """Both xi-integral terms at every height z[j] > 0, in one lockstep call.
+
+    The xi-integral of height j is owner j of one `integrate_batch`; every
+    round hands the xi nodes of all heights to one closed-form evaluation or
+    to one `imaginary_axis_greens` call.  Returns NonresonantTerms whose
+    fields are arrays aligned with z; a failure's `owner` is the index j.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if not np.all(z > 0):
+        raise ValueError(f"atom height must be positive, got z={z[~(z > 0)]}")
     cfg = config or QuadratureConfig()
     w = transition.frequency
     cc = constants.c
+    n = z.size
     scale = cc / (2.0 * z)  # xi = scale * u
     use_closed = _has_closed_form(medium) and method != "numeric"
-    inner_err = 0.0
-    inner_neval = 0
+    # powers taken per height as Python floats, as the one-point call did
+    powers = (z, np.array([v ** 2 for v in z.tolist()]),
+              np.array([v ** 3 for v in z.tolist()]))
+    a, b, cw = _dipole_weights(transition.dipole)
+    inner_err = np.zeros(n)
+    inner_neval = np.zeros(n, dtype=int)
 
-    def f(u):
-        nonlocal inner_err, inner_neval
-        xi = scale * np.asarray(u)
+    def f(u, owner):
+        xi = scale[owner] * u
         if use_closed:
-            s = _sandwich_closed(medium, z, 1j * xi, transition.dipole, constants)
+            s = _sandwich_closed(medium, tuple(p[owner] for p in powers), 1j * xi,
+                                 transition.dipole, constants)
         else:
-            g = imaginary_axis_greens(z, xi.ravel(), medium, constants, cfg)
-            inner_err += float(g.quad_error.sum())
-            inner_neval += int(g.neval.sum())
-            a, b, cw = _dipole_weights(transition.dipole)
-            s = (a * g.diag + b * g.zz + cw * g.xy).reshape(np.shape(xi))
+            g = imaginary_axis_greens(z[owner], xi, medium, constants, cfg)
+            # an owner with a single panel (15 nodes) is (re)starting
+            restart = np.bincount(owner, minlength=n) == 15
+            inner_err[restart] = 0.0
+            inner_neval[restart] = 0
+            inner_err[:] += np.bincount(owner, weights=g.quad_error, minlength=n)
+            np.add.at(inner_neval, owner, g.neval)
+            s = a * g.diag + b * g.zz + cw * g.xy
         w_im = xi ** 3 / (xi ** 2 + w ** 2)
         w_re = xi ** 2 * w / (xi ** 2 + w ** 2)
         # pack both real integrands into one complex quadrature pass
         return w_im * s.imag + 1j * (w_re * s.real)
 
-    res = integrate(f, 0.0, cfg.xi_cutoff, rel_tol=cfg.xi_rel_tol,
-                    abs_tol=cfg.abs_tol, max_depth=cfg.max_depth,
-                    max_panels=cfg.max_panels)
+    values, errors, neval = integrate_batch(
+        f, np.zeros(n), np.full(n, cfg.xi_cutoff), rel_tol=cfg.xi_rel_tol,
+        abs_tol=cfg.abs_tol, max_depth=cfg.max_depth, max_panels=cfg.max_panels)
     pref = constants.mu0 / (math.pi * constants.hbar) * scale
-    return NonresonantTerms(im_term=pref * res.value.real,
-                            re_term=-pref * res.value.imag,
-                            quad_error=pref * res.error + inner_err,
-                            neval=res.neval + inner_neval)
+    return NonresonantTerms(im_term=pref * values.real, re_term=-pref * values.imag,
+                            quad_error=pref * errors + inner_err,
+                            neval=neval + inner_neval)
+
+
+def nonresonant_shift_terms(transition: Transition, z: float, medium,
+                            constants: Constants = SCALED,
+                            config: QuadratureConfig | None = None,
+                            method: str = "auto") -> NonresonantTerms:
+    """Both xi-integral terms of the nonresonant shift, separately.
+
+    The one-height case of nonresonant_shift_grid.
+    """
+    if z <= 0:
+        raise ValueError(f"atom height must be positive, got z={z}")
+    t = nonresonant_shift_grid(transition, [z], medium, constants, config, method)
+    return NonresonantTerms(im_term=float(t.im_term[0]), re_term=float(t.re_term[0]),
+                            quad_error=float(t.quad_error[0]), neval=int(t.neval[0]))
 
 
 def nonresonant_shift(transition: Transition, z: float, medium,

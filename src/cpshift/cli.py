@@ -15,9 +15,9 @@ import math
 import sys
 
 from .atomics import decay_rate, nonresonant_shift_terms, resonant_shift
-from .config import ConfigError, parse_config, _parse_angle
+from .config import ConfigError, build_medium, parse_config, _parse_angle
 from .constants import SCALED
-from .media import AxionMedium, PerfectConductor, PerfectNonreciprocalMirror, PoleError
+from .media import PoleError
 from .quadrature import QuadratureError
 from .scan import FIGURE_NAMES, ScanError, figure, run_scan
 from .units import canonical_transition, free_space_rate_formula
@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--zeta", required=True, type=float,
                        help="scaled distance w z / c")
         p.add_argument("--epsilon", type=float, default=1.0)
-        p.add_argument("--mu", type=float, default=1.0)
+        p.add_argument("--mu", type=float, default=1.0,
+                       help="permeability; the model is nonmagnetic, so only 1")
         p.add_argument("--theta", type=_angle, default=math.pi,
                        help="axion angle, radians or pi-multiples like 1.0pi")
         p.add_argument("--sign", type=float, default=-1.0,
@@ -65,18 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_medium(args):
-    if args.medium == "perfect_conductor":
-        return PerfectConductor()
-    if args.medium == "nonreciprocal_mirror":
-        return PerfectNonreciprocalMirror(sign=args.sign)
-    return AxionMedium(epsilon=args.epsilon, mu=args.mu, theta=args.theta)
-
-
 def _single_point(args) -> int:
     if not (math.isfinite(args.zeta) and args.zeta > 0):
         raise ConfigError(f"--zeta must be positive and finite, got {args.zeta}")
-    medium = _build_medium(args)
+    medium = build_medium(args.medium, args.epsilon, args.mu, args.theta, args.sign)
     transition = canonical_transition(args.handedness)
     gamma0 = free_space_rate_formula(transition, SCALED)
     z = args.zeta * SCALED.c / transition.frequency

@@ -14,7 +14,8 @@ import numpy as np
 
 from .media import AxionMedium, PerfectConductor, PerfectNonreciprocalMirror
 
-__all__ = ["ConfigError", "ScanConfig", "parse_config", "QUANTITY_COLUMNS"]
+__all__ = ["ConfigError", "ScanConfig", "parse_config", "build_medium",
+           "zeta_grid", "QUANTITY_COLUMNS"]
 
 
 class ConfigError(ValueError):
@@ -80,23 +81,41 @@ class ScanConfig:
                               f"expected subset of {sorted(QUANTITY_COLUMNS)}")
         if len(set(self.quantities)) != len(self.quantities):
             raise ConfigError(f"duplicate quantities in {self.quantities}")
-        if self.sign not in (-1.0, 1.0):
-            raise ConfigError(f"sign must be -1 or +1, got {self.sign}")
-        if self.epsilon <= 0 or self.mu <= 0:
-            raise ConfigError(f"epsilon and mu must be positive, got "
-                              f"epsilon={self.epsilon}, mu={self.mu}")
+        self.build_medium()
 
     def build_medium(self):
-        if self.medium_kind == "perfect_conductor":
-            return PerfectConductor()
-        if self.medium_kind == "nonreciprocal_mirror":
-            return PerfectNonreciprocalMirror(sign=self.sign)
-        return AxionMedium(epsilon=self.epsilon, mu=self.mu, theta=self.theta)
+        return build_medium(self.medium_kind, self.epsilon, self.mu, self.theta,
+                            self.sign)
 
     def grid(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.zeta_min, self.zeta_max, self.count)
-        return np.linspace(self.zeta_min, self.zeta_max, self.count)
+        return zeta_grid(self.zeta_min, self.zeta_max, self.count, self.spacing)
+
+
+def build_medium(medium_kind: str, epsilon: float = 1.0, mu: float = 1.0,
+                 theta: float = math.pi, sign: float = -1.0):
+    """The medium named by `medium_kind`.
+
+    Every parameter is checked by its medium, used by this one or not;
+    ConfigError names one the model cannot honour.
+    """
+    try:
+        media = {"perfect_conductor": PerfectConductor(),
+                 "nonreciprocal_mirror": PerfectNonreciprocalMirror(sign=sign),
+                 "axion": AxionMedium(epsilon=epsilon, mu=mu, theta=theta)}
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if medium_kind not in media:
+        raise ConfigError(f"unknown medium {medium_kind!r}; "
+                          f"expected one of {', '.join(_MEDIA)}")
+    return media[medium_kind]
+
+
+def zeta_grid(zeta_min: float, zeta_max: float, count: int,
+              spacing: str = "linear") -> np.ndarray:
+    """The scan grid: `count` points from zeta_min to zeta_max, linear or log."""
+    if spacing == "log":
+        return np.geomspace(zeta_min, zeta_max, count)
+    return np.linspace(zeta_min, zeta_max, count)
 
 
 def _parse_angle(text: str, key: str, line_no: int) -> float:

@@ -18,11 +18,13 @@ comes out real (Schwarz reflection principle).
 
 Each kernel on each segment is its own integral, but they all need the
 reflection matrix, so they run as owners of one lockstep quadrature
-(`quadrature.integrate_batch`): the six real-axis integrals of one point in
-one call, and on the imaginary axis the three kernels at every xi of a
-batch (`imaginary_axis_greens`, which the nonresonant shift calls once per
-round of its xi-integral).  Every round evaluates the reflection matrix
-once, on the nodes of all live panels.
+(`quadrature.integrate_batch`): on the real axis the six integrals of every
+height of a scan (`real_axis_greens`), and on the imaginary axis the three
+kernels at every (z, xi) of a batch (`imaginary_axis_greens`, which the
+nonresonant shift calls once per round of its xi-integral, for all heights
+at once).  Every round evaluates the reflection matrix once, on the nodes
+of all new panels.  `scattering_greens_numeric` is the one-point case of
+either.
 
 Ideal mirrors additionally have closed forms, used as oracles and as the
 fast path for the scan grids.
@@ -35,14 +37,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import Constants, SCALED
+from .quadrature import QuadratureConfig, integrate_batch, owner_groups
 # integrate is not called here but stays importable from this module:
 # perfbench/tracer.py wraps it by this name.
-from .quadrature import QuadratureConfig, integrate, integrate_batch  # noqa: F401
+from .quadrature import integrate  # noqa: F401
 
 __all__ = [
     "ComplexDyadic", "EvaluationPoint", "PlanarTensors",
     "greens_perfect_conductor", "greens_nonreciprocal_mirror",
-    "scattering_greens_numeric", "imaginary_axis_greens",
+    "scattering_greens_numeric", "imaginary_axis_greens", "real_axis_greens",
     "generalized_re", "generalized_im",
 ]
 
@@ -170,9 +173,9 @@ def _kernels(medium, omega, z, c, kp, kpar, component):
 
 
 class PlanarTensors(NamedTuple):
-    """G_xx = G_yy, G_zz and G_xy = -G_yx at a batch of frequencies.
+    """G_xx = G_yy, G_zz and G_xy = -G_yx at a batch of points.
 
-    quad_error and neval are per frequency, summed over the three kernels.
+    quad_error and neval are per point, summed over the kernels.
     """
 
     diag: np.ndarray
@@ -181,35 +184,49 @@ class PlanarTensors(NamedTuple):
     quad_error: np.ndarray
     neval: np.ndarray
 
+    def dyadic(self, j: int) -> ComplexDyadic:
+        """The full 3x3 tensor of point j."""
+        m = np.zeros((3, 3), dtype=complex)
+        m[0, 0] = m[1, 1] = self.diag[j]
+        m[2, 2] = self.zz[j]
+        m[0, 1] = self.xy[j]
+        m[1, 0] = -self.xy[j]
+        return ComplexDyadic(m, quad_error=float(self.quad_error[j]),
+                             neval=int(self.neval[j]))
 
-def imaginary_axis_greens(z: float, xi, medium, constants: Constants = SCALED,
+
+def imaginary_axis_greens(z, xi, medium, constants: Constants = SCALED,
                           config: QuadratureConfig | None = None) -> PlanarTensors:
     """Scattering tensor at omega = i*xi for every xi > 0, in one lockstep call.
 
-    Owner 3*j + m integrates kernel m at xi[j] along k_perp = i*kappa1,
-    kappa1 in [xi/c, xi/c + kappa_max]; the measure -i dkappa1 combines with
-    the i/8pi prefactor to 1/8pi.
+    z is one height or an array of heights aligned with xi.  Owner 3*j + m
+    integrates kernel m at (z[j], xi[j]) along k_perp = i*kappa1, kappa1 in
+    [xi/c, xi/c + kappa_max]; the measure -i dkappa1 combines with the
+    i/8pi prefactor to 1/8pi.  A failure's `owner` is the index j.
     """
-    if z <= 0:
-        raise ValueError(f"atom height must be positive, got z={z}")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    z = np.broadcast_to(np.asarray(z, dtype=float), xi.shape)
+    if not np.all(z > 0):
+        raise ValueError(f"atom height must be positive, got z={z[~(z > 0)]}")
     if not np.all(xi > 0):
         raise ValueError(f"need xi > 0 at every point, got {xi[~(xi > 0)]}")
     cfg = config or QuadratureConfig()
     c = constants.c
     owner_xi = np.repeat(xi, 3)
+    owner_z = np.repeat(z, 3)
     owner_kernel = np.tile(np.arange(3), xi.size)
     lo = owner_xi / c
 
     def f(t, owner):
         node_xi = owner_xi[owner]
-        return _kernels(medium, 1j * node_xi, z, c, 1j * t,
+        return _kernels(medium, 1j * node_xi, owner_z[owner], c, 1j * t,
                         np.sqrt(np.maximum(t * t - (node_xi / c) ** 2, 0.0)),
                         owner_kernel[owner])
 
-    values, errors, neval = integrate_batch(
-        f, lo, lo + cfg.kappa_cutoff / (2.0 * z), rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol, max_depth=cfg.max_depth, max_panels=cfg.max_panels)
+    with owner_groups(3):
+        values, errors, neval = integrate_batch(
+            f, lo, lo + cfg.kappa_cutoff / (2.0 * owner_z), rel_tol=cfg.rel_tol,
+            abs_tol=cfg.abs_tol, max_depth=cfg.max_depth, max_panels=cfg.max_panels)
     pref = 1.0 / (8 * np.pi)
     g = (pref * values).reshape(-1, 3)
     err = errors.reshape(-1, 3)
@@ -218,49 +235,60 @@ def imaginary_axis_greens(z: float, xi, medium, constants: Constants = SCALED,
                          neval.reshape(-1, 3).sum(axis=1))
 
 
+def real_axis_greens(z, omega, medium, constants: Constants = SCALED,
+                     config: QuadratureConfig | None = None) -> PlanarTensors:
+    """Scattering tensor at one real omega > 0 for every height z > 0, in one
+    lockstep call.
+
+    Owners 6*j to 6*j + 2 integrate the three kernels at z[j] on the
+    propagating segment, k_perp = t in (0, q], whose Jacobian cancels the
+    1/k_perp measure; owners 6*j + 3 to 6*j + 5 on the evanescent one,
+    k_perp = i*t, t in (0, kappa_max], measure -i dt, e^{-2 t z} decay.
+    A failure's `owner` is the index j.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if not np.all(z > 0):
+        raise ValueError(f"atom height must be positive, got z={z[~(z > 0)]}")
+    cfg = config or QuadratureConfig()
+    c = constants.c
+    omega = complex(omega)
+    q = omega.real / c
+    owner_z = np.repeat(z, 6)
+    owner_prop = np.tile(np.arange(6) < 3, z.size)
+
+    def f(t, owner):
+        prop = owner_prop[owner]
+        return _kernels(medium, omega, owner_z[owner], c, np.where(prop, t, 1j * t),
+                        np.where(prop, np.sqrt(np.maximum(q * q - t * t, 0.0)),
+                                 np.sqrt(q * q + t * t)),
+                        owner % 3)
+
+    hi = np.where(owner_prop, q, cfg.kappa_cutoff / (2.0 * owner_z))
+    with owner_groups(6):
+        values, errors, neval = integrate_batch(
+            f, np.zeros(hi.size), hi, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+            max_depth=cfg.max_depth, max_panels=cfg.max_panels)
+    # combined point by point in Python complex arithmetic, as the
+    # one-point tensor always was, so figures keep their last digits
+    pref = 1j / (8 * np.pi)
+    diag, zz, xy, err = [], [], [], []
+    for (d1, z1, x1, d2, z2, x2), e in zip(values.reshape(-1, 6).tolist(),
+                                           errors.reshape(-1, 6).tolist()):
+        diag.append(pref * (d1 - 1j * d2))
+        zz.append(pref * (z1 - 1j * z2))
+        xy.append(pref * (x1 - 1j * x2))
+        err.append(abs(pref) * ((e[0] + e[1] + e[2]) + (e[3] + e[4] + e[5])))
+    return PlanarTensors(np.array(diag), np.array(zz), np.array(xy), np.array(err),
+                         neval.reshape(-1, 6).sum(axis=1))
+
+
 def scattering_greens_numeric(point: EvaluationPoint, medium,
                               constants: Constants = SCALED,
                               config: QuadratureConfig | None = None) -> ComplexDyadic:
     """Quadrature evaluation of the scattering tensor at coincident points."""
-    cfg = config or QuadratureConfig()
-    c = constants.c
-    z = point.z
     omega = complex(point.frequency)
-
     if point.is_imaginary:
-        g = imaginary_axis_greens(z, omega.imag, medium, constants, cfg)
-        g_diag, g_zz, g_xy = g.diag[0], g.zz[0], g.xy[0]
-        quad_err = float(g.quad_error[0])
-        neval = int(g.neval[0])
+        g = imaginary_axis_greens(point.z, omega.imag, medium, constants, config)
     else:
-        q = omega.real / c
-        kappa_max = cfg.kappa_cutoff / (2.0 * z)
-
-        # owners 0-2: propagating, k_perp = t in (0, q], whose Jacobian
-        # cancels the 1/k_perp measure; owners 3-5: evanescent, k_perp =
-        # i*t, measure -i dt, e^{-2 t z} decay
-        def f(t, owner):
-            prop = owner < 3
-            return _kernels(medium, omega, z, c, np.where(prop, t, 1j * t),
-                            np.where(prop, np.sqrt(np.maximum(q * q - t * t, 0.0)),
-                                     np.sqrt(q * q + t * t)),
-                            owner % 3)
-
-        values, errors, nevals = integrate_batch(
-            f, np.zeros(6), np.repeat([q, kappa_max], 3), rel_tol=cfg.rel_tol,
-            abs_tol=cfg.abs_tol, max_depth=cfg.max_depth, max_panels=cfg.max_panels)
-        d1, z1, x1, d2, z2, x2 = values.tolist()
-        e = errors.tolist()
-        pref = 1j / (8 * np.pi)
-        g_diag = pref * (d1 - 1j * d2)
-        g_zz = pref * (z1 - 1j * z2)
-        g_xy = pref * (x1 - 1j * x2)
-        quad_err = abs(pref) * ((e[0] + e[1] + e[2]) + (e[3] + e[4] + e[5]))
-        neval = int(nevals.sum())
-
-    m = np.zeros((3, 3), dtype=complex)
-    m[0, 0] = m[1, 1] = g_diag
-    m[2, 2] = g_zz
-    m[0, 1] = g_xy
-    m[1, 0] = -g_xy
-    return ComplexDyadic(m, quad_error=quad_err, neval=neval)
+        g = real_axis_greens(point.z, omega, medium, constants, config)
+    return g.dyadic(0)

@@ -34,7 +34,15 @@ class Polarization(Enum):
 
 
 class PoleError(ArithmeticError):
-    """Shared reflection denominator vanished on the integration path."""
+    """Shared reflection denominator vanished on the integration path.
+
+    `owner` is the flat index of the offending k_par node (None where that
+    is not known); a batched quadrature maps it to the integral it serves.
+    """
+
+    def __init__(self, message, owner=None):
+        super().__init__(message)
+        self.owner = owner
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,10 +126,10 @@ class AxionMedium:
     """Half-space with permittivity, permeability and axion coupling theta.
 
     Medium 1 is vacuum (eps_1 = 1, theta_1 = 0, n_1 = 1).  The cross
-    coefficients carry Delta = alpha*theta/pi.  mu enters only through
-    k_perp_2 = sqrt(eps*mu*omega^2/c^2 - k_par^2); the epsilon weights in
-    the coefficient formulas are kept as printed for mu = 1.  Nondispersive
-    (constant eps, mu) by construction.
+    coefficients carry Delta = alpha*theta/pi.  The Fresnel weights are
+    those of a nonmagnetic medium, so mu must be 1 (it is kept as a field
+    for callers that state it); epsilon must be positive and finite, theta
+    finite.  Nondispersive (constant eps) by construction.
     """
 
     epsilon: float = 1.0
@@ -132,10 +140,13 @@ class AxionMedium:
     label = "axion"
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if self.mu != 1:
+            raise ValueError(f"mu must be 1 (the Fresnel weights are those of a "
+                             f"nonmagnetic medium), got {self.mu}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         object.__setattr__(self, "delta", delta(0.0, self.theta))
 
     def reflection(self, omega, k_par, c: float = 1.0) -> ReflectionMatrix:
@@ -143,8 +154,11 @@ class AxionMedium:
         k2 = perpendicular_wavenumber(omega, k_par, self.epsilon, self.mu, c)
         dd = self.delta ** 2
         den = (k1 + k2) * (self.epsilon * k1 + k2) + k1 * k2 * dd
-        if np.any(den == 0):
-            raise PoleError(f"reflection pole at omega={omega}, k_par={k_par}")
+        pole = np.flatnonzero(den == 0)
+        if pole.size:
+            i = int(pole[0])
+            w, k = (np.broadcast_to(v, den.shape).flat[i] for v in (omega, k_par))
+            raise PoleError(f"reflection pole at omega={w}, k_par={k}", owner=i)
         r_ss = ((k1 - k2) * (self.epsilon * k1 + k2) - k1 * k2 * dd) / den
         r_pp = ((self.epsilon * k1 - k2) * (k1 + k2) + k1 * k2 * dd) / den
         r_x = -2.0 * k1 * k2 * self.delta / den

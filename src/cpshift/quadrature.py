@@ -12,28 +12,38 @@ bisection levels (default 30); exceeding the cap or the panel budget
 raises QuadratureError rather than returning a silently bad number, and so
 does a non-finite integrand value or error estimate, at once.
 
-`integrate` runs one integral.  `integrate_batch` runs N independent
-integrals ("owners") in lockstep: each refinement round makes one integrand
-call f(x, owner) on the nodes of every live panel of every owner, so the
-per-call cost of the integrand (one reflection-matrix evaluation, say) is
-paid once per round instead of once per integral per round.  Each owner
-applies exactly integrate's rule, with its own tolerance, depth cap and
-panel budget, and drops out of the rounds once it has converged.
+`integrate_batch` runs N independent integrals ("owners") in lockstep:
+each refinement round makes one integrand call f(x, owner) on the nodes of
+every new panel of every owner, so the per-call cost of the integrand (one
+reflection-matrix evaluation, say) is paid once per round instead of once
+per integral per round.  Each owner applies the same rule with its own
+tolerance and depth cap, and drops out of the rounds once it has
+converged.  `max_panels` bounds the live panels of the whole call: owners
+that would overflow it wait in a queue and restart later, so a call's
+memory does not grow with N.  `integrate` is the one-owner case.
 """
 from __future__ import annotations
 
-import cmath
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["QuadratureConfig", "QuadratureError", "QuadResult", "integrate",
-           "integrate_batch"]
+           "integrate_batch", "owner_groups"]
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive refinement failed to reach the requested tolerance."""
+    """Adaptive refinement failed to reach the requested tolerance.
+
+    `owner` is the index of the failing integral in a batched call (None
+    where that is not known).
+    """
+
+    def __init__(self, message, owner=None):
+        super().__init__(message)
+        self.owner = owner
 
 
 # 15-point Kronrod extension of 7-point Gauss, nodes ascending on [-1, 1].
@@ -70,7 +80,9 @@ class QuadratureConfig:
     xi_rel_tol   : relative tolerance of the imaginary-frequency integral
     abs_tol      : absolute floor (identically-zero channels stop at once)
     max_depth    : bisection cap per panel
-    max_panels   : hard budget on simultaneously live panels
+    max_panels   : hard budget on simultaneously live panels of one
+                   quadrature call, shared by all its owners (see
+                   integrate_batch)
     kappa_cutoff : evanescent truncation, kappa_max = kappa_cutoff / (2 z)
     xi_cutoff    : xi-integral substitution range, u in (0, xi_cutoff]
     """
@@ -114,37 +126,35 @@ class QuadResult:
     neval: int
 
 
-def _panels(f, a: np.ndarray, b: np.ndarray, owner=None, lone: bool = False):
-    """Evaluate K15/G7 on a batch of panels [a_i, b_i].
+def _panels(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray, first: int):
+    """Evaluate K15/G7 on a batch of panels [a_i, b_i] in one call f(x, owner).
 
-    With `owner` the integrand is called as f(x, owner of each node).
     numpy rounds a matrix-vector product differently for a one-row matrix
-    than for a taller one, and integrate's first round has one panel; so
-    `lone` reduces each panel as a one-row product of its own, which keeps
-    a lockstep owner's first panel equal to integrate's.
+    than for a taller one, and a standalone integral's first round has one
+    panel; so the panels from index `first` on (owners' first panels) are
+    reduced as one-row products of their own.  An exception from f whose
+    `owner` names a node of x is re-pointed at the integral that node
+    belongs to.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _K15_NODES[None, :]
-    if owner is None:
-        y = f(x.ravel())
-    else:
-        y = f(x.ravel(), np.repeat(owner, x.shape[1]))
+    node_owner = np.repeat(owner, x.shape[1])
+    try:
+        y = f(x.ravel(), node_owner)
+    except (ArithmeticError, QuadratureError) as exc:
+        if getattr(exc, "owner", None) is not None:
+            exc.owner = int(node_owner[exc.owner])
+        raise
     y = np.asarray(y).reshape(x.shape)
-    if lone:
-        y = y[:, None, :]
-        k15 = half * (y @ _K15_WEIGHTS)[:, 0]
-        g7 = half * (y @ _G7_WEIGHTS)[:, 0]
-    else:
-        k15 = half * (y @ _K15_WEIGHTS)
-        g7 = half * (y @ _G7_WEIGHTS)
-    return k15, np.abs(k15 - g7)
 
+    def reduce(w):
+        if first == y.shape[0]:
+            return y @ w
+        return np.concatenate([y[:first] @ w, (y[first:, None, :] @ w)[:, 0]])
 
-def _check_finite(total, err_total, where: str = ""):
-    if not (cmath.isfinite(total) and math.isfinite(err_total)):
-        raise QuadratureError(f"non-finite integrand value or error estimate{where} "
-                              f"(sum={total}, err={err_total})")
+    k15 = half * reduce(_K15_WEIGHTS)
+    return k15, np.abs(k15 - half * reduce(_G7_WEIGHTS))
 
 
 def integrate(f, a: float, b: float, rel_tol: float = 1e-9, abs_tol: float = 0.0,
@@ -153,53 +163,30 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-9, abs_tol: float = 0.0
 
     f must be vectorized: f(x: ndarray) -> ndarray (real or complex).
     Returns the integral with an error estimate and the evaluation count.
+    This is integrate_batch with one owner.
     """
-    if not (b > a):
-        raise ValueError(f"need b > a, got [{a}, {b}]")
-    lo = np.array([a], dtype=float)
-    hi = np.array([b], dtype=float)
-    depth = np.array([0], dtype=int)
-    vals, errs = _panels(f, lo, hi)
-    neval = 15
+    values, errors, neval = integrate_batch(lambda x, owner: f(x), [a], [b], rel_tol,
+                                            abs_tol, max_depth, max_panels)
+    return QuadResult(complex(values[0]), float(errors[0]), int(neval[0]))
 
-    while True:
-        total = vals.sum()
-        err_total = float(errs.sum())
-        _check_finite(total, err_total)
-        tol = max(rel_tol * abs(total), abs_tol)
-        if err_total <= tol:
-            return QuadResult(complex(total), err_total, neval)
 
-        # Split every panel holding more than its fair share of the excess;
-        # always include the worst one so progress is guaranteed.
-        thresh = tol / (2.0 * len(errs)) if tol > 0 else 0.0
-        mask = errs > thresh
-        mask[np.argmax(errs)] = True
-        if np.any(depth[mask] >= max_depth):
-            raise QuadratureError(
-                f"panel refinement exceeded {max_depth} levels "
-                f"(err={err_total:.3e}, tol={tol:.3e})")
-        if len(errs) + int(mask.sum()) > max_panels:
-            raise QuadratureError(
-                f"panel budget {max_panels} exhausted (err={err_total:.3e}, tol={tol:.3e})")
+@contextmanager
+def owner_groups(size: int):
+    """Re-point a failure's `owner` from an integral at its group, owner // size.
 
-        mid = 0.5 * (lo[mask] + hi[mask])
-        new_lo = np.concatenate([lo[mask], mid])
-        new_hi = np.concatenate([mid, hi[mask]])
-        new_depth = np.concatenate([depth[mask], depth[mask]]) + 1
-        new_vals, new_errs = _panels(f, new_lo, new_hi)
-        neval += 15 * len(new_lo)
-
-        keep = ~mask
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        depth = np.concatenate([depth[keep], new_depth])
-        vals = np.concatenate([np.atleast_1d(vals[keep]), np.atleast_1d(new_vals)])
-        errs = np.concatenate([errs[keep], new_errs])
+    For callers that run `size` consecutive integrals per point of their own
+    input, so the error names the point.
+    """
+    try:
+        yield
+    except (ArithmeticError, QuadratureError) as exc:
+        if getattr(exc, "owner", None) is not None:
+            exc.owner //= size
+        raise
 
 
 def _owner_sums(vals, errs, starts, counts):
-    """Each owner's panel sums, reduced exactly as integrate's 1-d sums.
+    """Each owner's panel sums, reduced exactly as a standalone call's.
 
     Rows of equal length reduce along the last axis the same way a 1-d
     array does, so owners are summed in groups of equal panel count.
@@ -219,76 +206,61 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0,
     """Integrate N independent integrals, owner i over [a[i], b[i]], in lockstep.
 
     f(x, owner) -> ndarray is called once per refinement round; x holds the
-    nodes of every live panel and owner[j] the integral x[j] belongs to.
-    Each owner follows integrate's rule, tolerance test, depth cap and
-    panel budget on its own, keeps its panels in integrate's order and sums
-    them the way integrate does, so its value, error and evaluation count
-    match a standalone integrate call.  They match bit for bit wherever
-    numpy rounds each row of a matrix-vector product independently of the
-    other rows (with OpenBLAS, for complex integrands).  A failure in any
-    owner raises QuadratureError naming it.
+    nodes of every panel evaluated in that round and owner[j] the integral
+    x[j] belongs to.  Each owner follows one rule on its own: split every
+    panel above its fair share tol / (2 * panels) of the tolerance
+    max(rel_tol * |sum|, abs_tol), plus the first panel of largest error,
+    until the summed |K15 - G7| is within tolerance; no panel deeper than
+    `max_depth` bisections.
+
+    `max_panels` bounds the live panels of the whole call, so memory does
+    not grow with N.  Owners start in index order as the budget allows; when
+    a round would exceed it, the highest-index live owners are evicted back
+    to the queue, to restart later from their first panel (queued owners
+    start only in rounds that evict none).  The lowest-index live owner is
+    never evicted, so it keeps the standalone cap: it fails only if it
+    alone would exceed `max_panels`.
+
+    Owners are deterministic and each keeps its panels in one order and
+    sums them the same way whatever else runs, so its value, error and
+    evaluation count match a one-owner call (`integrate`).  They match bit
+    for bit wherever numpy rounds each row of a matrix-vector product
+    independently of the other rows (with OpenBLAS, for complex
+    integrands).  A failure raises QuadratureError; its `owner` is the
+    failing integral, and an ArithmeticError or QuadratureError from f that
+    names a node of x in `owner` gets that node's integral instead.
 
     Returns (values complex[N], errors float[N], neval int[N]).
     """
-    lo = np.atleast_1d(np.asarray(a, dtype=float))
-    hi = np.atleast_1d(np.asarray(b, dtype=float))
-    if lo.ndim != 1 or lo.shape != hi.shape:
-        raise ValueError(f"need matching 1-d bounds, got shapes {lo.shape}, {hi.shape}")
-    if not np.all(hi > lo):
-        i = int(np.argmin(hi > lo))
-        raise ValueError(f"need b > a, got [{lo[i]}, {hi[i]}] for integral {i}")
-    n = lo.size
+    lo0 = np.atleast_1d(np.asarray(a, dtype=float))
+    hi0 = np.atleast_1d(np.asarray(b, dtype=float))
+    if lo0.ndim != 1 or lo0.shape != hi0.shape:
+        raise ValueError(f"need matching 1-d bounds, got shapes {lo0.shape}, {hi0.shape}")
+    if not np.all(hi0 > lo0):
+        i = int(np.argmin(hi0 > lo0))
+        raise ValueError(f"need b > a, got [{lo0[i]}, {hi0[i]}] for integral {i}")
+    n = lo0.size
     values = np.zeros(n, dtype=complex)
     errors = np.zeros(n)
-    neval = np.full(n, 15)
-    # live panels, sorted by owner; each owner's panels in integrate's order
-    own = np.arange(n)
-    depth = np.zeros(n, dtype=int)
-    vals, errs = _panels(f, lo, hi, own, lone=True)
+    neval = np.zeros(n, dtype=int)
+    pending = np.arange(n)  # queued owners, ascending, all above the live ones
+    # live panels, sorted by owner; each owner's panels in a standalone order
+    own = np.empty(0, dtype=int)
+    lo = hi = vals = errs = np.empty(0)
+    depth = np.empty(0, dtype=int)
+    keep = split = np.empty(0, dtype=int)
+    admit, pending = pending[:max_panels], pending[max_panels:]
 
-    while own.size:
-        starts = np.flatnonzero(np.concatenate(([True], own[1:] != own[:-1])))
-        counts = np.diff(np.append(starts, own.size))
-        owners = own[starts]
-        total, err_total = _owner_sums(vals, errs, starts, counts)
-        finite = np.isfinite(total) & np.isfinite(err_total)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            _check_finite(total[i], err_total[i], f" in integral {owners[i]}")
-        tol = np.maximum(rel_tol * np.abs(total), abs_tol)
-        done = err_total <= tol
-        values[owners[done]] = total[done]
-        errors[owners[done]] = err_total[done]
-        if done.all():
-            break
-
-        # integrate's split rule, per owner: the fair-share excess, plus the
-        # first panel of largest error
-        thresh = tol / (2.0 * counts)
-        live = np.repeat(~done, counts)
-        mask = live & (errs > np.repeat(thresh, counts))
-        hit = np.flatnonzero(errs == np.repeat(np.maximum.reduceat(errs, starts), counts))
-        first = hit[np.concatenate(([True], own[hit[1:]] != own[hit[:-1]]))]
-        mask[first[~done]] = True
-
-        deep = mask & (depth >= max_depth)
-        nsplit = np.add.reduceat(mask, starts, dtype=int)
-        full = counts + nsplit > max_panels
-        if deep.any() or full.any():
-            i = (np.searchsorted(owners, own[np.argmax(deep)]) if deep.any()
-                 else int(np.argmax(full)))
-            what = (f"panel refinement exceeded {max_depth} levels" if deep.any()
-                    else f"panel budget {max_panels} exhausted")
-            raise QuadratureError(f"{what} in integral {owners[i]} "
-                                  f"(err={err_total[i]:.3e}, tol={tol[i]:.3e})")
-
-        split = np.flatnonzero(mask)
-        keep = np.flatnonzero(live & ~mask)
+    while True:
+        # this round's panels: both halves of every split panel, then the
+        # first panel of every admitted owner
         mid = 0.5 * (lo[split] + hi[split])
-        new_own = np.concatenate([own[split], own[split]])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        new_vals, new_errs = _panels(f, new_lo, new_hi, new_own)
+        new_own = np.concatenate([own[split], own[split], admit])
+        new_lo = np.concatenate([lo[split], mid, lo0[admit]])
+        new_hi = np.concatenate([mid, hi[split], hi0[admit]])
+        new_depth = np.concatenate([depth[split] + 1, depth[split] + 1,
+                                    np.zeros(admit.size, dtype=int)])
+        new_vals, new_errs = _panels(f, new_lo, new_hi, new_own, 2 * split.size)
         neval += 15 * np.bincount(new_own, minlength=n)
 
         # kept panels, then left halves, then right halves, per owner
@@ -297,7 +269,66 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0,
         own = own[order]
         lo = np.concatenate([lo[keep], new_lo])[order]
         hi = np.concatenate([hi[keep], new_hi])[order]
-        depth = np.concatenate([depth[keep], depth[split] + 1, depth[split] + 1])[order]
+        depth = np.concatenate([depth[keep], new_depth])[order]
         vals = np.concatenate([vals[keep], new_vals])[order]
         errs = np.concatenate([errs[keep], new_errs])[order]
-    return values, errors, neval
+
+        starts = np.flatnonzero(np.concatenate(([True], own[1:] != own[:-1])))
+        counts = np.diff(np.append(starts, own.size))
+        owners = own[starts]
+        total, err_total = _owner_sums(vals, errs, starts, counts)
+        finite = np.isfinite(total) & np.isfinite(err_total)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise QuadratureError(
+                f"non-finite integrand value or error estimate in integral "
+                f"{owners[i]} (sum={total[i]}, err={err_total[i]})", owner=int(owners[i]))
+        tol = np.maximum(rel_tol * np.abs(total), abs_tol)
+        done = err_total <= tol
+        values[owners[done]] = total[done]
+        errors[owners[done]] = err_total[done]
+        if done.all() and pending.size == 0:
+            return values, errors, neval
+
+        # the split rule, per owner: the fair-share excess, plus the first
+        # panel of largest error
+        thresh = tol / (2.0 * counts)
+        live = np.repeat(~done, counts)
+        mask = live & (errs > np.repeat(thresh, counts))
+        hit = np.flatnonzero(errs == np.repeat(np.maximum.reduceat(errs, starts), counts))
+        first = hit[np.concatenate(([True], own[hit[1:]] != own[hit[:-1]]))]
+        mask[first[~done]] = True
+        deep = mask & (depth >= max_depth)
+        if deep.any():
+            i = int(np.searchsorted(owners, own[np.argmax(deep)]))
+            raise QuadratureError(
+                f"panel refinement exceeded {max_depth} levels in integral "
+                f"{owners[i]} (err={err_total[i]:.3e}, tol={tol[i]:.3e})",
+                owner=int(owners[i]))
+
+        # the budget: keep the longest run of live owners, in index order,
+        # whose panels after this round fit; the first one must fit alone
+        admit = pending[:0]
+        if own.size + np.count_nonzero(mask) > max_panels or pending.size:
+            used = np.cumsum(np.where(done, 0, counts + np.add.reduceat(mask, starts,
+                                                                        dtype=int)))
+            running = ~done & (used <= max_panels)
+            evicted = owners[~done & ~running]
+            if evicted.size:
+                i = int(np.argmin(done))
+                if not running[i]:
+                    raise QuadratureError(
+                        f"panel budget {max_panels} exhausted in integral {owners[i]} "
+                        f"(err={err_total[i]:.3e}, tol={tol[i]:.3e})", owner=int(owners[i]))
+                neval[evicted] = 0
+                pending = np.concatenate([evicted, pending])
+                live = np.repeat(running, counts)
+                mask &= live
+            else:
+                # queued owners start only in a round that evicted none, so
+                # an evicted owner does not restart at once into the same
+                # shortage
+                room = max_panels - int(used[-1])
+                admit, pending = pending[:room], pending[room:]
+        split = np.flatnonzero(mask)
+        keep = np.flatnonzero(live & ~mask)

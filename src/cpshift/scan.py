@@ -1,9 +1,12 @@
 """Distance scans and figure-data emission (CSV + JSON run manifest).
 
 All outputs are scaled: lengths as zeta = w z / c, rates and shifts divided
-by the free-space rate of the scan's transition.  Grid points are evaluated
-in grid order on the calling thread, so identical configs give
-byte-identical CSV files.
+by the free-space rate of the scan's transition.  Each requested quantity
+is evaluated over the whole grid at once: the grid points are owners of
+one lockstep quadrature (`atomics.sandwich_grid`,
+`atomics.nonresonant_shift_grid`), on the calling thread.  Every point's
+value equals its one-point evaluation bit for bit, so identical configs
+give byte-identical CSV files.
 """
 from __future__ import annotations
 
@@ -14,10 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomics import asymptotic, AsymptoticCase, nonresonant_shift_terms
-from .config import ConfigError, QUANTITY_COLUMNS, ScanConfig
+from .atomics import (asymptotic, AsymptoticCase, nonresonant_shift_grid,
+                      sandwich_grid)
+# not called here but importable from this module: perfbench/tracer.py
+# wraps them by these names.
+from .atomics import greens_tensor, nonresonant_shift_terms  # noqa: F401
+from .config import ConfigError, QUANTITY_COLUMNS, ScanConfig, zeta_grid
 from .constants import SCALED
-from .atomics import greens_tensor
 from .media import AxionMedium, PerfectConductor, PerfectNonreciprocalMirror
 from .quadrature import QuadratureConfig, QuadratureError
 from .units import canonical_transition, free_space_rate_formula
@@ -83,44 +89,44 @@ def _quad_dict(cfg: QuadratureConfig) -> dict:
             "kappa_cutoff": cfg.kappa_cutoff, "xi_cutoff": cfg.xi_cutoff}
 
 
-def _evaluate_point(zeta: float, medium, transition, quantities,
-                    qcfg: QuadratureConfig):
-    """All requested scaled quantities at one grid point.
+def _scan_values(zetas, medium, transition, quantities, qcfg: QuadratureConfig):
+    """All requested scaled quantities over the whole grid.
 
-    Returns (values in quantity order, summed quadrature error estimate).
-    In scaled units z = zeta directly; the normalization Gamma0 is computed
-    rather than assumed 1 so non-canonical transitions stay correct.
+    Each quantity is one batched call over every grid point (the rate and
+    the resonant shift share their tensors).  Returns (values[N, Q], summed
+    quadrature error estimate per point).  In scaled units z = zeta
+    directly; the normalization Gamma0 is computed rather than assumed 1 so
+    non-canonical transitions stay correct.  A failure raises ScanError
+    naming the zeta of the failing point.
     """
     con = SCALED
-    z = float(zeta) * con.c / transition.frequency
-    gamma0 = free_space_rate_formula(transition, con)
     w = transition.frequency
-    err = 0.0
-    cache = {}
-
-    def sandwich():
-        if "s" not in cache:
-            g = greens_tensor(medium, z, w, con, qcfg)
-            cache["s"] = g.contract(transition.dipole)
-            cache["g_err"] = g.quad_error
-        return cache["s"]
-
-    out = []
-    for q in quantities:
-        if q == "rate":
-            s = sandwich()
-            out.append(2.0 * con.mu0 / con.hbar * w ** 2 * s.imag / gamma0)
-        elif q == "resonant_shift":
-            s = sandwich()
-            out.append(-con.mu0 / con.hbar * w ** 2 * s.real / gamma0)
-        elif q == "nonresonant_shift":
-            terms = nonresonant_shift_terms(transition, z, medium, con, qcfg)
-            err += terms.quad_error
-            out.append(terms.total / gamma0)
-        else:
-            raise ScanError(f"unknown quantity {q!r}", zeta=zeta)
-    err += cache.get("g_err", 0.0)
-    return out, err
+    z = zetas * con.c / w
+    gamma0 = free_space_rate_formula(transition, con)
+    err = np.zeros(zetas.size)
+    s = None
+    columns = []
+    try:
+        for q in quantities:
+            if q in ("rate", "resonant_shift") and s is None:
+                s, g_err = sandwich_grid(transition, z, medium, con, qcfg)
+                err += g_err
+            if q == "rate":
+                columns.append(2.0 * con.mu0 / con.hbar * w ** 2 * s.imag / gamma0)
+            elif q == "resonant_shift":
+                columns.append(-con.mu0 / con.hbar * w ** 2 * s.real / gamma0)
+            elif q == "nonresonant_shift":
+                terms = nonresonant_shift_grid(transition, z, medium, con, qcfg)
+                err += terms.quad_error
+                columns.append(terms.total / gamma0)
+            else:
+                raise ScanError(f"unknown quantity {q!r}")
+    except (QuadratureError, ArithmeticError) as exc:
+        owner = getattr(exc, "owner", None)
+        zeta = None if owner is None else float(zetas[owner])
+        where = "" if zeta is None else f" at zeta={zeta:.6g}"
+        raise ScanError(f"{type(exc).__name__}{where}: {exc}", zeta=zeta) from exc
+    return np.column_stack(columns), err
 
 
 def _format_csv(columns, zetas, values) -> str:
@@ -152,19 +158,10 @@ def run_scan(config: ScanConfig, out_dir,
     csv_path = out / f"{config.name}.csv"
     manifest_path = out / f"{config.name}.manifest.json"
     t0 = time.perf_counter()
-
-    def point(zeta):
-        try:
-            return _evaluate_point(zeta, medium, transition,
-                                   config.quantities, qcfg)
-        except (QuadratureError, ArithmeticError) as exc:
-            raise ScanError(f"{type(exc).__name__} at zeta={zeta:.6g}: {exc}",
-                            zeta=zeta) from exc
-
     base = dict(command="scan", config=_config_echo(config),
                 quadrature=_quad_dict(qcfg))
     try:
-        results = [point(zeta) for zeta in zetas]
+        values, errs = _scan_values(zetas, medium, transition, config.quantities, qcfg)
     except ScanError as exc:
         manifest = RunManifest(**base, wall_time_s=time.perf_counter() - t0,
                                points=len(zetas), quad_error_max=float("nan"),
@@ -173,8 +170,6 @@ def run_scan(config: ScanConfig, out_dir,
         _write_manifest(manifest_path, manifest)
         raise
 
-    values = np.array([r[0] for r in results])
-    errs = np.array([r[1] for r in results])
     csv_path.write_text(_format_csv(columns, zetas, values), encoding="utf-8")
     manifest = RunManifest(**base, wall_time_s=time.perf_counter() - t0,
                            points=len(zetas),
@@ -221,34 +216,20 @@ def _trace_scan(name, medium_kind, quantities, grid, out, qcfg, **medium_kw):
 def _difference_traces(name_prefix, quantity, grid, out, qcfg, epsilon=16.0):
     """ε-medium with-minus-without-axion traces for theta = ±pi."""
     transition = canonical_transition("plus")
-    cfg_grid = ScanConfig(medium_kind="axion", quantities=(quantity,),
-                          name="tmp", **grid)
-    zetas = cfg_grid.grid()
-    media = {
-        "plus": AxionMedium(epsilon=epsilon, theta=np.pi),
-        "minus": AxionMedium(epsilon=epsilon, theta=-np.pi),
-        "zero": AxionMedium(epsilon=epsilon, theta=0.0),
-    }
-    column = QUANTITY_COLUMNS[quantity]
-
-    def point(zeta):
-        vals = {}
-        err = 0.0
-        for key, medium in media.items():
-            v, e = _evaluate_point(zeta, medium, transition, (quantity,), qcfg)
-            vals[key] = v[0]
-            err += e
-        return vals, err
-
-    results = [point(zeta) for zeta in zetas]
+    zetas = zeta_grid(**grid)
+    values, errs = {}, 0.0
+    for key, theta in (("plus", np.pi), ("minus", -np.pi), ("zero", 0.0)):
+        v, e = _scan_values(zetas, AxionMedium(epsilon=epsilon, theta=theta),
+                            transition, (quantity,), qcfg)
+        values[key] = v
+        errs = errs + e
     outputs = []
     for which, sign_name in (("plus", "theta_pi"), ("minus", "theta_minus_pi")):
-        diff = np.array([[r[0][which] - r[0]["zero"]] for r in results])
         path = Path(out) / f"{name_prefix}_difference_eps16_{sign_name}.csv"
-        path.write_text(_format_csv((column,), zetas, diff), encoding="utf-8")
+        path.write_text(_format_csv((QUANTITY_COLUMNS[quantity],), zetas,
+                                    values[which] - values["zero"]), encoding="utf-8")
         outputs.append(path.name)
-    err_arr = np.array([r[1] for r in results])
-    return outputs, err_arr
+    return outputs, errs
 
 
 def figure(name: str, out_dir, qcfg: QuadratureConfig | None = None) -> list:
@@ -298,9 +279,7 @@ def figure(name: str, out_dir, qcfg: QuadratureConfig | None = None) -> list:
                                     ("nonresonant_shift",), _LOG_GRID, out, qcfg))
                 medium = (PerfectConductor() if medium_kind == "perfect_conductor"
                           else PerfectNonreciprocalMirror())
-                zetas = ScanConfig(medium_kind=medium_kind,
-                                   quantities=("nonresonant_shift",),
-                                   name="tmp", **_LOG_GRID).grid()
+                zetas = zeta_grid(**_LOG_GRID)
                 for regime in ("retarded", "nonretarded"):
                     case = AsymptoticCase(regime, medium, "nonresonant_shift")
                     vals = np.array([[asymptotic(case, transition, z) / gamma0]

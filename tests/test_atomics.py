@@ -8,9 +8,12 @@ from scipy.integrate import quad
 
 from cpshift.atomics import (AsymptoticCase, asymptotic, axion_difference,
                              decay_rate, greens_tensor, nonresonant_shift,
-                             nonresonant_shift_terms, resonant_shift,
-                             self_consistent_shift, total_shift)
-from cpshift.media import AxionMedium, PerfectConductor, PerfectNonreciprocalMirror
+                             nonresonant_shift_grid, nonresonant_shift_terms,
+                             resonant_shift, self_consistent_shift, total_shift)
+from cpshift.greens import real_axis_greens
+from cpshift.media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
+                           PoleError)
+from cpshift.quadrature import QuadratureConfig
 from cpshift.units import Transition, canonical_transition, circular_dipole
 
 TR = canonical_transition("plus")
@@ -117,6 +120,40 @@ def test_mirror_plus_sign_flips_nonresonant_shift():
     z = 1.2
     assert nonresonant_shift(TR, z, MIR_P) == pytest.approx(
         -nonresonant_shift(TR, z, MIR), rel=1e-12)
+
+
+def test_nonresonant_grid_under_a_small_panel_budget_matches_point_calls():
+    # a budget of 12 panels evicts both the outer xi-integrals of the four
+    # heights and the inner k-integrals of every round; each height still
+    # equals its one-height call at the default budget, bit for bit
+    z = np.array([0.3, 0.7, 1.1, 2.0])
+    grid = nonresonant_shift_grid(TR, z, COND, config=QuadratureConfig(max_panels=12),
+                                  method="numeric")
+    for j, zj in enumerate(z):
+        one = nonresonant_shift_terms(TR, float(zj), COND, method="numeric")
+        assert (grid.im_term[j], grid.re_term[j]) == (one.im_term, one.re_term)
+        assert (grid.quad_error[j], grid.neval[j]) == (one.quad_error, one.neval)
+
+
+def test_batched_failures_name_the_height():
+    # a stand-in pole that only heights z < 0.2 reach: on the real axis at
+    # k_par > 100 (kappa_max = 20/z), on the imaginary axis at xi > 150
+    # (xi_max = 25/z)
+    class PoleMedium(PerfectConductor):
+        def reflection(self, omega, k_par, c=1.0):
+            bad = (np.abs(k_par) > 100.0) | (np.abs(omega) > 150.0)
+            hit = np.flatnonzero(np.broadcast_to(bad, np.shape(k_par)))
+            if hit.size:
+                raise PoleError("stand-in pole", owner=int(hit[0]))
+            return super().reflection(omega, k_par, c=c)
+
+    z = np.array([2.0, 1.0, 0.1, 0.05])
+    with pytest.raises(PoleError) as excinfo:
+        real_axis_greens(z, 1.0, PoleMedium())
+    assert excinfo.value.owner == 2
+    with pytest.raises(PoleError) as excinfo:
+        nonresonant_shift_grid(TR, z, PoleMedium(), method="numeric")
+    assert excinfo.value.owner == 2
 
 
 def test_reciprocal_medium_im_term_vanishes():

@@ -134,6 +134,26 @@ def test_non_finite_zeta_exits_one(capsys):
             assert "--zeta" in err
 
 
+def test_bad_medium_parameters_exit_one_before_quadrature(capsys, monkeypatch):
+    import cpshift.quadrature
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature started")
+
+    for module in ("cpshift.greens", "cpshift.atomics"):
+        monkeypatch.setattr(f"{module}.integrate_batch", no_quadrature)
+    monkeypatch.setattr(cpshift.quadrature, "integrate_batch", no_quadrature)
+    for command in ("rates", "shift"):
+        for flag, value in (("--epsilon", "nan"), ("--epsilon", "inf"),
+                            ("--mu", "2.5"), ("--mu", "nan"), ("--theta", "inf"),
+                            ("--theta", "nan")):
+            code, out, err = run(capsys, command, "--medium", "axion",
+                                 "--zeta", "1.5", flag, value)
+            assert code == 1, (command, flag, value)
+            assert out == ""
+            assert "config error" in err
+
+
 def test_figure_subcommand(tmp_path, capsys):
     code, _, _ = run(capsys, "figure", "gamma_mirrors", "--out", str(tmp_path))
     assert code == 0

@@ -161,10 +161,24 @@ def test_grid_spacings():
 
 def test_build_medium_passes_parameters():
     cfg = ScanConfig(medium_kind="axion", zeta_min=0.1, zeta_max=2.0, count=5,
-                     epsilon=16.0, mu=2.0, theta=-math.pi)
+                     epsilon=16.0, mu=1.0, theta=-math.pi)
     medium = cfg.build_medium()
     assert isinstance(medium, AxionMedium)
-    assert (medium.epsilon, medium.mu, medium.theta) == (16.0, 2.0, -math.pi)
+    assert (medium.epsilon, medium.mu, medium.theta) == (16.0, 1.0, -math.pi)
+
+
+def test_scan_config_rejects_parameters_the_model_cannot_honour(tmp_path):
+    # the Fresnel weights are those of a nonmagnetic medium: mu must be 1
+    ok = dict(medium_kind="axion", zeta_min=0.1, zeta_max=2.0, count=5)
+    for bad in (dict(mu=2.0), dict(mu=0.5), dict(mu=math.nan),
+                dict(epsilon=math.nan), dict(epsilon=math.inf),
+                dict(theta=math.nan), dict(theta=-math.inf)):
+        with pytest.raises(ConfigError):
+            ScanConfig(**{**ok, **bad})
+    for line in ("mu = 2.0", "epsilon = nan", "theta = inf"):
+        text = "medium = axion\nzeta_min = 0.1\nzeta_max = 2.0\ncount = 5\n"
+        with pytest.raises(ConfigError):
+            parse_config(write(tmp_path, text + line + "\n"))
 
 
 def test_quantity_column_map_is_total():

@@ -192,6 +192,23 @@ def test_medium_validation():
     assert issubclass(PoleError, ArithmeticError)
 
 
+def test_medium_rejects_non_finite_and_magnetic_parameters():
+    # mu != 1 would break r_ss = -r_pp at normal incidence: the weights
+    # are those of a nonmagnetic medium
+    AxionMedium(epsilon=4.0, mu=1.0)
+    for bad in (dict(epsilon=math.nan), dict(epsilon=math.inf), dict(mu=2.5),
+                dict(mu=math.nan), dict(theta=math.inf), dict(theta=math.nan)):
+        with pytest.raises(ValueError):
+            AxionMedium(**bad)
+
+
+def test_pole_error_names_the_node():
+    # eps = mu = 1: the shared denominator vanishes on the lightline k_par = q
+    with pytest.raises(PoleError) as excinfo:
+        AxionMedium(epsilon=1.0).reflection(1.0, np.array([0.5, 2.0, 1.0, 1.0]))
+    assert excinfo.value.owner == 2
+
+
 @given(eps=st.floats(1.0, 100.0), theta_pi=st.floats(-4.0, 4.0),
        kfrac=st.floats(0.0, 0.999), omega=st.floats(0.1, 10.0))
 @settings(max_examples=80, deadline=None)

@@ -192,3 +192,59 @@ def test_lockstep_failure_in_one_owner_raises():
 def test_lockstep_rejects_empty_intervals():
     with pytest.raises(ValueError, match="integral 1"):
         integrate_batch(lambda x, owner: x, [0.0, 1.0], [1.0, 1.0])
+
+
+@given(owners=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 4.0),
+                                 st.floats(-5.0, 5.0), st.floats(0.0, 20.0),
+                                 st.floats(-3.0, 3.0), st.floats(1e-3, 1.0)),
+                       min_size=2, max_size=8),
+       share=st.floats(0.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_panel_budget_evicts_and_owners_still_match_standalone(owners, share):
+    a = [o[0] for o in owners]
+    b = [o[0] + o[1] for o in owners]
+    f = _lockstep_integrand([o[2:] for o in owners])
+    alone = [integrate(lambda x, i=i: f(x, np.full(x.shape, i)), lo, hi, rel_tol=1e-10)
+             for i, (lo, hi) in enumerate(zip(a, b))]
+    # each owner evaluates at least as many panels as it ever holds, so a
+    # lone owner fits; anything below the sum forces evictions
+    largest = max(r.neval // 15 for r in alone)
+    budget = largest + int(share * sum(r.neval // 15 for r in alone))
+    live = {}
+    peaks = []
+
+    def counted(x, owner):
+        # a continuing owner adds two halves per split panel; one new panel
+        # means it (re)starts; an owner missing from a round holds none
+        new = np.bincount(owner, minlength=len(owners)) // 15
+        for i in range(len(owners)):
+            live[i] = 0 if new[i] == 0 else (1 if new[i] == 1 else live[i] + new[i] // 2)
+        peaks.append(sum(live.values()))
+        return f(x, owner)
+
+    values, errors, neval = integrate_batch(counted, a, b, rel_tol=1e-10,
+                                            max_panels=budget)
+    assert max(peaks) <= budget
+    for i, res in enumerate(alone):
+        assert neval[i] == res.neval
+        assert abs(values[i] - res.value) <= 1e-14 * abs(res.value)
+        assert errors[i] == pytest.approx(res.error, rel=1e-6, abs=1e-15 * abs(res.value))
+
+
+def test_panel_budget_bounds_the_whole_call():
+    # ten owners that each evaluate 19-31 panels share a budget of 40
+    f = _lockstep_integrand([(1.0, 5.0 + 0.5 * i, 0.0, 1.0) for i in range(10)])
+    alone = [integrate(lambda x, i=i: f(x, np.full(x.shape, i)), 0.0, 4.0, rel_tol=1e-12)
+             for i in range(10)]
+    nodes = []
+
+    def counted(x, owner):
+        nodes.append(x.size)
+        return f(x, owner)
+
+    values, _, neval = integrate_batch(counted, np.zeros(10), np.full(10, 4.0),
+                                       rel_tol=1e-12, max_panels=40)
+    assert max(nodes) <= 15 * 40
+    assert sum(nodes) > neval.sum()  # evicted work was redone
+    assert neval.tolist() == [r.neval for r in alone]
+    assert np.allclose(values, [r.value for r in alone], rtol=1e-14, atol=0.0)

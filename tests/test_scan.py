@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cpshift.atomics import decay_rate, nonresonant_shift, resonant_shift
+from cpshift.atomics import (decay_rate, nonresonant_shift, nonresonant_shift_terms,
+                             resonant_shift)
 from cpshift.config import ConfigError, ScanConfig
+from cpshift.constants import SCALED
 from cpshift.scan import FIGURE_NAMES, ScanError, figure, run_scan
-from cpshift.media import PerfectConductor, PerfectNonreciprocalMirror
-from cpshift.units import canonical_transition
+from cpshift.media import AxionMedium, PerfectConductor, PerfectNonreciprocalMirror, PoleError
+from cpshift.units import canonical_transition, free_space_rate_formula
 
 TR = canonical_transition("plus")
 
@@ -154,3 +157,63 @@ def test_omega_ti_figure_traces(tmp_path):
     # cross channel roughly tenfold, so the defect peaks near 2*Delta*10
     scale = np.abs(plus[:, 1]).max()
     assert np.abs(plus[:, 1] + minus[:, 1]).max() <= 1e-1 * scale
+
+
+@given(kind=st.sampled_from(["perfect_conductor", "nonreciprocal_mirror", "axion"]),
+       handedness=st.sampled_from(["plus", "minus"]),
+       sign=st.sampled_from([-1.0, 1.0]),
+       axion=st.sampled_from([(16.0, math.pi), (1.0, -math.pi), (4.0, 0.5)]),
+       zeta_min=st.floats(0.1, 4.0), span=st.floats(0.05, 3.0),
+       count=st.integers(2, 4), spacing=st.sampled_from(["linear", "log"]))
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_batched_scan_equals_point_calls_bit_for_bit(tmp_path, kind, handedness, sign,
+                                                     axion, zeta_min, span, count,
+                                                     spacing):
+    epsilon, theta = axion if kind == "axion" else (1.0, math.pi)
+    cfg = ScanConfig(medium_kind=kind, zeta_min=zeta_min, zeta_max=zeta_min + span,
+                     count=count, spacing=spacing, handedness=handedness,
+                     sign=sign if kind == "nonreciprocal_mirror" else -1.0,
+                     epsilon=epsilon, theta=theta, name="bits")
+    result = run_scan(cfg, tmp_path)
+    medium = cfg.build_medium()
+    tr = canonical_transition(handedness)
+    gamma0 = free_space_rate_formula(tr, SCALED)
+    for zeta, row in zip(result.zetas, result.values):
+        z = float(zeta)  # scaled units: c = w = 1
+        assert row[0] == decay_rate(tr, z, medium) / gamma0
+        assert row[1] == resonant_shift(tr, z, medium) / gamma0
+        assert row[2] == nonresonant_shift_terms(tr, z, medium).total / gamma0
+
+
+def test_failing_scan_names_a_grid_zeta(tmp_path):
+    # every point needs more than the whole panel budget; the lowest zeta
+    # ends up running alone and fails first
+    cfg = ScanConfig(medium_kind="axion", epsilon=16.0, zeta_min=2.9e5,
+                     zeta_max=3.1e5, count=16, quantities=("rate",), name="fail16")
+    with pytest.raises(ScanError) as excinfo:
+        run_scan(cfg, tmp_path)
+    assert excinfo.value.zeta in cfg.grid().tolist()
+    manifest = json.loads((tmp_path / "fail16.manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert f"zeta={excinfo.value.zeta:.6g}" in manifest["error"]
+
+
+def test_pole_in_batched_scan_names_its_zeta(tmp_path, monkeypatch):
+    # a pole far out on the evanescent segment: only heights with
+    # kappa_max = 20/z > 100 reach it, here zeta = 0.1 and 0.05
+    reflection = AxionMedium.reflection
+
+    def pole_beyond_100(self, omega, k_par, c=1.0):
+        hit = np.flatnonzero(np.abs(np.asarray(k_par)) > 100.0)
+        if hit.size:
+            raise PoleError("test pole", owner=int(hit[0]))
+        return reflection(self, omega, k_par, c=c)
+
+    monkeypatch.setattr(AxionMedium, "reflection", pole_beyond_100)
+    cfg = ScanConfig(medium_kind="axion", zeta_min=0.05, zeta_max=0.8, count=4,
+                     spacing="log", quantities=("rate",), name="pole")
+    with pytest.raises(ScanError) as excinfo:
+        run_scan(cfg, tmp_path)
+    assert excinfo.value.zeta == cfg.grid()[0]
+    assert "PoleError at zeta=0.05" in str(excinfo.value)
