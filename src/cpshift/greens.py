@@ -214,14 +214,13 @@ def imaginary_axis_greens(z, xi, medium, constants: Constants = SCALED,
     c = constants.c
     owner_xi = np.repeat(xi, 3)
     owner_z = np.repeat(z, 3)
-    owner_kernel = np.tile(np.arange(3), xi.size)
     lo = owner_xi / c
 
     def f(t, owner):
         node_xi = owner_xi[owner]
         return _kernels(medium, 1j * node_xi, owner_z[owner], c, 1j * t,
                         np.sqrt(np.maximum(t * t - (node_xi / c) ** 2, 0.0)),
-                        owner_kernel[owner])
+                        owner % 3)
 
     with owner_groups(3):
         values, errors, neval = integrate_batch(
