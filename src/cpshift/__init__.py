@@ -17,8 +17,8 @@ from .media import (AxionMedium, ConstantReflectionMedium,
                     PerfectConductor, PerfectNonreciprocalMirror,
                     Polarization, PoleError, ReflectionMatrix, delta,
                     nonretarded_limit_coefficients, perpendicular_wavenumber,
-                    reflection, retarded_limit_coefficients)
-from .greens import (ComplexDyadic, EvaluationPoint, generalized_im,
+                    retarded_limit_coefficients)
+from .greens import (EvaluationPoint, PlanarTensors, generalized_im,
                      generalized_re, greens_nonreciprocal_mirror,
                      greens_perfect_conductor, scattering_greens_numeric)
 from .atomics import (AsymptoticCase, NonresonantTerms, PopulationState,
@@ -39,8 +39,8 @@ __all__ = [
     "AxionMedium", "ConstantReflectionMedium", "PerfectConductor",
     "PerfectNonreciprocalMirror", "Polarization", "PoleError",
     "ReflectionMatrix", "delta", "nonretarded_limit_coefficients",
-    "perpendicular_wavenumber", "reflection", "retarded_limit_coefficients",
-    "ComplexDyadic", "EvaluationPoint", "generalized_im", "generalized_re",
+    "perpendicular_wavenumber", "retarded_limit_coefficients",
+    "EvaluationPoint", "PlanarTensors", "generalized_im", "generalized_re",
     "greens_nonreciprocal_mirror", "greens_perfect_conductor",
     "scattering_greens_numeric",
     "AsymptoticCase", "NonresonantTerms", "PopulationState", "ShiftBreakdown",

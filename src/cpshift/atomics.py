@@ -7,18 +7,17 @@ Conventions (scalar sandwich s(omega) = d . G^(1)(z, z, omega) . conj(d)):
     dw_nres     = (mu0/pi hbar) int dxi xi^3/(xi^2+w^2) Im s(i xi)
                   - (mu0/pi hbar) int dxi xi^2 w/(xi^2+w^2) Re s(i xi)
 
-with w the (possibly shifted) transition frequency.  For ideal mirrors the
-tensor has closed forms, used by default; the axion half-space goes through
-the numeric k-quadrature.  The grid functions take an array of heights:
-`sandwich_grid` gets the real-axis tensors of all heights from one lockstep
-call, and `nonresonant_shift_grid` runs the xi-integrals of all heights as
-owners of one lockstep quadrature, each round handing all of its new xi
-nodes to one closed-form evaluation or to one lockstep k-quadrature
-(`greens.imaginary_axis_greens`).  The one-height functions are their N = 1
-cases or share their arithmetic, so a grid value equals the one-height
-value bit for bit.  The xi integral is evaluated on
-xi = (c/2z) u, u in (0, u_max], which maps the e^{-2 xi z/c} damping to
-e^{-u} uniformly in z (tail beyond u_max=50 is ~2e-22 relative).
+with w the (possibly shifted) transition frequency.  Every tensor comes
+from `greens_grid`, the one place that chooses between the ideal mirrors'
+closed forms and the numeric k-quadrature; it takes an array of heights
+and returns a `greens.PlanarTensors`, whose `sandwich` gives s.  Scans
+call it for the real-axis tensors of all heights at once, and
+`nonresonant_shift_grid` runs the xi-integrals of all heights as owners of
+one lockstep quadrature, each round handing all of its new xi nodes to one
+`greens_grid` call.  The one-height functions are their N = 1 cases, so a
+grid value equals the one-height value bit for bit.  The xi integral is
+evaluated on xi = (c/2z) u, u in (0, u_max], which maps the e^{-2 xi z/c}
+damping to e^{-u} uniformly in z (tail beyond u_max=50 is ~2e-22 relative).
 """
 from __future__ import annotations
 
@@ -29,22 +28,23 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .constants import Constants, SCALED
-from .greens import (ComplexDyadic, EvaluationPoint, greens_nonreciprocal_mirror,
+from .greens import (PlanarTensors, greens_nonreciprocal_mirror,
                      greens_perfect_conductor, imaginary_axis_greens,
-                     real_axis_greens, scattering_greens_numeric)
+                     real_axis_greens)
 from .media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
                     delta as axion_delta, nonretarded_limit_coefficients,
                     retarded_limit_coefficients)
 from .quadrature import QuadratureConfig, integrate_batch
-# integrate is not called here but stays importable from this module:
-# perfbench/tracer.py wraps it by this name.
+# not called here but importable from this module: perfbench/tracer.py
+# wraps them by these names.
+from .greens import scattering_greens_numeric  # noqa: F401
 from .quadrature import integrate  # noqa: F401
 from .units import AtomModel, Transition, free_space_rate_formula
 
 __all__ = [
     "ShiftBreakdown", "AsymptoticCase", "PopulationState", "NonresonantTerms",
-    "decay_rate", "resonant_shift", "nonresonant_shift", "nonresonant_shift_terms",
-    "nonresonant_shift_grid", "sandwich_grid",
+    "greens_grid", "greens_tensor", "decay_rate", "resonant_shift",
+    "nonresonant_shift", "nonresonant_shift_terms", "nonresonant_shift_grid",
     "total_shift", "self_consistent_shift", "asymptotic", "axion_difference",
     "evolve_populations",
 ]
@@ -53,75 +53,35 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Green's tensor routing
 
-def _has_closed_form(medium) -> bool:
-    return isinstance(medium, (PerfectConductor, PerfectNonreciprocalMirror))
+def greens_grid(medium, z, omega, constants: Constants = SCALED,
+                config: QuadratureConfig | None = None,
+                method: str = "auto") -> PlanarTensors:
+    """Scattering tensor at every height z[j] > 0, at one real omega or at
+    omega = i*xi[j] aligned with z.
+
+    method "auto" takes the closed form of an ideal mirror and the
+    k-quadrature for every other medium; "closed" insists on the closed
+    form (ValueError where there is none), "numeric" on quadrature.
+    """
+    if method not in ("auto", "closed", "numeric"):
+        raise ValueError(f"method must be 'auto', 'closed' or 'numeric', got {method!r}")
+    if method != "numeric" and isinstance(medium, PerfectConductor):
+        return greens_perfect_conductor(z, omega, constants)
+    if method != "numeric" and isinstance(medium, PerfectNonreciprocalMirror):
+        return greens_nonreciprocal_mirror(z, omega, medium.sign, constants)
+    if method == "closed":
+        raise ValueError(f"no closed-form tensor for {type(medium).__name__}")
+    if np.all(np.real(omega) == 0):
+        return imaginary_axis_greens(z, np.imag(omega), medium, constants, config)
+    return real_axis_greens(z, omega, medium, constants, config)
 
 
 def greens_tensor(medium, z: float, omega: complex,
                   constants: Constants = SCALED,
                   config: QuadratureConfig | None = None,
-                  method: str = "auto") -> ComplexDyadic:
-    """Scattering tensor by closed form where available, else quadrature."""
-    if method == "auto":
-        method = "closed" if _has_closed_form(medium) else "numeric"
-    if method == "closed":
-        if isinstance(medium, PerfectConductor):
-            return greens_perfect_conductor(z, omega, constants)
-        if isinstance(medium, PerfectNonreciprocalMirror):
-            return greens_nonreciprocal_mirror(z, omega, medium.sign, constants)
-        raise ValueError(f"no closed-form tensor for {type(medium).__name__}")
-    return scattering_greens_numeric(EvaluationPoint(z, omega), medium,
-                                     constants=constants, config=config)
-
-
-def _dipole_weights(dipole: np.ndarray):
-    """s = A*G_xx + B*G_zz + C*G_xy for the planar symmetry pattern."""
-    d = np.asarray(dipole, dtype=complex)
-    a = abs(d[0]) ** 2 + abs(d[1]) ** 2
-    b = abs(d[2]) ** 2
-    c = d[0] * np.conj(d[1]) - d[1] * np.conj(d[0])
-    return a, b, c
-
-
-def _sandwich_closed(medium, z, omega, dipole, constants):
-    """Vectorized d.G.d* over an omega array, closed-form mirrors only.
-
-    z is (z, z**2, z**3), each one height or aligned with omega.
-    """
-    cc = constants.c
-    z, z2, z3 = z
-    a, b, cw = _dipole_weights(dipole)
-    phase = np.exp(2j * omega * z / cc)
-    if isinstance(medium, PerfectConductor):
-        xx = (-1.0 / (8 * np.pi * z) - 1j * cc / (16 * np.pi * omega * z2)
-              + cc ** 2 / (32 * np.pi * omega ** 2 * z3)) * phase
-        zz = (-1j * cc / (8 * np.pi * omega * z2)
-              + cc ** 2 / (16 * np.pi * omega ** 2 * z3)) * phase
-        return a * xx + b * zz
-    sgn = medium.sign
-    xy = sgn * (1.0 / (8 * np.pi * z) + 1j * cc / (16 * np.pi * omega * z2)) * phase
-    return cw * xy
-
-
-def sandwich_grid(transition: Transition, z, medium,
-                  constants: Constants = SCALED,
-                  config: QuadratureConfig | None = None):
-    """s = d . G(z, z, w) . d* at the transition frequency for every height.
-
-    Returns (s complex[N], quad_error float[N]).  The axion tensors of all
-    heights come from one lockstep call (`greens.real_axis_greens`); the
-    closed forms stay point by point (`greens_tensor`), which keeps each
-    value equal to decay_rate's and resonant_shift's bit for bit.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    w = transition.frequency
-    if _has_closed_form(medium):
-        tensors = [greens_tensor(medium, zj, w, constants, config) for zj in z.tolist()]
-    else:
-        g = real_axis_greens(z, w, medium, constants, config)
-        tensors = [g.dyadic(j) for j in range(z.size)]
-    s = np.array([t.contract(transition.dipole) for t in tensors], dtype=complex)
-    return s, np.array([t.quad_error for t in tensors], dtype=float)
+                  method: str = "auto") -> PlanarTensors:
+    """Scattering tensor at one point, as Python scalars (see greens_grid)."""
+    return greens_grid(medium, [z], omega, constants, config, method).point(0)
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +92,9 @@ def decay_rate(transition: Transition, z: float, medium,
                config: QuadratureConfig | None = None,
                method: str = "auto") -> float:
     """Body-induced decay rate Gamma^(1) at height z."""
-    if z <= 0:
-        raise ValueError(f"atom height must be positive, got z={z}")
     w = transition.frequency
-    g = greens_tensor(medium, z, w, constants, config, method)
-    s = g.contract(transition.dipole)
-    return 2.0 * constants.mu0 / constants.hbar * w ** 2 * s.imag
+    s = greens_tensor(medium, z, w, constants, config, method).sandwich(transition.dipole)
+    return float(2.0 * constants.mu0 / constants.hbar * w ** 2 * s.imag)
 
 
 def resonant_shift(transition: Transition, z: float, medium,
@@ -145,12 +102,9 @@ def resonant_shift(transition: Transition, z: float, medium,
                    config: QuadratureConfig | None = None,
                    method: str = "auto") -> float:
     """Resonant (real-photon) part of the frequency shift."""
-    if z <= 0:
-        raise ValueError(f"atom height must be positive, got z={z}")
     w = transition.frequency
-    g = greens_tensor(medium, z, w, constants, config, method)
-    s = g.contract(transition.dipole)
-    return -constants.mu0 / constants.hbar * w ** 2 * s.real
+    s = greens_tensor(medium, z, w, constants, config, method).sandwich(transition.dipole)
+    return float(-constants.mu0 / constants.hbar * w ** 2 * s.real)
 
 
 @dataclass(frozen=True)
@@ -180,40 +134,30 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
     """Both xi-integral terms at every height z[j] > 0, in one lockstep call.
 
     The xi-integral of height j is owner j of one `integrate_batch`; every
-    round hands the xi nodes of all heights to one closed-form evaluation or
-    to one `imaginary_axis_greens` call.  Returns NonresonantTerms whose
-    fields are arrays aligned with z; a failure's `owner` is the index j.
+    round hands the xi nodes of all heights to one `greens_grid` call.
+    Returns NonresonantTerms whose fields are arrays aligned with z; a
+    failure's `owner` is the index j.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if not np.all(z > 0):
         raise ValueError(f"atom height must be positive, got z={z[~(z > 0)]}")
     cfg = config or QuadratureConfig()
     w = transition.frequency
-    cc = constants.c
     n = z.size
-    scale = cc / (2.0 * z)  # xi = scale * u
-    use_closed = _has_closed_form(medium) and method != "numeric"
-    # powers taken per height as Python floats, as the one-point call did
-    powers = (z, np.array([v ** 2 for v in z.tolist()]),
-              np.array([v ** 3 for v in z.tolist()]))
-    a, b, cw = _dipole_weights(transition.dipole)
+    scale = constants.c / (2.0 * z)  # xi = scale * u
     inner_err = np.zeros(n)
     inner_neval = np.zeros(n, dtype=int)
 
     def f(u, owner):
         xi = scale[owner] * u
-        if use_closed:
-            s = _sandwich_closed(medium, tuple(p[owner] for p in powers), 1j * xi,
-                                 transition.dipole, constants)
-        else:
-            g = imaginary_axis_greens(z[owner], xi, medium, constants, cfg)
-            # an owner with a single panel (15 nodes) is (re)starting
-            restart = np.bincount(owner, minlength=n) == 15
-            inner_err[restart] = 0.0
-            inner_neval[restart] = 0
-            inner_err[:] += np.bincount(owner, weights=g.quad_error, minlength=n)
-            np.add.at(inner_neval, owner, g.neval)
-            s = a * g.diag + b * g.zz + cw * g.xy
+        g = greens_grid(medium, z[owner], 1j * xi, constants, cfg, method)
+        # an owner with a single panel (15 nodes) is (re)starting
+        restart = np.bincount(owner, minlength=n) == 15
+        inner_err[restart] = 0.0
+        inner_neval[restart] = 0
+        inner_err[:] += np.bincount(owner, weights=g.quad_error, minlength=n)
+        np.add.at(inner_neval, owner, g.neval)
+        s = g.sandwich(transition.dipole)
         w_im = xi ** 3 / (xi ** 2 + w ** 2)
         w_re = xi ** 2 * w / (xi ** 2 + w ** 2)
         # pack both real integrands into one complex quadrature pass
@@ -236,8 +180,6 @@ def nonresonant_shift_terms(transition: Transition, z: float, medium,
 
     The one-height case of nonresonant_shift_grid.
     """
-    if z <= 0:
-        raise ValueError(f"atom height must be positive, got z={z}")
     t = nonresonant_shift_grid(transition, [z], medium, constants, config, method)
     return NonresonantTerms(im_term=float(t.im_term[0]), re_term=float(t.re_term[0]),
                             quad_error=float(t.quad_error[0]), neval=int(t.neval[0]))

@@ -1,11 +1,18 @@
 """Coincident-point scattering Green's tensor above a planar interface.
 
+Above a planar interface the scattering tensor has three independent
+entries, G_xx = G_yy, G_zz and G_xy = -G_yx; the others vanish.
+`PlanarTensors` holds these three at a batch of points, with the
+quadrature error and evaluation count of each.  It is the one tensor type:
+the closed forms and both quadrature routes return it, and
+`PlanarTensors.sandwich` contracts it with a dipole.
+
 The azimuthal integral over the reflected-wave dyadics is done analytically,
 leaving three radial kernels (with q = omega/c):
 
-    diag (xx = yy):  e^{2 i k_perp z} [ r_ss - r_pp k_perp^2/q^2 ]
-    zz:              e^{2 i k_perp z} 2 r_pp k_par^2/q^2
-    xy (= -yx):      e^{2 i k_perp z} (r_sp + r_ps) k_perp/q
+    xx (= yy):   e^{2 i k_perp z} [ r_ss - r_pp k_perp^2/q^2 ]
+    zz:          e^{2 i k_perp z} 2 r_pp k_par^2/q^2
+    xy (= -yx):  e^{2 i k_perp z} (r_sp + r_ps) k_perp/q
 
 and G_ab = (i/8pi) * integral over the k_par half-line with measure
 (k_par/k_perp) dk_par.  For real omega the path is split at the lightline:
@@ -26,8 +33,10 @@ at once).  Every round evaluates the reflection matrix once, on the nodes
 of all new panels.  `scattering_greens_numeric` is the one-point case of
 either.
 
-Ideal mirrors additionally have closed forms, used as oracles and as the
-fast path for the scan grids.
+The ideal mirrors also have closed forms (`greens_perfect_conductor`,
+`greens_nonreciprocal_mirror`), over arrays of heights and frequencies on
+either axis.  They are the oracles of the quadrature, and
+`atomics.greens_grid` takes them wherever they apply.
 """
 from __future__ import annotations
 
@@ -43,51 +52,53 @@ from .quadrature import QuadratureConfig, integrate_batch, owner_groups
 from .quadrature import integrate  # noqa: F401
 
 __all__ = [
-    "ComplexDyadic", "EvaluationPoint", "PlanarTensors",
+    "EvaluationPoint", "PlanarTensors",
     "greens_perfect_conductor", "greens_nonreciprocal_mirror",
     "scattering_greens_numeric", "imaginary_axis_greens", "real_axis_greens",
     "generalized_re", "generalized_im",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class ComplexDyadic:
-    """3x3 complex tensor with optional quadrature diagnostics."""
+class PlanarTensors(NamedTuple):
+    """G_xx = G_yy, G_zz and G_xy = -G_yx at a batch of points.
 
-    matrix: np.ndarray
-    quad_error: float = 0.0
-    neval: int = 0
+    The fields are arrays aligned with the points, or Python scalars for
+    one point (`point`).  quad_error and neval are per point, summed over
+    the kernels; a closed form has zero of both.
+    """
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (3, 3):
-            raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-        object.__setattr__(self, "matrix", m)
+    xx: np.ndarray
+    zz: np.ndarray
+    xy: np.ndarray
+    quad_error: np.ndarray
+    neval: np.ndarray
 
-    @property
-    def xx(self) -> complex:
-        return self.matrix[0, 0]
+    def point(self, j: int) -> PlanarTensors:
+        """Point j, as Python scalars."""
+        return PlanarTensors(complex(self.xx[j]), complex(self.zz[j]),
+                             complex(self.xy[j]), float(self.quad_error[j]),
+                             int(self.neval[j]))
 
-    @property
-    def xy(self) -> complex:
-        return self.matrix[0, 1]
+    def sandwich(self, dipole) -> np.ndarray:
+        """s = d . G . conj(d) at every point (a 0-d array for one point).
 
-    @property
-    def yx(self) -> complex:
-        return self.matrix[1, 0]
-
-    @property
-    def yy(self) -> complex:
-        return self.matrix[1, 1]
-
-    @property
-    def zz(self) -> complex:
-        return self.matrix[2, 2]
-
-    def contract(self, dipole: np.ndarray) -> complex:
-        """Scalar sandwich d . G . conj(d)."""
+        With M the full 3x3 tensor, this is v = d @ M, then s = v @ conj(d),
+        in numpy's order and array arithmetic, so that one point, a batch
+        and (d @ M) @ conj(d) give the same bits.  numpy takes the last
+        step as a BLAS dot product, which fuses its four real sums; each
+        sum has one nonzero term when at most one component of d has a
+        nonzero real part and at most one a nonzero imaginary part (the
+        circular dipoles of the coordinate planes, say).  For other dipoles
+        the two can differ in the last digits.
+        """
         d = np.asarray(dipole, dtype=complex)
-        return complex(d @ self.matrix @ np.conj(d))
+        c = d.conj()
+        # arrays, not numpy scalars: scalar complex products round differently
+        xx, zz, xy = (np.atleast_1d(np.asarray(g, dtype=complex)) for g in self[:3])
+        v0 = xx * d[0] - xy * d[1]
+        v1 = xy * d[0] + xx * d[1]
+        s = v0 * c[0] + v1 * c[1] + zz * d[2] * c[2]
+        return s.reshape(np.shape(self.xx))
 
 
 @dataclass(frozen=True)
@@ -114,25 +125,35 @@ class EvaluationPoint:
 
 def generalized_re(dyadic):
     """Hermitian part (A + A^dagger)/2; the coincident-point generalized Re."""
-    if isinstance(dyadic, ComplexDyadic):
-        return ComplexDyadic(generalized_re(dyadic.matrix))
     a = np.asarray(dyadic, dtype=complex)
     return 0.5 * (a + a.conj().T)
 
 
 def generalized_im(dyadic):
     """Anti-Hermitian part (A - A^dagger)/(2i); Hermitian-valued."""
-    if isinstance(dyadic, ComplexDyadic):
-        return ComplexDyadic(generalized_im(dyadic.matrix))
     a = np.asarray(dyadic, dtype=complex)
     return (a - a.conj().T) / 2j
 
 
-def greens_perfect_conductor(z: float, omega: complex,
-                             constants: Constants = SCALED) -> ComplexDyadic:
-    """Closed-form conductor tensor; diagonal only, valid at omega or i*xi."""
-    if z <= 0:
-        raise ValueError(f"atom height must be positive, got z={z}")
+def _heights(z) -> np.ndarray:
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if not np.all(z > 0):
+        raise ValueError(f"atom height must be positive, got z={z[~(z > 0)]}")
+    return z
+
+
+def _closed_form(shape, xx, zz, xy) -> PlanarTensors:
+    """Entries computed on arrays (numpy scalars round complex products
+    differently), returned in the broadcast shape of z and omega."""
+    return PlanarTensors(xx.reshape(shape), zz.reshape(shape), xy.reshape(shape),
+                         np.zeros(shape), np.zeros(shape, dtype=int))
+
+
+def greens_perfect_conductor(z, omega, constants: Constants = SCALED) -> PlanarTensors:
+    """Closed-form conductor tensor (G_xy = 0) at heights z and frequencies
+    omega, real or i*xi, broadcast against each other."""
+    shape = np.broadcast_shapes(np.shape(z), np.shape(omega))
+    z = _heights(z)
     c = constants.c
     phase = np.exp(2j * omega * z / c)
     xx = (-1.0 / (8 * np.pi * z)
@@ -140,25 +161,25 @@ def greens_perfect_conductor(z: float, omega: complex,
           + c ** 2 / (32 * np.pi * omega ** 2 * z ** 3)) * phase
     zz = (-1j * c / (8 * np.pi * omega * z ** 2)
           + c ** 2 / (16 * np.pi * omega ** 2 * z ** 3)) * phase
-    return ComplexDyadic(np.diag([xx, xx, zz]))
+    return _closed_form(shape, xx, zz, np.zeros_like(xx))
 
 
-def greens_nonreciprocal_mirror(z: float, omega: complex, sign: float = -1.0,
-                                constants: Constants = SCALED) -> ComplexDyadic:
-    """Closed-form conversion-mirror tensor; only xy = -yx is nonzero."""
-    if z <= 0:
-        raise ValueError(f"atom height must be positive, got z={z}")
+def greens_nonreciprocal_mirror(z, omega, sign: float = -1.0,
+                                constants: Constants = SCALED) -> PlanarTensors:
+    """Closed-form conversion-mirror tensor (only G_xy = -G_yx is nonzero) at
+    heights z and frequencies omega, real or i*xi, broadcast against each
+    other."""
+    shape = np.broadcast_shapes(np.shape(z), np.shape(omega))
+    z = _heights(z)
     c = constants.c
     xy = sign * (1.0 / (8 * np.pi * z)
                  + 1j * c / (16 * np.pi * omega * z ** 2)) * np.exp(2j * omega * z / c)
-    m = np.zeros((3, 3), dtype=complex)
-    m[0, 1] = xy
-    m[1, 0] = -xy
-    return ComplexDyadic(m)
+    zero = np.zeros_like(xy)
+    return _closed_form(shape, zero, zero, xy)
 
 
 def _kernels(medium, omega, z, c, kp, kpar, component):
-    """Radial kernel `component` (0 diag, 1 zz, 2 xy) at each node.
+    """Radial kernel `component` (0 xx, 1 zz, 2 xy) at each node.
 
     kp/kpar are the (complex) k_perp and (real) k_par of each node; omega is
     a scalar or an array aligned with them.
@@ -172,29 +193,6 @@ def _kernels(medium, omega, z, c, kp, kpar, component):
         damp * (r.r_sp + r.r_ps) * kp / q))
 
 
-class PlanarTensors(NamedTuple):
-    """G_xx = G_yy, G_zz and G_xy = -G_yx at a batch of points.
-
-    quad_error and neval are per point, summed over the kernels.
-    """
-
-    diag: np.ndarray
-    zz: np.ndarray
-    xy: np.ndarray
-    quad_error: np.ndarray
-    neval: np.ndarray
-
-    def dyadic(self, j: int) -> ComplexDyadic:
-        """The full 3x3 tensor of point j."""
-        m = np.zeros((3, 3), dtype=complex)
-        m[0, 0] = m[1, 1] = self.diag[j]
-        m[2, 2] = self.zz[j]
-        m[0, 1] = self.xy[j]
-        m[1, 0] = -self.xy[j]
-        return ComplexDyadic(m, quad_error=float(self.quad_error[j]),
-                             neval=int(self.neval[j]))
-
-
 def imaginary_axis_greens(z, xi, medium, constants: Constants = SCALED,
                           config: QuadratureConfig | None = None) -> PlanarTensors:
     """Scattering tensor at omega = i*xi for every xi > 0, in one lockstep call.
@@ -205,9 +203,7 @@ def imaginary_axis_greens(z, xi, medium, constants: Constants = SCALED,
     i/8pi prefactor to 1/8pi.  A failure's `owner` is the index j.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    z = np.broadcast_to(np.asarray(z, dtype=float), xi.shape)
-    if not np.all(z > 0):
-        raise ValueError(f"atom height must be positive, got z={z[~(z > 0)]}")
+    z = np.broadcast_to(_heights(z), xi.shape)
     if not np.all(xi > 0):
         raise ValueError(f"need xi > 0 at every point, got {xi[~(xi > 0)]}")
     cfg = config or QuadratureConfig()
@@ -245,9 +241,7 @@ def real_axis_greens(z, omega, medium, constants: Constants = SCALED,
     k_perp = i*t, t in (0, kappa_max], measure -i dt, e^{-2 t z} decay.
     A failure's `owner` is the index j.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if not np.all(z > 0):
-        raise ValueError(f"atom height must be positive, got z={z[~(z > 0)]}")
+    z = _heights(z)
     cfg = config or QuadratureConfig()
     c = constants.c
     omega = complex(omega)
@@ -270,24 +264,24 @@ def real_axis_greens(z, omega, medium, constants: Constants = SCALED,
     # combined point by point in Python complex arithmetic, as the
     # one-point tensor always was, so figures keep their last digits
     pref = 1j / (8 * np.pi)
-    diag, zz, xy, err = [], [], [], []
-    for (d1, z1, x1, d2, z2, x2), e in zip(values.reshape(-1, 6).tolist(),
+    xx, zz, xy, err = [], [], [], []
+    for (a1, z1, x1, a2, z2, x2), e in zip(values.reshape(-1, 6).tolist(),
                                            errors.reshape(-1, 6).tolist()):
-        diag.append(pref * (d1 - 1j * d2))
+        xx.append(pref * (a1 - 1j * a2))
         zz.append(pref * (z1 - 1j * z2))
         xy.append(pref * (x1 - 1j * x2))
         err.append(abs(pref) * ((e[0] + e[1] + e[2]) + (e[3] + e[4] + e[5])))
-    return PlanarTensors(np.array(diag), np.array(zz), np.array(xy), np.array(err),
+    return PlanarTensors(np.array(xx), np.array(zz), np.array(xy), np.array(err),
                          neval.reshape(-1, 6).sum(axis=1))
 
 
 def scattering_greens_numeric(point: EvaluationPoint, medium,
                               constants: Constants = SCALED,
-                              config: QuadratureConfig | None = None) -> ComplexDyadic:
-    """Quadrature evaluation of the scattering tensor at coincident points."""
+                              config: QuadratureConfig | None = None) -> PlanarTensors:
+    """Quadrature evaluation of the scattering tensor at one point."""
     omega = complex(point.frequency)
     if point.is_imaginary:
         g = imaginary_axis_greens(point.z, omega.imag, medium, constants, config)
     else:
         g = real_axis_greens(point.z, omega, medium, constants, config)
-    return g.dyadic(0)
+    return g.point(0)

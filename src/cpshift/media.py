@@ -23,7 +23,7 @@ __all__ = [
     "Polarization", "ReflectionMatrix", "PoleError",
     "PerfectConductor", "PerfectNonreciprocalMirror", "AxionMedium",
     "ConstantReflectionMedium",
-    "delta", "perpendicular_wavenumber", "reflection",
+    "delta", "perpendicular_wavenumber",
     "retarded_limit_coefficients", "nonretarded_limit_coefficients",
 ]
 
@@ -183,40 +183,25 @@ class ConstantReflectionMedium:
                                 r_ps=self.r_ps * one, r_pp=self.r_pp * one)
 
 
-def reflection(medium, omega, k_par, c: float = 1.0) -> ReflectionMatrix:
-    """Reflection matrix of `medium` at (omega, k_par)."""
-    return medium.reflection(omega, k_par, c=c)
+def _real_constants(r: ReflectionMatrix) -> ReflectionMatrix:
+    values = [complex(v) for v in (r.r_ss, r.r_sp, r.r_ps, r.r_pp)]
+    if any(v.imag for v in values):
+        raise ValueError(f"limit coefficients must be real, got {values}")
+    return ReflectionMatrix(*(v.real for v in values))
 
 
 def retarded_limit_coefficients(medium) -> ReflectionMatrix:
-    """Constant coefficients governing the far-field (retarded) regime.
+    """Constant coefficients of the far-field (retarded) regime: the
+    reflection matrix at normal incidence (omega = 1, k_par = 0), as floats.
 
-    For the axion half-space these are the normal-incidence values, written
-    with n = sqrt(eps*mu): r_ss = ((1-eps) - Delta^2)/((1+n)^2 + Delta^2)
-    for mu = 1, etc.  Ideal mirrors return their defining constants.
+    For the axion half-space, with n = sqrt(eps), these are e.g.
+    r_ss = ((1 - n)(eps + n) - n Delta^2)/((1 + n)(eps + n) + n Delta^2).
     """
-    if isinstance(medium, PerfectConductor):
-        return ReflectionMatrix(-1.0, 0.0, 0.0, 1.0)
-    if isinstance(medium, PerfectNonreciprocalMirror):
-        return ReflectionMatrix(0.0, medium.sign, medium.sign, 0.0)
-    eps, dd = medium.epsilon, medium.delta ** 2
-    n = math.sqrt(medium.epsilon * medium.mu)
-    den = (1.0 + n) * (eps + n) + n * dd
-    r_ss = ((1.0 - n) * (eps + n) - n * dd) / den
-    r_pp = ((eps - n) * (1.0 + n) + n * dd) / den
-    r_x = -2.0 * n * medium.delta / den
-    return ReflectionMatrix(r_ss=r_ss, r_sp=r_x, r_ps=r_x, r_pp=r_pp)
+    return _real_constants(medium.reflection(1.0, 0.0))
 
 
 def nonretarded_limit_coefficients(medium) -> ReflectionMatrix:
-    """Constant coefficients of the near-field regime (k_par -> infinity)."""
-    if isinstance(medium, PerfectConductor):
-        return ReflectionMatrix(-1.0, 0.0, 0.0, 1.0)
-    if isinstance(medium, PerfectNonreciprocalMirror):
-        return ReflectionMatrix(0.0, medium.sign, medium.sign, 0.0)
-    eps, dd = medium.epsilon, medium.delta ** 2
-    den = 2.0 * (eps + 1.0) + dd
-    return ReflectionMatrix(r_ss=-dd / den,
-                            r_sp=-2.0 * medium.delta / den,
-                            r_ps=-2.0 * medium.delta / den,
-                            r_pp=(2.0 * (eps - 1.0) + dd) / den)
+    """Constant coefficients of the near-field regime (k_par -> infinity):
+    the reflection matrix at the quasi-static point omega = 0, k_par = 1,
+    as floats."""
+    return _real_constants(medium.reflection(0.0, 1.0))

@@ -2,23 +2,25 @@
 
 All outputs are scaled: lengths as zeta = w z / c, rates and shifts divided
 by the free-space rate of the scan's transition.  Each requested quantity
-is evaluated over the whole grid at once: the grid points are owners of
-one lockstep quadrature (`atomics.sandwich_grid`,
-`atomics.nonresonant_shift_grid`), on the calling thread.  Every point's
-value equals its one-point evaluation bit for bit, so identical configs
-give byte-identical CSV files.
+is evaluated over the whole grid at once, on the calling thread
+(`atomics.greens_grid`, `atomics.nonresonant_shift_grid`); where it takes
+quadrature, the grid points are owners of one lockstep quadrature.  Every
+point's value equals its one-point evaluation bit for bit, so identical
+configs give byte-identical CSV files.
 """
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .atomics import (asymptotic, AsymptoticCase, nonresonant_shift_grid,
-                      sandwich_grid)
+from .atomics import (asymptotic, AsymptoticCase, greens_grid,
+                      nonresonant_shift_grid)
 # not called here but importable from this module: perfbench/tracer.py
 # wraps them by these names.
 from .atomics import greens_tensor, nonresonant_shift_terms  # noqa: F401
@@ -84,11 +86,6 @@ class ScanResult:
     manifest: RunManifest
 
 
-def _quad_dict(cfg: QuadratureConfig) -> dict:
-    return {"rel_tol": cfg.rel_tol, "xi_rel_tol": cfg.xi_rel_tol,
-            "kappa_cutoff": cfg.kappa_cutoff, "xi_cutoff": cfg.xi_cutoff}
-
-
 def _scan_values(zetas, medium, transition, quantities, qcfg: QuadratureConfig):
     """All requested scaled quantities over the whole grid.
 
@@ -109,8 +106,9 @@ def _scan_values(zetas, medium, transition, quantities, qcfg: QuadratureConfig):
     try:
         for q in quantities:
             if q in ("rate", "resonant_shift") and s is None:
-                s, g_err = sandwich_grid(transition, z, medium, con, qcfg)
-                err += g_err
+                g = greens_grid(medium, z, w, con, qcfg)
+                s = g.sandwich(transition.dipole)
+                err += g.quad_error
             if q == "rate":
                 columns.append(2.0 * con.mu0 / con.hbar * w ** 2 * s.imag / gamma0)
             elif q == "resonant_shift":
@@ -137,8 +135,20 @@ def _format_csv(columns, zetas, values) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_manifest(path: Path, manifest: RunManifest):
+def _write_manifest(path: Path, command: str, config: dict, qcfg: QuadratureConfig,
+                    t0: float, points: int, outputs, error: str | None = None,
+                    quad_error=(math.nan, math.nan)) -> RunManifest:
+    """Write the manifest of a run that started at t0: status "ok", or
+    "failed" with `error` (the quadrature errors are then NaN)."""
+    quadrature = {"rel_tol": qcfg.rel_tol, "xi_rel_tol": qcfg.xi_rel_tol,
+                  "kappa_cutoff": qcfg.kappa_cutoff, "xi_cutoff": qcfg.xi_cutoff}
+    manifest = RunManifest(command=command, config=config, quadrature=quadrature,
+                           wall_time_s=time.perf_counter() - t0, points=points,
+                           quad_error_max=quad_error[0], quad_error_mean=quad_error[1],
+                           status="ok" if error is None else "failed", error=error,
+                           outputs=tuple(outputs))
     path.write_text(manifest.to_json(), encoding="utf-8")
+    return manifest
 
 
 def run_scan(config: ScanConfig, out_dir,
@@ -157,27 +167,17 @@ def run_scan(config: ScanConfig, out_dir,
     columns = tuple(QUANTITY_COLUMNS[q] for q in config.quantities)
     csv_path = out / f"{config.name}.csv"
     manifest_path = out / f"{config.name}.manifest.json"
-    t0 = time.perf_counter()
-    base = dict(command="scan", config=_config_echo(config),
-                quadrature=_quad_dict(qcfg))
+    write_manifest = partial(_write_manifest, manifest_path, "scan", _config_echo(config),
+                             qcfg, time.perf_counter(), len(zetas))
     try:
         values, errs = _scan_values(zetas, medium, transition, config.quantities, qcfg)
     except ScanError as exc:
-        manifest = RunManifest(**base, wall_time_s=time.perf_counter() - t0,
-                               points=len(zetas), quad_error_max=float("nan"),
-                               quad_error_mean=float("nan"), status="failed",
-                               error=str(exc), outputs=(manifest_path.name,))
-        _write_manifest(manifest_path, manifest)
+        write_manifest((manifest_path.name,), error=str(exc))
         raise
 
     csv_path.write_text(_format_csv(columns, zetas, values), encoding="utf-8")
-    manifest = RunManifest(**base, wall_time_s=time.perf_counter() - t0,
-                           points=len(zetas),
-                           quad_error_max=float(errs.max()),
-                           quad_error_mean=float(errs.mean()), status="ok",
-                           error=None,
-                           outputs=(csv_path.name, manifest_path.name))
-    _write_manifest(manifest_path, manifest)
+    manifest = write_manifest((csv_path.name, manifest_path.name),
+                              quad_error=(float(errs.max()), float(errs.mean())))
     return ScanResult(zetas=zetas, columns=columns, values=values,
                       csv_path=csv_path, manifest_path=manifest_path,
                       manifest=manifest)
@@ -247,7 +247,9 @@ def figure(name: str, out_dir, qcfg: QuadratureConfig | None = None) -> list:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     qcfg = qcfg or QuadratureConfig()
-    t0 = time.perf_counter()
+    manifest_path = out / f"{name}.manifest.json"
+    write_manifest = partial(_write_manifest, manifest_path, f"figure:{name}",
+                             {"figure": name}, qcfg, time.perf_counter())
     outputs = []
     err_max = 0.0
     err_sum = 0.0
@@ -301,23 +303,9 @@ def figure(name: str, out_dir, qcfg: QuadratureConfig | None = None) -> list:
             err_sum += float(diff_errs.sum())
             npts += diff_errs.size
     except ScanError as exc:
-        manifest = RunManifest(command=f"figure:{name}", config={"figure": name},
-                               quadrature=_quad_dict(qcfg),
-                               wall_time_s=time.perf_counter() - t0,
-                               points=npts, quad_error_max=float("nan"),
-                               quad_error_mean=float("nan"), status="failed",
-                               error=str(exc),
-                               outputs=tuple(outputs))
-        _write_manifest(out / f"{name}.manifest.json", manifest)
+        write_manifest(npts, outputs, error=str(exc))
         raise
 
-    manifest = RunManifest(command=f"figure:{name}", config={"figure": name},
-                           quadrature=_quad_dict(qcfg),
-                           wall_time_s=time.perf_counter() - t0,
-                           points=npts, quad_error_max=err_max,
-                           quad_error_mean=err_sum / max(npts, 1), status="ok",
-                           error=None, outputs=tuple(outputs))
-    manifest_name = f"{name}.manifest.json"
-    _write_manifest(out / manifest_name, manifest)
-    outputs.append(manifest_name)
+    write_manifest(npts, outputs, quad_error=(err_max, err_sum / max(npts, 1)))
+    outputs.append(manifest_path.name)
     return outputs

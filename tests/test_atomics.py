@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from cpshift.atomics import (AsymptoticCase, asymptotic, axion_difference,
-                             decay_rate, greens_tensor, nonresonant_shift,
+                             decay_rate, greens_grid, greens_tensor, nonresonant_shift,
                              nonresonant_shift_grid, nonresonant_shift_terms,
                              resonant_shift, self_consistent_shift, total_shift)
 from cpshift.greens import real_axis_greens
@@ -80,6 +80,31 @@ def test_greens_tensor_method_dispatch():
         greens_tensor(AxionMedium(theta=math.pi), 1.0, 1.0, method="closed")
     g = greens_tensor(COND, 1.0, 1.0, method="numeric")
     assert g.neval > 0
+
+
+def test_greens_grid_rows_are_the_point_tensors():
+    # greens_tensor is the one-height case of the router: same bits, as
+    # Python scalars with an int neval; closed forms report no quadrature
+    z = np.array([0.3, 1.0, 2.5])
+    xi = np.array([0.4, 1.0, 3.0])
+    axion = AxionMedium(epsilon=16.0, theta=math.pi)
+    for medium, omega in ((COND, 1.0), (MIR, 1.0), (axion, 1.0),
+                          (COND, 1j * xi), (MIR_P, 1j * xi)):
+        g = greens_grid(medium, z, omega)
+        for j, zj in enumerate(z):
+            one = greens_tensor(medium, float(zj), np.broadcast_to(omega, z.shape)[j])
+            assert one == g.point(j)
+            assert type(one.neval) is int and type(one.quad_error) is float
+        assert np.all((g.neval > 0) == (medium is axion))
+        assert np.all((g.quad_error > 0) == (medium is axion))
+    numeric = greens_grid(COND, z, 1j * xi, method="numeric")
+    assert np.all(numeric.neval > 0)
+    assert np.allclose(numeric.xx, greens_grid(COND, z, 1j * xi).xx, rtol=1e-6, atol=0)
+    # a misspelt method is an error, not a silent switch to quadrature
+    with pytest.raises(ValueError, match="method"):
+        decay_rate(TR, 1.0, COND, method="closd")
+    with pytest.raises(ValueError, match="method"):
+        nonresonant_shift_terms(TR, 1.0, COND, method="closd")
 
 
 # ---------------------------------------------------------------------------

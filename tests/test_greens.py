@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpshift.greens import (ComplexDyadic, EvaluationPoint, generalized_im,
+from cpshift.greens import (EvaluationPoint, PlanarTensors, generalized_im,
                             generalized_re, greens_nonreciprocal_mirror,
                             greens_perfect_conductor, imaginary_axis_greens,
                             scattering_greens_numeric)
 from cpshift.media import (AxionMedium, ConstantReflectionMedium, PerfectConductor,
                            PerfectNonreciprocalMirror)
 from cpshift.quadrature import QuadratureConfig, QuadratureError
+from cpshift.units import circular_dipole
 
 
 def _conductor_xx(z, w):
@@ -33,10 +34,31 @@ def test_closed_forms_against_inline_formulas():
         g = greens_perfect_conductor(z, 1.0)
         assert g.xx == pytest.approx(_conductor_xx(z, 1.0), rel=1e-14)
         assert g.zz == pytest.approx(_conductor_zz(z, 1.0), rel=1e-14)
-        assert g.yy == g.xx and g.xy == 0.0
+        assert g.xy == 0.0 and g.quad_error == 0.0 and g.neval == 0
         m = greens_nonreciprocal_mirror(z, 1.0)
         assert m.xy == pytest.approx(_mirror_xy(z, 1.0), rel=1e-14)
-        assert m.yx == -m.xy and m.xx == 0.0 and m.zz == 0.0
+        assert m.xx == 0.0 and m.zz == 0.0
+    for closed in (greens_perfect_conductor, greens_nonreciprocal_mirror):
+        with pytest.raises(ValueError):
+            closed(-1.0, 1.0)
+        with pytest.raises(ValueError):
+            closed(np.array([1.0, 0.0]), 1.0)
+
+
+def test_closed_forms_broadcast_heights_against_frequencies():
+    z = np.array([0.3, 1.0, 4.7])
+    for w in (1.0, 2.3j):
+        for closed in (greens_perfect_conductor, greens_nonreciprocal_mirror):
+            batch = closed(z, w)
+            for j, zj in enumerate(z):
+                one = closed(zj, w)
+                for name in ("xx", "zz", "xy"):
+                    assert getattr(one, name) == getattr(batch, name)[j]
+    xi = np.array([0.5, 2.0, 7.0])
+    batch = greens_perfect_conductor(z, 1j * xi)
+    assert batch.xx.shape == batch.neval.shape == (3,)
+    for j in range(3):
+        assert batch.xx[j] == greens_perfect_conductor(z[j], 1j * xi[j]).xx
 
 
 def test_mirror_sign_flips_tensor():
@@ -83,7 +105,6 @@ def test_single_channel_cross_only():
     g = scattering_greens_numeric(EvaluationPoint(z, w),
                                   ConstantReflectionMedium(r_sp=1.0, r_ps=1.0))
     assert abs(g.xy / _mirror_xy(z, w, sign=+1.0) - 1) < 1e-9
-    assert g.yx == -g.xy
     assert g.xx == 0.0 and g.zz == 0.0
     # only the symmetric combination (r_sp + r_ps)/2 enters the xy kernel
     h = scattering_greens_numeric(EvaluationPoint(z, w),
@@ -102,20 +123,10 @@ def test_channel_sum_recomposes_conductor():
     assert abs((g_s.zz + g_p.zz) / gc.zz - 1) < 1e-9
 
 
-def test_planar_symmetry_pattern():
-    g = scattering_greens_numeric(EvaluationPoint(0.7, 1.0),
-                                  AxionMedium(epsilon=16.0, theta=math.pi))
-    m = g.matrix
-    assert m[0, 0] == m[1, 1]
-    assert m[1, 0] == -m[0, 1]
-    for i, j in ((0, 2), (2, 0), (1, 2), (2, 1)):
-        assert abs(m[i, j]) <= 1e-10
-
-
 def test_zero_reflection_gives_zero_tensor():
     g = scattering_greens_numeric(EvaluationPoint(0.5, 1.0),
                                   ConstantReflectionMedium())
-    assert np.abs(g.matrix).max() <= 1e-12
+    assert max(abs(g.xx), abs(g.zz), abs(g.xy)) <= 1e-12
 
 
 def test_pure_axion_cross_block_scales_like_half_delta():
@@ -140,9 +151,9 @@ def test_cross_block_odd_harmonics_of_theta():
 def test_imaginary_frequency_tensor_is_real():
     g = scattering_greens_numeric(EvaluationPoint(0.7, 2.3j),
                                   AxionMedium(epsilon=16.0, theta=math.pi))
-    assert np.abs(g.matrix.imag).max() <= 1e-15
+    assert max(abs(g.xx.imag), abs(g.zz.imag), abs(g.xy.imag)) <= 1e-15
     gc = greens_perfect_conductor(0.7, 2.3j)
-    assert np.abs(gc.matrix.imag).max() <= 1e-15
+    assert max(abs(gc.xx.imag), abs(gc.zz.imag)) <= 1e-15
 
 
 def test_imaginary_axis_batch_matches_per_point_loop():
@@ -153,7 +164,7 @@ def test_imaginary_axis_batch_matches_per_point_loop():
         batch = imaginary_axis_greens(zeta, xi, medium)
         for j, x in enumerate(xi):
             one = scattering_greens_numeric(EvaluationPoint(zeta, 1j * x), medium)
-            assert one.xx == pytest.approx(batch.diag[j], rel=1e-14, abs=0.0)
+            assert one.xx == pytest.approx(batch.xx[j], rel=1e-14, abs=0.0)
             assert one.zz == pytest.approx(batch.zz[j], rel=1e-14, abs=0.0)
             assert one.xy == pytest.approx(batch.xy[j], rel=1e-14, abs=0.0)
             assert one.neval == batch.neval[j]
@@ -183,7 +194,7 @@ def test_tightened_tolerance_stays_within_reported_error():
     m = AxionMedium(epsilon=16.0, theta=math.pi)
     g1 = scattering_greens_numeric(pt, m)
     g2 = scattering_greens_numeric(pt, m, config=QuadratureConfig().tighter(0.01))
-    diff = np.abs(g1.matrix - g2.matrix).max()
+    diff = max(abs(g1.xx - g2.xx), abs(g1.zz - g2.zz), abs(g1.xy - g2.xy))
     assert diff <= max(g1.quad_error, 1e-12)
 
 
@@ -202,13 +213,6 @@ def test_generalized_im_of_anti_hermitian_diagonal():
     a = -1j * np.eye(3)
     assert np.allclose(generalized_im(a), -np.eye(3))
     assert np.allclose(generalized_re(a), 0.0)
-
-
-def test_generalized_parts_accept_dyadic_wrapper():
-    g = greens_perfect_conductor(0.5, 1.0)
-    re = generalized_re(g)
-    assert isinstance(re, ComplexDyadic)
-    assert np.allclose(re.matrix, generalized_re(g.matrix))
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -233,12 +237,34 @@ def test_evaluation_point_validation():
     assert not EvaluationPoint(1.0, 2.0).is_imaginary
 
 
-def test_dyadic_container_validation_and_contract():
-    with pytest.raises(ValueError):
-        ComplexDyadic(np.zeros((2, 2)))
-    g = greens_perfect_conductor(0.9, 1.0)
-    d = np.array([1.0, 1.0j, 0.5]) / math.sqrt(2.25)
-    manual = d @ g.matrix @ np.conj(d)
-    assert g.contract(d) == pytest.approx(manual, rel=1e-14)
-    with pytest.raises(ValueError):
-        greens_perfect_conductor(-1.0, 1.0)
+def _matrix(xx, zz, xy):
+    m = np.zeros((3, 3), dtype=complex)
+    m[0, 0] = m[1, 1] = xx
+    m[2, 2] = zz
+    m[0, 1], m[1, 0] = xy, -xy
+    return m
+
+
+def test_sandwich_matches_full_matmul_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    n = 2000
+    xx, zz, xy = (rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+                  + 1j * rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+                  for _ in range(3))
+    g = PlanarTensors(xx, zz, xy, np.zeros(n), np.zeros(n, dtype=int))
+    # both canonical dipoles, and an xz-plane dipole with d_z != 0
+    for d in (circular_dipole(1.7, "plus"), circular_dipole(1.7, "minus"),
+              np.array([0.6, 0.0, 0.8j])):
+        s = g.sandwich(d)
+        for j in range(n):
+            full = (d @ _matrix(xx[j], zz[j], xy[j])) @ np.conj(d)
+            assert s[j].real == full.real and s[j].imag == full.imag
+            one = g.point(j).sandwich(d)
+            assert one.shape == () and one == s[j]
+    # any other dipole agrees to rounding, and a point still equals its batch
+    d = np.array([0.3 - 0.2j, 0.7 + 0.1j, -0.5 + 0.4j])
+    s = g.sandwich(d)
+    full = np.array([(d @ _matrix(*t)) @ np.conj(d) for t in zip(xx, zz, xy)])
+    scale = (np.abs(xx) + np.abs(zz) + np.abs(xy)) * np.vdot(d, d).real
+    assert np.all(np.abs(s - full) <= 1e-14 * scale)
+    assert all(g.point(j).sandwich(d) == s[j] for j in range(n))

@@ -9,8 +9,7 @@ from cpshift.constants import ALPHA_FS
 from cpshift.media import (AxionMedium, ConstantReflectionMedium, PerfectConductor,
                            PerfectNonreciprocalMirror, PoleError, Polarization,
                            ReflectionMatrix, delta, nonretarded_limit_coefficients,
-                           perpendicular_wavenumber, reflection,
-                           retarded_limit_coefficients)
+                           perpendicular_wavenumber, retarded_limit_coefficients)
 
 
 def test_axion_mismatch_values():
@@ -131,6 +130,18 @@ def test_limit_coefficients_of_ideal_mirrors_are_their_constants():
         assert (rm.r_sp, rm.r_ps, rm.r_ss) == (1.0, 1.0, 0.0)
 
 
+def test_limit_coefficients_are_real_floats_of_the_reflection_model():
+    for m in (AxionMedium(epsilon=16.0, theta=math.pi), AxionMedium(epsilon=2.5, theta=-3.0)):
+        for fn, (omega, k_par) in ((retarded_limit_coefficients, (1.0, 0.0)),
+                                   (nonretarded_limit_coefficients, (0.0, 1.0))):
+            rc, r = fn(m), m.reflection(omega, k_par)
+            for name in ("r_ss", "r_sp", "r_ps", "r_pp"):
+                assert type(getattr(rc, name)) is float
+                assert getattr(rc, name) == complex(getattr(r, name)).real
+    with pytest.raises(ValueError):
+        retarded_limit_coefficients(ConstantReflectionMedium(r_sp=0.25j))
+
+
 def test_theta_sign_equivariance():
     plus = AxionMedium(epsilon=9.0, theta=math.pi).reflection(1.0, 0.6)
     minus = AxionMedium(epsilon=9.0, theta=-math.pi).reflection(1.0, 0.6)
@@ -173,7 +184,7 @@ def test_reflection_vectorized_matches_scalar():
 
 def test_constant_medium_and_dispatch_helper():
     m = ConstantReflectionMedium(r_sp=0.25j)
-    r = reflection(m, 1.0, np.array([0.1, 0.2]))
+    r = m.reflection(1.0, np.array([0.1, 0.2]))
     assert np.all(r.r_sp == 0.25j) and np.all(r.r_ss == 0.0)
     assert r.r_sp.shape == (2,)
 
