@@ -28,9 +28,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .constants import Constants, SCALED
-from .greens import (PlanarTensors, greens_nonreciprocal_mirror,
-                     greens_perfect_conductor, imaginary_axis_greens,
-                     real_axis_greens)
+from .greens import (PlanarTensors, _heights, greens_nonreciprocal_mirror,
+                     greens_perfect_conductor, numeric_greens)
 from .media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
                     delta as axion_delta, nonretarded_limit_coefficients,
                     retarded_limit_coefficients)
@@ -71,9 +70,7 @@ def greens_grid(medium, z, omega, constants: Constants = SCALED,
         return greens_nonreciprocal_mirror(z, omega, medium.sign, constants)
     if method == "closed":
         raise ValueError(f"no closed-form tensor for {type(medium).__name__}")
-    if np.all(np.real(omega) == 0):
-        return imaginary_axis_greens(z, np.imag(omega), medium, constants, config)
-    return real_axis_greens(z, omega, medium, constants, config)
+    return numeric_greens(z, omega, medium, constants, config)
 
 
 def greens_tensor(medium, z: float, omega: complex,
@@ -138,9 +135,7 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
     Returns NonresonantTerms whose fields are arrays aligned with z; a
     failure's `owner` is the index j.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if not np.all(z > 0):
-        raise ValueError(f"atom height must be positive, got z={z[~(z > 0)]}")
+    z = _heights(z)
     cfg = config or QuadratureConfig()
     w = transition.frequency
     n = z.size

@@ -14,13 +14,13 @@ import argparse
 import math
 import sys
 
-from .atomics import decay_rate, nonresonant_shift_terms, resonant_shift
-from .config import ConfigError, build_medium, parse_config, _parse_angle
-from .constants import SCALED
-from .media import PoleError
-from .quadrature import QuadratureError
-from .scan import FIGURE_NAMES, ScanError, figure, run_scan
-from .units import canonical_transition, free_space_rate_formula
+import numpy as np
+
+from .config import (ConfigError, QUANTITY_COLUMNS, build_medium, parse_config,
+                     _parse_angle)
+from .quadrature import QuadratureConfig
+from .scan import FIGURE_NAMES, ScanError, _format_csv, _scan_values, figure, run_scan
+from .units import canonical_transition
 from .version import __version__
 
 __all__ = ["main", "build_parser"]
@@ -70,18 +70,12 @@ def _single_point(args) -> int:
     if not (math.isfinite(args.zeta) and args.zeta > 0):
         raise ConfigError(f"--zeta must be positive and finite, got {args.zeta}")
     medium = build_medium(args.medium, args.epsilon, args.mu, args.theta, args.sign)
-    transition = canonical_transition(args.handedness)
-    gamma0 = free_space_rate_formula(transition, SCALED)
-    z = args.zeta * SCALED.c / transition.frequency
-    if args.command == "rates":
-        value = decay_rate(transition, z, medium) / gamma0
-        print("zeta,gamma_ratio")
-        print(f"{args.zeta:.11e},{value:.11e}")
-    else:
-        res = resonant_shift(transition, z, medium) / gamma0
-        nres = nonresonant_shift_terms(transition, z, medium).total / gamma0
-        print("zeta,shift_res_ratio,shift_nres_ratio")
-        print(f"{args.zeta:.11e},{res:.11e},{nres:.11e}")
+    quantities = (("rate",) if args.command == "rates"
+                  else ("resonant_shift", "nonresonant_shift"))
+    zetas = np.array([args.zeta])
+    values, _ = _scan_values(zetas, medium, canonical_transition(args.handedness),
+                             quantities, QuadratureConfig())
+    print(_format_csv([QUANTITY_COLUMNS[q] for q in quantities], zetas, values), end="")
     return 0
 
 
@@ -105,7 +99,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"cpshift: config error: {exc}", file=sys.stderr)
         return 1
-    except (QuadratureError, PoleError, ScanError) as exc:
+    except ScanError as exc:
         print(f"cpshift: numerical failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

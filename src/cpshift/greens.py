@@ -4,7 +4,7 @@ Above a planar interface the scattering tensor has three independent
 entries, G_xx = G_yy, G_zz and G_xy = -G_yx; the others vanish.
 `PlanarTensors` holds these three at a batch of points, with the
 quadrature error and evaluation count of each.  It is the one tensor type:
-the closed forms and both quadrature routes return it, and
+the closed forms and the quadrature return it, and
 `PlanarTensors.sandwich` contracts it with a dipole.
 
 The azimuthal integral over the reflected-wave dyadics is done analytically,
@@ -15,23 +15,26 @@ leaving three radial kernels (with q = omega/c):
     xy (= -yx):  e^{2 i k_perp z} (r_sp + r_ps) k_perp/q
 
 and G_ab = (i/8pi) * integral over the k_par half-line with measure
-(k_par/k_perp) dk_par.  For real omega the path is split at the lightline:
-on the propagating segment we parametrize by real k_perp in (0, q], whose
-Jacobian cancels the 1/k_perp of the measure exactly; on the evanescent
-segment k_perp = i*kappa and the measure contributes -i dkappa, damped by
-e^{-2 kappa z}.  For omega = i*xi the whole path is parametrized by
-k_perp = i*kappa1, kappa1 >= xi/c, every factor is real, and the tensor
-comes out real (Schwarz reflection principle).
+(k_par/k_perp) dk_par.  One quadrature (`numeric_greens`) takes this
+integral on both frequency axes, as segments of one k-plane path.  On the
+evanescent segment k_perp = i*t, the measure contributes -i dt, k_par =
+sqrt(t^2 + (omega/c)^2), and e^{-2 t z} damps the kernels.  For real omega
+t runs from 0, and a propagating segment comes first: k_perp = t in (0, q],
+whose Jacobian cancels the 1/k_perp of the measure exactly.  For
+omega = i*xi the Wick-rotated path is the evanescent segment alone, started
+at t = xi/c where k_par = 0; every factor is real there, and the tensor
+comes out real (Schwarz reflection principle).  On both axes
+G = (i/8pi) * (propagating - i * evanescent), with no propagating term on
+the imaginary axis.
 
 Each kernel on each segment is its own integral, but they all need the
 reflection matrix, so they run as owners of one lockstep quadrature
-(`quadrature.integrate_batch`): on the real axis the six integrals of every
-height of a scan (`real_axis_greens`), and on the imaginary axis the three
-kernels at every (z, xi) of a batch (`imaginary_axis_greens`, which the
-nonresonant shift calls once per round of its xi-integral, for all heights
-at once).  Every round evaluates the reflection matrix once, on the nodes
-of all new panels.  `scattering_greens_numeric` is the one-point case of
-either.
+(`quadrature.integrate_batch`): the six integrals of every height of a scan
+on the real axis, the three of every (z, xi) of a batch on the imaginary
+axis (the nonresonant shift asks for these once per round of its
+xi-integral, for all heights at once).  Every round evaluates the
+reflection matrix once, on the nodes of all new panels.
+`scattering_greens_numeric` is the one-point case.
 
 The ideal mirrors also have closed forms (`greens_perfect_conductor`,
 `greens_nonreciprocal_mirror`), over arrays of heights and frequencies on
@@ -40,13 +43,14 @@ either axis.  They are the oracles of the quadrature, and
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .constants import Constants, SCALED
-from .quadrature import QuadratureConfig, integrate_batch, owner_groups
+from .quadrature import QuadratureConfig, QuadratureError, integrate_batch
 # integrate is not called here but stays importable from this module:
 # perfbench/tracer.py wraps it by this name.
 from .quadrature import integrate  # noqa: F401
@@ -54,7 +58,7 @@ from .quadrature import integrate  # noqa: F401
 __all__ = [
     "EvaluationPoint", "PlanarTensors",
     "greens_perfect_conductor", "greens_nonreciprocal_mirror",
-    "scattering_greens_numeric", "imaginary_axis_greens", "real_axis_greens",
+    "scattering_greens_numeric", "numeric_greens",
     "generalized_re", "generalized_im",
 ]
 
@@ -109,14 +113,15 @@ class EvaluationPoint:
     frequency: complex
 
     def __post_init__(self):
-        if self.z <= 0:
-            raise ValueError(f"atom height must be positive, got z={self.z}")
+        if not 0 < self.z < math.inf:
+            raise ValueError(f"atom height must be positive and finite, got z={self.z}")
         w = complex(self.frequency)
-        real_positive = w.imag == 0 and w.real > 0
-        imag_positive = w.real == 0 and w.imag > 0
+        real_positive = w.imag == 0 and 0 < w.real < math.inf
+        imag_positive = w.real == 0 and 0 < w.imag < math.inf
         if not (real_positive or imag_positive):
             raise ValueError(
-                f"frequency must be real-positive or i*xi with xi>0, got {w}")
+                f"frequency must be finite real-positive or i*xi with finite "
+                f"xi>0, got {w}")
 
     @property
     def is_imaginary(self) -> bool:
@@ -137,8 +142,9 @@ def generalized_im(dyadic):
 
 def _heights(z) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if not np.all(z > 0):
-        raise ValueError(f"atom height must be positive, got z={z[~(z > 0)]}")
+    good = np.isfinite(z) & (z > 0)
+    if not np.all(good):
+        raise ValueError(f"atom height must be positive and finite, got z={z[~good]}")
     return z
 
 
@@ -193,95 +199,71 @@ def _kernels(medium, omega, z, c, kp, kpar, component):
         damp * (r.r_sp + r.r_ps) * kp / q))
 
 
-def imaginary_axis_greens(z, xi, medium, constants: Constants = SCALED,
-                          config: QuadratureConfig | None = None) -> PlanarTensors:
-    """Scattering tensor at omega = i*xi for every xi > 0, in one lockstep call.
-
-    z is one height or an array of heights aligned with xi.  Owner 3*j + m
-    integrates kernel m at (z[j], xi[j]) along k_perp = i*kappa1, kappa1 in
-    [xi/c, xi/c + kappa_max]; the measure -i dkappa1 combines with the
-    i/8pi prefactor to 1/8pi.  A failure's `owner` is the index j.
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    z = np.broadcast_to(_heights(z), xi.shape)
-    if not np.all(xi > 0):
-        raise ValueError(f"need xi > 0 at every point, got {xi[~(xi > 0)]}")
-    cfg = config or QuadratureConfig()
-    c = constants.c
-    owner_xi = np.repeat(xi, 3)
-    owner_z = np.repeat(z, 3)
-    lo = owner_xi / c
-
-    def f(t, owner):
-        node_xi = owner_xi[owner]
-        return _kernels(medium, 1j * node_xi, owner_z[owner], c, 1j * t,
-                        np.sqrt(np.maximum(t * t - (node_xi / c) ** 2, 0.0)),
-                        owner % 3)
-
-    with owner_groups(3):
-        values, errors, neval = integrate_batch(
-            f, lo, lo + cfg.kappa_cutoff / (2.0 * owner_z), rel_tol=cfg.rel_tol,
-            abs_tol=cfg.abs_tol, max_depth=cfg.max_depth, max_panels=cfg.max_panels)
-    pref = 1.0 / (8 * np.pi)
-    g = (pref * values).reshape(-1, 3)
-    err = errors.reshape(-1, 3)
-    return PlanarTensors(g[:, 0], g[:, 1], g[:, 2],
-                         pref * (err[:, 0] + err[:, 1] + err[:, 2]),
-                         neval.reshape(-1, 3).sum(axis=1))
-
-
-def real_axis_greens(z, omega, medium, constants: Constants = SCALED,
-                     config: QuadratureConfig | None = None) -> PlanarTensors:
-    """Scattering tensor at one real omega > 0 for every height z > 0, in one
+def numeric_greens(z, omega, medium, constants: Constants = SCALED,
+                   config: QuadratureConfig | None = None) -> PlanarTensors:
+    """Scattering tensor by k-quadrature at every height z[j] > 0, at one real
+    omega > 0 or at omega = i*xi[j] (finite xi > 0) aligned with z, in one
     lockstep call.
 
-    Owners 6*j to 6*j + 2 integrate the three kernels at z[j] on the
-    propagating segment, k_perp = t in (0, q], whose Jacobian cancels the
-    1/k_perp measure; owners 6*j + 3 to 6*j + 5 on the evanescent one,
-    k_perp = i*t, t in (0, kappa_max], measure -i dt, e^{-2 t z} decay.
-    A failure's `owner` is the index j.
+    Every point integrates the three kernels on the evanescent segment,
+    k_perp = i*t, t in [lo, lo + kappa_max], k_par = sqrt(t^2 + (omega/c)^2),
+    measure -i dt, with lo = xi/c on the imaginary axis and 0 on the real
+    one; a real omega first takes the propagating segment, k_perp = t in
+    (0, q], k_par = sqrt(q^2 - t^2).  Owner 3*(S*j + s) + m integrates kernel
+    m on segment s of point j, with S = 2 segments on the real axis and 1 on
+    the imaginary one.  A failure's `owner` is the index j.
     """
     z = _heights(z)
     cfg = config or QuadratureConfig()
     c = constants.c
-    omega = complex(omega)
-    q = omega.real / c
-    owner_z = np.repeat(z, 6)
-    owner_prop = np.tile(np.arange(6) < 3, z.size)
+    w = np.asarray(omega, dtype=complex)
+    if w.ndim == 0 and w.imag == 0 and 0 < w.real < np.inf:
+        w = complex(w)  # a scalar: per-node omega arrays slow the reflection
+        q = w.real / c
+        segments, lo, q2 = 2, np.zeros(z.size), np.full(z.size, q * q)
+    elif np.all((w.real == 0) & (w.imag > 0) & (w.imag < np.inf)):
+        z, xi = np.broadcast_arrays(z, np.atleast_1d(w.imag))
+        q, segments, lo, q2 = 0.0, 1, xi / c, -(xi / c) ** 2
+        w = np.repeat(1j * xi, 3)
+    else:
+        raise ValueError(f"need one finite real omega > 0, or i*xi with finite "
+                         f"xi > 0, got {omega}")
+    size = 3 * segments
+    owner_z = np.repeat(z, size)
+    owner_q2 = np.repeat(q2, size)
+    prop = np.tile(np.arange(size) < size - 3, z.size)
+    # k_perp = unit * t and k_par^2 = (omega/c)^2 - k_perp^2, with unit 1 on
+    # the propagating segment and i on the evanescent one
+    owner_unit = np.where(prop, 1.0 + 0j, 1j)
+    owner_sign = np.where(prop, -1.0, 1.0)
 
     def f(t, owner):
-        prop = owner_prop[owner]
-        return _kernels(medium, omega, owner_z[owner], c, np.where(prop, t, 1j * t),
-                        np.where(prop, np.sqrt(np.maximum(q * q - t * t, 0.0)),
-                                 np.sqrt(q * q + t * t)),
+        kpar2 = t * t * owner_sign[owner] + owner_q2[owner]
+        return _kernels(medium, w[owner] if segments == 1 else w, owner_z[owner], c,
+                        t * owner_unit[owner], np.sqrt(np.maximum(kpar2, 0.0)),
                         owner % 3)
 
-    hi = np.where(owner_prop, q, cfg.kappa_cutoff / (2.0 * owner_z))
-    with owner_groups(6):
+    owner_lo = np.repeat(lo, size)
+    hi = np.where(prop, q, owner_lo + cfg.kappa_cutoff / (2.0 * owner_z))
+    try:
         values, errors, neval = integrate_batch(
-            f, np.zeros(hi.size), hi, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+            f, owner_lo, hi, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
             max_depth=cfg.max_depth, max_panels=cfg.max_panels)
-    # combined point by point in Python complex arithmetic, as the
-    # one-point tensor always was, so figures keep their last digits
+    except (ArithmeticError, QuadratureError) as exc:
+        if getattr(exc, "owner", None) is not None:
+            exc.owner //= size
+        raise
     pref = 1j / (8 * np.pi)
-    xx, zz, xy, err = [], [], [], []
-    for (a1, z1, x1, a2, z2, x2), e in zip(values.reshape(-1, 6).tolist(),
-                                           errors.reshape(-1, 6).tolist()):
-        xx.append(pref * (a1 - 1j * a2))
-        zz.append(pref * (z1 - 1j * z2))
-        xy.append(pref * (x1 - 1j * x2))
-        err.append(abs(pref) * ((e[0] + e[1] + e[2]) + (e[3] + e[4] + e[5])))
-    return PlanarTensors(np.array(xx), np.array(zz), np.array(xy), np.array(err),
-                         neval.reshape(-1, 6).sum(axis=1))
+    v = values.reshape(-1, segments, 3)
+    e = errors.reshape(-1, segments, 3)
+    g = pref * ((v[:, 0] if segments == 2 else 0.0) - 1j * v[:, -1])
+    return PlanarTensors(g[:, 0], g[:, 1], g[:, 2],
+                         abs(pref) * (e[:, :, 0] + e[:, :, 1] + e[:, :, 2]).sum(axis=1),
+                         neval.reshape(-1, size).sum(axis=1))
 
 
 def scattering_greens_numeric(point: EvaluationPoint, medium,
                               constants: Constants = SCALED,
                               config: QuadratureConfig | None = None) -> PlanarTensors:
     """Quadrature evaluation of the scattering tensor at one point."""
-    omega = complex(point.frequency)
-    if point.is_imaginary:
-        g = imaginary_axis_greens(point.z, omega.imag, medium, constants, config)
-    else:
-        g = real_axis_greens(point.z, omega, medium, constants, config)
-    return g.point(0)
+    return numeric_greens(point.z, point.frequency, medium, constants, config).point(0)

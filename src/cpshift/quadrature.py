@@ -25,13 +25,12 @@ memory does not grow with N.  `integrate` is the one-owner case.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["QuadratureConfig", "QuadratureError", "QuadResult", "integrate",
-           "integrate_batch", "owner_groups"]
+           "integrate_batch"]
 
 
 class QuadratureError(RuntimeError):
@@ -168,21 +167,6 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-9, abs_tol: float = 0.0
     values, errors, neval = integrate_batch(lambda x, owner: f(x), [a], [b], rel_tol,
                                             abs_tol, max_depth, max_panels)
     return QuadResult(complex(values[0]), float(errors[0]), int(neval[0]))
-
-
-@contextmanager
-def owner_groups(size: int):
-    """Re-point a failure's `owner` from an integral at its group, owner // size.
-
-    For callers that run `size` consecutive integrals per point of their own
-    input, so the error names the point.
-    """
-    try:
-        yield
-    except (ArithmeticError, QuadratureError) as exc:
-        if getattr(exc, "owner", None) is not None:
-            exc.owner //= size
-        raise
 
 
 def _owner_sums(vals, errs, starts, counts):

@@ -10,7 +10,7 @@ from cpshift.atomics import (AsymptoticCase, asymptotic, axion_difference,
                              decay_rate, greens_grid, greens_tensor, nonresonant_shift,
                              nonresonant_shift_grid, nonresonant_shift_terms,
                              resonant_shift, self_consistent_shift, total_shift)
-from cpshift.greens import real_axis_greens
+from cpshift.greens import numeric_greens
 from cpshift.media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
                            PoleError)
 from cpshift.quadrature import QuadratureConfig
@@ -80,6 +80,11 @@ def test_greens_tensor_method_dispatch():
         greens_tensor(AxionMedium(theta=math.pi), 1.0, 1.0, method="closed")
     g = greens_tensor(COND, 1.0, 1.0, method="numeric")
     assert g.neval > 0
+    # quadrature runs on the real or the imaginary axis only; the closed
+    # forms stay analytic in omega
+    with pytest.raises(ValueError, match="omega"):
+        greens_tensor(AxionMedium(epsilon=16.0, theta=math.pi), 1.0, 1.0 + 0.5j)
+    assert greens_tensor(COND, 1.0, 1.0 + 0.5j).neval == 0
 
 
 def test_greens_grid_rows_are_the_point_tensors():
@@ -174,7 +179,7 @@ def test_batched_failures_name_the_height():
 
     z = np.array([2.0, 1.0, 0.1, 0.05])
     with pytest.raises(PoleError) as excinfo:
-        real_axis_greens(z, 1.0, PoleMedium())
+        numeric_greens(z, 1.0, PoleMedium())
     assert excinfo.value.owner == 2
     with pytest.raises(PoleError) as excinfo:
         nonresonant_shift_grid(TR, z, PoleMedium(), method="numeric")
@@ -398,11 +403,12 @@ def test_self_consistent_nonconvergence_raises():
 
 
 def test_positive_height_required():
+    axion = AxionMedium(epsilon=16.0, theta=math.pi)
     for fn in (decay_rate, resonant_shift, nonresonant_shift):
-        with pytest.raises(ValueError):
-            fn(TR, 0.0, COND)
-        with pytest.raises(ValueError):
-            fn(TR, -1.0, MIR)
+        for z, medium in ((0.0, COND), (-1.0, MIR), (math.inf, COND), (math.nan, MIR),
+                          (0.0, axion), (math.inf, axion), (math.nan, axion)):
+            with pytest.raises(ValueError, match="height"):
+                fn(TR, z, medium)
 
 
 @given(lam=st.floats(0.1, 10.0), z=st.floats(0.2, 20.0))

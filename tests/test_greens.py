@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cpshift.greens import (EvaluationPoint, PlanarTensors, generalized_im,
                             generalized_re, greens_nonreciprocal_mirror,
-                            greens_perfect_conductor, imaginary_axis_greens,
+                            greens_perfect_conductor, numeric_greens,
                             scattering_greens_numeric)
 from cpshift.media import (AxionMedium, ConstantReflectionMedium, PerfectConductor,
                            PerfectNonreciprocalMirror)
@@ -161,21 +161,23 @@ def test_imaginary_axis_batch_matches_per_point_loop():
     for zeta in (0.01, 1.0, 10.0):
         # the xi nodes the nonresonant shift uses, xi = u c / 2z
         xi = np.geomspace(0.02, 50.0, 9) / (2.0 * zeta)
-        batch = imaginary_axis_greens(zeta, xi, medium)
+        batch = numeric_greens(zeta, 1j * xi, medium)
         for j, x in enumerate(xi):
             one = scattering_greens_numeric(EvaluationPoint(zeta, 1j * x), medium)
-            assert one.xx == pytest.approx(batch.xx[j], rel=1e-14, abs=0.0)
-            assert one.zz == pytest.approx(batch.zz[j], rel=1e-14, abs=0.0)
-            assert one.xy == pytest.approx(batch.xy[j], rel=1e-14, abs=0.0)
-            assert one.neval == batch.neval[j]
-            assert one.quad_error == pytest.approx(batch.quad_error[j], rel=1e-6)
+            assert one == batch.point(j)
 
 
 def test_imaginary_axis_rejects_bad_points():
     medium = AxionMedium(epsilon=16.0)
-    for z, xi in ((0.0, [1.0]), (1.0, [1.0, 0.0]), (1.0, [np.nan]), (1.0, [-2.0])):
+    for z, omega in ((0.0, [1j]), (np.inf, [1j]), (np.nan, [1j]), (1.0, [1j, 0j]),
+                     (1.0, [complex(0, np.nan)]), (1.0, [complex(0, np.inf)]),
+                     (1.0, [-2j])):
         with pytest.raises(ValueError):
-            imaginary_axis_greens(z, xi, medium)
+            numeric_greens(z, omega, medium)
+    # the real axis takes one finite omega > 0; nothing off either axis
+    for omega in (0.0, -1.0, np.inf, np.nan, 1.0 + 0.5j, [1.0, 1.0]):
+        with pytest.raises(ValueError, match="omega"):
+            numeric_greens([1.0, 1.0], omega, medium)
 
 
 def test_config_caps_reach_the_quadrature():
@@ -227,12 +229,14 @@ def test_generalized_parts_random_dyadics(seed):
 
 
 def test_evaluation_point_validation():
-    with pytest.raises(ValueError):
-        EvaluationPoint(0.0, 1.0)
-    with pytest.raises(ValueError):
-        EvaluationPoint(1.0, 1.0 + 1.0j)    # neither real nor purely imaginary
-    with pytest.raises(ValueError):
-        EvaluationPoint(1.0, -2.0j)
+    for z in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="height"):
+            EvaluationPoint(z, 1.0)
+    for w in (1.0 + 1.0j,    # neither real nor purely imaginary
+              -2.0j, 0.0, math.inf, math.nan, complex(0.0, math.inf),
+              complex(0.0, math.nan)):
+        with pytest.raises(ValueError, match="frequency"):
+            EvaluationPoint(1.0, w)
     assert EvaluationPoint(1.0, 2.0j).is_imaginary
     assert not EvaluationPoint(1.0, 2.0).is_imaginary
 

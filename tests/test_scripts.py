@@ -1,0 +1,35 @@
+"""Smoke tests of the scripts under scripts/: they run and print what they promise."""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run(name, *args):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / name), *map(str, args)],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout
+
+
+def test_asymptotics_check_prints_the_difference_ratios():
+    code, out = run("asymptotics_check.py")
+    assert code == 0
+    # "rate  near 0.117647  (2/17 = 0.117647)"; the quadrature rows also
+    # carry the height: "rate  z= 23.562  0.160030  (4/25 = 0.160000)"
+    rows = [line.split() for line in out.splitlines()
+            if "(2/17 =" in line or "(4/25 =" in line]
+    assert len(rows) == 7
+    for row in rows:
+        assert abs(float(row[-4]) / float(row[-1].rstrip(")")) - 1.0) < 1e-3, row
+
+
+def test_reproduce_figures_writes_one_figure(tmp_path):
+    code, out = run("reproduce_figures.py", tmp_path, "--only", "gamma_mirrors")
+    assert code == 0 and out.startswith("gamma_mirrors")
+    for medium in ("perfect_conductor", "nonreciprocal_mirror"):
+        lines = (tmp_path / f"gamma_mirrors_{medium}.csv").read_text().splitlines()
+        assert lines[0] == "zeta,gamma_ratio" and len(lines) == 401
+    manifest = json.loads((tmp_path / "gamma_mirrors.manifest.json").read_text())
+    assert manifest["status"] == "ok" and manifest["points"] == 800
