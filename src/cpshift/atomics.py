@@ -7,32 +7,27 @@ Conventions (scalar sandwich s(omega) = d . G^(1)(z, z, omega) . conj(d)):
     dw_nres     = (mu0/pi hbar) int dxi xi^3/(xi^2+w^2) Im s(i xi)
                   - (mu0/pi hbar) int dxi xi^2 w/(xi^2+w^2) Re s(i xi)
 
-with w the (possibly shifted) transition frequency.  Every tensor comes
-from `greens_grid`, the one place that chooses between the ideal mirrors'
-closed forms and the numeric k-quadrature; it takes an array of heights
-and returns a `greens.PlanarTensors`, whose `sandwich` gives s.  Scans
-call it for the real-axis tensors of all heights at once, and
-`nonresonant_shift_grid` runs the xi-integrals of all heights as owners of
-one lockstep quadrature, each round handing all of its new xi nodes to one
-`greens_grid` call.  The one-height functions are their N = 1 cases, so a
-grid value equals the one-height value bit for bit.  The xi integral is
-evaluated on xi = (c/2z) u, u in (0, u_max], which maps the e^{-2 xi z/c}
-damping to e^{-u} uniformly in z (tail beyond u_max=50 is ~2e-22 relative).
+with w the (possibly shifted) transition frequency.  `greens_grid`, the one
+place that chooses between the ideal mirrors' closed forms and the numeric
+k-quadrature, gives the real-axis tensors of all heights of a scan at once.
+`nonresonant_shift_grid` does the xi-integral in closed form and integrates
+over s = c k_perp/(i xi) instead.  The one-height functions are the N = 1
+cases of the grid ones, so a grid value equals its one-height value bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .constants import Constants, SCALED
-from .greens import (PlanarTensors, _heights, greens_nonreciprocal_mirror,
+from .greens import (PlanarTensors, _heights, _kernels, greens_nonreciprocal_mirror,
                      greens_perfect_conductor, numeric_greens)
 from .media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
-                    delta as axion_delta, nonretarded_limit_coefficients,
-                    retarded_limit_coefficients)
+                    ReflectionMatrix, delta as axion_delta,
+                    nonretarded_limit_coefficients, retarded_limit_coefficients)
 from .quadrature import QuadratureConfig, integrate_batch
 # not called here but importable from this module: perfbench/tracer.py
 # wraps them by these names.
@@ -53,32 +48,22 @@ __all__ = [
 # Green's tensor routing
 
 def greens_grid(medium, z, omega, constants: Constants = SCALED,
-                config: QuadratureConfig | None = None,
-                method: str = "auto") -> PlanarTensors:
+                config: QuadratureConfig | None = None) -> PlanarTensors:
     """Scattering tensor at every height z[j] > 0, at one real omega or at
-    omega = i*xi[j] aligned with z.
-
-    method "auto" takes the closed form of an ideal mirror and the
-    k-quadrature for every other medium; "closed" insists on the closed
-    form (ValueError where there is none), "numeric" on quadrature.
-    """
-    if method not in ("auto", "closed", "numeric"):
-        raise ValueError(f"method must be 'auto', 'closed' or 'numeric', got {method!r}")
-    if method != "numeric" and isinstance(medium, PerfectConductor):
+    omega = i*xi[j] aligned with z: the closed form of an ideal mirror, the
+    k-quadrature for every other medium."""
+    if isinstance(medium, PerfectConductor):
         return greens_perfect_conductor(z, omega, constants)
-    if method != "numeric" and isinstance(medium, PerfectNonreciprocalMirror):
+    if isinstance(medium, PerfectNonreciprocalMirror):
         return greens_nonreciprocal_mirror(z, omega, medium.sign, constants)
-    if method == "closed":
-        raise ValueError(f"no closed-form tensor for {type(medium).__name__}")
     return numeric_greens(z, omega, medium, constants, config)
 
 
 def greens_tensor(medium, z: float, omega: complex,
                   constants: Constants = SCALED,
-                  config: QuadratureConfig | None = None,
-                  method: str = "auto") -> PlanarTensors:
+                  config: QuadratureConfig | None = None) -> PlanarTensors:
     """Scattering tensor at one point, as Python scalars (see greens_grid)."""
-    return greens_grid(medium, [z], omega, constants, config, method).point(0)
+    return greens_grid(medium, [z], omega, constants, config).point(0)
 
 
 # ---------------------------------------------------------------------------
@@ -86,21 +71,19 @@ def greens_tensor(medium, z: float, omega: complex,
 
 def decay_rate(transition: Transition, z: float, medium,
                constants: Constants = SCALED,
-               config: QuadratureConfig | None = None,
-               method: str = "auto") -> float:
+               config: QuadratureConfig | None = None) -> float:
     """Body-induced decay rate Gamma^(1) at height z."""
     w = transition.frequency
-    s = greens_tensor(medium, z, w, constants, config, method).sandwich(transition.dipole)
+    s = greens_tensor(medium, z, w, constants, config).sandwich(transition.dipole)
     return float(2.0 * constants.mu0 / constants.hbar * w ** 2 * s.imag)
 
 
 def resonant_shift(transition: Transition, z: float, medium,
                    constants: Constants = SCALED,
-                   config: QuadratureConfig | None = None,
-                   method: str = "auto") -> float:
+                   config: QuadratureConfig | None = None) -> float:
     """Resonant (real-photon) part of the frequency shift."""
     w = transition.frequency
-    s = greens_tensor(medium, z, w, constants, config, method).sandwich(transition.dipole)
+    s = greens_tensor(medium, z, w, constants, config).sandwich(transition.dipole)
     return float(-constants.mu0 / constants.hbar * w ** 2 * s.real)
 
 
@@ -124,69 +107,104 @@ class NonresonantTerms:
         return self.im_term + self.re_term
 
 
+_STEP, _TAYLOR, _FAR = 1.0 + 2.0 ** -10, 5, 2.0 ** 20
+
+
+@functools.cache
+def _moment_table():
+    """(b_j = 2 _STEP^j < _FAR, B_m(b_j) for m = 3 ... 4 + _TAYLOR): B_m = m! b^-m
+    Im e^z E_{m+1}(z) at z = -ib, the continued fraction of e^z E_{m+1}(z) summed
+    backward from depth 6 + 250/b; _xi_moments expands about b_j to degree _TAYLOR."""
+    b = 2.0 * _STEP ** np.arange(round(math.log(_FAR / 2.0) / math.log(_STEP)) + 2)
+    m = np.arange(3.0, 5.0 + _TAYLOR)[:, None]
+    depth = np.ceil(6.0 + 250.0 / b).astype(int)  # falls along b: live points are a prefix
+    t = np.zeros((m.size, b.size), dtype=complex)
+    for k in range(depth[0], 0, -1):
+        n = np.count_nonzero(depth >= k)
+        t[:, :n] = -k * (m + k) / (m + 1 + 2 * k - 1j * b[:n] + t[:, :n])
+    m_factorial = np.cumprod(np.arange(1.0, 5.0 + _TAYLOR))[2:, None]
+    return b, m_factorial * (1.0 / (m + 1 - 1j * b + t)).imag / b ** m
+
+
+def _xi_moments(b):
+    """(B3, B4) at every b > 0, B_n(b) = int_0^inf x^n e^{-bx}/(x^2+1) dx.
+
+    Below b = 2, B3 = 1/b^2 - g(b) and B4 = 2/b^3 - 1/b + f(b), with f, g the
+    auxiliary functions of the sine and cosine integrals (Abramowitz & Stegun
+    5.2).  Above, where those cancel, dB_n/db = -B_{n+1} gives Taylor terms
+    falling by about 2^-11 each, and from _FAR on two terms of the asymptotic
+    series suffice.  All three hold to a few ulp, so no switch leaves a step.
+    """
+    from scipy.special import sici  # a quarter second at import; only this needs it
+    out = np.empty((2,) + b.shape)
+    near, far = b < 2.0, b >= _FAR
+    x = b[near]
+    si, ci = sici(x)
+    si, sin, cos = si - 0.5 * np.pi, np.sin(x), np.cos(x)
+    out[:, near] = [1.0 / x ** 2 + ci * cos + si * sin,
+                    2.0 / x ** 3 - 1.0 / x + ci * sin - si * cos]
+    mid = ~(near | far)
+    grid, table = _moment_table()
+    j = np.rint(np.log(0.5 * b[mid]) * (1.0 / math.log(_STEP))).astype(int)
+    h, rows = b[mid] - grid[j], table[:, j]
+    acc = rows[_TAYLOR:].copy()
+    for k in range(_TAYLOR - 1, -1, -1):
+        acc *= h * (-1.0 / (k + 1))
+        acc += rows[k:k + 2]
+    out[:, mid] = acc
+    x = b[far]
+    out[:, far] = [(6.0 - 120.0 / x ** 2) / x ** 4, (24.0 - 720.0 / x ** 2) / x ** 5]
+    return out
+
+
 def nonresonant_shift_grid(transition: Transition, z, medium,
                            constants: Constants = SCALED,
-                           config: QuadratureConfig | None = None,
-                           method: str = "auto") -> NonresonantTerms:
-    """Both xi-integral terms at every height z[j] > 0, in one lockstep call.
+                           config: QuadratureConfig | None = None) -> NonresonantTerms:
+    """Both terms of the nonresonant shift at every height z[j] > 0.
 
-    The xi-integral of height j is owner j of one `integrate_batch`; every
-    round hands the xi nodes of all heights to one `greens_grid` call.
-    Returns NonresonantTerms whose fields are arrays aligned with z; a
-    failure's `owner` is the index j.
+    With k_perp = i s xi/c, s(i xi) = (xi/8 pi c) int_1^inf ds e^{-2 s xi z/c}
+    P(s), where P sandwiches the kernels (`_kernels` at z = 0) and, the media
+    being nondispersive, does not depend on xi.  The xi-integral done first
+    (`_xi_moments`) leaves, with b = 2 s w z/c,
+        dw_nres = (mu0 w^3/8 pi^2 hbar c) int_1^inf ds [Im P B4(b) - Re P B3(b)],
+    over tau = 1/s in (0, 1] at rel_tol `xi_rel_tol`, height j as owner j of
+    one `integrate_batch` (a failure's `owner` is j).
     """
     z = _heights(z)
     cfg = config or QuadratureConfig()
-    w = transition.frequency
-    n = z.size
-    scale = constants.c / (2.0 * z)  # xi = scale * u
-    inner_err = np.zeros(n)
-    inner_neval = np.zeros(n, dtype=int)
+    w, c = transition.frequency, constants.c
+    scale = 2.0 * w * z / c  # b = scale * s
 
-    def f(u, owner):
-        xi = scale[owner] * u
-        g = greens_grid(medium, z[owner], 1j * xi, constants, cfg, method)
-        # an owner with a single panel (15 nodes) is (re)starting
-        restart = np.bincount(owner, minlength=n) == 15
-        inner_err[restart] = 0.0
-        inner_neval[restart] = 0
-        inner_err[:] += np.bincount(owner, weights=g.quad_error, minlength=n)
-        np.add.at(inner_neval, owner, g.neval)
-        s = g.sandwich(transition.dipole)
-        w_im = xi ** 3 / (xi ** 2 + w ** 2)
-        w_re = xi ** 2 * w / (xi ** 2 + w ** 2)
+    def f(tau, owner):
+        k = _kernels(medium, 1j * w, 0.0, c, 1j * w / (c * tau),
+                     w / c * np.sqrt(1.0 - tau * tau) / tau)
+        p = PlanarTensors(*k, None, None).sandwich(transition.dipole)
+        b3, b4 = _xi_moments(scale[owner] / tau)
         # pack both real integrands into one complex quadrature pass
-        return w_im * s.imag + 1j * (w_re * s.real)
+        return (p.imag * b4 + 1j * (p.real * b3)) / (tau * tau)
 
     values, errors, neval = integrate_batch(
-        f, np.zeros(n), np.full(n, cfg.xi_cutoff), rel_tol=cfg.xi_rel_tol,
+        f, np.zeros(z.size), np.ones(z.size), rel_tol=cfg.xi_rel_tol,
         abs_tol=cfg.abs_tol, max_depth=cfg.max_depth, max_panels=cfg.max_panels)
-    pref = constants.mu0 / (math.pi * constants.hbar) * scale
+    pref = constants.mu0 * w ** 3 / (8 * math.pi ** 2 * constants.hbar * c)
     return NonresonantTerms(im_term=pref * values.real, re_term=-pref * values.imag,
-                            quad_error=pref * errors + inner_err,
-                            neval=neval + inner_neval)
+                            quad_error=pref * errors, neval=neval)
 
 
 def nonresonant_shift_terms(transition: Transition, z: float, medium,
                             constants: Constants = SCALED,
-                            config: QuadratureConfig | None = None,
-                            method: str = "auto") -> NonresonantTerms:
-    """Both xi-integral terms of the nonresonant shift, separately.
-
-    The one-height case of nonresonant_shift_grid.
-    """
-    t = nonresonant_shift_grid(transition, [z], medium, constants, config, method)
+                            config: QuadratureConfig | None = None) -> NonresonantTerms:
+    """Both terms at one height: the N = 1 case of nonresonant_shift_grid."""
+    t = nonresonant_shift_grid(transition, [z], medium, constants, config)
     return NonresonantTerms(im_term=float(t.im_term[0]), re_term=float(t.re_term[0]),
                             quad_error=float(t.quad_error[0]), neval=int(t.neval[0]))
 
 
 def nonresonant_shift(transition: Transition, z: float, medium,
                       constants: Constants = SCALED,
-                      config: QuadratureConfig | None = None,
-                      method: str = "auto") -> float:
+                      config: QuadratureConfig | None = None) -> float:
     """Nonresonant (virtual-photon) part of the frequency shift."""
-    return nonresonant_shift_terms(transition, z, medium, constants, config,
-                                   method).total
+    return nonresonant_shift_terms(transition, z, medium, constants, config).total
 
 
 @dataclass(frozen=True)
@@ -201,20 +219,18 @@ class ShiftBreakdown:
 
 def total_shift(transition: Transition, z: float, medium,
                 constants: Constants = SCALED,
-                config: QuadratureConfig | None = None,
-                method: str = "auto") -> ShiftBreakdown:
+                config: QuadratureConfig | None = None) -> ShiftBreakdown:
     """Resonant plus nonresonant shift at height z."""
     return ShiftBreakdown(
-        resonant=resonant_shift(transition, z, medium, constants, config, method),
-        nonresonant=nonresonant_shift(transition, z, medium, constants, config, method),
+        resonant=resonant_shift(transition, z, medium, constants, config),
+        nonresonant=nonresonant_shift(transition, z, medium, constants, config),
     )
 
 
 def self_consistent_shift(transition: Transition, z: float, medium,
                           max_iter: int = 1, tol: float | None = None,
                           constants: Constants = SCALED,
-                          config: QuadratureConfig | None = None,
-                          method: str = "auto"):
+                          config: QuadratureConfig | None = None):
     """Fixed-point iteration w_tilde = w + dw(w_tilde).
 
     Returns (ShiftBreakdown at the final iterate, iterations used).  The
@@ -226,10 +242,9 @@ def self_consistent_shift(transition: Transition, z: float, medium,
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     omega0 = transition.frequency
     w = omega0
-    breakdown = None
     for it in range(1, max_iter + 1):
         breakdown = total_shift(replace(transition, frequency=w), z, medium,
-                                constants, config, method)
+                                constants, config)
         w_next = omega0 + breakdown.total
         if tol is not None and abs(w_next - w) < tol * omega0:
             return breakdown, it
@@ -279,21 +294,7 @@ def asymptotic(case: AsymptoticCase, transition: Transition, z: float,
     zeta = w * z / cc
     gunit = mu0 * w ** 2 * d2 / (4 * math.pi * hbar)
     ounit = mu0 * w ** 2 * d2 / (8 * math.pi * hbar)
-    pure_axion = (isinstance(m, AxionMedium)
-                  and m.epsilon == 1.0 and m.mu == 1.0)
-
-    def limit_coeffs(regime):
-        # The pure-axion laws are quoted to leading order in Delta (the
-        # "Delta/2 factor"): the Delta^2 diagonal channels are dropped, which
-        # matters because their z^-3 term would otherwise overtake the
-        # Delta z^-2 cross term at contact.
-        if pure_axion:
-            class _Lead:  # noqa: N801 - tiny local record
-                r_pp = 0.0
-                r_sp = -m.delta / 2.0
-            return _Lead
-        return (retarded_limit_coefficients(m) if regime == "retarded"
-                else nonretarded_limit_coefficients(m))
+    pure_axion = isinstance(m, AxionMedium) and m.epsilon == 1.0 and m.mu == 1.0
 
     if case.quantity == "nonresonant_shift":
         if case.regime == "retarded":
@@ -312,25 +313,30 @@ def asymptotic(case: AsymptoticCase, transition: Transition, z: float,
         raise ValueError("nonretarded nonresonant law only stated for the "
                          "pure-axion medium (dispersive eps(i xi) unknown)")
 
+    # The pure-axion laws are quoted to leading order in Delta (the "Delta/2
+    # factor"): the Delta^2 diagonal channels are dropped, as their z^-3 term
+    # would otherwise overtake the Delta z^-2 cross term at contact.
+    if pure_axion:
+        r = ReflectionMatrix(0.0, -m.delta / 2.0, -m.delta / 2.0, 0.0)
+    elif case.regime == "retarded":
+        r = retarded_limit_coefficients(m)
+    else:
+        r = nonretarded_limit_coefficients(m)
     if case.regime == "retarded":
-        rc = limit_coeffs("retarded")
         if case.quantity == "rate":
-            return gunit / z * (-math.sin(2 * zeta) * rc.r_pp
-                                - math.cos(2 * zeta) * rc.r_sp)
-        return ounit / z * (math.cos(2 * zeta) * rc.r_pp
-                            - math.sin(2 * zeta) * rc.r_sp)
-
-    # nonretarded
-    nc = limit_coeffs("nonretarded")
+            return gunit / z * (-math.sin(2 * zeta) * r.r_pp
+                                - math.cos(2 * zeta) * r.r_sp)
+        return ounit / z * (math.cos(2 * zeta) * r.r_pp
+                            - math.sin(2 * zeta) * r.r_sp)
     if case.quantity == "rate":
         if isinstance(m, PerfectConductor):
             return -free_space_rate_formula(transition, constants)
         if isinstance(m, PerfectNonreciprocalMirror):
             return 0.0
-        return gunit * (cc / (2 * w * z ** 2) * nc.r_sp
-                        + cc ** 2 / (4 * w ** 2 * z ** 3) * nc.r_pp)
-    return ounit * (-cc / (2 * w * z ** 2) * nc.r_sp
-                    - cc ** 2 / (4 * w ** 2 * z ** 3) * nc.r_pp)
+        return gunit * (cc / (2 * w * z ** 2) * r.r_sp
+                        + cc ** 2 / (4 * w ** 2 * z ** 3) * r.r_pp)
+    return ounit * (-cc / (2 * w * z ** 2) * r.r_sp
+                    - cc ** 2 / (4 * w ** 2 * z ** 3) * r.r_pp)
 
 
 def axion_difference(quantity: str, regime: str, epsilon: float, theta: float,
@@ -451,6 +457,7 @@ def evolve_populations(atom: AtomModel, rate_matrix, t_grid,
         raise ValueError(f"initial state has {state.populations.size} entries, "
                          f"atom has {nlev} levels")
 
+    from scipy.integrate import solve_ivp  # 0.6 s at import; only this needs it
     sol = solve_ivp(lambda _, p: gen @ p, (t[0], t[-1]), state.populations,
                     t_eval=t, method="DOP853", rtol=1e-11, atol=1e-13)
     if not sol.success:

@@ -31,10 +31,9 @@ Each kernel on each segment is its own integral, but they all need the
 reflection matrix, so they run as owners of one lockstep quadrature
 (`quadrature.integrate_batch`): the six integrals of every height of a scan
 on the real axis, the three of every (z, xi) of a batch on the imaginary
-axis (the nonresonant shift asks for these once per round of its
-xi-integral, for all heights at once).  Every round evaluates the
-reflection matrix once, on the nodes of all new panels.
-`scattering_greens_numeric` is the one-point case.
+axis.  Every round evaluates the reflection matrix once, on the nodes of
+all new panels.  `scattering_greens_numeric` is the one-point case.  The
+nonresonant shift integrates `_kernels` over s = c k_perp/(i xi) instead.
 
 The ideal mirrors also have closed forms (`greens_perfect_conductor`,
 `greens_nonreciprocal_mirror`), over arrays of heights and frequencies on
@@ -184,19 +183,15 @@ def greens_nonreciprocal_mirror(z, omega, sign: float = -1.0,
     return _closed_form(shape, zero, zero, xy)
 
 
-def _kernels(medium, omega, z, c, kp, kpar, component):
-    """Radial kernel `component` (0 xx, 1 zz, 2 xy) at each node.
-
-    kp/kpar are the (complex) k_perp and (real) k_par of each node; omega is
-    a scalar or an array aligned with them.
-    """
+def _kernels(medium, omega, z, c, kp, kpar):
+    """The radial kernels (xx, zz, xy) at nodes of (complex) k_perp kp and
+    (real) k_par kpar; omega is a scalar or an array aligned with them."""
     q = omega / c
     r = medium.reflection(omega, kpar, c=c)
-    damp = np.exp(2j * kp * z)
-    return np.choose(component, (
-        damp * (r.r_ss - r.r_pp * kp ** 2 / q ** 2),
-        damp * 2.0 * r.r_pp * kpar ** 2 / q ** 2,
-        damp * (r.r_sp + r.r_ps) * kp / q))
+    damp = np.exp(2j * kp * z) if np.any(z) else 1.0
+    return (damp * (r.r_ss - r.r_pp * kp ** 2 / q ** 2),
+            damp * 2.0 * r.r_pp * kpar ** 2 / q ** 2,
+            damp * (r.r_sp + r.r_ps) * kp / q)
 
 
 def numeric_greens(z, omega, medium, constants: Constants = SCALED,
@@ -239,9 +234,9 @@ def numeric_greens(z, omega, medium, constants: Constants = SCALED,
 
     def f(t, owner):
         kpar2 = t * t * owner_sign[owner] + owner_q2[owner]
-        return _kernels(medium, w[owner] if segments == 1 else w, owner_z[owner], c,
-                        t * owner_unit[owner], np.sqrt(np.maximum(kpar2, 0.0)),
-                        owner % 3)
+        return np.choose(owner % 3, _kernels(
+            medium, w[owner] if segments == 1 else w, owner_z[owner], c,
+            t * owner_unit[owner], np.sqrt(np.maximum(kpar2, 0.0))))
 
     owner_lo = np.repeat(lo, size)
     hi = np.where(prop, q, owner_lo + cfg.kappa_cutoff / (2.0 * owner_z))

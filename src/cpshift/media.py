@@ -7,7 +7,9 @@ coupling theta.  Medium 1 (where the atom sits) is always vacuum.
 
 All reflection evaluations are vectorized over k_par and accept real
 frequencies as well as purely imaginary omega = i*xi, either one omega for
-all k_par or an array of omega aligned with k_par.
+all k_par or an array of omega aligned with k_par.  Every medium here is
+nondispersive, r(i lambda xi, lambda k_par) = r(i xi, k_par) for lambda > 0;
+`atomics.nonresonant_shift_grid` relies on this.
 """
 from __future__ import annotations
 

@@ -1,6 +1,6 @@
 """Vectorized globally adaptive Gauss-Kronrod quadrature.
 
-The k- and xi-integrals in this package are one-dimensional, smooth away
+The k- and s-integrals in this package are one-dimensional, smooth away
 from the lightline split, and have to run thousands of times per scan, so
 the engine batches all pending panel evaluations into single vectorized
 calls: the integrand must accept an ndarray of abscissae and return an
@@ -25,7 +25,7 @@ memory does not grow with N.  `integrate` is the one-owner case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,21 +73,21 @@ _G7_WEIGHTS[1::2] = [
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and caps for the nested quadratures.
+    """Tolerances and caps for the quadratures.
 
     rel_tol      : relative tolerance of each k-plane segment integral
-    xi_rel_tol   : relative tolerance of the imaginary-frequency integral
+    xi_rel_tol   : relative tolerance of the nonresonant shift's s-integral
     abs_tol      : absolute floor (identically-zero channels stop at once)
     max_depth    : bisection cap per panel
     max_panels   : hard budget on simultaneously live panels of one
                    quadrature call, shared by all its owners (see
                    integrate_batch)
     kappa_cutoff : evanescent truncation, kappa_max = kappa_cutoff / (2 z)
-    xi_cutoff    : xi-integral substitution range, u in (0, xi_cutoff]
+    xi_cutoff    : affects no result; kept only as perfbench/make_reference.py reads it
     """
 
     rel_tol: float = 1e-9
-    xi_rel_tol: float = 1e-8
+    xi_rel_tol: float = 1e-10
     abs_tol: float = 0.0
     max_depth: int = 30
     max_panels: int = 20000
@@ -107,15 +107,8 @@ class QuadratureConfig:
 
     def tighter(self, factor: float) -> "QuadratureConfig":
         """Same config with both relative tolerances multiplied by `factor`."""
-        return QuadratureConfig(
-            rel_tol=self.rel_tol * factor,
-            xi_rel_tol=self.xi_rel_tol * factor,
-            abs_tol=self.abs_tol,
-            max_depth=self.max_depth,
-            max_panels=self.max_panels,
-            kappa_cutoff=self.kappa_cutoff,
-            xi_cutoff=self.xi_cutoff,
-        )
+        return replace(self, rel_tol=self.rel_tol * factor,
+                       xi_rel_tol=self.xi_rel_tol * factor)
 
 
 @dataclass(frozen=True)
@@ -227,6 +220,8 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0,
     values = np.zeros(n, dtype=complex)
     errors = np.zeros(n)
     neval = np.zeros(n, dtype=int)
+    if n == 0:
+        return values, errors, neval
     pending = np.arange(n)  # queued owners, ascending, all above the live ones
     # live panels, sorted by owner; each owner's panels in a standalone order
     own = np.empty(0, dtype=int)

@@ -1,19 +1,25 @@
 """Rates, resonant/nonresonant shifts, asymptotic laws, difference laws."""
 import math
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from cpshift.atomics import (AsymptoticCase, asymptotic, axion_difference,
+import cpshift
+from cpshift.atomics import (AsymptoticCase, _xi_moments, asymptotic, axion_difference,
                              decay_rate, greens_grid, greens_tensor, nonresonant_shift,
                              nonresonant_shift_grid, nonresonant_shift_terms,
                              resonant_shift, self_consistent_shift, total_shift)
+from cpshift.constants import SCALED
 from cpshift.greens import numeric_greens
 from cpshift.media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
                            PoleError)
-from cpshift.quadrature import QuadratureConfig
+from cpshift.quadrature import QuadratureConfig, QuadratureError, integrate
 from cpshift.units import Transition, canonical_transition, circular_dipole
 
 TR = canonical_transition("plus")
@@ -68,18 +74,24 @@ def test_mirror_sign_and_handedness_flips():
 
 
 def test_numeric_route_agrees_with_closed_route():
+    # the rate is Im s: the k-quadrature of a mirror against its closed form
+    z = np.array([0.4, 1.0, 6.0])
     for medium in (COND, MIR):
-        for z in (0.4, 1.0, 6.0):
-            closed = decay_rate(TR, z, medium)
-            numeric = decay_rate(TR, z, medium, method="numeric")
-            assert abs(numeric / closed - 1) < 1e-6
+        closed = greens_grid(medium, z, 1.0).sandwich(TR.dipole).imag
+        numeric = numeric_greens(z, 1.0, medium).sandwich(TR.dipole).imag
+        assert np.all(abs(numeric / closed - 1) < 1e-6)
 
 
-def test_greens_tensor_method_dispatch():
-    with pytest.raises(ValueError):
-        greens_tensor(AxionMedium(theta=math.pi), 1.0, 1.0, method="closed")
-    g = greens_tensor(COND, 1.0, 1.0, method="numeric")
-    assert g.neval > 0
+def test_greens_tensor_routes_by_medium():
+    # the ideal mirrors take their closed forms, every other medium the
+    # k-quadrature; there is no switch between them
+    assert greens_tensor(COND, 1.0, 1.0).neval == 0
+    assert greens_tensor(MIR, 1.0, 1.0).neval == 0
+    assert greens_tensor(AxionMedium(theta=math.pi), 1.0, 1.0).neval > 0
+    with pytest.raises(TypeError, match="method"):
+        greens_tensor(COND, 1.0, 1.0, method="numeric")
+    with pytest.raises(TypeError, match="method"):
+        nonresonant_shift_terms(TR, 1.0, COND, method="numeric")
     # quadrature runs on the real or the imaginary axis only; the closed
     # forms stay analytic in omega
     with pytest.raises(ValueError, match="omega"):
@@ -102,14 +114,19 @@ def test_greens_grid_rows_are_the_point_tensors():
             assert type(one.neval) is int and type(one.quad_error) is float
         assert np.all((g.neval > 0) == (medium is axion))
         assert np.all((g.quad_error > 0) == (medium is axion))
-    numeric = greens_grid(COND, z, 1j * xi, method="numeric")
+    numeric = numeric_greens(z, 1j * xi, COND)
     assert np.all(numeric.neval > 0)
     assert np.allclose(numeric.xx, greens_grid(COND, z, 1j * xi).xx, rtol=1e-6, atol=0)
-    # a misspelt method is an error, not a silent switch to quadrature
-    with pytest.raises(ValueError, match="method"):
-        decay_rate(TR, 1.0, COND, method="closd")
-    with pytest.raises(ValueError, match="method"):
-        nonresonant_shift_terms(TR, 1.0, COND, method="closd")
+
+
+def test_zero_heights_give_empty_results():
+    # the quadrature routes return empty arrays like the closed forms do
+    axion = AxionMedium(epsilon=16.0, theta=math.pi)
+    for medium in (axion, COND):
+        g = greens_grid(medium, [], 1.0)
+        assert g.xx.shape == g.neval.shape == (0,)
+        terms = nonresonant_shift_grid(TR, [], medium)
+        assert terms.im_term.shape == terms.re_term.shape == terms.neval.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -152,27 +169,112 @@ def test_mirror_plus_sign_flips_nonresonant_shift():
         -nonresonant_shift(TR, z, MIR), rel=1e-12)
 
 
+@mpmath.workdps(25)
+def _mp_nres(medium, z):
+    """mpmath value of the mirrors' xi-integrals above, to 25 digits."""
+    z = mpmath.mpf(z)
+    if medium is COND:
+        def f(x):
+            return (x ** 2 / (x ** 2 + 1) * (1 / z + 1 / (2 * x * z ** 2)
+                                            + 1 / (4 * x ** 2 * z ** 3))
+                    * mpmath.exp(-2 * x * z))
+    else:
+        def f(x):
+            return x ** 3 / (x ** 2 + 1) * (1 / z + 1 / (2 * x * z ** 2)) * mpmath.exp(-2 * x * z)
+    points = [0] + sorted({mpmath.mpf(1), 1 / (2 * z), 10 / z}) + [mpmath.inf]
+    return float(TR.dipole_squared / (8 * mpmath.pi ** 2) * mpmath.quad(f, points))
+
+
+@pytest.mark.parametrize("medium", [COND, MIR], ids=["conductor", "mirror"])
+def test_mirror_nonresonant_shift_against_mpmath(medium):
+    # out to the ends of acceptance criterion 3, where the s-integrand is
+    # widest (zeta = 1e-3) and B3/B4 are deepest in their cancelling range
+    for z in (1e-3, 0.01, 1.0, 30.0, 100.0):
+        assert nonresonant_shift(TR, z, medium) == pytest.approx(_mp_nres(medium, z),
+                                                                 rel=1e-10)
+
+
+def _nested_nres(z, medium, config=None):
+    """(im_term, re_term) from the xi-integral over u in (0, 50],
+    xi = u c/2z, of the k-quadrature tensor numeric_greens(z, i xi): the
+    nested route that the s-integral replaced."""
+    con, w = SCALED, TR.frequency
+    scale = con.c / (2.0 * z)
+
+    def f(u):
+        xi = scale * u
+        s = numeric_greens(np.full(u.size, z), 1j * xi, medium, con,
+                           config).sandwich(TR.dipole)
+        return (xi ** 3 * s.imag + 1j * (xi ** 2 * w * s.real)) / (xi ** 2 + w ** 2)
+
+    value = integrate(f, 0.0, 50.0, rel_tol=1e-8).value
+    pref = con.mu0 / (math.pi * con.hbar) * scale
+    return pref * value.real, -pref * value.imag
+
+
+@given(epsilon=st.floats(1.0, 30.0), theta=st.floats(-2 * math.pi, 2 * math.pi),
+       zeta=st.floats(0.01, 10.0))
+@settings(max_examples=12, deadline=None)
+def test_s_integral_matches_nested_xi_k_route(epsilon, theta, zeta):
+    medium = AxionMedium(epsilon=epsilon, theta=theta)
+    terms = nonresonant_shift_terms(TR, zeta, medium)
+    im_ref, re_ref = _nested_nres(zeta, medium)
+    scale = max(abs(im_ref), abs(re_ref))
+    assert abs(terms.im_term - im_ref) <= 1e-8 * scale
+    assert abs(terms.re_term - re_ref) <= 1e-8 * scale
+
+
+def test_xi_moments_against_mpmath():
+    # B3 = 1/b^2 - g(b) and B4 = 2/b^3 - 1/b + f(b), with the sine/cosine
+    # auxiliary functions f and g, at 60 digits, which absorb the
+    # cancellation: on both sides of the switch at b = 2 and far into the
+    # range where double precision would lose every digit
+    b = np.concatenate([np.geomspace(1e-3, 1e7, 41), [2.0 - 1e-12, 2.0, 2.0 + 1e-12]])
+    b3, b4 = _xi_moments(b)
+    for j, x in enumerate(b):
+        with mpmath.workdps(60):
+            x_mp = mpmath.mpf(float(x))
+            si = mpmath.si(x_mp) - mpmath.pi / 2
+            ci = mpmath.ci(x_mp)
+            f = ci * mpmath.sin(x_mp) - si * mpmath.cos(x_mp)
+            g = -ci * mpmath.cos(x_mp) - si * mpmath.sin(x_mp)
+            ref3, ref4 = float(1 / x_mp ** 2 - g), float(2 / x_mp ** 3 - 1 / x_mp + f)
+        assert abs(b3[j] / ref3 - 1) <= 4e-15, x
+        assert abs(b4[j] / ref4 - 1) <= 4e-15, x
+
+
+def test_tight_s_integral_converges_from_contact_to_far_field():
+    # B3/B4 are smooth to round-off, so a tolerance near 1e-11 converges
+    # everywhere instead of stalling on a step between their two branches
+    z = np.geomspace(1e-3, 100.0, 40)
+    cfg = QuadratureConfig().tighter(1e-3)
+    for medium in (COND, MIR, AxionMedium(epsilon=16.0, theta=math.pi),
+                   AxionMedium(epsilon=1.0, theta=-math.pi)):
+        tight = nonresonant_shift_grid(TR, z, medium, config=cfg)
+        default = nonresonant_shift_grid(TR, z, medium)
+        assert np.all(np.abs(tight.total - default.total) <= 1e-12 * np.abs(tight.total))
+
+
 def test_nonresonant_grid_under_a_small_panel_budget_matches_point_calls():
-    # a budget of 12 panels evicts both the outer xi-integrals of the four
-    # heights and the inner k-integrals of every round; each height still
-    # equals its one-height call at the default budget, bit for bit
+    # a budget of 12 panels holds the s-integral of any one of the four
+    # heights (3 to 9 panels) but not all of them, so heights are evicted
+    # and restarted; each still equals its one-height call at the default
+    # budget, bit for bit
     z = np.array([0.3, 0.7, 1.1, 2.0])
-    grid = nonresonant_shift_grid(TR, z, COND, config=QuadratureConfig(max_panels=12),
-                                  method="numeric")
+    grid = nonresonant_shift_grid(TR, z, COND, config=QuadratureConfig(max_panels=12))
+    assert grid.neval.sum() > 12 * 15
     for j, zj in enumerate(z):
-        one = nonresonant_shift_terms(TR, float(zj), COND, method="numeric")
+        one = nonresonant_shift_terms(TR, float(zj), COND)
         assert (grid.im_term[j], grid.re_term[j]) == (one.im_term, one.re_term)
         assert (grid.quad_error[j], grid.neval[j]) == (one.quad_error, one.neval)
 
 
 def test_batched_failures_name_the_height():
-    # a stand-in pole that only heights z < 0.2 reach: on the real axis at
-    # k_par > 100 (kappa_max = 20/z), on the imaginary axis at xi > 150
-    # (xi_max = 25/z)
+    # a stand-in pole that only heights z < 0.2 reach on the real axis, at
+    # k_par > 100 (kappa_max = 20/z)
     class PoleMedium(PerfectConductor):
         def reflection(self, omega, k_par, c=1.0):
-            bad = (np.abs(k_par) > 100.0) | (np.abs(omega) > 150.0)
-            hit = np.flatnonzero(np.broadcast_to(bad, np.shape(k_par)))
+            hit = np.flatnonzero(np.abs(np.asarray(k_par)) > 100.0)
             if hit.size:
                 raise PoleError("stand-in pole", owner=int(hit[0]))
             return super().reflection(omega, k_par, c=c)
@@ -181,9 +283,26 @@ def test_batched_failures_name_the_height():
     with pytest.raises(PoleError) as excinfo:
         numeric_greens(z, 1.0, PoleMedium())
     assert excinfo.value.owner == 2
-    with pytest.raises(PoleError) as excinfo:
-        nonresonant_shift_grid(TR, z, PoleMedium(), method="numeric")
+    # P(s) is the same for every height, but the s-integrand narrows towards
+    # tau = 0 as z falls: under a depth cap of 5 only z = 1e-3 fails
+    z = np.array([2.0, 1.0, 1e-3, 0.5])
+    capped = QuadratureConfig(max_depth=5)
+    nonresonant_shift_grid(TR, z[[0, 1, 3]], COND, config=capped)
+    with pytest.raises(QuadratureError) as excinfo:
+        nonresonant_shift_grid(TR, z, COND, config=capped)
     assert excinfo.value.owner == 2
+
+
+def test_import_leaves_the_heavy_scipy_modules_unloaded():
+    # scipy.integrate (populations) and scipy.special (the nonresonant
+    # shift) are imported where they are used, not by `import cpshift`
+    src = str(Path(cpshift.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import cpshift; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.special') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_reciprocal_medium_im_term_vanishes():

@@ -159,7 +159,8 @@ def test_imaginary_frequency_tensor_is_real():
 def test_imaginary_axis_batch_matches_per_point_loop():
     medium = AxionMedium(epsilon=16.0, theta=math.pi)
     for zeta in (0.01, 1.0, 10.0):
-        # the xi nodes the nonresonant shift uses, xi = u c / 2z
+        # the xi nodes of the nested nonresonant oracle in test_atomics,
+        # xi = u c / 2z
         xi = np.geomspace(0.02, 50.0, 9) / (2.0 * zeta)
         batch = numeric_greens(zeta, 1j * xi, medium)
         for j, x in enumerate(xi):

@@ -171,6 +171,22 @@ def test_imaginary_frequency_entries_are_real():
         assert complex(getattr(r, name)).imag == 0.0
 
 
+@given(lam=st.floats(1e-3, 1e3), xi=st.floats(0.01, 100.0),
+       k_par=st.floats(0.0, 1e3), epsilon=st.floats(0.1, 50.0),
+       theta=st.floats(-10.0, 10.0))
+@settings(max_examples=60, deadline=None)
+def test_reflection_is_scale_invariant_on_the_imaginary_axis(lam, xi, k_par, epsilon,
+                                                              theta):
+    # r(i lam xi, lam k_par) = r(i xi, k_par): every medium is nondispersive,
+    # which lets the nonresonant shift read P(s) at one xi for all of them
+    for medium in (AxionMedium(epsilon=epsilon, theta=theta), PerfectConductor(),
+                   PerfectNonreciprocalMirror(),
+                   ConstantReflectionMedium(r_ss=0.3, r_sp=-0.2, r_ps=0.1, r_pp=0.7)):
+        base = medium.reflection(1j * xi, k_par).as_array()
+        scaled = medium.reflection(1j * lam * xi, lam * k_par).as_array()
+        assert np.allclose(scaled, base, rtol=1e-12, atol=1e-15)
+
+
 def test_reflection_vectorized_matches_scalar():
     m = AxionMedium(epsilon=7.0, theta=2 * math.pi)
     k_par = np.array([0.0, 0.3, 0.9, 1.5, 40.0])

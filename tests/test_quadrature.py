@@ -194,6 +194,15 @@ def test_lockstep_rejects_empty_intervals():
         integrate_batch(lambda x, owner: x, [0.0, 1.0], [1.0, 1.0])
 
 
+def test_zero_owners_return_empty_arrays_without_calling_f():
+    def f(x, owner):
+        raise AssertionError("integrand called without owners")
+
+    values, errors, neval = integrate_batch(f, [], [])
+    assert values.shape == errors.shape == neval.shape == (0,)
+    assert values.dtype == complex and neval.dtype.kind == "i"
+
+
 @given(owners=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 4.0),
                                  st.floats(-5.0, 5.0), st.floats(0.0, 20.0),
                                  st.floats(-3.0, 3.0), st.floats(1e-3, 1.0)),
