@@ -5,8 +5,12 @@ Usage:
     python3 scripts/compare_csvs.py OLD NEW
 
 Files are matched by their path relative to OLD and NEW.  For each file
-that differs, prints per column the number of rows whose cell changed and
-the largest relative difference of those cells.  Exits 1 if any file
+that differs, prints per column the number of rows whose cell changed, the
+largest relative difference of those cells, and the scaled difference
+max|new - old| / max|old| over the column (the benchmark gate's
+`scaled_error`; absolute where the column is all zero).  The relative
+difference blows up near a zero crossing, so the scaled one is the
+difference to state a tolerance in.  Exits 1 if any file
 differs or exists on one side only, 0 if all are identical, and 2 on bad
 usage.
 """
@@ -26,6 +30,18 @@ def _relative(old: str, new: str) -> float:
     return abs(b - a) / abs(a) if a else math.inf
 
 
+def _scaled(old: list, new: list) -> float:
+    try:
+        a, b = [float(v) for v in old], [float(v) for v in new]
+    except ValueError:
+        return math.nan
+    if not all(map(math.isfinite, a + b)):
+        return math.inf
+    scale = max(abs(v) for v in a)
+    err = max(abs(y - x) for x, y in zip(a, b))
+    return err / scale if scale > 0 else err
+
+
 def _describe(old_path: Path, new_path: Path) -> list:
     """Lines describing how two differing CSV files differ."""
     with open(old_path, newline="") as fh:
@@ -41,8 +57,10 @@ def _describe(old_path: Path, new_path: Path) -> list:
         changed = [(a[k], b[k]) for a, b in zip(old[1:], new[1:]) if a[k] != b[k]]
         if changed:
             worst = max(_relative(a, b) for a, b in changed)
+            scaled = _scaled([r[k] for r in old[1:]], [r[k] for r in new[1:]])
             lines.append(f"  {name}: {len(changed)} of {len(old) - 1} rows changed, "
-                         f"max relative difference {worst:.3g}")
+                         f"max relative difference {worst:.3g}, "
+                         f"scaled difference {scaled:.3g}")
     return lines or ["  same cells, different bytes (line endings or quoting)"]
 
 

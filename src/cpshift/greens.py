@@ -27,13 +27,14 @@ comes out real (Schwarz reflection principle).  On both axes
 G = (i/8pi) * (propagating - i * evanescent), with no propagating term on
 the imaginary axis.
 
-Each kernel on each segment is its own integral, but they all need the
-reflection matrix, so they run as owners of one lockstep quadrature
-(`quadrature.integrate_batch`): the six integrals of every height of a scan
-on the real axis, the three of every (z, xi) of a batch on the imaginary
-axis.  Every round evaluates the reflection matrix once, on the nodes of
-all new panels.  `scattering_greens_numeric` is the one-point case.  The
-nonresonant shift integrates `_kernels` over s = c k_perp/(i xi) instead.
+The three kernels of one segment share one reflection matrix, so each
+segment of each point is one three-component integral, and all of them run
+as owners of one lockstep quadrature (`quadrature.integrate_batch`): two
+per height of a scan on the real axis, one per (z, xi) of a batch on the
+imaginary axis.  Every round evaluates the reflection matrix once, on the
+nodes of all new panels, and each node serves all three kernels.
+`scattering_greens_numeric` is the one-point case.  The nonresonant shift
+integrates `_kernels` over s = c k_perp/(i xi) instead.
 
 The ideal mirrors also have closed forms (`greens_perfect_conductor`,
 `greens_nonreciprocal_mirror`), over arrays of heights and frequencies on
@@ -67,7 +68,8 @@ class PlanarTensors(NamedTuple):
 
     The fields are arrays aligned with the points, or Python scalars for
     one point (`point`).  quad_error and neval are per point, summed over
-    the kernels; a closed form has zero of both.
+    the k-plane segments (quad_error over the kernels too); a closed form
+    has zero of both.
     """
 
     xx: np.ndarray
@@ -204,9 +206,9 @@ def numeric_greens(z, omega, medium, constants: Constants = SCALED,
     k_perp = i*t, t in [lo, lo + kappa_max], k_par = sqrt(t^2 + (omega/c)^2),
     measure -i dt, with lo = xi/c on the imaginary axis and 0 on the real
     one; a real omega first takes the propagating segment, k_perp = t in
-    (0, q], k_par = sqrt(q^2 - t^2).  Owner 3*(S*j + s) + m integrates kernel
-    m on segment s of point j, with S = 2 segments on the real axis and 1 on
-    the imaginary one.  A failure's `owner` is the index j.
+    (0, q], k_par = sqrt(q^2 - t^2).  Owner S*j + s integrates the three
+    kernels on segment s of point j, with S = 2 segments on the real axis
+    and 1 on the imaginary one.  A failure's `owner` is the index j.
     """
     z = _heights(z)
     cfg = config or QuadratureConfig()
@@ -219,14 +221,13 @@ def numeric_greens(z, omega, medium, constants: Constants = SCALED,
     elif np.all((w.real == 0) & (w.imag > 0) & (w.imag < np.inf)):
         z, xi = np.broadcast_arrays(z, np.atleast_1d(w.imag))
         q, segments, lo, q2 = 0.0, 1, xi / c, -(xi / c) ** 2
-        w = np.repeat(1j * xi, 3)
+        w = 1j * xi
     else:
         raise ValueError(f"need one finite real omega > 0, or i*xi with finite "
                          f"xi > 0, got {omega}")
-    size = 3 * segments
-    owner_z = np.repeat(z, size)
-    owner_q2 = np.repeat(q2, size)
-    prop = np.tile(np.arange(size) < size - 3, z.size)
+    owner_z = np.repeat(z, segments)
+    owner_q2 = np.repeat(q2, segments)
+    prop = np.tile(np.arange(segments) < segments - 1, z.size)
     # k_perp = unit * t and k_par^2 = (omega/c)^2 - k_perp^2, with unit 1 on
     # the propagating segment and i on the evanescent one
     owner_unit = np.where(prop, 1.0 + 0j, 1j)
@@ -234,11 +235,11 @@ def numeric_greens(z, omega, medium, constants: Constants = SCALED,
 
     def f(t, owner):
         kpar2 = t * t * owner_sign[owner] + owner_q2[owner]
-        return np.choose(owner % 3, _kernels(
+        return np.stack(_kernels(
             medium, w[owner] if segments == 1 else w, owner_z[owner], c,
-            t * owner_unit[owner], np.sqrt(np.maximum(kpar2, 0.0))))
+            t * owner_unit[owner], np.sqrt(np.maximum(kpar2, 0.0))), axis=-1)
 
-    owner_lo = np.repeat(lo, size)
+    owner_lo = np.repeat(lo, segments)
     hi = np.where(prop, q, owner_lo + cfg.kappa_cutoff / (2.0 * owner_z))
     try:
         values, errors, neval = integrate_batch(
@@ -246,7 +247,7 @@ def numeric_greens(z, omega, medium, constants: Constants = SCALED,
             max_depth=cfg.max_depth, max_panels=cfg.max_panels)
     except (ArithmeticError, QuadratureError) as exc:
         if getattr(exc, "owner", None) is not None:
-            exc.owner //= size
+            exc.owner //= segments
         raise
     pref = 1j / (8 * np.pi)
     v = values.reshape(-1, segments, 3)
@@ -254,7 +255,7 @@ def numeric_greens(z, omega, medium, constants: Constants = SCALED,
     g = pref * ((v[:, 0] if segments == 2 else 0.0) - 1j * v[:, -1])
     return PlanarTensors(g[:, 0], g[:, 1], g[:, 2],
                          abs(pref) * (e[:, :, 0] + e[:, :, 1] + e[:, :, 2]).sum(axis=1),
-                         neval.reshape(-1, size).sum(axis=1))
+                         neval.reshape(-1, segments).sum(axis=1))
 
 
 def scattering_greens_numeric(point: EvaluationPoint, medium,

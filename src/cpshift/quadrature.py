@@ -4,28 +4,34 @@ The k- and s-integrals in this package are one-dimensional, smooth away
 from the lightline split, and have to run thousands of times per scan, so
 the engine batches all pending panel evaluations into single vectorized
 calls: the integrand must accept an ndarray of abscissae and return an
-ndarray of (possibly complex) values of the same shape.
+ndarray of (possibly complex) values of the same length, or one row of K
+components per abscissa.
 
 Error control is the usual |K15 - G7| per panel, summed globally, against
-max(rel_tol * |result|, abs_tol).  Panels refine to at most `max_depth`
-bisection levels (default 30); exceeding the cap or the panel budget
-raises QuadratureError rather than returning a silently bad number, and so
-does a non-finite integrand value or error estimate, at once.
+max(rel_tol * |result|, abs_tol), for each component.  Panels refine to at
+most `max_depth` bisection levels (default 30); exceeding the cap or the
+panel budget raises QuadratureError rather than returning a silently bad
+number, and so does a non-finite integrand value or error estimate, at
+once.
 
 `integrate_batch` runs N independent integrals ("owners") in lockstep:
 each refinement round makes one integrand call f(x, owner) on the nodes of
 every new panel of every owner, so the per-call cost of the integrand (one
 reflection-matrix evaluation, say) is paid once per round instead of once
-per integral per round.  Each owner applies the same rule with its own
-tolerance and depth cap, and drops out of the rounds once it has
-converged.  `max_panels` bounds the live panels of the whole call: owners
-that would overflow it wait in a queue and restart later, so a call's
-memory does not grow with N.  `integrate` is the one-owner case.
+per integral per round.  An owner may have K components that share its
+panels, as in QUADPACK-style vector quadrature: several integrands over
+one interval cost one set of nodes.  Each owner applies the same rule with
+its own tolerance and depth cap, and drops out of the rounds once every
+component has converged.  `max_panels` bounds the live panels of the whole
+call: owners that would overflow it wait in a queue and restart later, so
+a call's memory does not grow with N.  `integrate` is the one-owner,
+one-component case.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -102,8 +108,9 @@ class QuadratureConfig:
         if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0):
             raise ValueError(f"abs_tol must be >= 0 and finite, got {self.abs_tol}")
         for name in ("max_depth", "max_panels"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
     def tighter(self, factor: float) -> "QuadratureConfig":
         """Same config with both relative tolerances multiplied by `factor`."""
@@ -118,35 +125,29 @@ class QuadResult:
     neval: int
 
 
-def _panels(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray, first: int):
+def _panels(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
     """Evaluate K15/G7 on a batch of panels [a_i, b_i] in one call f(x, owner).
 
-    numpy rounds a matrix-vector product differently for a one-row matrix
-    than for a taller one, and a standalone integral's first round has one
-    panel; so the panels from index `first` on (owners' first panels) are
-    reduced as one-row products of their own.  An exception from f whose
-    `owner` names a node of x is re-pointed at the integral that node
-    belongs to.
+    Returns the integrand's trailing shape (() or (K,)) and every panel's
+    K15 sum and |K15 - G7| as [panels, K] arrays.  einsum reduces each row
+    on its own, without BLAS, so a panel's sums do not depend on the other
+    panels of the call.  An exception from f whose `owner` names a node of
+    x is re-pointed at the integral that node belongs to.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _K15_NODES[None, :]
     node_owner = np.repeat(owner, x.shape[1])
     try:
-        y = f(x.ravel(), node_owner)
+        y = np.asarray(f(x.ravel(), node_owner))
     except (ArithmeticError, QuadratureError) as exc:
         if getattr(exc, "owner", None) is not None:
             exc.owner = int(node_owner[exc.owner])
         raise
-    y = np.asarray(y).reshape(x.shape)
-
-    def reduce(w):
-        if first == y.shape[0]:
-            return y @ w
-        return np.concatenate([y[:first] @ w, (y[first:, None, :] @ w)[:, 0]])
-
-    k15 = half * reduce(_K15_WEIGHTS)
-    return k15, np.abs(k15 - half * reduce(_G7_WEIGHTS))
+    shape = y.shape[1:]
+    y = y.reshape(x.shape + (-1,))
+    k15 = half[:, None] * np.einsum("pnk,n->pk", y, _K15_WEIGHTS)
+    return shape, k15, np.abs(k15 - half[:, None] * np.einsum("pnk,n->pk", y, _G7_WEIGHTS))
 
 
 def integrate(f, a: float, b: float, rel_tol: float = 1e-9, abs_tol: float = 0.0,
@@ -162,33 +163,18 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-9, abs_tol: float = 0.0
     return QuadResult(complex(values[0]), float(errors[0]), int(neval[0]))
 
 
-def _owner_sums(vals, errs, starts, counts):
-    """Each owner's panel sums, reduced exactly as a standalone call's.
-
-    Rows of equal length reduce along the last axis the same way a 1-d
-    array does, so owners are summed in groups of equal panel count.
-    """
-    total = np.empty(starts.size, dtype=vals.dtype)
-    err_total = np.empty(starts.size)
-    for m in np.unique(counts):
-        sel = np.flatnonzero(counts == m)
-        idx = starts[sel, None] + np.arange(m)
-        total[sel] = vals[idx].sum(axis=1)
-        err_total[sel] = errs[idx].sum(axis=1)
-    return total, err_total
-
-
 def integrate_batch(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0,
                     max_depth: int = 30, max_panels: int = 20000):
     """Integrate N independent integrals, owner i over [a[i], b[i]], in lockstep.
 
     f(x, owner) -> ndarray is called once per refinement round; x holds the
     nodes of every panel evaluated in that round and owner[j] the integral
-    x[j] belongs to.  Each owner follows one rule on its own: split every
-    panel above its fair share tol / (2 * panels) of the tolerance
-    max(rel_tol * |sum|, abs_tol), plus the first panel of largest error,
-    until the summed |K15 - G7| is within tolerance; no panel deeper than
-    `max_depth` bisections.
+    x[j] belongs to.  f returns [M] values, or [M, K] for K components that
+    share one panel set.  Each owner follows one rule on its own: split
+    every panel that exceeds, in some component, that component's fair
+    share tol_k / (2 * panels) of its tolerance max(rel_tol * |sum_k|,
+    abs_tol), until every component's summed |K15 - G7| is within its
+    tolerance; no panel deeper than `max_depth` bisections.
 
     `max_panels` bounds the live panels of the whole call, so memory does
     not grow with N.  Owners start in index order as the budget allows; when
@@ -198,16 +184,16 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0,
     never evicted, so it keeps the standalone cap: it fails only if it
     alone would exceed `max_panels`.
 
-    Owners are deterministic and each keeps its panels in one order and
-    sums them the same way whatever else runs, so its value, error and
-    evaluation count match a one-owner call (`integrate`).  They match bit
-    for bit wherever numpy rounds each row of a matrix-vector product
-    independently of the other rows (with OpenBLAS, for complex
-    integrands).  A failure raises QuadratureError; its `owner` is the
-    failing integral, and an ArithmeticError or QuadratureError from f that
-    names a node of x in `owner` gets that node's integral instead.
+    Owners are deterministic, each keeps its panels in one order, and every
+    panel and every owner is reduced on its own (einsum and reduceat, no
+    BLAS), so an owner's value, error and evaluation count equal those of
+    its one-owner call bit for bit, whatever else runs.  A failure raises
+    QuadratureError; its `owner` is the failing integral, and an
+    ArithmeticError or QuadratureError from f that names a node of x in
+    `owner` gets that node's integral instead.
 
-    Returns (values complex[N], errors float[N], neval int[N]).
+    Returns (values complex[N], errors float[N], neval int[N]), values and
+    errors [N, K] for K-component integrands.
     """
     lo0 = np.atleast_1d(np.asarray(a, dtype=float))
     hi0 = np.atleast_1d(np.asarray(b, dtype=float))
@@ -217,15 +203,14 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0,
         i = int(np.argmin(hi0 > lo0))
         raise ValueError(f"need b > a, got [{lo0[i]}, {hi0[i]}] for integral {i}")
     n = lo0.size
-    values = np.zeros(n, dtype=complex)
-    errors = np.zeros(n)
     neval = np.zeros(n, dtype=int)
     if n == 0:
-        return values, errors, neval
+        return np.zeros(0, dtype=complex), np.zeros(0), neval
     pending = np.arange(n)  # queued owners, ascending, all above the live ones
     # live panels, sorted by owner; each owner's panels in a standalone order
     own = np.empty(0, dtype=int)
-    lo = hi = vals = errs = np.empty(0)
+    lo = hi = np.empty(0)
+    vals = errs = None  # [panels, K], shaped by the first round
     depth = np.empty(0, dtype=int)
     keep = split = np.empty(0, dtype=int)
     admit, pending = pending[:max_panels], pending[max_panels:]
@@ -239,8 +224,12 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0,
         new_hi = np.concatenate([mid, hi[split], hi0[admit]])
         new_depth = np.concatenate([depth[split] + 1, depth[split] + 1,
                                     np.zeros(admit.size, dtype=int)])
-        new_vals, new_errs = _panels(f, new_lo, new_hi, new_own, 2 * split.size)
+        shape, new_vals, new_errs = _panels(f, new_lo, new_hi, new_own)
         neval += 15 * np.bincount(new_own, minlength=n)
+        if vals is None:  # the first round fixes the number of components
+            vals, errs = new_vals[:0], new_errs[:0]
+            values = np.zeros((n, new_vals.shape[1]), dtype=complex)
+            errors = np.zeros(values.shape)
 
         # kept panels, then left halves, then right halves, per owner
         own = np.concatenate([own[keep], new_own])
@@ -255,35 +244,34 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0,
         starts = np.flatnonzero(np.concatenate(([True], own[1:] != own[:-1])))
         counts = np.diff(np.append(starts, own.size))
         owners = own[starts]
-        total, err_total = _owner_sums(vals, errs, starts, counts)
-        finite = np.isfinite(total) & np.isfinite(err_total)
+        total = np.add.reduceat(vals, starts)
+        err_total = np.add.reduceat(errs, starts)
+        finite = (np.isfinite(total) & np.isfinite(err_total)).all(axis=1)
         if not finite.all():
             i = int(np.argmin(finite))
             raise QuadratureError(
                 f"non-finite integrand value or error estimate in integral "
                 f"{owners[i]} (sum={total[i]}, err={err_total[i]})", owner=int(owners[i]))
         tol = np.maximum(rel_tol * np.abs(total), abs_tol)
-        done = err_total <= tol
+        done = (err_total <= tol).all(axis=1)
         values[owners[done]] = total[done]
         errors[owners[done]] = err_total[done]
         if done.all() and pending.size == 0:
-            return values, errors, neval
+            return values.reshape((n,) + shape), errors.reshape((n,) + shape), neval
 
-        # the split rule, per owner: the fair-share excess, plus the first
-        # panel of largest error
-        thresh = tol / (2.0 * counts)
+        # the split rule, per owner: the panels above their fair share in
+        # some component.  A live owner always splits its worst panel: some
+        # component has err_total > tol, so its largest panel error is at
+        # least err_total / panels.
         live = np.repeat(~done, counts)
-        mask = live & (errs > np.repeat(thresh, counts))
-        hit = np.flatnonzero(errs == np.repeat(np.maximum.reduceat(errs, starts), counts))
-        first = hit[np.concatenate(([True], own[hit[1:]] != own[hit[:-1]]))]
-        mask[first[~done]] = True
+        mask = live & (errs > np.repeat(tol / (2.0 * counts[:, None]), counts,
+                                        axis=0)).any(axis=1)
         deep = mask & (depth >= max_depth)
         if deep.any():
             i = int(np.searchsorted(owners, own[np.argmax(deep)]))
             raise QuadratureError(
                 f"panel refinement exceeded {max_depth} levels in integral "
-                f"{owners[i]} (err={err_total[i]:.3e}, tol={tol[i]:.3e})",
-                owner=int(owners[i]))
+                f"{owners[i]} (err={err_total[i]}, tol={tol[i]})", owner=int(owners[i]))
 
         # the budget: keep the longest run of live owners, in index order,
         # whose panels after this round fit; the first one must fit alone
@@ -298,7 +286,7 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0,
                 if not running[i]:
                     raise QuadratureError(
                         f"panel budget {max_panels} exhausted in integral {owners[i]} "
-                        f"(err={err_total[i]:.3e}, tol={tol[i]:.3e})", owner=int(owners[i]))
+                        f"(err={err_total[i]}, tol={tol[i]})", owner=int(owners[i]))
                 neval[evicted] = 0
                 pending = np.concatenate([evicted, pending])
                 live = np.repeat(running, counts)

@@ -32,8 +32,19 @@ def test_identical_trees_pass_and_changed_cells_are_counted(tmp_path):
     code, out = run(tmp_path / "old", tmp_path / "new")
     assert code == 1
     assert "sub/b.csv: differs" in out
-    assert "gamma_ratio: 1 of 2 rows changed, max relative difference 2.5e-12" in out
+    assert ("gamma_ratio: 1 of 2 rows changed, max relative difference 2.5e-12, "
+            "scaled difference 2.5e-12") in out
     assert "shift_res_ratio" not in out
+
+    # near a zero crossing the relative difference explodes; the scaled one
+    # measures the change against the column's largest magnitude
+    write(tmp_path / "old" / "sub" / "b.csv",
+          [rows[0], ("2.0e-01", "4.00000000000e+00", "1.0e-04")])
+    write(tmp_path / "new" / "sub" / "b.csv",
+          [rows[0], ("2.0e-01", "4.00000000000e+00", "3.0e-04")])
+    code, out = run(tmp_path / "old", tmp_path / "new")
+    assert ("shift_res_ratio: 1 of 2 rows changed, max relative difference 2, "
+            "scaled difference 6.67e-05") in out
 
 
 def test_missing_files_and_bad_usage_fail(tmp_path):

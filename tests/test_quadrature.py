@@ -99,7 +99,10 @@ def test_config_rejects_invalid_values():
     for bad in (dict(rel_tol=-1.0), dict(rel_tol=0.0), dict(xi_rel_tol=math.nan),
                 dict(kappa_cutoff=-5.0), dict(xi_cutoff=math.inf),
                 dict(abs_tol=-1e-12), dict(abs_tol=math.inf),
-                dict(max_depth=0), dict(max_panels=0)):
+                dict(max_depth=0), dict(max_panels=0),
+                dict(max_depth=math.nan), dict(max_panels=math.nan),
+                dict(max_panels=100.5), dict(max_depth=30.0),
+                dict(max_depth=True), dict(max_panels=True)):
         with pytest.raises(ValueError):
             QuadratureConfig(**bad)
     with pytest.raises(ValueError):
@@ -130,13 +133,27 @@ def test_non_finite_integrand_fails_fast():
 
 
 def _lockstep_integrand(params):
-    """Owner i: scale * e^{i k x} / (1 + ((x - x0)/w)^2), complex-valued."""
+    """Owner i: [scale e^{i k x} / (1 + u^2), 1 / (1 + u^2)^2] with u = (x - x0)/w."""
     scale, k, x0, w = (np.array(p) for p in zip(*params))
 
     def f(x, owner):
-        return (scale[owner] * np.exp(1j * k[owner] * x)
-                / (1.0 + ((x - x0[owner]) / w[owner]) ** 2))
+        u2 = ((x - x0[owner]) / w[owner]) ** 2
+        return np.stack([scale[owner] * np.exp(1j * k[owner] * x) / (1.0 + u2),
+                         1.0 / (1.0 + u2) ** 2], axis=-1)
     return f
+
+
+def _alone(f, i, lo, hi, **kw):
+    """Owner i of f as a one-owner integrate_batch call, unpacked."""
+    values, errors, neval = integrate_batch(lambda x, owner: f(x, np.full(x.shape, i)),
+                                            [lo], [hi], **kw)
+    return values[0], errors[0], neval[0]
+
+
+def _assert_same(got, alone):
+    """Value, error and evaluation count equal bit for bit."""
+    assert got[2] == alone[2]
+    assert np.array_equal(got[0], alone[0]) and np.array_equal(got[1], alone[1])
 
 
 @given(owners=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 4.0),
@@ -150,12 +167,10 @@ def test_lockstep_owners_match_standalone_integrate(owners, rel_tol):
     b = [o[0] + o[1] for o in owners]
     f = _lockstep_integrand([o[2:] for o in owners])
     values, errors, neval = integrate_batch(f, a, b, rel_tol=rel_tol)
+    assert values.shape == errors.shape == (len(owners), 2)
     for i, (lo, hi) in enumerate(zip(a, b)):
-        alone = integrate(lambda x: f(x, np.full(x.shape, i)), lo, hi, rel_tol=rel_tol)
-        assert neval[i] == alone.neval
-        assert abs(values[i] - alone.value) <= 1e-14 * abs(alone.value)
-        assert errors[i] == pytest.approx(alone.error, rel=1e-6,
-                                          abs=1e-15 * abs(alone.value))
+        _assert_same((values[i], errors[i], neval[i]),
+                     _alone(f, i, lo, hi, rel_tol=rel_tol))
 
 
 def test_zero_owner_stops_after_first_round():
@@ -213,12 +228,11 @@ def test_panel_budget_evicts_and_owners_still_match_standalone(owners, share):
     a = [o[0] for o in owners]
     b = [o[0] + o[1] for o in owners]
     f = _lockstep_integrand([o[2:] for o in owners])
-    alone = [integrate(lambda x, i=i: f(x, np.full(x.shape, i)), lo, hi, rel_tol=1e-10)
-             for i, (lo, hi) in enumerate(zip(a, b))]
+    alone = [_alone(f, i, lo, hi, rel_tol=1e-10) for i, (lo, hi) in enumerate(zip(a, b))]
     # each owner evaluates at least as many panels as it ever holds, so a
     # lone owner fits; anything below the sum forces evictions
-    largest = max(r.neval // 15 for r in alone)
-    budget = largest + int(share * sum(r.neval // 15 for r in alone))
+    largest = max(r[2] // 15 for r in alone)
+    budget = largest + int(share * sum(r[2] // 15 for r in alone))
     live = {}
     peaks = []
 
@@ -235,14 +249,16 @@ def test_panel_budget_evicts_and_owners_still_match_standalone(owners, share):
                                             max_panels=budget)
     assert max(peaks) <= budget
     for i, res in enumerate(alone):
-        assert neval[i] == res.neval
-        assert abs(values[i] - res.value) <= 1e-14 * abs(res.value)
-        assert errors[i] == pytest.approx(res.error, rel=1e-6, abs=1e-15 * abs(res.value))
+        _assert_same((values[i], errors[i], neval[i]), res)
 
 
 def test_panel_budget_bounds_the_whole_call():
-    # ten owners that each evaluate 19-31 panels share a budget of 40
-    f = _lockstep_integrand([(1.0, 5.0 + 0.5 * i, 0.0, 1.0) for i in range(10)])
+    # ten scalar owners that each evaluate 19-31 panels share a budget of 40
+    vector = _lockstep_integrand([(1.0, 5.0 + 0.5 * i, 0.0, 1.0) for i in range(10)])
+
+    def f(x, owner):
+        return vector(x, owner)[:, 0]
+
     alone = [integrate(lambda x, i=i: f(x, np.full(x.shape, i)), 0.0, 4.0, rel_tol=1e-12)
              for i in range(10)]
     nodes = []
@@ -256,4 +272,46 @@ def test_panel_budget_bounds_the_whole_call():
     assert max(nodes) <= 15 * 40
     assert sum(nodes) > neval.sum()  # evicted work was redone
     assert neval.tolist() == [r.neval for r in alone]
-    assert np.allclose(values, [r.value for r in alone], rtol=1e-14, atol=0.0)
+    assert values.tolist() == [r.value for r in alone]
+
+
+def test_vector_owner_meets_every_component_and_matches_its_one_owner_call():
+    # a smooth component, a narrow bump and an identically zero one share
+    # each owner's panels; the bump needs far more refinement
+    sigma = 1e-3
+
+    def f(x, owner):
+        bump = np.exp(-0.5 * ((x - 0.3) / sigma) ** 2)
+        return np.stack([np.cos((1.0 + owner) * x), bump, np.zeros_like(x)], axis=-1)
+
+    n, rel_tol = 4, 1e-10
+    a, b = np.zeros(n), np.ones(n)
+    values, errors, neval = integrate_batch(f, a, b, rel_tol=rel_tol, abs_tol=0.0)
+    assert values.shape == errors.shape == (n, 3)
+    smooth = np.sin(1.0 + np.arange(n)) / (1.0 + np.arange(n))
+    assert np.all(np.abs(values[:, 0] - smooth) <= rel_tol * np.abs(smooth))
+    exact = sigma * math.sqrt(2.0 * math.pi)  # tails are ~1e-19 of the mass
+    assert np.all(np.abs(values[:, 1] - exact) <= rel_tol * exact)
+    assert not values[:, 2].any() and not errors[:, 2].any()
+    assert np.all(neval > integrate(np.cos, 0.0, 1.0, rel_tol=rel_tol).neval)
+
+    # the zero component holds no owner open
+    assert integrate_batch(lambda x, owner: f(x, owner)[:, :2], a, b,
+                           rel_tol=rel_tol)[2].tolist() == neval.tolist()
+
+    # each owner is its one-owner call, also when a small budget evicts
+    alone = [_alone(f, i, 0.0, 1.0, rel_tol=rel_tol) for i in range(n)]
+    budget = max(r[2] for r in alone) // 15
+    nodes = []
+
+    def counted(x, owner):
+        nodes.append(x.size)
+        return f(x, owner)
+
+    for max_panels in (20000, budget):
+        nodes.clear()
+        got = integrate_batch(counted, a, b, rel_tol=rel_tol, max_panels=max_panels)
+        for i, res in enumerate(alone):
+            _assert_same((got[0][i], got[1][i], got[2][i]), res)
+    assert max(nodes) <= 15 * budget
+    assert sum(nodes) > neval.sum()  # evicted work was redone
