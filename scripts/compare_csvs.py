@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
-"""Compare every CSV under two directories byte for byte.
+"""Compare every CSV under two directories byte for byte, and every run
+manifest present under both apart from its wall time.
 
 Usage:
     python3 scripts/compare_csvs.py OLD NEW
 
-Files are matched by their path relative to OLD and NEW.  For each file
+Files are matched by their path relative to OLD and NEW.  For each CSV
 that differs, prints per column the number of rows whose cell changed, the
 largest relative difference of those cells, and the scaled difference
 max|new - old| / max|old| over the column (the benchmark gate's
 `scaled_error`; absolute where the column is all zero).  The relative
 difference blows up near a zero crossing, so the scaled one is the
-difference to state a tolerance in.  Exits 1 if any file
-differs or exists on one side only, 0 if all are identical, and 2 on bad
-usage.
+difference to state a tolerance in.  For each `*.manifest.json` under both
+trees that differs in anything but `wall_time_s`, prints the keys that
+differ.  Exits 1 if any CSV differs or exists on one side only, or any
+manifest differs; 0 if all match; and 2 on bad usage.
 """
 import csv
+import json
 import math
 import sys
 from pathlib import Path
@@ -64,6 +67,30 @@ def _describe(old_path: Path, new_path: Path) -> list:
     return lines or ["  same cells, different bytes (line endings or quoting)"]
 
 
+def _json_diff(old, new, path: str = "") -> list:
+    """Dotted paths of the leaves at which two JSON values differ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [p for key in sorted(old.keys() | new.keys())
+                for p in _json_diff(old.get(key), new.get(key),
+                                    f"{path}.{key}" if path else key)]
+    # compared as JSON text, so NaN (a failed run's error estimate) equals NaN
+    return [] if json.dumps(old) == json.dumps(new) else [path or "(whole file)"]
+
+
+def _manifest_diff(old_path: Path, new_path: Path) -> list:
+    """Keys at which two manifests differ, `wall_time_s` ignored."""
+    manifests = []
+    for path in (old_path, new_path):
+        try:
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            return [f"{path} is not valid JSON: {exc}"]
+        if isinstance(manifest, dict):
+            manifest.pop("wall_time_s", None)
+        manifests.append(manifest)
+    return _json_diff(*manifests)
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -85,7 +112,18 @@ def main(argv) -> int:
             print("\n".join(_describe(old_dir / rel, new_dir / rel)))
             bad += 1
     print(f"{len(old | new)} files, {len(old | new) - bad} identical, {bad} differ or missing")
-    return 1 if bad else 0
+
+    both = sorted({p.relative_to(old_dir) for p in old_dir.rglob("*.manifest.json")}
+                  & {p.relative_to(new_dir) for p in new_dir.rglob("*.manifest.json")})
+    bad_manifests = 0
+    for rel in both:
+        keys = _manifest_diff(old_dir / rel, new_dir / rel)
+        if keys:
+            print(f"{rel}: differs in {', '.join(keys)}")
+            bad_manifests += 1
+    print(f"{len(both)} manifests, {len(both) - bad_manifests} equal apart from "
+          f"wall_time_s, {bad_manifests} differ")
+    return 1 if bad or bad_manifests else 0
 
 
 if __name__ == "__main__":

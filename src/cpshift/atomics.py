@@ -240,6 +240,8 @@ def self_consistent_shift(transition: Transition, z: float, medium,
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     omega0 = transition.frequency
     w = omega0
     for it in range(1, max_iter + 1):

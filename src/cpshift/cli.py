@@ -16,19 +16,14 @@ import sys
 
 import numpy as np
 
-from .config import (ConfigError, QUANTITY_COLUMNS, build_medium, parse_config,
-                     _parse_angle)
+from .config import (ConfigError, MEDIUM_KINDS, MEDIUM_PARAMETERS, QUANTITY_COLUMNS,
+                     build_medium, parse_config, parse_value)
 from .quadrature import QuadratureConfig
 from .scan import FIGURE_NAMES, ScanError, _format_csv, _scan_values, figure, run_scan
 from .units import canonical_transition
 from .version import __version__
 
 __all__ = ["main", "build_parser"]
-
-
-def _angle(text: str) -> float:
-    # shares the config-file syntax, e.g. `--theta 1.0pi`
-    return _parse_angle(text, "theta", 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,17 +46,13 @@ def build_parser() -> argparse.ArgumentParser:
     for cmd, help_text in (("rates", "body-induced decay rate at one point"),
                            ("shift", "resonant and nonresonant shift at one point")):
         p = sub.add_parser(cmd, help=help_text)
-        p.add_argument("--medium", required=True,
-                       choices=("perfect_conductor", "nonreciprocal_mirror", "axion"))
+        p.add_argument("--medium", required=True, choices=tuple(MEDIUM_KINDS))
         p.add_argument("--zeta", required=True, type=float,
                        help="scaled distance w z / c")
-        p.add_argument("--epsilon", type=float, default=1.0)
-        p.add_argument("--mu", type=float, default=1.0,
-                       help="permeability; the model is nonmagnetic, so only 1")
-        p.add_argument("--theta", type=_angle, default=math.pi,
-                       help="axion angle, radians or pi-multiples like 1.0pi")
-        p.add_argument("--sign", type=float, default=-1.0,
-                       choices=(-1.0, 1.0), help="mirror cross-reflection sign")
+        # values in the config-file syntax, e.g. `--theta 1.0pi`
+        for name, kind in MEDIUM_PARAMETERS.items():
+            p.add_argument(f"--{name}", help=f"{kind} parameter (default "
+                                             f"{getattr(MEDIUM_KINDS[kind], name):g})")
         p.add_argument("--handedness", choices=("plus", "minus"), default="plus")
     return parser
 
@@ -69,7 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _single_point(args) -> int:
     if not (math.isfinite(args.zeta) and args.zeta > 0):
         raise ConfigError(f"--zeta must be positive and finite, got {args.zeta}")
-    medium = build_medium(args.medium, args.epsilon, args.mu, args.theta, args.sign)
+    medium = build_medium(args.medium, **{
+        name: parse_value(name, getattr(args, name))
+        for name in MEDIUM_PARAMETERS if getattr(args, name) is not None})
     quantities = (("rate",) if args.command == "rates"
                   else ("resonant_shift", "nonresonant_shift"))
     zetas = np.array([args.zeta])

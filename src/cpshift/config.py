@@ -8,14 +8,16 @@ not apply to the chosen medium are errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
 from .media import AxionMedium, PerfectConductor, PerfectNonreciprocalMirror
 
-__all__ = ["ConfigError", "ScanConfig", "parse_config", "build_medium",
-           "zeta_grid", "QUANTITY_COLUMNS"]
+__all__ = ["ConfigError", "ScanConfig", "parse_config", "parse_value",
+           "build_medium", "zeta_grid", "QUANTITY_COLUMNS", "MEDIUM_KINDS",
+           "MEDIUM_PARAMETERS"]
 
 
 class ConfigError(ValueError):
@@ -29,13 +31,17 @@ QUANTITY_COLUMNS = {
     "nonresonant_shift": "shift_nres_ratio",
 }
 
-_MEDIA = ("perfect_conductor", "nonreciprocal_mirror", "axion")
-_MEDIUM_ONLY_KEYS = {
-    "epsilon": ("axion",),
-    "mu": ("axion",),
-    "theta": ("axion",),
-    "sign": ("nonreciprocal_mirror",),
+# medium kind -> its class.  A kind's parameters, and their defaults, are
+# its class's init fields; every other description of a medium (config
+# keys, CLI flags, the manifest echo) is derived from this table.
+MEDIUM_KINDS = {
+    "perfect_conductor": PerfectConductor,
+    "nonreciprocal_mirror": PerfectNonreciprocalMirror,
+    "axion": AxionMedium,
 }
+# medium parameter -> the kind it belongs to (names are unique across kinds)
+MEDIUM_PARAMETERS = {f.name: kind for kind, cls in MEDIUM_KINDS.items()
+                     for f in fields(cls) if f.init}
 
 
 @dataclass(frozen=True)
@@ -48,17 +54,14 @@ class ScanConfig:
     count: int
     spacing: str = "linear"
     handedness: str = "plus"
-    epsilon: float = 1.0
-    mu: float = 1.0
-    theta: float = math.pi
-    sign: float = -1.0
+    epsilon: float = AxionMedium.epsilon
+    mu: float = AxionMedium.mu
+    theta: float = AxionMedium.theta
+    sign: float = PerfectNonreciprocalMirror.sign
     quantities: tuple = ("rate", "resonant_shift", "nonresonant_shift")
     name: str = "scan"
 
     def __post_init__(self):
-        if self.medium_kind not in _MEDIA:
-            raise ConfigError(f"unknown medium {self.medium_kind!r}; "
-                              f"expected one of {', '.join(_MEDIA)}")
         if not (math.isfinite(self.zeta_min) and math.isfinite(self.zeta_max)):
             raise ConfigError(f"zeta_min and zeta_max must be finite, got "
                               f"[{self.zeta_min}, {self.zeta_max}]")
@@ -67,8 +70,9 @@ class ScanConfig:
         if self.zeta_max <= self.zeta_min:
             raise ConfigError(f"zeta_max ({self.zeta_max}) must exceed "
                               f"zeta_min ({self.zeta_min})")
-        if self.count < 2:
-            raise ConfigError(f"count must be >= 2, got {self.count}")
+        if (isinstance(self.count, bool) or not isinstance(self.count, Integral)
+                or self.count < 2):
+            raise ConfigError(f"count must be an integer >= 2, got {self.count!r}")
         if self.spacing not in ("linear", "log"):
             raise ConfigError(f"spacing must be linear or log, got {self.spacing!r}")
         if self.handedness not in ("plus", "minus"):
@@ -84,29 +88,30 @@ class ScanConfig:
         self.build_medium()
 
     def build_medium(self):
-        return build_medium(self.medium_kind, self.epsilon, self.mu, self.theta,
-                            self.sign)
+        return build_medium(self.medium_kind,
+                            **{name: getattr(self, name) for name in MEDIUM_PARAMETERS})
 
     def grid(self) -> np.ndarray:
         return zeta_grid(self.zeta_min, self.zeta_max, self.count, self.spacing)
 
 
-def build_medium(medium_kind: str, epsilon: float = 1.0, mu: float = 1.0,
-                 theta: float = math.pi, sign: float = -1.0):
-    """The medium named by `medium_kind`.
+def build_medium(medium_kind: str, **params):
+    """The medium named by `medium_kind`, from `params` and its class defaults.
 
-    Every parameter is checked by its medium, used by this one or not;
-    ConfigError names one the model cannot honour.
+    Every given parameter is checked by the medium it belongs to, used by
+    this one or not; ConfigError names one the model cannot honour.
     """
+    _parse_kind(medium_kind, "medium")
+    given = {kind: {} for kind in MEDIUM_KINDS}
+    for name, value in params.items():
+        if name not in MEDIUM_PARAMETERS:
+            raise ConfigError(f"unknown medium parameter {name!r}")
+        given[MEDIUM_PARAMETERS[name]][name] = value
     try:
-        media = {"perfect_conductor": PerfectConductor(),
-                 "nonreciprocal_mirror": PerfectNonreciprocalMirror(sign=sign),
-                 "axion": AxionMedium(epsilon=epsilon, mu=mu, theta=theta)}
+        media = {kind: MEDIUM_KINDS[kind](**own) for kind, own in given.items()
+                 if own or kind == medium_kind}
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if medium_kind not in media:
-        raise ConfigError(f"unknown medium {medium_kind!r}; "
-                          f"expected one of {', '.join(_MEDIA)}")
     return media[medium_kind]
 
 
@@ -118,7 +123,7 @@ def zeta_grid(zeta_min: float, zeta_max: float, count: int,
     return np.linspace(zeta_min, zeta_max, count)
 
 
-def _parse_angle(text: str, key: str, line_no: int) -> float:
+def _parse_angle(text: str, key: str) -> float:
     t = text.strip()
     if t.endswith("pi"):
         head = t[:-2].strip()
@@ -126,33 +131,59 @@ def _parse_angle(text: str, key: str, line_no: int) -> float:
             return (float(head) if head not in ("", "+", "-")
                     else float(head + "1")) * math.pi
         except ValueError:
-            raise ConfigError(f"line {line_no}: cannot parse pi-multiple "
-                              f"{text!r} for {key}") from None
+            raise ConfigError(f"cannot parse pi-multiple {text!r} for {key}") from None
     try:
         return float(t)
     except ValueError:
-        raise ConfigError(f"line {line_no}: cannot parse {text!r} "
-                          f"for {key}") from None
+        raise ConfigError(f"cannot parse {text!r} for {key}") from None
 
 
-def _parse_float(text: str, key: str, line_no: int) -> float:
+def _parse_float(text: str, key: str) -> float:
     t = text.strip()
     if t.endswith("pi"):
-        raise ConfigError(f"line {line_no}: pi-multiples are only valid for "
-                          f"angles, not for {key}")
+        raise ConfigError(f"pi-multiples are only valid for angles, not for {key}")
     try:
         return float(t)
     except ValueError:
-        raise ConfigError(f"line {line_no}: cannot parse {text!r} "
-                          f"for {key}") from None
+        raise ConfigError(f"cannot parse {text!r} for {key}") from None
 
 
-def _parse_int(text: str, key: str, line_no: int) -> int:
+def _parse_int(text: str, key: str) -> int:
     try:
         return int(text.strip())
     except ValueError:
-        raise ConfigError(f"line {line_no}: cannot parse {text!r} "
-                          f"as integer for {key}") from None
+        raise ConfigError(f"cannot parse {text!r} as integer for {key}") from None
+
+
+def _parse_text(text: str, key: str) -> str:
+    return text
+
+
+def _parse_kind(text: str, key: str) -> str:
+    if text not in MEDIUM_KINDS:
+        raise ConfigError(f"unknown medium {text!r}; "
+                          f"expected one of {', '.join(MEDIUM_KINDS)}")
+    return text
+
+
+def _parse_list(text: str, key: str) -> tuple:
+    return tuple(item.strip() for item in text.split(",") if item.strip())
+
+
+# config key -> parser; the medium parameters come from MEDIUM_KINDS
+_PARSERS = {
+    "medium": _parse_kind, "zeta_min": _parse_float, "zeta_max": _parse_float,
+    "count": _parse_int, "spacing": _parse_text, "handedness": _parse_text,
+    "quantities": _parse_list, "name": _parse_text,
+    **{f.name: _parse_angle if f.metadata.get("angle") else _parse_float
+       for cls in MEDIUM_KINDS.values() for f in fields(cls) if f.init},
+}
+
+
+def parse_value(key: str, text: str):
+    """`text` read as the value of config key `key` (medium parameters
+    included, e.g. `theta` takes `1.0pi`); raises ConfigError."""
+    return _PARSERS[key](text, key)
 
 
 def parse_config(path) -> ScanConfig:
@@ -178,55 +209,26 @@ def parse_config(path) -> ScanConfig:
         if key in seen:
             raise ConfigError(f"line {i}: duplicate key {key!r} "
                               f"(first set on line {seen[key]})")
+        if key not in _PARSERS:
+            raise ConfigError(f"line {i}: unknown key {key!r}")
         seen[key] = i
         raw[key] = value
-
-    known = {"medium", "epsilon", "mu", "theta", "sign", "handedness",
-             "zeta_min", "zeta_max", "count", "spacing", "quantities", "name"}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"line {seen[key]}: unknown key {key!r}")
 
     for key in ("medium", "zeta_min", "zeta_max", "count"):
         if key not in raw:
             raise ConfigError(f"missing required key {key!r}")
 
-    medium_kind = raw["medium"]
-    if medium_kind not in _MEDIA:
-        raise ConfigError(f"line {seen['medium']}: unknown medium "
-                          f"{medium_kind!r}; expected one of {', '.join(_MEDIA)}")
-    for key, allowed in _MEDIUM_ONLY_KEYS.items():
-        if key in raw and medium_kind not in allowed:
+    def parsed(key):
+        try:
+            return parse_value(key, raw[key])
+        except ConfigError as exc:
+            raise ConfigError(f"line {seen[key]}: {exc}") from None
+
+    medium_kind = parsed("medium")
+    for key in raw:
+        kind = MEDIUM_PARAMETERS.get(key, medium_kind)
+        if kind != medium_kind:
             raise ConfigError(f"line {seen[key]}: key {key!r} only applies to "
-                              f"medium {', '.join(allowed)}, not {medium_kind}")
-
-    kwargs = {
-        "medium_kind": medium_kind,
-        "zeta_min": _parse_float(raw["zeta_min"], "zeta_min", seen["zeta_min"]),
-        "zeta_max": _parse_float(raw["zeta_max"], "zeta_max", seen["zeta_max"]),
-        "count": _parse_int(raw["count"], "count", seen["count"]),
-    }
-    if "spacing" in raw:
-        kwargs["spacing"] = raw["spacing"]
-    if "handedness" in raw:
-        kwargs["handedness"] = raw["handedness"]
-    if "epsilon" in raw:
-        kwargs["epsilon"] = _parse_float(raw["epsilon"], "epsilon", seen["epsilon"])
-    if "mu" in raw:
-        kwargs["mu"] = _parse_float(raw["mu"], "mu", seen["mu"])
-    if "theta" in raw:
-        kwargs["theta"] = _parse_angle(raw["theta"], "theta", seen["theta"])
-    if "sign" in raw:
-        kwargs["sign"] = _parse_float(raw["sign"], "sign", seen["sign"])
-    if "quantities" in raw:
-        kwargs["quantities"] = tuple(
-            q.strip() for q in raw["quantities"].split(",") if q.strip())
-    if "name" in raw:
-        kwargs["name"] = raw["name"]
-
-    try:
-        return ScanConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+                              f"medium {kind}, not {medium_kind}")
+    return ScanConfig(**{"medium_kind" if key == "medium" else key: parsed(key)
+                         for key in raw})

@@ -95,8 +95,6 @@ def perpendicular_wavenumber(omega, k_par, epsilon: float = 1.0, mu: float = 1.0
 class PerfectConductor:
     """r_ss = -1, r_pp = +1, no polarization mixing."""
 
-    label = "perfect_conductor"
-
     def reflection(self, omega, k_par, c: float = 1.0) -> ReflectionMatrix:
         shape = np.shape(k_par)
         one = np.ones(shape) if shape else 1.0
@@ -110,10 +108,8 @@ class PerfectNonreciprocalMirror:
 
     sign: float = -1.0
 
-    label = "nonreciprocal_mirror"
-
     def __post_init__(self):
-        if self.sign not in (-1.0, 1.0, -1, 1):
+        if isinstance(self.sign, (bool, np.bool_)) or self.sign not in (-1, 1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
     def reflection(self, omega, k_par, c: float = 1.0) -> ReflectionMatrix:
@@ -131,15 +127,14 @@ class AxionMedium:
     coefficients carry Delta = alpha*theta/pi.  The Fresnel weights are
     those of a nonmagnetic medium, so mu must be 1 (it is kept as a field
     for callers that state it); epsilon must be positive and finite, theta
-    finite.  Nondispersive (constant eps) by construction.
+    finite.  Nondispersive (constant eps) by construction.  theta is marked
+    as an angle (radians), so text input may also give it as a pi-multiple.
     """
 
     epsilon: float = 1.0
     mu: float = 1.0
-    theta: float = math.pi
+    theta: float = field(default=math.pi, metadata={"angle": True})
     delta: float = field(init=False)
-
-    label = "axion"
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
@@ -175,8 +170,6 @@ class ConstantReflectionMedium:
     r_sp: complex = 0.0
     r_ps: complex = 0.0
     r_pp: complex = 0.0
-
-    label = "constant"
 
     def reflection(self, omega, k_par, c: float = 1.0) -> ReflectionMatrix:
         shape = np.shape(k_par)

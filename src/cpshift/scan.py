@@ -24,9 +24,9 @@ from .atomics import (asymptotic, AsymptoticCase, greens_grid,
 # not called here but importable from this module: perfbench/tracer.py
 # wraps them by these names.
 from .atomics import greens_tensor, nonresonant_shift_terms  # noqa: F401
-from .config import ConfigError, QUANTITY_COLUMNS, ScanConfig, zeta_grid
+from .config import (ConfigError, MEDIUM_PARAMETERS, QUANTITY_COLUMNS, ScanConfig,
+                     build_medium, zeta_grid)
 from .constants import SCALED
-from .media import AxionMedium, PerfectConductor, PerfectNonreciprocalMirror
 from .quadrature import QuadratureConfig, QuadratureError
 from .units import canonical_transition, free_space_rate_formula
 from .version import __version__
@@ -190,10 +190,8 @@ def _config_echo(config: ScanConfig) -> dict:
         "count": config.count, "spacing": config.spacing,
         "quantities": list(config.quantities), "name": config.name,
     }
-    if config.medium_kind == "axion":
-        echo.update(epsilon=config.epsilon, mu=config.mu, theta=config.theta)
-    elif config.medium_kind == "nonreciprocal_mirror":
-        echo.update(sign=config.sign)
+    echo.update((name, getattr(config, name)) for name, kind in MEDIUM_PARAMETERS.items()
+                if kind == config.medium_kind)
     return echo
 
 
@@ -205,6 +203,7 @@ FIGURE_NAMES = ("gamma_mirrors", "omega_mirrors", "loglog_nres",
 
 _OSC_GRID = dict(zeta_min=0.05, zeta_max=8.0, count=400, spacing="linear")
 _LOG_GRID = dict(zeta_min=1e-2, zeta_max=1e2, count=361, spacing="log")
+_MIRRORS = ("perfect_conductor", "nonreciprocal_mirror")
 
 
 def _trace_scan(name, medium_kind, quantities, grid, out, qcfg, **medium_kw):
@@ -213,13 +212,13 @@ def _trace_scan(name, medium_kind, quantities, grid, out, qcfg, **medium_kw):
     return run_scan(cfg, out, qcfg)
 
 
-def _difference_traces(name_prefix, quantity, grid, out, qcfg, epsilon=16.0):
-    """ε-medium with-minus-without-axion traces for theta = ±pi."""
+def _difference_traces(name_prefix, quantity, grid, out, qcfg):
+    """ε = 16 with-minus-without-axion traces for theta = ±pi."""
     transition = canonical_transition("plus")
     zetas = zeta_grid(**grid)
     values, errs = {}, 0.0
     for key, theta in (("plus", np.pi), ("minus", -np.pi), ("zero", 0.0)):
-        v, e = _scan_values(zetas, AxionMedium(epsilon=epsilon, theta=theta),
+        v, e = _scan_values(zetas, build_medium("axion", epsilon=16.0, theta=theta),
                             transition, (quantity,), qcfg)
         values[key] = v
         errs = errs + e
@@ -264,23 +263,21 @@ def figure(name: str, out_dir, qcfg: QuadratureConfig | None = None) -> list:
 
     try:
         if name == "gamma_mirrors":
-            collect(_trace_scan("gamma_mirrors_perfect_conductor",
-                                "perfect_conductor", ("rate",), _OSC_GRID, out, qcfg))
-            collect(_trace_scan("gamma_mirrors_nonreciprocal_mirror",
-                                "nonreciprocal_mirror", ("rate",), _OSC_GRID, out, qcfg))
+            for medium_kind in _MIRRORS:
+                collect(_trace_scan(f"gamma_mirrors_{medium_kind}", medium_kind,
+                                    ("rate",), _OSC_GRID, out, qcfg))
         elif name == "omega_mirrors":
-            for medium in ("perfect_conductor", "nonreciprocal_mirror"):
+            for medium in _MIRRORS:
                 for q in ("resonant_shift", "nonresonant_shift"):
                     collect(_trace_scan(f"omega_mirrors_{q}_{medium}", medium,
                                         (q,), _OSC_GRID, out, qcfg))
         elif name == "loglog_nres":
             transition = canonical_transition("plus")
             gamma0 = free_space_rate_formula(transition, SCALED)
-            for medium_kind in ("perfect_conductor", "nonreciprocal_mirror"):
+            for medium_kind in _MIRRORS:
                 collect(_trace_scan(f"loglog_nres_{medium_kind}", medium_kind,
                                     ("nonresonant_shift",), _LOG_GRID, out, qcfg))
-                medium = (PerfectConductor() if medium_kind == "perfect_conductor"
-                          else PerfectNonreciprocalMirror())
+                medium = build_medium(medium_kind)
                 zetas = zeta_grid(**_LOG_GRID)
                 for regime in ("retarded", "nonretarded"):
                     case = AsymptoticCase(regime, medium, "nonresonant_shift")

@@ -32,10 +32,13 @@ class Transition:
         d = np.asarray(self.dipole, dtype=complex)
         if d.shape != (3,):
             raise ValueError(f"dipole must be a 3-vector, got shape {d.shape}")
+        if not np.all(np.isfinite(d)):
+            raise ValueError(f"dipole components must be finite, got {d}")
         if not np.any(d != 0):
             raise ValueError("dipole vector is identically zero")
-        if not (self.frequency > 0):
-            raise ValueError(f"transition frequency must be > 0, got {self.frequency}")
+        if not (math.isfinite(self.frequency) and self.frequency > 0):
+            raise ValueError(f"transition frequency must be positive and finite, "
+                             f"got {self.frequency}")
         object.__setattr__(self, "dipole", d)
         d.setflags(write=False)
 
@@ -60,8 +63,8 @@ def circular_dipole(magnitude: float, handedness: str = "plus") -> np.ndarray:
     handedness "plus" gives the (1, +i, 0) vector, "minus" its conjugate.
     The overall magnitude satisfies d . d* = magnitude**2.
     """
-    if magnitude < 0:
-        raise ValueError("dipole magnitude must be >= 0")
+    if not (math.isfinite(magnitude) and magnitude >= 0):
+        raise ValueError(f"dipole magnitude must be finite and >= 0, got {magnitude}")
     if handedness == "plus":
         s = 1.0
     elif handedness == "minus":
@@ -96,6 +99,8 @@ class AtomModel:
         energies = tuple(float(e) for e in self.level_energies)
         if len(energies) < 2:
             raise ValueError("need at least two levels")
+        if not all(map(math.isfinite, energies)):
+            raise ValueError(f"level energies must be finite, got {energies}")
         if any(b <= a for a, b in zip(energies, energies[1:])):
             raise ValueError("level energies must be strictly increasing")
         object.__setattr__(self, "level_energies", energies)
@@ -149,8 +154,9 @@ class UnitsPolicy:
     def __post_init__(self):
         if self.mode not in ("scaled", "si"):
             raise ValueError(f"mode must be 'scaled' or 'si', got {self.mode!r}")
-        if self.omega_ref <= 0 or self.dipole_ref <= 0:
-            raise ValueError("reference scales must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.omega_ref, self.dipole_ref)):
+            raise ValueError(f"reference scales must be positive and finite, got "
+                             f"omega_ref={self.omega_ref}, dipole_ref={self.dipole_ref}")
 
     @property
     def constants(self) -> Constants:

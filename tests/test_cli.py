@@ -159,3 +159,27 @@ def test_figure_subcommand(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "gamma_mirrors_perfect_conductor.csv").exists()
     assert (tmp_path / "gamma_mirrors.manifest.json").exists()
+
+
+def test_cli_medium_flags_follow_the_table(capsys, monkeypatch):
+    import cpshift.cli
+    from cpshift.config import MEDIUM_KINDS, MEDIUM_PARAMETERS, ScanConfig
+
+    for command in ("rates", "shift"):
+        sub = cpshift.cli.build_parser()._subparsers._group_actions[0].choices[command]
+        flags = {a.dest: a for a in sub._actions}
+        assert flags["medium"].choices == tuple(MEDIUM_KINDS)
+        for name in MEDIUM_PARAMETERS:
+            assert flags[name].default is None
+
+    build_medium, built = cpshift.cli.build_medium, []
+
+    def recording(*args, **kwargs):
+        built.append(build_medium(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cpshift.cli, "build_medium", recording)
+    for kind in MEDIUM_KINDS:
+        assert run(capsys, "rates", "--medium", kind, "--zeta", "1.5")[0] == 0
+        defaults = ScanConfig(medium_kind=kind, zeta_min=1.0, zeta_max=2.0, count=2)
+        assert built[-1] == defaults.build_medium(), kind

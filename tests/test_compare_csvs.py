@@ -1,4 +1,7 @@
-"""scripts/compare_csvs.py: byte comparison of two CSV trees."""
+"""scripts/compare_csvs.py: byte comparison of two CSV trees, manifests
+compared apart from their wall time."""
+import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -54,3 +57,39 @@ def test_missing_files_and_bad_usage_fail(tmp_path):
     assert code == 1 and "a.csv: only in" in out
     assert run(tmp_path / "old")[0] == 2
     assert run(tmp_path / "old", tmp_path / "absent")[0] == 2
+
+
+def write_manifest(path: Path, **changes):
+    manifest = {"command": "scan", "config": {"medium": "axion", "epsilon": 16.0},
+                "wall_time_s": 0.5, "quad_error": {"max": math.nan, "mean": math.nan},
+                "status": "failed", "outputs": ["a.manifest.json"]}
+    for key, value in changes.items():
+        head, _, tail = key.partition("__")
+        if tail:
+            manifest[head] = {**manifest[head], tail: value}
+        else:
+            manifest[key] = value
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+
+
+def test_manifests_compared_apart_from_wall_time(tmp_path):
+    for side, wall in (("old", 0.5), ("new", 7.25)):
+        write(tmp_path / side / "a.csv", [("1.0", "2.0", "3.0")])
+        write_manifest(tmp_path / side / "sub" / "a.manifest.json", wall_time_s=wall)
+    # a manifest on one side only is not compared
+    write_manifest(tmp_path / "old" / "extra.manifest.json")
+    code, out = run(tmp_path / "old", tmp_path / "new")
+    assert code == 0, out
+    assert "1 manifests, 1 equal apart from wall_time_s, 0 differ" in out
+
+    write_manifest(tmp_path / "new" / "sub" / "a.manifest.json", wall_time_s=7.25,
+                   config__epsilon=4.0, quad_error__max=1e-9)
+    code, out = run(tmp_path / "old", tmp_path / "new")
+    assert code == 1
+    assert "sub/a.manifest.json: differs in config.epsilon, quad_error.max" in out
+    assert "1 files, 1 identical" in out
+
+    (tmp_path / "new" / "sub" / "a.manifest.json").write_text("{", encoding="utf-8")
+    code, out = run(tmp_path / "old", tmp_path / "new")
+    assert code == 1 and "not valid JSON" in out

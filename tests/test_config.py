@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from cpshift.config import ConfigError, QUANTITY_COLUMNS, ScanConfig, parse_config
+from cpshift.config import (ConfigError, MEDIUM_KINDS, MEDIUM_PARAMETERS, QUANTITY_COLUMNS,
+                            ScanConfig, parse_config)
 from cpshift.media import AxionMedium, PerfectConductor, PerfectNonreciprocalMirror
 
 
@@ -137,7 +138,8 @@ def test_scan_config_validation():
                 dict(spacing="cubic"), dict(handedness="left"),
                 dict(medium_kind="metal"), dict(quantities=()),
                 dict(quantities=("rate", "rate")), dict(sign=0.5),
-                dict(epsilon=-2.0)):
+                dict(epsilon=-2.0), dict(count=10.5), dict(count=np.float64(3.0)),
+                dict(count=True), dict(count=math.nan), dict(sign=True)):
         with pytest.raises(ConfigError):
             ScanConfig(**{**ok, **bad})
 
@@ -184,3 +186,37 @@ def test_scan_config_rejects_parameters_the_model_cannot_honour(tmp_path):
 def test_quantity_column_map_is_total():
     assert set(QUANTITY_COLUMNS) == {"rate", "resonant_shift", "nonresonant_shift"}
     assert QUANTITY_COLUMNS["rate"] == "gamma_ratio"
+
+
+# one non-default value per medium parameter (mu has only one valid value):
+# config text -> the value it must become
+PARAMETER_VALUES = {"epsilon": ("4.0", 4.0), "mu": ("1", 1.0),
+                    "theta": ("-0.5pi", -0.5 * math.pi), "sign": ("1", 1.0)}
+
+
+def test_medium_table_round_trips(tmp_path):
+    import json
+    from cpshift.scan import run_scan
+
+    assert set(PARAMETER_VALUES) == set(MEDIUM_PARAMETERS)
+    grid = "zeta_min = 1.0\nzeta_max = 2.0\ncount = 2\nquantities = rate\n"
+    for kind, cls in MEDIUM_KINDS.items():
+        own = [name for name, k in MEDIUM_PARAMETERS.items() if k == kind]
+        lines = "".join(f"{name} = {PARAMETER_VALUES[name][0]}\n" for name in own)
+        cfg = parse_config(write(tmp_path, f"medium = {kind}\n{grid}name = {kind}\n"
+                                           + lines))
+        medium = cfg.build_medium()
+        assert type(medium) is cls
+        echo = json.loads(run_scan(cfg, tmp_path / "out").manifest_path.read_text())["config"]
+        assert echo["medium"] == kind
+        for name in own:
+            assert getattr(medium, name) == PARAMETER_VALUES[name][1], (kind, name)
+            assert echo[name] == PARAMETER_VALUES[name][1], (kind, name)
+        # the echo names this kind's parameters and no other kind's
+        assert set(echo) & set(MEDIUM_PARAMETERS) == set(own)
+        for name, other in MEDIUM_PARAMETERS.items():
+            if other != kind:
+                text = f"medium = {kind}\n{grid}{name} = {PARAMETER_VALUES[name][0]}\n"
+                with pytest.raises(ConfigError, match=f"only applies to medium {other}, "
+                                                      f"not {kind}"):
+                    parse_config(write(tmp_path, text))

@@ -68,8 +68,9 @@ def test_mirror_coefficients_and_sign_validation():
     assert (r.r_ss, r.r_pp, r.r_sp, r.r_ps) == (0.0, 0.0, -1.0, -1.0)
     r = PerfectNonreciprocalMirror(sign=1.0).reflection(1.0, 0.3)
     assert r.r_sp == 1.0 and r.r_ps == 1.0
-    with pytest.raises(ValueError):
-        PerfectNonreciprocalMirror(sign=0.5)
+    for sign in (0.5, math.nan, True, np.True_):   # True == 1, but is no sign
+        with pytest.raises(ValueError):
+            PerfectNonreciprocalMirror(sign=sign)
 
 
 def test_vacuum_axion_theta_zero_reflects_nothing():

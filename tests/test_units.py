@@ -21,6 +21,9 @@ def test_circular_dipole_validation():
         circular_dipole(-1.0)
     with pytest.raises(ValueError):
         circular_dipole(1.0, "left")
+    for magnitude in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            circular_dipole(magnitude)
 
 
 @given(mag=st.floats(1e-2, 1e2))
@@ -55,6 +58,13 @@ def test_transition_validation():
         Transition(np.zeros(3), 1.0)                 # identically zero
     with pytest.raises(ValueError):
         Transition(np.array([1.0, 0.0, 0.0]), 0.0)   # frequency must be > 0
+    for frequency in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Transition(np.array([1.0, 0.0, 0.0]), frequency)
+    for dipole in ([math.nan, 0.0, 0.0], [1.0, complex(0.0, math.inf), 0.0],
+                   [1.0, 0.0, -math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            Transition(np.array(dipole), 1.0)
     tr = Transition(np.array([1.0, 0.0, 0.0]), 1.0)
     with pytest.raises(ValueError):
         tr.dipole[0] = 2.0                           # stored vector is read-only
@@ -83,6 +93,9 @@ def test_atom_model_level_validation():
         AtomModel((0.0,))
     with pytest.raises(ValueError):
         AtomModel((0.0, 2.0, 1.0))
+    for energies in ((0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            AtomModel(energies)
 
 
 def test_atom_model_transition_lookup():
@@ -122,6 +135,10 @@ def test_units_policy_validation():
         UnitsPolicy(mode="natural")
     with pytest.raises(ValueError):
         UnitsPolicy(omega_ref=0.0)
+    for bad in (dict(omega_ref=math.nan), dict(omega_ref=math.inf),
+                dict(dipole_ref=math.nan), dict(dipole_ref=math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            UnitsPolicy(**bad)
 
 
 def test_free_space_rate_si_mode():
