@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Print quadrature-vs-limit-law ratio tables.
+"""Print full-expression-vs-limit-law ratio tables.
 
-For each medium and quantity this evaluates the full expression by
-quadrature and divides by the closed limit expression, in both the
-far (retarded) and near (nonretarded) windows, then does the same for
-the eps = 16 axion difference ratios (4/25 retarded, 2/17 nonretarded).
+For each medium and quantity this evaluates the full expression and
+divides by the closed limit expression, in both the far (retarded) and
+near (nonretarded) windows, then does the same for the eps = 16 axion
+difference ratios (4/25 retarded, 2/17 nonretarded).  The three media of
+the first table (conductor, conversion mirror, pure axion at eps = 1)
+reflect independently of k_par, so their full expressions are closed
+forms; the eps = 16 differences run the k-quadrature.
 
 Far-window rows are taken at oscillation extrema (2*zeta a multiple of
 pi for the rate, an odd multiple of pi/2 for the shift) where the
@@ -48,7 +51,7 @@ def main():
            ("mirror", "resonant_shift"): sin_node,
            ("pure_axion", "rate"): cos_node,
            ("pure_axion", "resonant_shift"): sin_node}
-    print("quadrature / limit law")
+    print("full expression / limit law")
     print(f"{'medium':12s} {'quantity':18s} {'near(z=0.01)':>14s} {'far':>14s}")
     for mname, medium in media.items():
         for quantity in FNS:

@@ -14,10 +14,11 @@ Writes, per figure name, one CSV per trace plus a run manifest:
                  at theta = +/- pi and the eps = 16 with/without difference
   omega_ti       the same traces for the resonant shift
 
-The gamma_ti and omega_ti sets dominate the runtime (about 0.4 s each on
-a 2-core machine): every grid point runs the real-axis k-quadrature for
-five axion media, the two pure-axion traces and the three eps = 16 media
-of the difference traces; the mirror sets take milliseconds.
+The gamma_ti and omega_ti sets dominate the runtime: every grid point
+runs the real-axis k-quadrature for the three eps = 16 axion media of the
+difference traces.  The two pure-axion traces (eps = 1) and the mirror
+sets have k_par-independent reflection and take closed forms, in
+milliseconds.
 """
 import argparse
 import sys

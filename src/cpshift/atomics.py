@@ -7,12 +7,15 @@ Conventions (scalar sandwich s(omega) = d . G^(1)(z, z, omega) . conj(d)):
     dw_nres     = (mu0/pi hbar) int dxi xi^3/(xi^2+w^2) Im s(i xi)
                   - (mu0/pi hbar) int dxi xi^2 w/(xi^2+w^2) Re s(i xi)
 
-with w the (possibly shifted) transition frequency.  `greens_grid`, the one
-place that chooses between the ideal mirrors' closed forms and the numeric
-k-quadrature, gives the real-axis tensors of all heights of a scan at once.
+with w the (possibly shifted) transition frequency.  `greens_grid` gives
+the real-axis tensors of all heights of a scan at once.
 `nonresonant_shift_grid` does the xi-integral in closed form and integrates
-over s = c k_perp/(i xi) instead.  The one-height functions are the N = 1
-cases of the grid ones, so a grid value equals its one-height value bit for bit.
+over s = c k_perp/(i xi) instead.  Both choose their route on one fact, the
+medium's `constant_reflection`: a medium that states one (the ideal
+mirrors, the constant test medium, the axion half-space at epsilon = 1)
+takes closed forms for both, every other medium the k-quadrature and the
+s-integral.  The one-height functions are the N = 1 cases of the grid ones,
+so a grid value equals its one-height value bit for bit.
 """
 from __future__ import annotations
 
@@ -23,8 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .constants import Constants, SCALED
-from .greens import (PlanarTensors, _heights, _kernels, greens_nonreciprocal_mirror,
-                     greens_perfect_conductor, numeric_greens)
+from .greens import (PlanarTensors, _heights, _kernels, closed_form_greens,
+                     numeric_greens)
 from .media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
                     ReflectionMatrix, delta as axion_delta,
                     nonretarded_limit_coefficients, retarded_limit_coefficients)
@@ -50,12 +53,11 @@ __all__ = [
 def greens_grid(medium, z, omega, constants: Constants = SCALED,
                 config: QuadratureConfig | None = None) -> PlanarTensors:
     """Scattering tensor at every height z[j] > 0, at one real omega or at
-    omega = i*xi[j] aligned with z: the closed form of an ideal mirror, the
-    k-quadrature for every other medium."""
-    if isinstance(medium, PerfectConductor):
-        return greens_perfect_conductor(z, omega, constants)
-    if isinstance(medium, PerfectNonreciprocalMirror):
-        return greens_nonreciprocal_mirror(z, omega, medium.sign, constants)
+    omega = i*xi[j] aligned with z: the closed form for a medium that states
+    a constant reflection matrix, the k-quadrature for every other medium."""
+    r = getattr(medium, "constant_reflection", None)
+    if r is not None:
+        return closed_form_greens(z, omega, r, constants)
     return numeric_greens(z, omega, medium, constants, config)
 
 
@@ -157,6 +159,50 @@ def _xi_moments(b):
     return out
 
 
+def _low_moments(b):
+    """(B0, B1, B2, B3) at every b > 0, B_n as in _xi_moments.
+
+    Below b = 2, B0 = f(b) and B1 = g(b), the auxiliary functions of the
+    sine and cosine integrals, and B2 = 1/b - f, B3 = 1/b^2 - g.  Above,
+    x^n/(x^2+1) = x^(n-2) - x^(n-2)/(x^2+1) gives the downward recurrence
+    B_n = n!/b^(n+1) - B_(n+2) from _xi_moments' B3 and B4, which loses no
+    digits there: each B_n is a small part of n!/b^(n+1).
+    """
+    from scipy.special import sici
+    out = np.empty((4,) + b.shape)
+    near = b < 2.0
+    x = b[near]
+    si, ci = sici(x)
+    si, sin, cos = si - 0.5 * np.pi, np.sin(x), np.cos(x)
+    f, g = ci * sin - si * cos, -ci * cos - si * sin
+    out[:, near] = [f, g, 1.0 / x - f, 1.0 / x ** 2 - g]
+    x = b[~near]
+    b3, b4 = _xi_moments(x)
+    b2 = 2.0 / x ** 3 - b4
+    out[:, ~near] = [1.0 / x - b2, 1.0 / x ** 2 - b3, b2, b3]
+    return out
+
+
+def _closed_form_nonresonant(r: ReflectionMatrix, dipole, a):
+    """(int_1^inf Im P(s) B4(a s) ds, int_1^inf Re P(s) B3(a s) ds) at every
+    a > 0, for a reflection matrix r that does not depend on s.
+
+    The kernels are then polynomials in s, xx = r_ss - r_pp s^2,
+    zz = 2 r_pp (1 - s^2) and xy = (r_sp + r_ps) s, and so is P.  With
+    int_1^inf P(s) e^{-l s} ds = e^{-l} [P(1)/l + P'(1)/l^2 + P''(1)/l^3]
+    under the x-integral of B_n (l = a x), int_1^inf P(s) B_n(a s) ds
+    = P(1) B_(n-1)/a + P'(1) B_(n-2)/a^2 + P''(1) B_(n-3)/a^3.
+    """
+    x = r.r_sp + r.r_ps
+    # P(1), P'(1) and P''(1): the sandwich of the kernels' s-derivatives
+    p = PlanarTensors(np.array([r.r_ss - r.r_pp, -2.0 * r.r_pp, -2.0 * r.r_pp]),
+                      np.array([0.0, -4.0 * r.r_pp, -4.0 * r.r_pp]),
+                      np.array([x, x, 0.0]), None, None).sandwich(dipole)
+    b0, b1, b2, b3 = _low_moments(a)
+    return (p[0].imag * b3 / a + p[1].imag * b2 / a ** 2 + p[2].imag * b1 / a ** 3,
+            p[0].real * b2 / a + p[1].real * b1 / a ** 2 + p[2].real * b0 / a ** 3)
+
+
 def nonresonant_shift_grid(transition: Transition, z, medium,
                            constants: Constants = SCALED,
                            config: QuadratureConfig | None = None) -> NonresonantTerms:
@@ -168,12 +214,21 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
     (`_xi_moments`) leaves, with b = 2 s w z/c,
         dw_nres = (mu0 w^3/8 pi^2 hbar c) int_1^inf ds [Im P B4(b) - Re P B3(b)],
     over tau = 1/s in (0, 1] at rel_tol `xi_rel_tol`, height j as owner j of
-    one `integrate_batch` (a failure's `owner` is j).
+    one `integrate_batch` (a failure's `owner` is j).  A medium that states
+    a constant reflection matrix has P polynomial in s, and the s-integral
+    in closed form instead (`_closed_form_nonresonant`).
     """
     z = _heights(z)
     cfg = config or QuadratureConfig()
     w, c = transition.frequency, constants.c
     scale = 2.0 * w * z / c  # b = scale * s
+    pref = constants.mu0 * w ** 3 / (8 * math.pi ** 2 * constants.hbar * c)
+    r = getattr(medium, "constant_reflection", None)
+    if r is not None:
+        im, re = _closed_form_nonresonant(r, transition.dipole, scale)
+        return NonresonantTerms(im_term=pref * im, re_term=-pref * re,
+                                quad_error=np.zeros(z.size),
+                                neval=np.zeros(z.size, dtype=int))
 
     def f(tau, owner):
         k = _kernels(medium, 1j * w, 0.0, c, 1j * w / (c * tau),
@@ -186,7 +241,6 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
     values, errors, neval = integrate_batch(
         f, np.zeros(z.size), np.ones(z.size), rel_tol=cfg.xi_rel_tol,
         abs_tol=cfg.abs_tol, max_depth=cfg.max_depth, max_panels=cfg.max_panels)
-    pref = constants.mu0 * w ** 3 / (8 * math.pi ** 2 * constants.hbar * c)
     return NonresonantTerms(im_term=pref * values.real, re_term=-pref * values.imag,
                             quad_error=pref * errors, neval=neval)
 

@@ -49,10 +49,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--medium", required=True, choices=tuple(MEDIUM_KINDS))
         p.add_argument("--zeta", required=True, type=float,
                        help="scaled distance w z / c")
-        # values in the config-file syntax, e.g. `--theta 1.0pi`
+        # values in the config-file syntax, e.g. `--theta 1.0pi`; argparse
+        # reads a separate `-1.0pi` as an option, so a negative one is attached
         for name, kind in MEDIUM_PARAMETERS.items():
-            p.add_argument(f"--{name}", help=f"{kind} parameter (default "
-                                             f"{getattr(MEDIUM_KINDS[kind], name):g})")
+            cls = MEDIUM_KINDS[kind]
+            note = (f"; radians or a pi-multiple, a negative one attached with "
+                    f"'=': --{name}=-1.0pi"
+                    if cls.__dataclass_fields__[name].metadata.get("angle") else "")
+            p.add_argument(f"--{name}", help=f"{kind} parameter "
+                                             f"(default {getattr(cls, name):g}){note}")
         p.add_argument("--handedness", choices=("plus", "minus"), default="plus")
     return parser
 
@@ -66,8 +71,8 @@ def _single_point(args) -> int:
     quantities = (("rate",) if args.command == "rates"
                   else ("resonant_shift", "nonresonant_shift"))
     zetas = np.array([args.zeta])
-    values, _ = _scan_values(zetas, medium, canonical_transition(args.handedness),
-                             quantities, QuadratureConfig())
+    values, *_ = _scan_values(zetas, medium, canonical_transition(args.handedness),
+                              quantities, QuadratureConfig())
     print(_format_csv([QUANTITY_COLUMNS[q] for q in quantities], zetas, values), end="")
     return 0
 

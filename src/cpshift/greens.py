@@ -36,10 +36,14 @@ nodes of all new panels, and each node serves all three kernels.
 `scattering_greens_numeric` is the one-point case.  The nonresonant shift
 integrates `_kernels` over s = c k_perp/(i xi) instead.
 
-The ideal mirrors also have closed forms (`greens_perfect_conductor`,
-`greens_nonreciprocal_mirror`), over arrays of heights and frequencies on
-either axis.  They are the oracles of the quadrature, and
-`atomics.greens_grid` takes them wherever they apply.
+A reflection matrix that does not depend on k_par leaves elementary
+integrals, so the tensor of every such medium has a closed form
+(`closed_form_greens`), over arrays of heights and frequencies on either
+axis: the two ideal mirrors (`greens_perfect_conductor`,
+`greens_nonreciprocal_mirror`), the constant test medium and the axion
+half-space at epsilon = 1.  The closed forms are the oracles of the
+quadrature, and `atomics.greens_grid` takes one for every medium that
+states its `constant_reflection`.
 """
 from __future__ import annotations
 
@@ -50,6 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import Constants, SCALED
+from .media import PerfectConductor, PerfectNonreciprocalMirror, ReflectionMatrix
 from .quadrature import QuadratureConfig, QuadratureError, integrate_batch
 # integrate is not called here but stays importable from this module:
 # perfbench/tracer.py wraps it by this name.
@@ -57,7 +62,7 @@ from .quadrature import integrate  # noqa: F401
 
 __all__ = [
     "EvaluationPoint", "PlanarTensors",
-    "greens_perfect_conductor", "greens_nonreciprocal_mirror",
+    "closed_form_greens", "greens_perfect_conductor", "greens_nonreciprocal_mirror",
     "scattering_greens_numeric", "numeric_greens",
     "generalized_re", "generalized_im",
 ]
@@ -149,40 +154,46 @@ def _heights(z) -> np.ndarray:
     return z
 
 
-def _closed_form(shape, xx, zz, xy) -> PlanarTensors:
-    """Entries computed on arrays (numpy scalars round complex products
-    differently), returned in the broadcast shape of z and omega."""
+def closed_form_greens(z, omega, r: ReflectionMatrix,
+                       constants: Constants = SCALED) -> PlanarTensors:
+    """The tensor of a reflection matrix r that does not depend on k_par, at
+    heights z and frequencies omega, real or i*xi, broadcast against each
+    other.
+
+    With q = omega/c the measure (k_par/k_perp) dk_par is -dk_perp, so
+    every entry is a combination of J_n = int k_perp^n e^{2 i k_perp z}
+    dk_perp from i*inf to q:  G_xx = (i/8pi)(r_ss J0 - r_pp J2/q^2), G_zz = (i/8pi) 2 r_pp
+    (J0 - J2/q^2), G_xy = (i/8pi)(r_sp + r_ps) J1/q.  With y = 1/(2iqz),
+    J0, J1/q and J2/q^2 are e^{2iqz}/(2iz) times 1, 1 - y and
+    1 - 2y + 2y^2, and (i/8pi)/(2iz) = 1/(16 pi z).
+    """
+    shape = np.broadcast_shapes(np.shape(z), np.shape(omega))
+    z = _heights(z)
+    q = np.asarray(omega) / constants.c
+    if not np.all(np.isfinite(q) & (q != 0)):
+        raise ValueError(f"omega must be finite and nonzero, got {omega}")
+    y = -0.5j / (q * z)
+    scale = np.exp(2j * q * z) / (16 * np.pi * z)
+    xx = scale * (r.r_ss - r.r_pp * (1.0 - 2.0 * y + 2.0 * y * y))
+    zz = scale * 4.0 * r.r_pp * y * (1.0 - y)
+    xy = scale * (r.r_sp + r.r_ps) * (1.0 - y)
+    # entries are computed on arrays (numpy scalars round complex products
+    # differently) and returned in the broadcast shape of z and omega
     return PlanarTensors(xx.reshape(shape), zz.reshape(shape), xy.reshape(shape),
                          np.zeros(shape), np.zeros(shape, dtype=int))
 
 
 def greens_perfect_conductor(z, omega, constants: Constants = SCALED) -> PlanarTensors:
-    """Closed-form conductor tensor (G_xy = 0) at heights z and frequencies
-    omega, real or i*xi, broadcast against each other."""
-    shape = np.broadcast_shapes(np.shape(z), np.shape(omega))
-    z = _heights(z)
-    c = constants.c
-    phase = np.exp(2j * omega * z / c)
-    xx = (-1.0 / (8 * np.pi * z)
-          - 1j * c / (16 * np.pi * omega * z ** 2)
-          + c ** 2 / (32 * np.pi * omega ** 2 * z ** 3)) * phase
-    zz = (-1j * c / (8 * np.pi * omega * z ** 2)
-          + c ** 2 / (16 * np.pi * omega ** 2 * z ** 3)) * phase
-    return _closed_form(shape, xx, zz, np.zeros_like(xx))
+    """Closed-form conductor tensor (G_xy = 0); see closed_form_greens."""
+    return closed_form_greens(z, omega, PerfectConductor().constant_reflection, constants)
 
 
 def greens_nonreciprocal_mirror(z, omega, sign: float = -1.0,
                                 constants: Constants = SCALED) -> PlanarTensors:
-    """Closed-form conversion-mirror tensor (only G_xy = -G_yx is nonzero) at
-    heights z and frequencies omega, real or i*xi, broadcast against each
-    other."""
-    shape = np.broadcast_shapes(np.shape(z), np.shape(omega))
-    z = _heights(z)
-    c = constants.c
-    xy = sign * (1.0 / (8 * np.pi * z)
-                 + 1j * c / (16 * np.pi * omega * z ** 2)) * np.exp(2j * omega * z / c)
-    zero = np.zeros_like(xy)
-    return _closed_form(shape, zero, zero, xy)
+    """Closed-form conversion-mirror tensor (only G_xy = -G_yx is nonzero);
+    see closed_form_greens."""
+    r = PerfectNonreciprocalMirror(sign).constant_reflection
+    return closed_form_greens(z, omega, r, constants)
 
 
 def _kernels(medium, omega, z, c, kp, kpar):

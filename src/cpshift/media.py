@@ -10,6 +10,11 @@ frequencies as well as purely imaginary omega = i*xi, either one omega for
 all k_par or an array of omega aligned with k_par.  Every medium here is
 nondispersive, r(i lambda xi, lambda k_par) = r(i xi, k_par) for lambda > 0;
 `atomics.nonresonant_shift_grid` relies on this.
+
+Each medium also states its `constant_reflection`: the reflection matrix
+if it depends neither on k_par nor on omega (the two ideal mirrors, the
+constant test medium, and the axion half-space at epsilon = 1), else None.
+`atomics` takes closed forms for exactly those media.
 """
 from __future__ import annotations
 
@@ -91,19 +96,28 @@ def perpendicular_wavenumber(omega, k_par, epsilon: float = 1.0, mu: float = 1.0
     return kz[()] if kz.ndim == 0 else kz
 
 
-@dataclass(frozen=True)
-class PerfectConductor:
-    """r_ss = -1, r_pp = +1, no polarization mixing."""
+class _ConstantReflection:
+    """A medium whose reflection matrix is its `constant_reflection` at
+    every (omega, k_par)."""
 
     def reflection(self, omega, k_par, c: float = 1.0) -> ReflectionMatrix:
         shape = np.shape(k_par)
         one = np.ones(shape) if shape else 1.0
-        zero = np.zeros(shape) if shape else 0.0
-        return ReflectionMatrix(r_ss=-one, r_sp=zero, r_ps=zero, r_pp=+one)
+        r = self.constant_reflection
+        return ReflectionMatrix(*(v * one for v in (r.r_ss, r.r_sp, r.r_ps, r.r_pp)))
 
 
 @dataclass(frozen=True)
-class PerfectNonreciprocalMirror:
+class PerfectConductor(_ConstantReflection):
+    """r_ss = -1, r_pp = +1, no polarization mixing."""
+
+    @property
+    def constant_reflection(self) -> ReflectionMatrix:
+        return ReflectionMatrix(r_ss=-1.0, r_sp=0.0, r_ps=0.0, r_pp=1.0)
+
+
+@dataclass(frozen=True)
+class PerfectNonreciprocalMirror(_ConstantReflection):
     """Pure conversion mirror: r_ss = r_pp = 0, r_sp = r_ps = sign."""
 
     sign: float = -1.0
@@ -112,11 +126,9 @@ class PerfectNonreciprocalMirror:
         if isinstance(self.sign, (bool, np.bool_)) or self.sign not in (-1, 1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
-    def reflection(self, omega, k_par, c: float = 1.0) -> ReflectionMatrix:
-        shape = np.shape(k_par)
-        s = self.sign * (np.ones(shape) if shape else 1.0)
-        zero = np.zeros(shape) if shape else 0.0
-        return ReflectionMatrix(r_ss=zero, r_sp=s, r_ps=s, r_pp=zero)
+    @property
+    def constant_reflection(self) -> ReflectionMatrix:
+        return ReflectionMatrix(r_ss=0.0, r_sp=self.sign, r_ps=self.sign, r_pp=0.0)
 
 
 @dataclass(frozen=True)
@@ -146,6 +158,19 @@ class AxionMedium:
             raise ValueError(f"theta must be finite, got {self.theta}")
         object.__setattr__(self, "delta", delta(0.0, self.theta))
 
+    @property
+    def constant_reflection(self) -> ReflectionMatrix | None:
+        """At epsilon = 1, k_2 = k_1 cancels from every coefficient, which
+        are then r_ss = -r_pp = -Delta^2/(4 + Delta^2) and
+        r_sp = r_ps = -2 Delta/(4 + Delta^2); at any other epsilon they
+        depend on k_par, and there is no constant matrix (None)."""
+        if self.epsilon != 1:
+            return None
+        den = 4.0 + self.delta ** 2
+        x = -2.0 * self.delta / den
+        return ReflectionMatrix(r_ss=-self.delta ** 2 / den, r_sp=x, r_ps=x,
+                                r_pp=self.delta ** 2 / den)
+
     def reflection(self, omega, k_par, c: float = 1.0) -> ReflectionMatrix:
         k1 = perpendicular_wavenumber(omega, k_par, 1.0, 1.0, c)
         k2 = perpendicular_wavenumber(omega, k_par, self.epsilon, self.mu, c)
@@ -163,7 +188,7 @@ class AxionMedium:
 
 
 @dataclass(frozen=True)
-class ConstantReflectionMedium:
+class ConstantReflectionMedium(_ConstantReflection):
     """Fixed coefficients at every (omega, k_par); single-channel test medium."""
 
     r_ss: complex = 0.0
@@ -171,11 +196,9 @@ class ConstantReflectionMedium:
     r_ps: complex = 0.0
     r_pp: complex = 0.0
 
-    def reflection(self, omega, k_par, c: float = 1.0) -> ReflectionMatrix:
-        shape = np.shape(k_par)
-        one = np.ones(shape) if shape else 1.0
-        return ReflectionMatrix(r_ss=self.r_ss * one, r_sp=self.r_sp * one,
-                                r_ps=self.r_ps * one, r_pp=self.r_pp * one)
+    @property
+    def constant_reflection(self) -> ReflectionMatrix:
+        return ReflectionMatrix(self.r_ss, self.r_sp, self.r_ps, self.r_pp)
 
 
 def _real_constants(r: ReflectionMatrix) -> ReflectionMatrix:

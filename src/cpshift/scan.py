@@ -4,9 +4,11 @@ All outputs are scaled: lengths as zeta = w z / c, rates and shifts divided
 by the free-space rate of the scan's transition.  Each requested quantity
 is evaluated over the whole grid at once, on the calling thread
 (`atomics.greens_grid`, `atomics.nonresonant_shift_grid`); where it takes
-quadrature, the grid points are owners of one lockstep quadrature.  Every
-point's value equals its one-point evaluation bit for bit, so identical
-configs give byte-identical CSV files.
+quadrature, the grid points are owners of one lockstep quadrature, and
+where the medium has a constant reflection matrix, closed forms run
+instead.  Every manifest records the run's total integrand evaluations
+(`neval`), 0 for closed forms.  Every point's value equals its one-point
+evaluation bit for bit, so identical configs give byte-identical CSV files.
 """
 from __future__ import annotations
 
@@ -54,6 +56,7 @@ class RunManifest:
     points: int
     quad_error_max: float
     quad_error_mean: float
+    neval: int | None
     status: str
     error: str | None
     outputs: tuple
@@ -69,6 +72,7 @@ class RunManifest:
             "points": self.points,
             "quad_error": {"max": self.quad_error_max,
                            "mean": self.quad_error_mean},
+            "neval": self.neval,
             "status": self.status,
             "error": self.error,
             "outputs": list(self.outputs),
@@ -91,7 +95,8 @@ def _scan_values(zetas, medium, transition, quantities, qcfg: QuadratureConfig):
 
     Each quantity is one batched call over every grid point (the rate and
     the resonant shift share their tensors).  Returns (values[N, Q], summed
-    quadrature error estimate per point).  In scaled units z = zeta
+    quadrature error estimate per point, summed integrand evaluations per
+    point; both 0 where a closed form ran).  In scaled units z = zeta
     directly; the normalization Gamma0 is computed rather than assumed 1 so
     non-canonical transitions stay correct.  A failure raises ScanError
     naming the zeta of the failing point.
@@ -101,6 +106,7 @@ def _scan_values(zetas, medium, transition, quantities, qcfg: QuadratureConfig):
     z = zetas * con.c / w
     gamma0 = free_space_rate_formula(transition, con)
     err = np.zeros(zetas.size)
+    neval = np.zeros(zetas.size, dtype=int)
     s = None
     columns = []
     try:
@@ -109,6 +115,7 @@ def _scan_values(zetas, medium, transition, quantities, qcfg: QuadratureConfig):
                 g = greens_grid(medium, z, w, con, qcfg)
                 s = g.sandwich(transition.dipole)
                 err += g.quad_error
+                neval += g.neval
             if q == "rate":
                 columns.append(2.0 * con.mu0 / con.hbar * w ** 2 * s.imag / gamma0)
             elif q == "resonant_shift":
@@ -116,6 +123,7 @@ def _scan_values(zetas, medium, transition, quantities, qcfg: QuadratureConfig):
             elif q == "nonresonant_shift":
                 terms = nonresonant_shift_grid(transition, z, medium, con, qcfg)
                 err += terms.quad_error
+                neval += terms.neval
                 columns.append(terms.total / gamma0)
             else:
                 raise ScanError(f"unknown quantity {q!r}")
@@ -124,7 +132,7 @@ def _scan_values(zetas, medium, transition, quantities, qcfg: QuadratureConfig):
         zeta = None if owner is None else float(zetas[owner])
         where = "" if zeta is None else f" at zeta={zeta:.6g}"
         raise ScanError(f"{type(exc).__name__}{where}: {exc}", zeta=zeta) from exc
-    return np.column_stack(columns), err
+    return np.column_stack(columns), err, neval
 
 
 def _format_csv(columns, zetas, values) -> str:
@@ -137,16 +145,17 @@ def _format_csv(columns, zetas, values) -> str:
 
 def _write_manifest(path: Path, command: str, config: dict, qcfg: QuadratureConfig,
                     t0: float, points: int, outputs, error: str | None = None,
-                    quad_error=(math.nan, math.nan)) -> RunManifest:
+                    quad_error=(math.nan, math.nan), neval=None) -> RunManifest:
     """Write the manifest of a run that started at t0: status "ok", or
-    "failed" with `error` (the quadrature errors are then NaN)."""
+    "failed" with `error` (the quadrature errors are then NaN, and the
+    evaluation count None)."""
     quadrature = {"rel_tol": qcfg.rel_tol, "xi_rel_tol": qcfg.xi_rel_tol,
                   "kappa_cutoff": qcfg.kappa_cutoff}
     manifest = RunManifest(command=command, config=config, quadrature=quadrature,
                            wall_time_s=time.perf_counter() - t0, points=points,
                            quad_error_max=quad_error[0], quad_error_mean=quad_error[1],
-                           status="ok" if error is None else "failed", error=error,
-                           outputs=tuple(outputs))
+                           neval=neval, status="ok" if error is None else "failed",
+                           error=error, outputs=tuple(outputs))
     path.write_text(manifest.to_json(), encoding="utf-8")
     return manifest
 
@@ -170,14 +179,16 @@ def run_scan(config: ScanConfig, out_dir,
     write_manifest = partial(_write_manifest, manifest_path, "scan", _config_echo(config),
                              qcfg, time.perf_counter(), len(zetas))
     try:
-        values, errs = _scan_values(zetas, medium, transition, config.quantities, qcfg)
+        values, errs, neval = _scan_values(zetas, medium, transition,
+                                           config.quantities, qcfg)
     except ScanError as exc:
         write_manifest((manifest_path.name,), error=str(exc))
         raise
 
     csv_path.write_text(_format_csv(columns, zetas, values), encoding="utf-8")
     manifest = write_manifest((csv_path.name, manifest_path.name),
-                              quad_error=(float(errs.max()), float(errs.mean())))
+                              quad_error=(float(errs.max()), float(errs.mean())),
+                              neval=int(neval.sum()))
     return ScanResult(zetas=zetas, columns=columns, values=values,
                       csv_path=csv_path, manifest_path=manifest_path,
                       manifest=manifest)
@@ -216,19 +227,20 @@ def _difference_traces(name_prefix, quantity, grid, out, qcfg):
     """ε = 16 with-minus-without-axion traces for theta = ±pi."""
     transition = canonical_transition("plus")
     zetas = zeta_grid(**grid)
-    values, errs = {}, 0.0
+    values, errs, neval = {}, 0.0, 0
     for key, theta in (("plus", np.pi), ("minus", -np.pi), ("zero", 0.0)):
-        v, e = _scan_values(zetas, build_medium("axion", epsilon=16.0, theta=theta),
-                            transition, (quantity,), qcfg)
+        v, e, n = _scan_values(zetas, build_medium("axion", epsilon=16.0, theta=theta),
+                               transition, (quantity,), qcfg)
         values[key] = v
         errs = errs + e
+        neval += int(n.sum())
     outputs = []
     for which, sign_name in (("plus", "theta_pi"), ("minus", "theta_minus_pi")):
         path = Path(out) / f"{name_prefix}_difference_eps16_{sign_name}.csv"
         path.write_text(_format_csv((QUANTITY_COLUMNS[quantity],), zetas,
                                     values[which] - values["zero"]), encoding="utf-8")
         outputs.append(path.name)
-    return outputs, errs
+    return outputs, errs, neval
 
 
 def figure(name: str, out_dir, qcfg: QuadratureConfig | None = None) -> list:
@@ -253,13 +265,15 @@ def figure(name: str, out_dir, qcfg: QuadratureConfig | None = None) -> list:
     err_max = 0.0
     err_sum = 0.0
     npts = 0
+    neval = 0
 
     def collect(result: ScanResult):
         outputs.extend([result.csv_path.name])
-        nonlocal err_max, err_sum, npts
+        nonlocal err_max, err_sum, npts, neval
         err_max = max(err_max, result.manifest.quad_error_max)
         err_sum += result.manifest.quad_error_mean * result.manifest.points
         npts += result.manifest.points
+        neval += result.manifest.neval
 
     try:
         if name == "gamma_mirrors":
@@ -293,9 +307,10 @@ def figure(name: str, out_dir, qcfg: QuadratureConfig | None = None) -> list:
                 collect(_trace_scan(f"{name}_pure_axion_{tag}", "axion",
                                     (quantity,), _OSC_GRID, out, qcfg,
                                     theta=float(theta)))
-            diff_outputs, diff_errs = _difference_traces(name, quantity,
-                                                         _OSC_GRID, out, qcfg)
+            diff_outputs, diff_errs, diff_neval = _difference_traces(
+                name, quantity, _OSC_GRID, out, qcfg)
             outputs.extend(diff_outputs)
+            neval += diff_neval
             err_max = max(err_max, float(diff_errs.max()))
             err_sum += float(diff_errs.sum())
             npts += diff_errs.size
@@ -303,6 +318,7 @@ def figure(name: str, out_dir, qcfg: QuadratureConfig | None = None) -> list:
         write_manifest(npts, outputs, error=str(exc))
         raise
 
-    write_manifest(npts, outputs, quad_error=(err_max, err_sum / max(npts, 1)))
+    write_manifest(npts, outputs, quad_error=(err_max, err_sum / max(npts, 1)),
+                   neval=neval)
     outputs.append(manifest_path.name)
     return outputs

@@ -11,14 +11,15 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import cpshift
-from cpshift.atomics import (AsymptoticCase, _xi_moments, asymptotic, axion_difference,
-                             decay_rate, greens_grid, greens_tensor, nonresonant_shift,
-                             nonresonant_shift_grid, nonresonant_shift_terms,
-                             resonant_shift, self_consistent_shift, total_shift)
+from cpshift.atomics import (AsymptoticCase, _low_moments, _xi_moments, asymptotic,
+                             axion_difference, decay_rate, greens_grid, greens_tensor,
+                             nonresonant_shift, nonresonant_shift_grid,
+                             nonresonant_shift_terms, resonant_shift,
+                             self_consistent_shift, total_shift)
 from cpshift.constants import SCALED
 from cpshift.greens import numeric_greens
-from cpshift.media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
-                           PoleError)
+from cpshift.media import (AxionMedium, ConstantReflectionMedium, PerfectConductor,
+                           PerfectNonreciprocalMirror, PoleError)
 from cpshift.quadrature import QuadratureConfig, QuadratureError, integrate
 from cpshift.units import Transition, canonical_transition, circular_dipole
 
@@ -83,20 +84,31 @@ def test_numeric_route_agrees_with_closed_route():
 
 
 def test_greens_tensor_routes_by_medium():
-    # the ideal mirrors take their closed forms, every other medium the
-    # k-quadrature; there is no switch between them
-    assert greens_tensor(COND, 1.0, 1.0).neval == 0
-    assert greens_tensor(MIR, 1.0, 1.0).neval == 0
-    assert greens_tensor(AxionMedium(theta=math.pi), 1.0, 1.0).neval > 0
+    # a medium with a constant reflection matrix takes the closed form (the
+    # ideal mirrors, the constant test medium, the axion half-space at
+    # epsilon = 1), every other medium the k-quadrature; there is no switch
+    # between them
+    for medium in (COND, MIR, ConstantReflectionMedium(r_ss=0.3, r_sp=-0.2j),
+                   AxionMedium(theta=math.pi), AxionMedium(epsilon=1.0, theta=-math.pi)):
+        assert greens_tensor(medium, 1.0, 1.0).neval == 0
+        assert nonresonant_shift_terms(TR, 1.0, medium).neval == 0
+    m16 = AxionMedium(epsilon=16.0, theta=math.pi)
+    assert greens_tensor(m16, 1.0, 1.0).neval > 0
+    assert nonresonant_shift_terms(TR, 1.0, m16).neval > 0
     with pytest.raises(TypeError, match="method"):
         greens_tensor(COND, 1.0, 1.0, method="numeric")
     with pytest.raises(TypeError, match="method"):
         nonresonant_shift_terms(TR, 1.0, COND, method="numeric")
     # quadrature runs on the real or the imaginary axis only; the closed
-    # forms stay analytic in omega
+    # forms stay analytic in omega, but both routes reject omega = 0 and
+    # non-finite omega
     with pytest.raises(ValueError, match="omega"):
-        greens_tensor(AxionMedium(epsilon=16.0, theta=math.pi), 1.0, 1.0 + 0.5j)
+        greens_tensor(m16, 1.0, 1.0 + 0.5j)
     assert greens_tensor(COND, 1.0, 1.0 + 0.5j).neval == 0
+    for medium in (COND, AxionMedium(epsilon=1.0), m16):
+        for omega in (0.0, math.inf, complex(0.0, math.nan)):
+            with pytest.raises(ValueError, match="omega"):
+                greens_tensor(medium, 1.0, omega)
 
 
 def test_greens_grid_rows_are_the_point_tensors():
@@ -185,13 +197,56 @@ def _mp_nres(medium, z):
     return float(TR.dipole_squared / (8 * mpmath.pi ** 2) * mpmath.quad(f, points))
 
 
-@pytest.mark.parametrize("medium", [COND, MIR], ids=["conductor", "mirror"])
+PURE = AxionMedium(epsilon=1.0, theta=math.pi)
+
+
+def _mp_nres_any(medium, z):
+    """_mp_nres, and for the pure axion its conductor and mirror channels:
+    r_ss = -r_pp = -D^2/(4+D^2) and r_sp = r_ps = -2D/(4+D^2) are those of
+    COND times D^2/(4+D^2) plus those of MIR times 2D/(4+D^2)."""
+    if medium is not PURE:
+        return _mp_nres(medium, z)
+    d = PURE.delta
+    return (d * d * _mp_nres(COND, z) + 2 * d * _mp_nres(MIR, z)) / (4 + d * d)
+
+
+@pytest.mark.parametrize("medium", [COND, MIR, PURE],
+                         ids=["conductor", "mirror", "pure_axion"])
 def test_mirror_nonresonant_shift_against_mpmath(medium):
     # out to the ends of acceptance criterion 3, where the s-integrand is
-    # widest (zeta = 1e-3) and B3/B4 are deepest in their cancelling range
+    # widest (zeta = 1e-3) and B3/B4 are deepest in their cancelling range;
+    # the worst relative error seen is 3e-15
     for z in (1e-3, 0.01, 1.0, 30.0, 100.0):
-        assert nonresonant_shift(TR, z, medium) == pytest.approx(_mp_nres(medium, z),
-                                                                 rel=1e-10)
+        terms = nonresonant_shift_terms(TR, z, medium)
+        assert terms.neval == 0 and terms.quad_error == 0.0
+        assert terms.total == pytest.approx(_mp_nres_any(medium, z), rel=1e-12)
+
+
+class _Opaque:
+    """The same reflection, with no constant matrix stated: the s-integral
+    runs for it."""
+
+    def __init__(self, medium):
+        self.medium = medium
+
+    def reflection(self, omega, k_par, c=1.0):
+        return self.medium.reflection(omega, k_par, c=c)
+
+
+@pytest.mark.parametrize("medium", [
+    COND, MIR, MIR_P, PURE, AxionMedium(epsilon=1.0, theta=-math.pi),
+    ConstantReflectionMedium(r_ss=0.3 + 0.1j, r_sp=-0.2j, r_ps=0.4, r_pp=0.7 - 0.3j)])
+def test_closed_form_nonresonant_shift_matches_the_s_integral(medium):
+    # the s-integral at its default tolerance is the reference; the worst
+    # difference seen is 4e-15 of the larger term
+    z = np.geomspace(1e-3, 100.0, 25)
+    closed = nonresonant_shift_grid(TR, z, medium)
+    reference = nonresonant_shift_grid(TR, z, _Opaque(medium))
+    assert closed.neval.sum() == 0 and np.all(reference.neval > 0)
+    assert np.all(closed.quad_error == 0.0)
+    scale = np.maximum(np.abs(reference.im_term), np.abs(reference.re_term))
+    assert np.all(np.abs(closed.im_term - reference.im_term) <= 1e-12 * scale)
+    assert np.all(np.abs(closed.re_term - reference.re_term) <= 1e-12 * scale)
 
 
 def _nested_nres(z, medium, config=None):
@@ -216,8 +271,10 @@ def _nested_nres(z, medium, config=None):
        zeta=st.floats(0.01, 10.0))
 @settings(max_examples=12, deadline=None)
 def test_s_integral_matches_nested_xi_k_route(epsilon, theta, zeta):
+    # through _Opaque, so that epsilon = 1 runs the s-integral too and not
+    # the closed form
     medium = AxionMedium(epsilon=epsilon, theta=theta)
-    terms = nonresonant_shift_terms(TR, zeta, medium)
+    terms = nonresonant_shift_terms(TR, zeta, _Opaque(medium))
     im_ref, re_ref = _nested_nres(zeta, medium)
     scale = max(abs(im_ref), abs(re_ref))
     assert abs(terms.im_term - im_ref) <= 1e-8 * scale
@@ -225,12 +282,14 @@ def test_s_integral_matches_nested_xi_k_route(epsilon, theta, zeta):
 
 
 def test_xi_moments_against_mpmath():
-    # B3 = 1/b^2 - g(b) and B4 = 2/b^3 - 1/b + f(b), with the sine/cosine
-    # auxiliary functions f and g, at 60 digits, which absorb the
-    # cancellation: on both sides of the switch at b = 2 and far into the
-    # range where double precision would lose every digit
+    # B0 = f(b), B1 = g(b), B2 = 1/b - f, B3 = 1/b^2 - g(b) and
+    # B4 = 2/b^3 - 1/b + f(b), with the sine/cosine auxiliary functions f
+    # and g, at 60 digits, which absorb the cancellation: on both sides of
+    # the switch at b = 2 and far into the range where double precision
+    # would lose every digit
     b = np.concatenate([np.geomspace(1e-3, 1e7, 41), [2.0 - 1e-12, 2.0, 2.0 + 1e-12]])
     b3, b4 = _xi_moments(b)
+    low = _low_moments(b)
     for j, x in enumerate(b):
         with mpmath.workdps(60):
             x_mp = mpmath.mpf(float(x))
@@ -239,8 +298,11 @@ def test_xi_moments_against_mpmath():
             f = ci * mpmath.sin(x_mp) - si * mpmath.cos(x_mp)
             g = -ci * mpmath.cos(x_mp) - si * mpmath.sin(x_mp)
             ref3, ref4 = float(1 / x_mp ** 2 - g), float(2 / x_mp ** 3 - 1 / x_mp + f)
+            refs = [float(f), float(g), float(1 / x_mp - f), ref3]
         assert abs(b3[j] / ref3 - 1) <= 4e-15, x
         assert abs(b4[j] / ref4 - 1) <= 4e-15, x
+        for n, ref in enumerate(refs):
+            assert abs(low[n, j] / ref - 1) <= 4e-15, (n, x)
 
 
 def test_tight_s_integral_converges_from_contact_to_far_field():
@@ -256,15 +318,26 @@ def test_tight_s_integral_converges_from_contact_to_far_field():
 
 
 def test_nonresonant_grid_under_a_small_panel_budget_matches_point_calls():
-    # a budget of 12 panels holds the s-integral of any one of the four
-    # heights (3 to 9 panels) but not all of them, so heights are evicted
-    # and restarted; each still equals its one-height call at the default
-    # budget, bit for bit
+    # a budget of 8 panels holds the s-integral of any one of the four
+    # heights (3 to 5 live panels) but not all of them, so heights are
+    # evicted and restarted, which costs reflection nodes; each still equals
+    # its one-height call at the default budget, bit for bit
+    class Counted(AxionMedium):
+        nodes = 0
+
+        def reflection(self, omega, k_par, c=1.0):
+            Counted.nodes += np.size(k_par)
+            return super().reflection(omega, k_par, c=c)
+
     z = np.array([0.3, 0.7, 1.1, 2.0])
-    grid = nonresonant_shift_grid(TR, z, COND, config=QuadratureConfig(max_panels=12))
-    assert grid.neval.sum() > 12 * 15
+    m16 = Counted(epsilon=16.0, theta=math.pi)
+    nonresonant_shift_grid(TR, z, m16)
+    unbounded, Counted.nodes = Counted.nodes, 0
+    grid = nonresonant_shift_grid(TR, z, m16, config=QuadratureConfig(max_panels=8))
+    assert Counted.nodes > unbounded
+    assert grid.neval.sum() > 8 * 15
     for j, zj in enumerate(z):
-        one = nonresonant_shift_terms(TR, float(zj), COND)
+        one = nonresonant_shift_terms(TR, float(zj), m16)
         assert (grid.im_term[j], grid.re_term[j]) == (one.im_term, one.re_term)
         assert (grid.quad_error[j], grid.neval[j]) == (one.quad_error, one.neval)
 
@@ -287,9 +360,10 @@ def test_batched_failures_name_the_height():
     # tau = 0 as z falls: under a depth cap of 5 only z = 1e-3 fails
     z = np.array([2.0, 1.0, 1e-3, 0.5])
     capped = QuadratureConfig(max_depth=5)
-    nonresonant_shift_grid(TR, z[[0, 1, 3]], COND, config=capped)
+    m16 = AxionMedium(epsilon=16.0, theta=math.pi)
+    nonresonant_shift_grid(TR, z[[0, 1, 3]], m16, config=capped)
     with pytest.raises(QuadratureError) as excinfo:
-        nonresonant_shift_grid(TR, z, COND, config=capped)
+        nonresonant_shift_grid(TR, z, m16, config=capped)
     assert excinfo.value.owner == 2
 
 
@@ -491,7 +565,6 @@ def test_nonretarded_nres_difference_scaling_and_coefficient_gap():
 # shifted-frequency fixed point
 
 def test_self_consistent_zero_reflection_fixed_point():
-    from cpshift.media import ConstantReflectionMedium
     bd, iters = self_consistent_shift(TR, 1.0, ConstantReflectionMedium(),
                                       max_iter=10, tol=1e-14)
     assert iters == 1

@@ -52,6 +52,17 @@ def test_rates_axion_with_pi_multiple_theta(capsys):
     assert row[1] == pytest.approx(decay_rate(TR, 0.8, medium), rel=1e-9)
 
 
+def test_negative_pi_multiple_attached_with_equals(capsys):
+    # argparse reads a separate `-1.0pi` as an option; attached with `=` it
+    # is the angle -pi, as the flag's help says
+    args = ("rates", "--medium", "axion", "--epsilon", "16", "--zeta", "0.7")
+    code, out, _ = run(capsys, *args, "--theta=-1.0pi")
+    assert code == 0
+    assert out == run(capsys, *args, "--theta=-3.141592653589793")[1]
+    code, out, _ = run(capsys, "rates", "--help")
+    assert code == 0 and "--theta=-1.0pi" in "".join(out.split())
+
+
 def test_rates_handedness_flip(capsys):
     args = ("rates", "--medium", "nonreciprocal_mirror", "--zeta", "1.2")
     _, out_p, _ = run(capsys, *args)
@@ -110,6 +121,7 @@ def test_scan_numerical_failure_exits_two(tmp_path, capsys):
     cfg = tmp_path / "fail.cfg"
     cfg.write_text("""\
 medium = axion
+epsilon = 16
 zeta_min = 2.9e5
 zeta_max = 3.1e5
 count = 2

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpshift.greens import (EvaluationPoint, PlanarTensors, generalized_im,
+from cpshift.greens import (EvaluationPoint, PlanarTensors, closed_form_greens,
+                            generalized_im,
                             generalized_re, greens_nonreciprocal_mirror,
                             greens_perfect_conductor, numeric_greens,
                             scattering_greens_numeric)
@@ -76,6 +77,30 @@ def test_numeric_matches_closed_forms():
         assert abs(gn.zz / gc.zz - 1) < 1e-6
         gm = scattering_greens_numeric(pt, PerfectNonreciprocalMirror())
         assert abs(gm.xy / _mirror_xy(z, 1.0) - 1) < 1e-6
+
+
+# 0, or at least 1e-3 in size: far smaller coefficients give subnormal
+# entries, whose absolute resolution (5e-324) no relative tolerance can hold
+_R = st.one_of(st.just(0j), st.complex_numbers(min_magnitude=1e-3, max_magnitude=2.0,
+                                               allow_nan=False, allow_infinity=False))
+
+
+@given(medium=st.one_of(
+           st.builds(ConstantReflectionMedium, _R, _R, _R, _R),
+           st.sampled_from([AxionMedium(epsilon=1.0, theta=math.pi),
+                            AxionMedium(epsilon=1.0, theta=-math.pi)])),
+       z=st.floats(0.1, 10.0), xi=st.floats(0.1, 5.0))
+@settings(max_examples=30, deadline=None)
+def test_closed_form_matches_the_k_quadrature(medium, z, xi):
+    # any k_par-independent reflection matrix, complex entries included, on
+    # both frequency axes; the scale is the largest entry of either tensor
+    for omega in (1.0, [1j * xi]):
+        closed = closed_form_greens(z, omega, medium.constant_reflection)
+        numeric = numeric_greens(z, omega, medium)
+        pairs = [(np.ravel(getattr(closed, n))[0], getattr(numeric, n)[0])
+                 for n in ("xx", "zz", "xy")]
+        scale = max(max(abs(a), abs(b)) for a, b in pairs)
+        assert all(abs(a - b) <= 1e-9 * scale for a, b in pairs)
 
 
 def test_single_channel_ss_only():

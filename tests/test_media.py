@@ -206,6 +206,23 @@ def test_constant_medium_and_dispatch_helper():
     assert r.r_sp.shape == (2,)
 
 
+@given(k_par=st.floats(0.0, 1e3), xi=st.floats(0.01, 100.0), theta=st.floats(-10.0, 10.0))
+@settings(max_examples=40, deadline=None)
+def test_constant_reflection_is_the_reflection_at_every_k(k_par, xi, theta):
+    # the media that state a constant matrix reflect with it everywhere;
+    # the axion half-space states one at epsilon = 1 only
+    for medium in (PerfectConductor(), PerfectNonreciprocalMirror(sign=1.0),
+                   ConstantReflectionMedium(r_ss=0.3j, r_sp=-0.2, r_ps=0.1, r_pp=0.7),
+                   AxionMedium(epsilon=1.0, theta=theta)):
+        const = medium.constant_reflection.as_array()
+        for omega in (1j * xi, xi):
+            if omega == k_par:
+                continue  # the axion's lightline pole
+            r = medium.reflection(omega, k_par).as_array()
+            assert np.allclose(r, const, rtol=1e-12, atol=1e-15)
+    assert AxionMedium(epsilon=1.0 + 1e-12, theta=theta).constant_reflection is None
+
+
 def test_reflection_matrix_container():
     r = ReflectionMatrix(r_ss=-0.5, r_sp=0.1, r_ps=0.1, r_pp=0.5)
     assert r.entry(Polarization.s, Polarization.p) == 0.1

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cpshift.atomics import (decay_rate, nonresonant_shift, nonresonant_shift_terms,
-                             resonant_shift)
+from cpshift.atomics import (decay_rate, greens_tensor, nonresonant_shift,
+                             nonresonant_shift_terms, resonant_shift)
 from cpshift.config import ConfigError, ScanConfig
 from cpshift.constants import SCALED
 from cpshift.scan import FIGURE_NAMES, ScanError, figure, run_scan
@@ -64,12 +64,35 @@ def test_scan_manifest_contents(tmp_path):
     assert manifest["config"]["epsilon"] == 16.0
     assert manifest["quadrature"]["rel_tol"] == 1e-9
     assert manifest["quad_error"]["max"] >= manifest["quad_error"]["mean"]
+    assert manifest["neval"] > 0
     assert set(manifest["outputs"]) == {"axion_demo.csv", "axion_demo.manifest.json"}
+
+
+def test_manifest_evaluation_count_shows_the_route(tmp_path):
+    # the closed forms run no quadrature: every medium with a constant
+    # reflection matrix reports 0 evaluations and 0 error; epsilon = 16
+    # reports the sum over its points of the tensor and s-integral counts
+    counts = {}
+    for kind, epsilon in (("perfect_conductor", 1.0), ("nonreciprocal_mirror", 1.0),
+                          ("axion", 1.0), ("axion", 16.0)):
+        cfg = ScanConfig(medium_kind=kind, zeta_min=0.5, zeta_max=1.5, count=3,
+                         epsilon=epsilon, name=f"{kind}_{epsilon:g}")
+        result = run_scan(cfg, tmp_path)
+        manifest = json.loads(result.manifest_path.read_text())
+        assert manifest["neval"] == result.manifest.neval
+        counts[cfg.name] = (manifest["neval"], manifest["quad_error"]["max"])
+    medium = AxionMedium(epsilon=16.0)
+    expected = sum(greens_tensor(medium, z, 1.0).neval
+                   + nonresonant_shift_terms(TR, z, medium).neval
+                   for z in (0.5, 1.0, 1.5))
+    assert counts == {"perfect_conductor_1": (0, 0.0), "nonreciprocal_mirror_1": (0, 0.0),
+                      "axion_1": (0, 0.0), "axion_16": (expected, counts["axion_16"][1])}
+    assert counts["axion_16"][1] > 0
 
 
 def test_failed_scan_still_writes_manifest(tmp_path):
     # far outside the oscillation-resolvable range the panel budget runs out
-    cfg = ScanConfig(medium_kind="axion", zeta_min=2.9e5, zeta_max=3.1e5,
+    cfg = ScanConfig(medium_kind="axion", epsilon=16.0, zeta_min=2.9e5, zeta_max=3.1e5,
                      count=2, quantities=("rate",), name="fail")
     with pytest.raises(ScanError) as excinfo:
         run_scan(cfg, tmp_path)
@@ -77,12 +100,13 @@ def test_failed_scan_still_writes_manifest(tmp_path):
     manifest = json.loads((tmp_path / "fail.manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert "zeta" in manifest["error"]
+    assert manifest["neval"] is None
     assert not (tmp_path / "fail.csv").exists()
 
 
 def test_scan_deterministic_csv(tmp_path):
     cfg = ScanConfig(medium_kind="axion", zeta_min=0.3, zeta_max=2.0, count=8,
-                     theta=math.pi, quantities=("rate", "resonant_shift"),
+                     epsilon=16.0, theta=math.pi, quantities=("rate", "resonant_shift"),
                      name="det")
     run_scan(cfg, tmp_path / "a")
     run_scan(cfg, tmp_path / "b")
@@ -120,6 +144,8 @@ def test_gamma_mirrors_figure_traces(tmp_path):
     for zeta, g in sample:
         assert g == pytest.approx(decay_rate(TR, zeta, PerfectConductor()),
                                   rel=1e-10)
+    manifest = json.loads((tmp_path / "gamma_mirrors.manifest.json").read_text())
+    assert manifest["points"] == 800 and manifest["neval"] == 0
 
 
 def test_loglog_figure_asymptote_slopes(tmp_path):
@@ -211,8 +237,8 @@ def test_pole_in_batched_scan_names_its_zeta(tmp_path, monkeypatch):
         return reflection(self, omega, k_par, c=c)
 
     monkeypatch.setattr(AxionMedium, "reflection", pole_beyond_100)
-    cfg = ScanConfig(medium_kind="axion", zeta_min=0.05, zeta_max=0.8, count=4,
-                     spacing="log", quantities=("rate",), name="pole")
+    cfg = ScanConfig(medium_kind="axion", epsilon=16.0, zeta_min=0.05, zeta_max=0.8,
+                     count=4, spacing="log", quantities=("rate",), name="pole")
     with pytest.raises(ScanError) as excinfo:
         run_scan(cfg, tmp_path)
     assert excinfo.value.zeta == cfg.grid()[0]
