@@ -1,16 +1,17 @@
 """Decay rates, Casimir-Polder shifts, asymptotic laws, population dynamics.
 
-Conventions (scalar sandwich s(omega) = d . G^(1)(z, z, omega) . conj(d)):
+Conventions (scalar sandwich s(omega) = d . G^(1)(z, z, omega) . conj(d)),
+in the package's units c = hbar = mu0 = eps0 = 1 (`cpshift.units`):
 
-    Gamma^(1)   = (2 mu0/hbar) w^2 Im s(w)
-    dw_res      = -(mu0/hbar) w^2 Re s(w)
-    dw_nres     = (mu0/pi hbar) int dxi xi^3/(xi^2+w^2) Im s(i xi)
-                  - (mu0/pi hbar) int dxi xi^2 w/(xi^2+w^2) Re s(i xi)
+    Gamma^(1)   = 2 w^2 Im s(w)
+    dw_res      = -w^2 Re s(w)
+    dw_nres     = (1/pi) int dxi xi^3/(xi^2+w^2) Im s(i xi)
+                  - (1/pi) int dxi xi^2 w/(xi^2+w^2) Re s(i xi)
 
 with w the (possibly shifted) transition frequency.  `greens_grid` gives
 the real-axis tensors of all heights of a scan at once.
 `nonresonant_shift_grid` does the xi-integral in closed form and integrates
-over s = c k_perp/(i xi) instead.  Both choose their route on one fact, the
+over s = k_perp/(i xi) instead.  Both choose their route on one fact, the
 medium's `constant_reflection`: a medium that states one (the ideal
 mirrors, the constant test medium, the axion half-space at epsilon = 1)
 takes closed forms for both, every other medium the k-quadrature and the
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constants import Constants, SCALED
 from .greens import (PlanarTensors, _heights, _kernels, closed_form_greens,
                      numeric_greens)
 from .media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
@@ -50,43 +50,40 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Green's tensor routing
 
-def greens_grid(medium, z, omega, constants: Constants = SCALED,
+def greens_grid(medium, z, omega,
                 config: QuadratureConfig | None = None) -> PlanarTensors:
     """Scattering tensor at every height z[j] > 0, at one real omega or at
     omega = i*xi[j] aligned with z: the closed form for a medium that states
     a constant reflection matrix, the k-quadrature for every other medium."""
     r = getattr(medium, "constant_reflection", None)
     if r is not None:
-        return closed_form_greens(z, omega, r, constants)
-    return numeric_greens(z, omega, medium, constants, config)
+        return closed_form_greens(z, omega, r)
+    return numeric_greens(z, omega, medium, config)
 
 
 def greens_tensor(medium, z: float, omega: complex,
-                  constants: Constants = SCALED,
                   config: QuadratureConfig | None = None) -> PlanarTensors:
     """Scattering tensor at one point, as Python scalars (see greens_grid)."""
-    return greens_grid(medium, [z], omega, constants, config).point(0)
+    return greens_grid(medium, [z], omega, config).point(0)
 
 
 # ---------------------------------------------------------------------------
 # Rates and shifts
 
 def decay_rate(transition: Transition, z: float, medium,
-               constants: Constants = SCALED,
                config: QuadratureConfig | None = None) -> float:
     """Body-induced decay rate Gamma^(1) at height z."""
     w = transition.frequency
-    s = greens_tensor(medium, z, w, constants, config).sandwich(transition.dipole)
-    return float(2.0 * constants.mu0 / constants.hbar * w ** 2 * s.imag)
+    s = greens_tensor(medium, z, w, config).sandwich(transition.dipole)
+    return float(2.0 * w ** 2 * s.imag)
 
 
 def resonant_shift(transition: Transition, z: float, medium,
-                   constants: Constants = SCALED,
                    config: QuadratureConfig | None = None) -> float:
     """Resonant (real-photon) part of the frequency shift."""
     w = transition.frequency
-    s = greens_tensor(medium, z, w, constants, config).sandwich(transition.dipole)
-    return float(-constants.mu0 / constants.hbar * w ** 2 * s.real)
+    s = greens_tensor(medium, z, w, config).sandwich(transition.dipole)
+    return float(-w ** 2 * s.real)
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ _STEP, _TAYLOR, _FAR = 1.0 + 2.0 ** -10, 5, 2.0 ** 20
 def _moment_table():
     """(b_j = 2 _STEP^j < _FAR, B_m(b_j) for m = 3 ... 4 + _TAYLOR): B_m = m! b^-m
     Im e^z E_{m+1}(z) at z = -ib, the continued fraction of e^z E_{m+1}(z) summed
-    backward from depth 6 + 250/b; _xi_moments expands about b_j to degree _TAYLOR."""
+    backward from depth 6 + 250/b; _moments expands about b_j to degree _TAYLOR."""
     b = 2.0 * _STEP ** np.arange(round(math.log(_FAR / 2.0) / math.log(_STEP)) + 2)
     m = np.arange(3.0, 5.0 + _TAYLOR)[:, None]
     depth = np.ceil(6.0 + 250.0 / b).astype(int)  # falls along b: live points are a prefix
@@ -128,58 +125,48 @@ def _moment_table():
     return b, m_factorial * (1.0 / (m + 1 - 1j * b + t)).imag / b ** m
 
 
-def _xi_moments(b):
-    """(B3, B4) at every b > 0, B_n(b) = int_0^inf x^n e^{-bx}/(x^2+1) dx.
+def _moments(b):
+    """(B0, ..., B4) at every b > 0, B_n(b) = int_0^inf x^n e^{-bx}/(x^2+1) dx.
 
-    Below b = 2, B3 = 1/b^2 - g(b) and B4 = 2/b^3 - 1/b + f(b), with f, g the
-    auxiliary functions of the sine and cosine integrals (Abramowitz & Stegun
-    5.2).  Above, where those cancel, dB_n/db = -B_{n+1} gives Taylor terms
-    falling by about 2^-11 each, and from _FAR on two terms of the asymptotic
-    series suffice.  All three hold to a few ulp, so no switch leaves a step.
+    Below b = 2, B0 = f(b), B1 = g(b), B2 = 1/b - f, B3 = 1/b^2 - g and
+    B4 = 2/b^3 - 1/b + f, with f, g the auxiliary functions of the sine and
+    cosine integrals (Abramowitz & Stegun 5.2).  Above, where those cancel,
+    dB_n/db = -B_{n+1} gives Taylor terms of B3 and B4 falling by about
+    2^-11 each, and from _FAR on two terms of the asymptotic series suffice;
+    all three hold to a few ulp, so no switch leaves a step.  From B3 and
+    B4, x^n/(x^2+1) = x^(n-2) - x^(n-2)/(x^2+1) gives the downward
+    recurrence B_n = n!/b^(n+1) - B_(n+2), which loses no digits above
+    b = 2: each B_n is a small part of n!/b^(n+1).  A region without points
+    is skipped: the s-integral calls this once per round on a few dozen.
     """
     from scipy.special import sici  # a quarter second at import; only this needs it
-    out = np.empty((2,) + b.shape)
-    near, far = b < 2.0, b >= _FAR
-    x = b[near]
-    si, ci = sici(x)
-    si, sin, cos = si - 0.5 * np.pi, np.sin(x), np.cos(x)
-    out[:, near] = [1.0 / x ** 2 + ci * cos + si * sin,
-                    2.0 / x ** 3 - 1.0 / x + ci * sin - si * cos]
-    mid = ~(near | far)
+    out = np.empty((5,) + b.shape)
+    near = b < 2.0
+    if near.any():
+        x = b[near]
+        si, ci = sici(x)
+        si, sin, cos = si - 0.5 * np.pi, np.sin(x), np.cos(x)
+        cs, sc, cc, ss = ci * sin, si * cos, ci * cos, si * sin
+        f, r = cs - sc, 1.0 / x
+        out[:, near] = [f, -cc - ss, r - f, 1.0 / x ** 2 + cc + ss,
+                        2.0 / x ** 3 - r + cs - sc]
+    hi = ~near
+    x = b[hi]
     grid, table = _moment_table()
-    j = np.rint(np.log(0.5 * b[mid]) * (1.0 / math.log(_STEP))).astype(int)
-    h, rows = b[mid] - grid[j], table[:, j]
+    y = np.minimum(x, _FAR)  # keeps j inside the table; far points are redone
+    j = np.rint(np.log(0.5 * y) * (1.0 / math.log(_STEP))).astype(int)
+    h, rows = y - grid[j], table[:, j]
     acc = rows[_TAYLOR:].copy()
     for k in range(_TAYLOR - 1, -1, -1):
         acc *= h * (-1.0 / (k + 1))
         acc += rows[k:k + 2]
-    out[:, mid] = acc
-    x = b[far]
-    out[:, far] = [(6.0 - 120.0 / x ** 2) / x ** 4, (24.0 - 720.0 / x ** 2) / x ** 5]
-    return out
-
-
-def _low_moments(b):
-    """(B0, B1, B2, B3) at every b > 0, B_n as in _xi_moments.
-
-    Below b = 2, B0 = f(b) and B1 = g(b), the auxiliary functions of the
-    sine and cosine integrals, and B2 = 1/b - f, B3 = 1/b^2 - g.  Above,
-    x^n/(x^2+1) = x^(n-2) - x^(n-2)/(x^2+1) gives the downward recurrence
-    B_n = n!/b^(n+1) - B_(n+2) from _xi_moments' B3 and B4, which loses no
-    digits there: each B_n is a small part of n!/b^(n+1).
-    """
-    from scipy.special import sici
-    out = np.empty((4,) + b.shape)
-    near = b < 2.0
-    x = b[near]
-    si, ci = sici(x)
-    si, sin, cos = si - 0.5 * np.pi, np.sin(x), np.cos(x)
-    f, g = ci * sin - si * cos, -ci * cos - si * sin
-    out[:, near] = [f, g, 1.0 / x - f, 1.0 / x ** 2 - g]
-    x = b[~near]
-    b3, b4 = _xi_moments(x)
+    far = x >= _FAR
+    if far.any():
+        y = x[far]
+        acc[:, far] = [(6.0 - 120.0 / y ** 2) / y ** 4, (24.0 - 720.0 / y ** 2) / y ** 5]
+    b3, b4 = acc
     b2 = 2.0 / x ** 3 - b4
-    out[:, ~near] = [1.0 / x - b2, 1.0 / x ** 2 - b3, b2, b3]
+    out[:, hi] = [1.0 / x - b2, 1.0 / x ** 2 - b3, b2, b3, b4]
     return out
 
 
@@ -198,21 +185,20 @@ def _closed_form_nonresonant(r: ReflectionMatrix, dipole, a):
     p = PlanarTensors(np.array([r.r_ss - r.r_pp, -2.0 * r.r_pp, -2.0 * r.r_pp]),
                       np.array([0.0, -4.0 * r.r_pp, -4.0 * r.r_pp]),
                       np.array([x, x, 0.0]), None, None).sandwich(dipole)
-    b0, b1, b2, b3 = _low_moments(a)
+    b0, b1, b2, b3, _ = _moments(a)
     return (p[0].imag * b3 / a + p[1].imag * b2 / a ** 2 + p[2].imag * b1 / a ** 3,
             p[0].real * b2 / a + p[1].real * b1 / a ** 2 + p[2].real * b0 / a ** 3)
 
 
 def nonresonant_shift_grid(transition: Transition, z, medium,
-                           constants: Constants = SCALED,
                            config: QuadratureConfig | None = None) -> NonresonantTerms:
     """Both terms of the nonresonant shift at every height z[j] > 0.
 
-    With k_perp = i s xi/c, s(i xi) = (xi/8 pi c) int_1^inf ds e^{-2 s xi z/c}
+    With k_perp = i s xi, s(i xi) = (xi/8 pi) int_1^inf ds e^{-2 s xi z}
     P(s), where P sandwiches the kernels (`_kernels` at z = 0) and, the media
     being nondispersive, does not depend on xi.  The xi-integral done first
-    (`_xi_moments`) leaves, with b = 2 s w z/c,
-        dw_nres = (mu0 w^3/8 pi^2 hbar c) int_1^inf ds [Im P B4(b) - Re P B3(b)],
+    (`_moments`) leaves, with b = 2 s w z,
+        dw_nres = (w^3/8 pi^2) int_1^inf ds [Im P B4(b) - Re P B3(b)],
     over tau = 1/s in (0, 1] at rel_tol `xi_rel_tol`, height j as owner j of
     one `integrate_batch` (a failure's `owner` is j).  A medium that states
     a constant reflection matrix has P polynomial in s, and the s-integral
@@ -220,9 +206,9 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
     """
     z = _heights(z)
     cfg = config or QuadratureConfig()
-    w, c = transition.frequency, constants.c
-    scale = 2.0 * w * z / c  # b = scale * s
-    pref = constants.mu0 * w ** 3 / (8 * math.pi ** 2 * constants.hbar * c)
+    w = transition.frequency
+    scale = 2.0 * w * z  # b = scale * s
+    pref = w ** 3 / (8 * math.pi ** 2)
     r = getattr(medium, "constant_reflection", None)
     if r is not None:
         im, re = _closed_form_nonresonant(r, transition.dipole, scale)
@@ -231,10 +217,10 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
                                 neval=np.zeros(z.size, dtype=int))
 
     def f(tau, owner):
-        k = _kernels(medium, 1j * w, 0.0, c, 1j * w / (c * tau),
-                     w / c * np.sqrt(1.0 - tau * tau) / tau)
+        k = _kernels(medium, 1j * w, 0.0, 1j * w / tau,
+                     w * np.sqrt(1.0 - tau * tau) / tau)
         p = PlanarTensors(*k, None, None).sandwich(transition.dipole)
-        b3, b4 = _xi_moments(scale[owner] / tau)
+        _, _, _, b3, b4 = _moments(scale[owner] / tau)
         # pack both real integrands into one complex quadrature pass
         return (p.imag * b4 + 1j * (p.real * b3)) / (tau * tau)
 
@@ -246,19 +232,17 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
 
 
 def nonresonant_shift_terms(transition: Transition, z: float, medium,
-                            constants: Constants = SCALED,
                             config: QuadratureConfig | None = None) -> NonresonantTerms:
     """Both terms at one height: the N = 1 case of nonresonant_shift_grid."""
-    t = nonresonant_shift_grid(transition, [z], medium, constants, config)
+    t = nonresonant_shift_grid(transition, [z], medium, config)
     return NonresonantTerms(im_term=float(t.im_term[0]), re_term=float(t.re_term[0]),
                             quad_error=float(t.quad_error[0]), neval=int(t.neval[0]))
 
 
 def nonresonant_shift(transition: Transition, z: float, medium,
-                      constants: Constants = SCALED,
                       config: QuadratureConfig | None = None) -> float:
     """Nonresonant (virtual-photon) part of the frequency shift."""
-    return nonresonant_shift_terms(transition, z, medium, constants, config).total
+    return nonresonant_shift_terms(transition, z, medium, config).total
 
 
 @dataclass(frozen=True)
@@ -272,18 +256,16 @@ class ShiftBreakdown:
 
 
 def total_shift(transition: Transition, z: float, medium,
-                constants: Constants = SCALED,
                 config: QuadratureConfig | None = None) -> ShiftBreakdown:
     """Resonant plus nonresonant shift at height z."""
     return ShiftBreakdown(
-        resonant=resonant_shift(transition, z, medium, constants, config),
-        nonresonant=nonresonant_shift(transition, z, medium, constants, config),
+        resonant=resonant_shift(transition, z, medium, config),
+        nonresonant=nonresonant_shift(transition, z, medium, config),
     )
 
 
 def self_consistent_shift(transition: Transition, z: float, medium,
                           max_iter: int = 1, tol: float | None = None,
-                          constants: Constants = SCALED,
                           config: QuadratureConfig | None = None):
     """Fixed-point iteration w_tilde = w + dw(w_tilde).
 
@@ -299,8 +281,7 @@ def self_consistent_shift(transition: Transition, z: float, medium,
     omega0 = transition.frequency
     w = omega0
     for it in range(1, max_iter + 1):
-        breakdown = total_shift(replace(transition, frequency=w), z, medium,
-                                constants, config)
+        breakdown = total_shift(replace(transition, frequency=w), z, medium, config)
         w_next = omega0 + breakdown.total
         if tol is not None and abs(w_next - w) < tol * omega0:
             return breakdown, it
@@ -330,8 +311,7 @@ class AsymptoticCase:
             raise ValueError(f"unknown quantity {self.quantity!r}")
 
 
-def asymptotic(case: AsymptoticCase, transition: Transition, z: float,
-               constants: Constants = SCALED) -> float:
+def asymptotic(case: AsymptoticCase, transition: Transition, z: float) -> float:
     """Closed-form limit law for the requested (regime, medium, quantity).
 
     Retarded rate/shift entries insert the far-field constant coefficients
@@ -346,26 +326,25 @@ def asymptotic(case: AsymptoticCase, transition: Transition, z: float,
     m = case.medium
     w = transition.frequency
     d2 = transition.dipole_squared
-    cc, mu0, hbar, eps0 = constants.c, constants.mu0, constants.hbar, constants.eps0
-    zeta = w * z / cc
-    gunit = mu0 * w ** 2 * d2 / (4 * math.pi * hbar)
-    ounit = mu0 * w ** 2 * d2 / (8 * math.pi * hbar)
+    zeta = w * z
+    gunit = w ** 2 * d2 / (4 * math.pi)
+    ounit = w ** 2 * d2 / (8 * math.pi)
     pure_axion = isinstance(m, AxionMedium) and m.epsilon == 1.0 and m.mu == 1.0
 
     if case.quantity == "nonresonant_shift":
         if case.regime == "retarded":
             if isinstance(m, PerfectConductor):
-                return d2 * cc / (16 * math.pi ** 2 * eps0 * hbar * w * z ** 4)
+                return d2 / (16 * math.pi ** 2 * w * z ** 4)
             if isinstance(m, PerfectNonreciprocalMirror):
-                return -m.sign * d2 * cc ** 2 / (16 * math.pi ** 2 * eps0 * hbar * w ** 2 * z ** 5)
+                return -m.sign * d2 / (16 * math.pi ** 2 * w ** 2 * z ** 5)
             raise ValueError("no retarded nonresonant law for the axion medium "
                              "(the resonant part dominates there)")
         if isinstance(m, PerfectConductor):
-            return d2 / (64 * math.pi * eps0 * hbar * z ** 3)
+            return d2 / (64 * math.pi * z ** 3)
         if isinstance(m, PerfectNonreciprocalMirror):
-            return -m.sign * d2 / (16 * math.pi ** 2 * eps0 * hbar * z ** 3)
+            return -m.sign * d2 / (16 * math.pi ** 2 * z ** 3)
         if pure_axion:
-            return (m.delta / 2.0) * d2 / (16 * math.pi ** 2 * eps0 * hbar * z ** 3)
+            return (m.delta / 2.0) * d2 / (16 * math.pi ** 2 * z ** 3)
         raise ValueError("nonretarded nonresonant law only stated for the "
                          "pure-axion medium (dispersive eps(i xi) unknown)")
 
@@ -386,23 +365,22 @@ def asymptotic(case: AsymptoticCase, transition: Transition, z: float,
                             - math.sin(2 * zeta) * r.r_sp)
     if case.quantity == "rate":
         if isinstance(m, PerfectConductor):
-            return -free_space_rate_formula(transition, constants)
+            return -free_space_rate_formula(transition)
         if isinstance(m, PerfectNonreciprocalMirror):
             return 0.0
-        return gunit * (cc / (2 * w * z ** 2) * r.r_sp
-                        + cc ** 2 / (4 * w ** 2 * z ** 3) * r.r_pp)
-    return ounit * (-cc / (2 * w * z ** 2) * r.r_sp
-                    - cc ** 2 / (4 * w ** 2 * z ** 3) * r.r_pp)
+        return gunit * (1.0 / (2 * w * z ** 2) * r.r_sp
+                        + 1.0 / (4 * w ** 2 * z ** 3) * r.r_pp)
+    return ounit * (-1.0 / (2 * w * z ** 2) * r.r_sp
+                    - 1.0 / (4 * w ** 2 * z ** 3) * r.r_pp)
 
 
 def axion_difference(quantity: str, regime: str, epsilon: float, theta: float,
-                     z: float, transition: Transition,
-                     constants: Constants = SCALED) -> float:
+                     z: float, transition: Transition) -> float:
     """Closed-form with-minus-without-axion difference laws (Delta << 1).
 
     retarded:     factor 2*Delta/(1+n)^2 on the mirror-type oscillation
     nonretarded:  factor Delta/(eps+1) on the z^-2 terms, and
-                  d^2 Delta/(16 pi^2 eps0 hbar z^3 (eps+1)) for the
+                  d^2 Delta/(16 pi^2 z^3 (eps+1)) for the
                   nonresonant shift
     """
     if epsilon <= 0:
@@ -412,22 +390,21 @@ def axion_difference(quantity: str, regime: str, epsilon: float, theta: float,
     dlt = axion_delta(0.0, theta)
     w = transition.frequency
     d2 = transition.dipole_squared
-    cc, mu0, hbar, eps0 = constants.c, constants.mu0, constants.hbar, constants.eps0
-    zeta = w * z / cc
+    zeta = w * z
     if regime == "retarded":
         factor = 2.0 * dlt / (1.0 + math.sqrt(epsilon)) ** 2
         if quantity == "rate":
-            return mu0 * w ** 2 * d2 / (4 * math.pi * hbar * z) * math.cos(2 * zeta) * factor
+            return w ** 2 * d2 / (4 * math.pi * z) * math.cos(2 * zeta) * factor
         if quantity == "resonant_shift":
-            return mu0 * w ** 2 * d2 / (8 * math.pi * hbar * z) * math.sin(2 * zeta) * factor
+            return w ** 2 * d2 / (8 * math.pi * z) * math.sin(2 * zeta) * factor
         raise ValueError("retarded nonresonant difference is not a stated law")
     factor = dlt / (epsilon + 1.0)
     if quantity == "rate":
-        return -mu0 * w * d2 * cc / (8 * math.pi * hbar * z ** 2) * factor
+        return -w * d2 / (8 * math.pi * z ** 2) * factor
     if quantity == "resonant_shift":
-        return mu0 * w * d2 * cc / (16 * math.pi * hbar * z ** 2) * factor
+        return w * d2 / (16 * math.pi * z ** 2) * factor
     if quantity == "nonresonant_shift":
-        return d2 / (16 * math.pi ** 2 * eps0 * hbar * z ** 3) * factor
+        return d2 / (16 * math.pi ** 2 * z ** 3) * factor
     raise ValueError(f"unknown quantity {quantity!r}")
 
 

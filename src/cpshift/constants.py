@@ -2,9 +2,10 @@
 
 Two constant sets are provided:
 
-* ``SI``      -- CODATA 2018 values in SI units.
-* ``SCALED``  -- the dimensionless system used internally for all curve
-  production: c = hbar = mu0 = eps0 = 1.  Together with the canonical
+* ``SI``      -- CODATA 2018 values in SI units, used only at the SI
+  boundary (:class:`cpshift.units.UnitsPolicy`).
+* ``SCALED``  -- the one system the physics runs in:
+  c = hbar = mu0 = eps0 = 1.  Together with the canonical
   transition (frequency 1, circular dipole magnitude sqrt(3*pi)) the
   free-space decay rate mu0*w**3*d**2/(3*pi*hbar*c) equals exactly 1, so
   computed rates and shifts come out directly in free-space-rate units

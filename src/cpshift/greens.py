@@ -8,7 +8,8 @@ the closed forms and the quadrature return it, and
 `PlanarTensors.sandwich` contracts it with a dipole.
 
 The azimuthal integral over the reflected-wave dyadics is done analytically,
-leaving three radial kernels (with q = omega/c):
+leaving three radial kernels (with q = omega, in the package's units
+c = hbar = mu0 = eps0 = 1):
 
     xx (= yy):   e^{2 i k_perp z} [ r_ss - r_pp k_perp^2/q^2 ]
     zz:          e^{2 i k_perp z} 2 r_pp k_par^2/q^2
@@ -18,11 +19,11 @@ and G_ab = (i/8pi) * integral over the k_par half-line with measure
 (k_par/k_perp) dk_par.  One quadrature (`numeric_greens`) takes this
 integral on both frequency axes, as segments of one k-plane path.  On the
 evanescent segment k_perp = i*t, the measure contributes -i dt, k_par =
-sqrt(t^2 + (omega/c)^2), and e^{-2 t z} damps the kernels.  For real omega
+sqrt(t^2 + omega^2), and e^{-2 t z} damps the kernels.  For real omega
 t runs from 0, and a propagating segment comes first: k_perp = t in (0, q],
 whose Jacobian cancels the 1/k_perp of the measure exactly.  For
 omega = i*xi the Wick-rotated path is the evanescent segment alone, started
-at t = xi/c where k_par = 0; every factor is real there, and the tensor
+at t = xi where k_par = 0; every factor is real there, and the tensor
 comes out real (Schwarz reflection principle).  On both axes
 G = (i/8pi) * (propagating - i * evanescent), with no propagating term on
 the imaginary axis.
@@ -34,7 +35,7 @@ per height of a scan on the real axis, one per (z, xi) of a batch on the
 imaginary axis.  Every round evaluates the reflection matrix once, on the
 nodes of all new panels, and each node serves all three kernels.
 `scattering_greens_numeric` is the one-point case.  The nonresonant shift
-integrates `_kernels` over s = c k_perp/(i xi) instead.
+integrates `_kernels` over s = k_perp/(i xi) instead.
 
 A reflection matrix that does not depend on k_par leaves elementary
 integrals, so the tensor of every such medium has a closed form
@@ -53,7 +54,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import Constants, SCALED
 from .media import PerfectConductor, PerfectNonreciprocalMirror, ReflectionMatrix
 from .quadrature import QuadratureConfig, QuadratureError, integrate_batch
 # integrate is not called here but stays importable from this module:
@@ -154,13 +154,12 @@ def _heights(z) -> np.ndarray:
     return z
 
 
-def closed_form_greens(z, omega, r: ReflectionMatrix,
-                       constants: Constants = SCALED) -> PlanarTensors:
+def closed_form_greens(z, omega, r: ReflectionMatrix) -> PlanarTensors:
     """The tensor of a reflection matrix r that does not depend on k_par, at
     heights z and frequencies omega, real or i*xi, broadcast against each
     other.
 
-    With q = omega/c the measure (k_par/k_perp) dk_par is -dk_perp, so
+    With q = omega the measure (k_par/k_perp) dk_par is -dk_perp, so
     every entry is a combination of J_n = int k_perp^n e^{2 i k_perp z}
     dk_perp from i*inf to q:  G_xx = (i/8pi)(r_ss J0 - r_pp J2/q^2), G_zz = (i/8pi) 2 r_pp
     (J0 - J2/q^2), G_xy = (i/8pi)(r_sp + r_ps) J1/q.  With y = 1/(2iqz),
@@ -169,7 +168,7 @@ def closed_form_greens(z, omega, r: ReflectionMatrix,
     """
     shape = np.broadcast_shapes(np.shape(z), np.shape(omega))
     z = _heights(z)
-    q = np.asarray(omega) / constants.c
+    q = np.asarray(omega)
     if not np.all(np.isfinite(q) & (q != 0)):
         raise ValueError(f"omega must be finite and nonzero, got {omega}")
     y = -0.5j / (q * z)
@@ -183,39 +182,37 @@ def closed_form_greens(z, omega, r: ReflectionMatrix,
                          np.zeros(shape), np.zeros(shape, dtype=int))
 
 
-def greens_perfect_conductor(z, omega, constants: Constants = SCALED) -> PlanarTensors:
+def greens_perfect_conductor(z, omega) -> PlanarTensors:
     """Closed-form conductor tensor (G_xy = 0); see closed_form_greens."""
-    return closed_form_greens(z, omega, PerfectConductor().constant_reflection, constants)
+    return closed_form_greens(z, omega, PerfectConductor().constant_reflection)
 
 
-def greens_nonreciprocal_mirror(z, omega, sign: float = -1.0,
-                                constants: Constants = SCALED) -> PlanarTensors:
+def greens_nonreciprocal_mirror(z, omega, sign: float = -1.0) -> PlanarTensors:
     """Closed-form conversion-mirror tensor (only G_xy = -G_yx is nonzero);
     see closed_form_greens."""
     r = PerfectNonreciprocalMirror(sign).constant_reflection
-    return closed_form_greens(z, omega, r, constants)
+    return closed_form_greens(z, omega, r)
 
 
-def _kernels(medium, omega, z, c, kp, kpar):
+def _kernels(medium, omega, z, kp, kpar):
     """The radial kernels (xx, zz, xy) at nodes of (complex) k_perp kp and
     (real) k_par kpar; omega is a scalar or an array aligned with them."""
-    q = omega / c
-    r = medium.reflection(omega, kpar, c=c)
+    r = medium.reflection(omega, kpar)
     damp = np.exp(2j * kp * z) if np.any(z) else 1.0
-    return (damp * (r.r_ss - r.r_pp * kp ** 2 / q ** 2),
-            damp * 2.0 * r.r_pp * kpar ** 2 / q ** 2,
-            damp * (r.r_sp + r.r_ps) * kp / q)
+    return (damp * (r.r_ss - r.r_pp * kp ** 2 / omega ** 2),
+            damp * 2.0 * r.r_pp * kpar ** 2 / omega ** 2,
+            damp * (r.r_sp + r.r_ps) * kp / omega)
 
 
-def numeric_greens(z, omega, medium, constants: Constants = SCALED,
+def numeric_greens(z, omega, medium,
                    config: QuadratureConfig | None = None) -> PlanarTensors:
     """Scattering tensor by k-quadrature at every height z[j] > 0, at one real
     omega > 0 or at omega = i*xi[j] (finite xi > 0) aligned with z, in one
     lockstep call.
 
     Every point integrates the three kernels on the evanescent segment,
-    k_perp = i*t, t in [lo, lo + kappa_max], k_par = sqrt(t^2 + (omega/c)^2),
-    measure -i dt, with lo = xi/c on the imaginary axis and 0 on the real
+    k_perp = i*t, t in [lo, lo + kappa_max], k_par = sqrt(t^2 + omega^2),
+    measure -i dt, with lo = xi on the imaginary axis and 0 on the real
     one; a real omega first takes the propagating segment, k_perp = t in
     (0, q], k_par = sqrt(q^2 - t^2).  Owner S*j + s integrates the three
     kernels on segment s of point j, with S = 2 segments on the real axis
@@ -223,15 +220,14 @@ def numeric_greens(z, omega, medium, constants: Constants = SCALED,
     """
     z = _heights(z)
     cfg = config or QuadratureConfig()
-    c = constants.c
     w = np.asarray(omega, dtype=complex)
     if w.ndim == 0 and w.imag == 0 and 0 < w.real < np.inf:
         w = complex(w)  # a scalar: per-node omega arrays slow the reflection
-        q = w.real / c
+        q = w.real
         segments, lo, q2 = 2, np.zeros(z.size), np.full(z.size, q * q)
     elif np.all((w.real == 0) & (w.imag > 0) & (w.imag < np.inf)):
         z, xi = np.broadcast_arrays(z, np.atleast_1d(w.imag))
-        q, segments, lo, q2 = 0.0, 1, xi / c, -(xi / c) ** 2
+        q, segments, lo, q2 = 0.0, 1, xi, -xi ** 2
         w = 1j * xi
     else:
         raise ValueError(f"need one finite real omega > 0, or i*xi with finite "
@@ -239,7 +235,7 @@ def numeric_greens(z, omega, medium, constants: Constants = SCALED,
     owner_z = np.repeat(z, segments)
     owner_q2 = np.repeat(q2, segments)
     prop = np.tile(np.arange(segments) < segments - 1, z.size)
-    # k_perp = unit * t and k_par^2 = (omega/c)^2 - k_perp^2, with unit 1 on
+    # k_perp = unit * t and k_par^2 = omega^2 - k_perp^2, with unit 1 on
     # the propagating segment and i on the evanescent one
     owner_unit = np.where(prop, 1.0 + 0j, 1j)
     owner_sign = np.where(prop, -1.0, 1.0)
@@ -247,7 +243,7 @@ def numeric_greens(z, omega, medium, constants: Constants = SCALED,
     def f(t, owner):
         kpar2 = t * t * owner_sign[owner] + owner_q2[owner]
         return np.stack(_kernels(
-            medium, w[owner] if segments == 1 else w, owner_z[owner], c,
+            medium, w[owner] if segments == 1 else w, owner_z[owner],
             t * owner_unit[owner], np.sqrt(np.maximum(kpar2, 0.0))), axis=-1)
 
     owner_lo = np.repeat(lo, segments)
@@ -270,7 +266,6 @@ def numeric_greens(z, omega, medium, constants: Constants = SCALED,
 
 
 def scattering_greens_numeric(point: EvaluationPoint, medium,
-                              constants: Constants = SCALED,
                               config: QuadratureConfig | None = None) -> PlanarTensors:
     """Quadrature evaluation of the scattering tensor at one point."""
-    return numeric_greens(point.z, point.frequency, medium, constants, config).point(0)
+    return numeric_greens(point.z, point.frequency, medium, config).point(0)

@@ -4,6 +4,8 @@ Three media are supported: a perfect electric conductor, a perfect
 nonreciprocal mirror (pure s<->p conversion with a fixed sign), and a
 half-space with permittivity/permeability plus an axion magneto-electric
 coupling theta.  Medium 1 (where the atom sits) is always vacuum.
+Frequencies and wavenumbers are in the package's units, c = hbar = mu0 =
+eps0 = 1.
 
 All reflection evaluations are vectorized over k_par and accept real
 frequencies as well as purely imaginary omega = i*xi, either one omega for
@@ -76,9 +78,8 @@ def delta(theta1: float, theta2: float) -> float:
     return ALPHA_FS * (theta2 - theta1) / math.pi
 
 
-def perpendicular_wavenumber(omega, k_par, epsilon: float = 1.0, mu: float = 1.0,
-                             c: float = 1.0):
-    """k_perp = sqrt(eps*mu*omega^2/c^2 - k_par^2) with Im >= 0.
+def perpendicular_wavenumber(omega, k_par, epsilon: float = 1.0, mu: float = 1.0):
+    """k_perp = sqrt(eps*mu*omega^2 - k_par^2) with Im >= 0.
 
     Branch: Im(k_perp) >= 0 so that e^{i k_perp z} decays for z > 0; on the
     real axis (propagating waves) the root with Re >= 0 is taken.  Works for
@@ -88,7 +89,7 @@ def perpendicular_wavenumber(omega, k_par, epsilon: float = 1.0, mu: float = 1.0
     k_par = np.asarray(k_par, dtype=float)
     if np.any((np.asarray(omega) == 0) & (k_par == 0)):
         raise ValueError("k_perp undefined at omega = k_par = 0")
-    kz = np.sqrt(epsilon * mu * (omega / c) ** 2 - k_par ** 2 + 0j)
+    kz = np.sqrt(epsilon * mu * omega ** 2 - k_par ** 2 + 0j)
     # np.sqrt of a negative real with -0j imaginary part lands on the wrong
     # side of the cut; fold everything back onto Im >= 0.
     kz = np.where(kz.imag < 0, -kz, kz)
@@ -100,7 +101,7 @@ class _ConstantReflection:
     """A medium whose reflection matrix is its `constant_reflection` at
     every (omega, k_par)."""
 
-    def reflection(self, omega, k_par, c: float = 1.0) -> ReflectionMatrix:
+    def reflection(self, omega, k_par) -> ReflectionMatrix:
         shape = np.shape(k_par)
         one = np.ones(shape) if shape else 1.0
         r = self.constant_reflection
@@ -171,9 +172,9 @@ class AxionMedium:
         return ReflectionMatrix(r_ss=-self.delta ** 2 / den, r_sp=x, r_ps=x,
                                 r_pp=self.delta ** 2 / den)
 
-    def reflection(self, omega, k_par, c: float = 1.0) -> ReflectionMatrix:
-        k1 = perpendicular_wavenumber(omega, k_par, 1.0, 1.0, c)
-        k2 = perpendicular_wavenumber(omega, k_par, self.epsilon, self.mu, c)
+    def reflection(self, omega, k_par) -> ReflectionMatrix:
+        k1 = perpendicular_wavenumber(omega, k_par, 1.0, 1.0)
+        k2 = perpendicular_wavenumber(omega, k_par, self.epsilon, self.mu)
         dd = self.delta ** 2
         den = (k1 + k2) * (self.epsilon * k1 + k2) + k1 * k2 * dd
         pole = np.flatnonzero(den == 0)
@@ -195,6 +196,11 @@ class ConstantReflectionMedium(_ConstantReflection):
     r_sp: complex = 0.0
     r_ps: complex = 0.0
     r_pp: complex = 0.0
+
+    def __post_init__(self):
+        values = (self.r_ss, self.r_sp, self.r_ps, self.r_pp)
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"reflection coefficients must be finite, got {values}")
 
     @property
     def constant_reflection(self) -> ReflectionMatrix:

@@ -28,7 +28,6 @@ from .atomics import (asymptotic, AsymptoticCase, greens_grid,
 from .atomics import greens_tensor, nonresonant_shift_terms  # noqa: F401
 from .config import (ConfigError, MEDIUM_PARAMETERS, QUANTITY_COLUMNS, ScanConfig,
                      build_medium, zeta_grid)
-from .constants import SCALED
 from .quadrature import QuadratureConfig, QuadratureError
 from .units import canonical_transition, free_space_rate_formula
 from .version import __version__
@@ -96,15 +95,14 @@ def _scan_values(zetas, medium, transition, quantities, qcfg: QuadratureConfig):
     Each quantity is one batched call over every grid point (the rate and
     the resonant shift share their tensors).  Returns (values[N, Q], summed
     quadrature error estimate per point, summed integrand evaluations per
-    point; both 0 where a closed form ran).  In scaled units z = zeta
-    directly; the normalization Gamma0 is computed rather than assumed 1 so
+    point; both 0 where a closed form ran).  The heights are z = zeta/w;
+    the normalization Gamma0 is computed rather than assumed 1 so
     non-canonical transitions stay correct.  A failure raises ScanError
     naming the zeta of the failing point.
     """
-    con = SCALED
     w = transition.frequency
-    z = zetas * con.c / w
-    gamma0 = free_space_rate_formula(transition, con)
+    z = zetas / w
+    gamma0 = free_space_rate_formula(transition)
     err = np.zeros(zetas.size)
     neval = np.zeros(zetas.size, dtype=int)
     s = None
@@ -112,16 +110,16 @@ def _scan_values(zetas, medium, transition, quantities, qcfg: QuadratureConfig):
     try:
         for q in quantities:
             if q in ("rate", "resonant_shift") and s is None:
-                g = greens_grid(medium, z, w, con, qcfg)
+                g = greens_grid(medium, z, w, qcfg)
                 s = g.sandwich(transition.dipole)
                 err += g.quad_error
                 neval += g.neval
             if q == "rate":
-                columns.append(2.0 * con.mu0 / con.hbar * w ** 2 * s.imag / gamma0)
+                columns.append(2.0 * w ** 2 * s.imag / gamma0)
             elif q == "resonant_shift":
-                columns.append(-con.mu0 / con.hbar * w ** 2 * s.real / gamma0)
+                columns.append(-w ** 2 * s.real / gamma0)
             elif q == "nonresonant_shift":
-                terms = nonresonant_shift_grid(transition, z, medium, con, qcfg)
+                terms = nonresonant_shift_grid(transition, z, medium, qcfg)
                 err += terms.quad_error
                 neval += terms.neval
                 columns.append(terms.total / gamma0)
@@ -287,7 +285,7 @@ def figure(name: str, out_dir, qcfg: QuadratureConfig | None = None) -> list:
                                         (q,), _OSC_GRID, out, qcfg))
         elif name == "loglog_nres":
             transition = canonical_transition("plus")
-            gamma0 = free_space_rate_formula(transition, SCALED)
+            gamma0 = free_space_rate_formula(transition)
             for medium_kind in _MIRRORS:
                 collect(_trace_scan(f"loglog_nres_{medium_kind}", medium_kind,
                                     ("nonresonant_shift",), _LOG_GRID, out, qcfg))

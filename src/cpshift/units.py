@@ -1,9 +1,15 @@
 """Units policy, atomic transitions and free-space reference quantities.
 
-Internally everything runs in the scaled system (see :mod:`cpshift.constants`):
-frequencies in units of the transition frequency, lengths in units of c/w,
-rates and shifts in units of the free-space decay rate.  SI enters only at
-the boundaries, through :class:`UnitsPolicy` conversions.
+The physics (media, Green's tensors, rates and shifts) runs in one unit
+system only, the scaled one of :mod:`cpshift.constants`: c = hbar = mu0 =
+eps0 = 1.  With a reference frequency omega_ref as the frequency unit,
+lengths come in units of c/omega_ref, and a dipole of magnitude
+sqrt(3 pi) at frequency 1 has free-space rate exactly 1, so rates and
+shifts come in units of the reference transition's free-space rate.  SI
+enters only at the boundary, through :class:`UnitsPolicy`: `from_si` takes
+an SI frequency, height or dipole into the scaled system, and `to_si` takes
+a scaled rate or shift back.  `free_space_rate_formula` is the one formula
+that also evaluates in SI, for checks at that boundary.
 """
 from __future__ import annotations
 
@@ -19,8 +25,8 @@ from .constants import SCALED, SCALED_DIPOLE_MAGNITUDE, SI, Constants
 class Transition:
     """One downward atomic transition n -> k.
 
-    dipole    : complex 3-vector d_nk (C*m in SI, dimensionless scaled)
-    frequency : transition frequency, > 0 (rad/s in SI, scaled otherwise)
+    dipole    : complex 3-vector d_nk
+    frequency : transition frequency, > 0
     labels    : (upper, lower) level indices
     """
 
@@ -139,9 +145,11 @@ class AtomModel:
 class UnitsPolicy:
     """Converts between scaled and SI quantities.
 
-    mode "scaled": frequencies in units of omega_ref, lengths in c/omega_ref,
-    rates and shifts in units of the free-space rate of the reference
-    transition.  mode "si": rad/s, meters, rates in 1/s.
+    Scaled units: frequencies in units of omega_ref, lengths in c/omega_ref,
+    dipoles in units of dipole_ref/sqrt(3 pi), rates and shifts in units of
+    the free-space rate of the reference transition (omega_ref, dipole_ref).
+    SI: rad/s, meters, C*m, rates and shifts in 1/s.  `mode` says in which
+    of the two `free_space_rate` reports.
 
     omega_ref  : reference transition frequency in rad/s
     dipole_ref : reference dipole magnitude in C*m
@@ -159,10 +167,6 @@ class UnitsPolicy:
                              f"omega_ref={self.omega_ref}, dipole_ref={self.dipole_ref}")
 
     @property
-    def constants(self) -> Constants:
-        return SI if self.mode == "si" else SCALED
-
-    @property
     def length_ref(self) -> float:
         """Length unit c/omega_ref in meters."""
         return SI.c / self.omega_ref
@@ -172,7 +176,7 @@ class UnitsPolicy:
         """Free-space rate of the reference transition in 1/s."""
         return SI.mu0 * self.omega_ref**3 * self.dipole_ref**2 / (3.0 * math.pi * SI.hbar * SI.c)
 
-    # quantity kinds: frequency, length, rate (shifts convert like rates)
+    # quantity kinds: frequency, length, dipole, rate (shifts convert like rates)
     def to_si(self, value: float, kind: str) -> float:
         scale = self._scale(kind)
         return value * scale
@@ -189,7 +193,8 @@ class UnitsPolicy:
         if kind in ("rate", "shift"):
             return self.rate_ref
         if kind == "dipole":
-            return self.dipole_ref
+            # dipole_ref maps to the canonical scaled magnitude sqrt(3 pi)
+            return self.dipole_ref / SCALED_DIPOLE_MAGNITUDE
         raise ValueError(f"unknown quantity kind {kind!r}")
 
 

@@ -247,6 +247,14 @@ def test_medium_rejects_non_finite_and_magnetic_parameters():
             AxionMedium(**bad)
 
 
+def test_constant_medium_rejects_non_finite_coefficients():
+    ConstantReflectionMedium(r_ss=0.3 - 0.1j, r_pp=np.complex128(0.5))
+    for name in ("r_ss", "r_sp", "r_ps", "r_pp"):
+        for bad in (math.nan, math.inf, complex(0.0, -math.inf), complex(math.nan, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                ConstantReflectionMedium(**{name: bad})
+
+
 def test_pole_error_names_the_node():
     # eps = mu = 1: the shared denominator vanishes on the lightline k_par = q
     with pytest.raises(PoleError) as excinfo:

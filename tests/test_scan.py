@@ -230,11 +230,11 @@ def test_pole_in_batched_scan_names_its_zeta(tmp_path, monkeypatch):
     # kappa_max = 20/z > 100 reach it, here zeta = 0.1 and 0.05
     reflection = AxionMedium.reflection
 
-    def pole_beyond_100(self, omega, k_par, c=1.0):
+    def pole_beyond_100(self, omega, k_par):
         hit = np.flatnonzero(np.abs(np.asarray(k_par)) > 100.0)
         if hit.size:
             raise PoleError("test pole", owner=int(hit[0]))
-        return reflection(self, omega, k_par, c=c)
+        return reflection(self, omega, k_par)
 
     monkeypatch.setattr(AxionMedium, "reflection", pole_beyond_100)
     cfg = ScanConfig(medium_kind="axion", epsilon=16.0, zeta_min=0.05, zeta_max=0.8,

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cpshift.atomics import decay_rate
 from cpshift.constants import SCALED, SI
+from cpshift.media import PerfectConductor
 from cpshift.units import (AtomModel, Transition, UnitsPolicy, canonical_transition,
                            circular_dipole, free_space_rate, free_space_rate_formula)
 
@@ -122,12 +124,31 @@ def test_units_policy_round_trips():
 
 def test_units_policy_reference_scales():
     pol = UnitsPolicy()
-    assert pol.constants is SCALED
     assert math.isclose(pol.length_ref, SI.c / pol.omega_ref, rel_tol=1e-14)
     expected = SI.mu0 * pol.omega_ref ** 3 * pol.dipole_ref ** 2 / (
         3.0 * math.pi * SI.hbar * SI.c)
     assert math.isclose(pol.rate_ref, expected, rel_tol=1e-14)
-    assert UnitsPolicy(mode="si").constants is SI
+    # the reference dipole is the canonical scaled one
+    assert math.isclose(pol.from_si(pol.dipole_ref, "dipole"),
+                        math.sqrt(3.0 * math.pi), rel_tol=1e-15)
+
+
+def test_units_policy_carries_si_transitions_to_si_rates():
+    # a transition that is not the reference one, taken into scaled units
+    # and its rates back to SI
+    pol = UnitsPolicy(mode="si", omega_ref=2.5e15, dipole_ref=1.0e-29)
+    d_si, w_si = 2.3e-29, 3.1e15
+    tr_si = Transition(circular_dipole(d_si), w_si)
+    tr = Transition(circular_dipole(pol.from_si(d_si, "dipole")),
+                    pol.from_si(w_si, "frequency"))
+    gamma0_si = free_space_rate_formula(tr_si, SI)
+    assert math.isclose(pol.to_si(free_space_rate_formula(tr), "rate"), gamma0_si,
+                        rel_tol=1e-14)
+    # conductor contact limit: the body-induced rate is -Gamma0, to
+    # O(zeta^2) = 1e-6, here in 1/s
+    z = pol.from_si(1e-3 * SI.c / w_si, "length")
+    rate = pol.to_si(decay_rate(tr, z, PerfectConductor()), "rate")
+    assert math.isclose(rate, -gamma0_si, rel_tol=1e-6)
 
 
 def test_units_policy_validation():
