@@ -11,11 +11,11 @@ frequency axis.
 from .version import __version__
 from .constants import ALPHA_FS, Constants, SCALED, SCALED_DIPOLE_MAGNITUDE, SI
 from .units import (AtomModel, Transition, UnitsPolicy, canonical_transition,
-                    circular_dipole, free_space_rate, free_space_rate_formula)
+                    circular_dipole, free_space_rate_formula)
 from .quadrature import QuadratureConfig, QuadratureError, QuadResult, integrate
 from .media import (AxionMedium, ConstantReflectionMedium,
                     PerfectConductor, PerfectNonreciprocalMirror,
-                    Polarization, PoleError, ReflectionMatrix, delta,
+                    PoleError, ReflectionMatrix, delta,
                     nonretarded_limit_coefficients, perpendicular_wavenumber,
                     retarded_limit_coefficients)
 from .greens import (EvaluationPoint, PlanarTensors, generalized_im,
@@ -34,10 +34,10 @@ __all__ = [
     "__version__",
     "ALPHA_FS", "Constants", "SCALED", "SCALED_DIPOLE_MAGNITUDE", "SI",
     "AtomModel", "Transition", "UnitsPolicy", "canonical_transition",
-    "circular_dipole", "free_space_rate", "free_space_rate_formula",
+    "circular_dipole", "free_space_rate_formula",
     "QuadratureConfig", "QuadratureError", "QuadResult", "integrate",
     "AxionMedium", "ConstantReflectionMedium", "PerfectConductor",
-    "PerfectNonreciprocalMirror", "Polarization", "PoleError",
+    "PerfectNonreciprocalMirror", "PoleError",
     "ReflectionMatrix", "delta", "nonretarded_limit_coefficients",
     "perpendicular_wavenumber", "retarded_limit_coefficients",
     "EvaluationPoint", "PlanarTensors", "generalized_im", "generalized_re",

@@ -195,7 +195,7 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
     """Both terms of the nonresonant shift at every height z[j] > 0.
 
     With k_perp = i s xi, s(i xi) = (xi/8 pi) int_1^inf ds e^{-2 s xi z}
-    P(s), where P sandwiches the kernels (`_kernels` at z = 0) and, the media
+    P(s), where P sandwiches the kernels (`_kernels`, weight 1) and, the media
     being nondispersive, does not depend on xi.  The xi-integral done first
     (`_moments`) leaves, with b = 2 s w z,
         dw_nres = (w^3/8 pi^2) int_1^inf ds [Im P B4(b) - Re P B3(b)],
@@ -217,7 +217,7 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
                                 neval=np.zeros(z.size, dtype=int))
 
     def f(tau, owner):
-        k = _kernels(medium, 1j * w, 0.0, 1j * w / tau,
+        k = _kernels(medium, 1j * w, 1j * w / tau,
                      w * np.sqrt(1.0 - tau * tau) / tau)
         p = PlanarTensors(*k, None, None).sandwich(transition.dipole)
         _, _, _, b3, b4 = _moments(scale[owner] / tau)

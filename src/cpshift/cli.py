@@ -49,12 +49,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--medium", required=True, choices=tuple(MEDIUM_KINDS))
         p.add_argument("--zeta", required=True, type=float,
                        help="scaled distance w z / c")
-        # values in the config-file syntax, e.g. `--theta 1.0pi`; argparse
-        # reads a separate `-1.0pi` as an option, so a negative one is attached
+        # values in the config-file syntax, e.g. `--theta 1.0pi`
         for name, kind in MEDIUM_PARAMETERS.items():
             cls = MEDIUM_KINDS[kind]
-            note = (f"; radians or a pi-multiple, a negative one attached with "
-                    f"'=': --{name}=-1.0pi"
+            note = ("; radians or a pi-multiple"
                     if cls.__dataclass_fields__[name].metadata.get("angle") else "")
             p.add_argument(f"--{name}", help=f"{kind} parameter "
                                              f"(default {getattr(cls, name):g}){note}")
@@ -77,10 +75,25 @@ def _single_point(args) -> int:
     return 0
 
 
+def _attach_medium_values(argv) -> list:
+    """`--theta -1.0pi` as `--theta=-1.0pi`: argparse reads a separate token
+    that starts with '-' as an option unless it is a plain negative number,
+    so `-1.0pi` and `-1e-3` would leave the flag without its value."""
+    flags = {f"--{name}" for name in MEDIUM_PARAMETERS}
+    out = []
+    for token in argv:
+        if out and out[-1] in flags and token.startswith("-"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_medium_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the config-error code
         return 0 if exc.code == 0 else 1

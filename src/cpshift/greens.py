@@ -19,12 +19,15 @@ and G_ab = (i/8pi) * integral over the k_par half-line with measure
 (k_par/k_perp) dk_par.  One quadrature (`numeric_greens`) takes this
 integral on both frequency axes, as segments of one k-plane path.  On the
 evanescent segment k_perp = i*t, the measure contributes -i dt, k_par =
-sqrt(t^2 + omega^2), and e^{-2 t z} damps the kernels.  For real omega
-t runs from 0, and a propagating segment comes first: k_perp = t in (0, q],
-whose Jacobian cancels the 1/k_perp of the measure exactly.  For
-omega = i*xi the Wick-rotated path is the evanescent segment alone, started
-at t = xi where k_par = 0; every factor is real there, and the tensor
-comes out real (Schwarz reflection principle).  On both axes
+sqrt(t^2 + omega^2), and e^{-2 t z} damps the kernels.  This segment runs
+to t = inf, through the map t = lo + (1 - x)/(2 z x) of x in (0, 1], with
+Jacobian 1/(2 z x^2) (QUADPACK's infinite-range transform), so no cutoff
+enters the tensor.  For real omega t runs from lo = 0, and a propagating
+segment comes first: k_perp = t in (0, q], whose Jacobian cancels the
+1/k_perp of the measure exactly.  For omega = i*xi the Wick-rotated path is
+the evanescent segment alone, started at t = lo = xi where k_par = 0; every
+factor is real there, and the tensor comes out real (Schwarz reflection
+principle).  On both axes
 G = (i/8pi) * (propagating - i * evanescent), with no propagating term on
 the imaginary axis.
 
@@ -194,14 +197,15 @@ def greens_nonreciprocal_mirror(z, omega, sign: float = -1.0) -> PlanarTensors:
     return closed_form_greens(z, omega, r)
 
 
-def _kernels(medium, omega, z, kp, kpar):
+def _kernels(medium, omega, kp, kpar, weight=1.0):
     """The radial kernels (xx, zz, xy) at nodes of (complex) k_perp kp and
-    (real) k_par kpar; omega is a scalar or an array aligned with them."""
+    (real) k_par kpar, each times `weight` (the k-quadrature passes
+    e^{2 i k_perp z} times its Jacobian); omega and weight are scalars or
+    arrays aligned with the nodes."""
     r = medium.reflection(omega, kpar)
-    damp = np.exp(2j * kp * z) if np.any(z) else 1.0
-    return (damp * (r.r_ss - r.r_pp * kp ** 2 / omega ** 2),
-            damp * 2.0 * r.r_pp * kpar ** 2 / omega ** 2,
-            damp * (r.r_sp + r.r_ps) * kp / omega)
+    return (weight * (r.r_ss - r.r_pp * kp ** 2 / omega ** 2),
+            weight * 2.0 * r.r_pp * kpar ** 2 / omega ** 2,
+            weight * (r.r_sp + r.r_ps) * kp / omega)
 
 
 def numeric_greens(z, omega, medium,
@@ -211,10 +215,11 @@ def numeric_greens(z, omega, medium,
     lockstep call.
 
     Every point integrates the three kernels on the evanescent segment,
-    k_perp = i*t, t in [lo, lo + kappa_max], k_par = sqrt(t^2 + omega^2),
-    measure -i dt, with lo = xi on the imaginary axis and 0 on the real
-    one; a real omega first takes the propagating segment, k_perp = t in
-    (0, q], k_par = sqrt(q^2 - t^2).  Owner S*j + s integrates the three
+    k_perp = i*t, t in [lo, inf), k_par = sqrt(t^2 + omega^2), measure
+    -i dt, with lo = xi on the imaginary axis and 0 on the real one; the
+    segment is integrated over x in (0, 1], t = lo + (1 - x)/(2 z x).  A
+    real omega first takes the propagating segment, k_perp = t in (0, q],
+    k_par = sqrt(q^2 - t^2).  Owner S*j + s integrates the three
     kernels on segment s of point j, with S = 2 segments on the real axis
     and 1 on the imaginary one.  A failure's `owner` is the index j.
     """
@@ -234,24 +239,30 @@ def numeric_greens(z, omega, medium,
                          f"xi > 0, got {omega}")
     owner_z = np.repeat(z, segments)
     owner_q2 = np.repeat(q2, segments)
+    owner_lo = np.repeat(lo, segments)
     prop = np.tile(np.arange(segments) < segments - 1, z.size)
     # k_perp = unit * t and k_par^2 = omega^2 - k_perp^2, with unit 1 on
     # the propagating segment and i on the evanescent one
     owner_unit = np.where(prop, 1.0 + 0j, 1j)
     owner_sign = np.where(prop, -1.0, 1.0)
 
-    def f(t, owner):
+    def f(x, owner):
+        # the propagating segment integrates t = x over [0, q]; the
+        # evanescent one maps t in [lo, inf) onto x in (0, 1]
+        p = prop[owner]
+        zo = owner_z[owner]
+        t = np.where(p, x, owner_lo[owner] + (1.0 - x) / (2.0 * zo * x))
+        kp = t * owner_unit[owner]
         kpar2 = t * t * owner_sign[owner] + owner_q2[owner]
+        jac = np.where(p, 1.0, 1.0 / (2.0 * zo * x * x))
         return np.stack(_kernels(
-            medium, w[owner] if segments == 1 else w, owner_z[owner],
-            t * owner_unit[owner], np.sqrt(np.maximum(kpar2, 0.0))), axis=-1)
+            medium, w[owner] if segments == 1 else w, kp,
+            np.sqrt(np.maximum(kpar2, 0.0)), jac * np.exp(2j * kp * zo)), axis=-1)
 
-    owner_lo = np.repeat(lo, segments)
-    hi = np.where(prop, q, owner_lo + cfg.kappa_cutoff / (2.0 * owner_z))
     try:
         values, errors, neval = integrate_batch(
-            f, owner_lo, hi, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-            max_depth=cfg.max_depth, max_panels=cfg.max_panels)
+            f, np.zeros(prop.size), np.where(prop, q, 1.0), rel_tol=cfg.rel_tol,
+            abs_tol=cfg.abs_tol, max_depth=cfg.max_depth, max_panels=cfg.max_panels)
     except (ArithmeticError, QuadratureError) as exc:
         if getattr(exc, "owner", None) is not None:
             exc.owner //= segments

@@ -22,24 +22,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .constants import ALPHA_FS
 
 __all__ = [
-    "Polarization", "ReflectionMatrix", "PoleError",
+    "ReflectionMatrix", "PoleError",
     "PerfectConductor", "PerfectNonreciprocalMirror", "AxionMedium",
     "ConstantReflectionMedium",
     "delta", "perpendicular_wavenumber",
     "retarded_limit_coefficients", "nonretarded_limit_coefficients",
 ]
-
-
-class Polarization(Enum):
-    s = "s"
-    p = "p"
 
 
 class PoleError(ArithmeticError):
@@ -65,9 +59,6 @@ class ReflectionMatrix:
     r_sp: complex
     r_ps: complex
     r_pp: complex
-
-    def entry(self, outgoing: Polarization, incoming: Polarization):
-        return getattr(self, f"r_{outgoing.value}{incoming.value}")
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.r_ss, self.r_sp], [self.r_ps, self.r_pp]])

@@ -88,7 +88,7 @@ class QuadratureConfig:
     max_panels   : hard budget on simultaneously live panels of one
                    quadrature call, shared by all its owners (see
                    integrate_batch)
-    kappa_cutoff : evanescent truncation, kappa_max = kappa_cutoff / (2 z)
+    kappa_cutoff : affects no result; kept only as perfbench/make_reference.py reads it
     xi_cutoff    : affects no result; kept only as perfbench/make_reference.py reads it
     """
 

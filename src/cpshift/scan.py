@@ -147,8 +147,7 @@ def _write_manifest(path: Path, command: str, config: dict, qcfg: QuadratureConf
     """Write the manifest of a run that started at t0: status "ok", or
     "failed" with `error` (the quadrature errors are then NaN, and the
     evaluation count None)."""
-    quadrature = {"rel_tol": qcfg.rel_tol, "xi_rel_tol": qcfg.xi_rel_tol,
-                  "kappa_cutoff": qcfg.kappa_cutoff}
+    quadrature = {"rel_tol": qcfg.rel_tol, "xi_rel_tol": qcfg.xi_rel_tol}
     manifest = RunManifest(command=command, config=config, quadrature=quadrature,
                            wall_time_s=time.perf_counter() - t0, points=points,
                            quad_error_max=quad_error[0], quad_error_mean=quad_error[1],

@@ -8,8 +8,7 @@ sqrt(3 pi) at frequency 1 has free-space rate exactly 1, so rates and
 shifts come in units of the reference transition's free-space rate.  SI
 enters only at the boundary, through :class:`UnitsPolicy`: `from_si` takes
 an SI frequency, height or dipole into the scaled system, and `to_si` takes
-a scaled rate or shift back.  `free_space_rate_formula` is the one formula
-that also evaluates in SI, for checks at that boundary.
+a scaled rate or shift back.
 """
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import SCALED, SCALED_DIPOLE_MAGNITUDE, SI, Constants
+from .constants import SCALED_DIPOLE_MAGNITUDE, SI
 
 
 @dataclass(frozen=True)
@@ -47,11 +46,6 @@ class Transition:
                              f"got {self.frequency}")
         object.__setattr__(self, "dipole", d)
         d.setflags(write=False)
-
-    @property
-    def dipole_conj(self) -> np.ndarray:
-        """d_kn = conj(d_nk)."""
-        return np.conj(self.dipole)
 
     @property
     def dipole_squared(self) -> float:
@@ -148,20 +142,16 @@ class UnitsPolicy:
     Scaled units: frequencies in units of omega_ref, lengths in c/omega_ref,
     dipoles in units of dipole_ref/sqrt(3 pi), rates and shifts in units of
     the free-space rate of the reference transition (omega_ref, dipole_ref).
-    SI: rad/s, meters, C*m, rates and shifts in 1/s.  `mode` says in which
-    of the two `free_space_rate` reports.
+    SI: rad/s, meters, C*m, rates and shifts in 1/s.
 
     omega_ref  : reference transition frequency in rad/s
     dipole_ref : reference dipole magnitude in C*m
     """
 
-    mode: str = "scaled"
     omega_ref: float = 2.5e15
     dipole_ref: float = 1.0e-29
 
     def __post_init__(self):
-        if self.mode not in ("scaled", "si"):
-            raise ValueError(f"mode must be 'scaled' or 'si', got {self.mode!r}")
         if not all(math.isfinite(v) and v > 0 for v in (self.omega_ref, self.dipole_ref)):
             raise ValueError(f"reference scales must be positive and finite, got "
                              f"omega_ref={self.omega_ref}, dipole_ref={self.dipole_ref}")
@@ -198,20 +188,9 @@ class UnitsPolicy:
         raise ValueError(f"unknown quantity kind {kind!r}")
 
 
-def free_space_rate(transition: Transition, policy: UnitsPolicy | None = None) -> float:
-    """Free-space spontaneous-emission rate of the transition.
-
-    SI mode evaluates mu0*w**3*d**2/(3*pi*hbar*c); scaled mode returns
-    exactly 1 by convention (every scaled transition is normalized to its
-    own free-space rate).
-    """
-    if policy is None or policy.mode == "scaled":
-        return 1.0
-    return free_space_rate_formula(transition, SI)
-
-
-def free_space_rate_formula(transition: Transition, constants: Constants = SCALED) -> float:
-    """The rate formula itself, in whatever unit system `constants` encodes."""
+def free_space_rate_formula(transition: Transition) -> float:
+    """Free-space rate w**3 |d|**2/(3 pi) of the transition, in the package's
+    units (`UnitsPolicy.rate_ref` is the same formula in SI)."""
     w = transition.frequency
     d2 = transition.dipole_squared
-    return constants.mu0 * w**3 * d2 / (3.0 * math.pi * constants.hbar * constants.c)
+    return w**3 * d2 / (3.0 * math.pi)

@@ -339,18 +339,18 @@ def test_nonresonant_grid_under_a_small_panel_budget_matches_point_calls():
 
 
 def test_batched_failures_name_the_height():
-    # a stand-in pole that only heights z < 0.2 reach on the real axis, at
-    # k_par > 100 (kappa_max = 20/z)
+    # a stand-in pole at one frequency of an imaginary-axis batch: every
+    # height reaches every k_par, so only omega = 0.3i tells the points apart
     class PoleMedium(PerfectConductor):
         def reflection(self, omega, k_par):
-            hit = np.flatnonzero(np.abs(np.asarray(k_par)) > 100.0)
+            hit = np.flatnonzero(np.broadcast_to(omega, np.shape(k_par)) == 0.3j)
             if hit.size:
                 raise PoleError("stand-in pole", owner=int(hit[0]))
             return super().reflection(omega, k_par)
 
     z = np.array([2.0, 1.0, 0.1, 0.05])
     with pytest.raises(PoleError) as excinfo:
-        numeric_greens(z, 1.0, PoleMedium())
+        numeric_greens(z, 1j * np.array([0.1, 0.2, 0.3, 0.4]), PoleMedium())
     assert excinfo.value.owner == 2
     # P(s) is the same for every height, but the s-integrand narrows towards
     # tau = 0 as z falls: under a depth cap of 5 only z = 1e-3 fails

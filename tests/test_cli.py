@@ -53,14 +53,16 @@ def test_rates_axion_with_pi_multiple_theta(capsys):
 
 
 def test_negative_pi_multiple_attached_with_equals(capsys):
-    # argparse reads a separate `-1.0pi` as an option; attached with `=` it
-    # is the angle -pi, as the flag's help says
+    # a negative angle is the same value attached with `=` or as a separate
+    # token, which argparse alone would read as an option
     args = ("rates", "--medium", "axion", "--epsilon", "16", "--zeta", "0.7")
     code, out, _ = run(capsys, *args, "--theta=-1.0pi")
     assert code == 0
     assert out == run(capsys, *args, "--theta=-3.141592653589793")[1]
-    code, out, _ = run(capsys, "rates", "--help")
-    assert code == 0 and "--theta=-1.0pi" in "".join(out.split())
+    for value in ("-1.0pi", "-1e-3"):
+        attached = run(capsys, *args, f"--theta={value}")
+        assert attached[0] == 0
+        assert run(capsys, *args, "--theta", value) == attached
 
 
 def test_rates_handedness_flip(capsys):

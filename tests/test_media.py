@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cpshift.constants import ALPHA_FS
 from cpshift.media import (AxionMedium, ConstantReflectionMedium, PerfectConductor,
-                           PerfectNonreciprocalMirror, PoleError, Polarization,
+                           PerfectNonreciprocalMirror, PoleError,
                            ReflectionMatrix, delta, nonretarded_limit_coefficients,
                            perpendicular_wavenumber, retarded_limit_coefficients)
 
@@ -225,7 +225,7 @@ def test_constant_reflection_is_the_reflection_at_every_k(k_par, xi, theta):
 
 def test_reflection_matrix_container():
     r = ReflectionMatrix(r_ss=-0.5, r_sp=0.1, r_ps=0.1, r_pp=0.5)
-    assert r.entry(Polarization.s, Polarization.p) == 0.1
+    assert (r.r_ss, r.r_sp, r.r_ps, r.r_pp) == (-0.5, 0.1, 0.1, 0.5)
     assert np.allclose(r.as_array(), [[-0.5, 0.1], [0.1, 0.5]])
 
 

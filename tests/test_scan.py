@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from cpshift.atomics import (decay_rate, greens_tensor, nonresonant_shift,
                              nonresonant_shift_terms, resonant_shift)
 from cpshift.config import ConfigError, ScanConfig
-from cpshift.constants import SCALED
 from cpshift.scan import FIGURE_NAMES, ScanError, figure, run_scan
 from cpshift.media import AxionMedium, PerfectConductor, PerfectNonreciprocalMirror, PoleError
 from cpshift.units import canonical_transition, free_space_rate_formula
@@ -204,7 +203,7 @@ def test_batched_scan_equals_point_calls_bit_for_bit(tmp_path, kind, handedness,
     result = run_scan(cfg, tmp_path)
     medium = cfg.build_medium()
     tr = canonical_transition(handedness)
-    gamma0 = free_space_rate_formula(tr, SCALED)
+    gamma0 = free_space_rate_formula(tr)
     for zeta, row in zip(result.zetas, result.values):
         z = float(zeta)  # scaled units: c = w = 1
         assert row[0] == decay_rate(tr, z, medium) / gamma0
@@ -226,8 +225,8 @@ def test_failing_scan_names_a_grid_zeta(tmp_path):
 
 
 def test_pole_in_batched_scan_names_its_zeta(tmp_path, monkeypatch):
-    # a pole far out on the evanescent segment: only heights with
-    # kappa_max = 20/z > 100 reach it, here zeta = 0.1 and 0.05
+    # a pole far out on the evanescent segment, which every height reaches;
+    # the failure names the grid zeta of the owner that hit it first
     reflection = AxionMedium.reflection
 
     def pole_beyond_100(self, omega, k_par):

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpshift.atomics import decay_rate
-from cpshift.constants import SCALED, SI
+from cpshift.constants import SI
 from cpshift.media import PerfectConductor
 from cpshift.units import (AtomModel, Transition, UnitsPolicy, canonical_transition,
-                           circular_dipole, free_space_rate, free_space_rate_formula)
+                           circular_dipole, free_space_rate_formula)
 
 
 def test_circular_dipole_components():
@@ -40,8 +40,7 @@ def test_canonical_transition_normalization():
     assert tr.frequency == 1.0
     assert math.isclose(tr.dipole_squared, 3.0 * math.pi, rel_tol=1e-14)
     # the whole point of the scaled system: Gamma0 is exactly 1
-    assert abs(free_space_rate_formula(tr, SCALED) - 1.0) < 1e-14
-    assert free_space_rate(tr) == 1.0
+    assert abs(free_space_rate_formula(tr) - 1.0) < 1e-14
 
 
 def test_canonical_handedness_conjugate():
@@ -50,7 +49,6 @@ def test_canonical_handedness_conjugate():
     assert np.allclose(minus.dipole, np.conj(plus.dipole))
     assert np.allclose(plus.conjugated().dipole, minus.dipole)
     assert np.allclose(plus.conjugated().conjugated().dipole, plus.dipole)
-    assert np.allclose(plus.dipole_conj, np.conj(plus.dipole))
 
 
 def test_transition_validation():
@@ -114,7 +112,7 @@ def test_atom_model_transition_lookup():
 
 
 def test_units_policy_round_trips():
-    pol = UnitsPolicy(mode="si", omega_ref=2.5e15, dipole_ref=1.0e-29)
+    pol = UnitsPolicy(omega_ref=2.5e15, dipole_ref=1.0e-29)
     for kind in ("frequency", "length", "rate", "shift", "dipole"):
         assert math.isclose(pol.from_si(pol.to_si(3.7, kind), kind), 3.7,
                             rel_tol=1e-14)
@@ -136,12 +134,12 @@ def test_units_policy_reference_scales():
 def test_units_policy_carries_si_transitions_to_si_rates():
     # a transition that is not the reference one, taken into scaled units
     # and its rates back to SI
-    pol = UnitsPolicy(mode="si", omega_ref=2.5e15, dipole_ref=1.0e-29)
+    pol = UnitsPolicy(omega_ref=2.5e15, dipole_ref=1.0e-29)
     d_si, w_si = 2.3e-29, 3.1e15
     tr_si = Transition(circular_dipole(d_si), w_si)
     tr = Transition(circular_dipole(pol.from_si(d_si, "dipole")),
                     pol.from_si(w_si, "frequency"))
-    gamma0_si = free_space_rate_formula(tr_si, SI)
+    gamma0_si = SI.mu0 * w_si ** 3 * d_si ** 2 / (3.0 * math.pi * SI.hbar * SI.c)
     assert math.isclose(pol.to_si(free_space_rate_formula(tr), "rate"), gamma0_si,
                         rel_tol=1e-14)
     # conductor contact limit: the body-induced rate is -Gamma0, to
@@ -153,18 +151,9 @@ def test_units_policy_carries_si_transitions_to_si_rates():
 
 def test_units_policy_validation():
     with pytest.raises(ValueError):
-        UnitsPolicy(mode="natural")
-    with pytest.raises(ValueError):
         UnitsPolicy(omega_ref=0.0)
     for bad in (dict(omega_ref=math.nan), dict(omega_ref=math.inf),
                 dict(dipole_ref=math.nan), dict(dipole_ref=math.inf)):
         with pytest.raises(ValueError, match="finite"):
             UnitsPolicy(**bad)
 
-
-def test_free_space_rate_si_mode():
-    pol = UnitsPolicy(mode="si")
-    tr = Transition(circular_dipole(1.0e-29), 2.5e15)
-    got = free_space_rate(tr, pol)
-    assert math.isclose(got, free_space_rate_formula(tr, SI), rel_tol=1e-14)
-    assert got > 0
