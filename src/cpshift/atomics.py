@@ -125,12 +125,32 @@ def _moment_table():
     return b, m_factorial * (1.0 / (m + 1 - 1j * b + t)).imag / b ** m
 
 
+# Si(x)/x and Ci(x) - gamma - ln x as power series in x^2 (Abramowitz &
+# Stegun 5.2.14, 5.2.16), highest power first; at x = 2 the last term is
+# below 1e-24 of the sum.
+_SICI_POWERS = np.arange(15, -1, -1)
+_SICI_COEFFS = np.array([
+    [(-1) ** n / ((2 * n + 1) * math.factorial(2 * n + 1)),
+     (-1) ** n / (2 * n * math.factorial(2 * n)) if n else 0.0]
+    for n in _SICI_POWERS.tolist()])
+
+
+def _sici(x):
+    """(Si(x), Ci(x)) at every 0 < x < 2.  Both series are summed in one
+    einsum over the powers, highest first, which rounds better than lowest
+    first; it does not go through BLAS, so a point's value does not depend
+    on the other points of its batch."""
+    s = np.einsum("nk,kc->cn", (x * x)[:, None] ** _SICI_POWERS, _SICI_COEFFS)
+    return x * s[0], np.euler_gamma + np.log(x) + s[1]
+
+
 def _moments(b):
     """(B0, ..., B4) at every b > 0, B_n(b) = int_0^inf x^n e^{-bx}/(x^2+1) dx.
 
     Below b = 2, B0 = f(b), B1 = g(b), B2 = 1/b - f, B3 = 1/b^2 - g and
     B4 = 2/b^3 - 1/b + f, with f, g the auxiliary functions of the sine and
-    cosine integrals (Abramowitz & Stegun 5.2).  Above, where those cancel,
+    cosine integrals (Abramowitz & Stegun 5.2), Si and Ci from their power
+    series (`_sici`).  Above, where those cancel,
     dB_n/db = -B_{n+1} gives Taylor terms of B3 and B4 falling by about
     2^-11 each, and from _FAR on two terms of the asymptotic series suffice;
     all three hold to a few ulp, so no switch leaves a step.  From B3 and
@@ -139,12 +159,11 @@ def _moments(b):
     b = 2: each B_n is a small part of n!/b^(n+1).  A region without points
     is skipped: the s-integral calls this once per round on a few dozen.
     """
-    from scipy.special import sici  # a quarter second at import; only this needs it
     out = np.empty((5,) + b.shape)
     near = b < 2.0
     if near.any():
         x = b[near]
-        si, ci = sici(x)
+        si, ci = _sici(x)
         si, sin, cos = si - 0.5 * np.pi, np.sin(x), np.cos(x)
         cs, sc, cc, ss = ci * sin, si * cos, ci * cos, si * sin
         f, r = cs - sc, 1.0 / x
@@ -453,6 +472,8 @@ def _rate_table(rate_matrix, num_levels: int) -> dict:
         if not (0 <= k < n < num_levels):
             raise ValueError(f"transition ({n}, {k}) is not downward within "
                              f"{num_levels} levels; upward entries are rejected")
+        if not math.isfinite(rate):
+            raise ValueError(f"non-finite rate {rate} for transition ({n}, {k})")
         if rate < 0:
             raise ValueError(f"negative total rate {rate} for transition "
                              f"({n}, {k}); body-induced part exceeds free space")
@@ -462,12 +483,13 @@ def _rate_table(rate_matrix, num_levels: int) -> dict:
 
 def evolve_populations(atom: AtomModel, rate_matrix, t_grid,
                        initial: PopulationState | np.ndarray | None = None) -> np.ndarray:
-    """Integrate dp_n/dt = -Gamma_n p_n + sum_{k>n} Gamma_kn p_k.
+    """Solve dp_n/dt = -Gamma_n p_n + sum_{k>n} Gamma_kn p_k exactly.
 
     rate_matrix maps downward transitions (upper, lower) -> total rate >= 0
     (dict, or square array filled on the strict lower triangle).  Returns the
     trajectory as an array of shape (len(t_grid), num_levels); row i is the
-    population vector at t_grid[i].  Default initial state: topmost level.
+    population vector at t_grid[i], exp(A (t_i - t_0)) p_0 for the constant
+    triangular generator A.  Default initial state: topmost level.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1 or np.any(np.diff(t) <= 0):
@@ -490,9 +512,22 @@ def evolve_populations(atom: AtomModel, rate_matrix, t_grid,
         raise ValueError(f"initial state has {state.populations.size} entries, "
                          f"atom has {nlev} levels")
 
-    from scipy.integrate import solve_ivp  # 0.6 s at import; only this needs it
-    sol = solve_ivp(lambda _, p: gen @ p, (t[0], t[-1]), state.populations,
-                    t_eval=t, method="DOP853", rtol=1e-11, atol=1e-13)
-    if not sol.success:
-        raise RuntimeError(f"population integration failed: {sol.message}")
-    return sol.y.T
+    return np.array([_expm_triangular(gen * (ti - t[0])) @ state.populations
+                     for ti in t])
+
+
+def _expm_triangular(a):
+    """exp(a) of a triangular matrix by scaling and squaring (Higham 2005):
+    a degree-18 Taylor polynomial of a / 2^s with 1-norm below 1, whose
+    remainder is below 1/19! < 1e-17, squared s times.  Each square gets
+    its exact diagonal exp(a_ii / 2^j), which squaring alone would carry
+    with its rounding amplified 2^s times (Al-Mohy & Higham 2009)."""
+    s = max(0, math.frexp(np.abs(a).sum(axis=0).max())[1])
+    x, one = a / 2.0 ** s, np.eye(len(a))
+    e = one
+    for k in range(18, 0, -1):
+        e = one + (x @ e) / k
+    for j in range(s - 1, -1, -1):
+        e = e @ e
+        np.fill_diagonal(e, np.exp(np.diag(a) / 2.0 ** j))
+    return e

@@ -51,29 +51,28 @@ class QuadratureError(RuntimeError):
         self.owner = owner
 
 
-# 15-point Kronrod extension of 7-point Gauss, nodes ascending on [-1, 1].
+# 15-point Kronrod extension of 7-point Gauss, nodes ascending on [-1, 1]:
+# the doubles nearest the exact constants, from scripts/gauss_kronrod.py.
 _K15_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
+    -0.99145537112081261, -0.94910791234275849, -0.8648644233597691,
+    -0.74153118559939446, -0.58608723546769115, -0.40584515137739718,
+    -0.20778495500789848, 0, 0.20778495500789848,
+    0.40584515137739718, 0.58608723546769115, 0.74153118559939446,
+    0.8648644233597691, 0.94910791234275849, 0.99145537112081261,
 ])
 _K15_WEIGHTS = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
+    0.022935322010529224, 0.063092092629978558, 0.10479001032225019,
+    0.14065325971552592, 0.16900472663926791, 0.19035057806478542,
+    0.20443294007529889, 0.20948214108472782, 0.20443294007529889,
+    0.19035057806478542, 0.16900472663926791, 0.14065325971552592,
+    0.10479001032225019, 0.063092092629978558, 0.022935322010529224,
 ])
 # Gauss-7 weights placed at the shared nodes (odd indices), zero elsewhere.
 _G7_WEIGHTS = np.zeros(15)
 _G7_WEIGHTS[1::2] = [
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
+    0.1294849661688697, 0.27970539148927664, 0.38183005050511892,
+    0.4179591836734694, 0.38183005050511892, 0.27970539148927664,
+    0.1294849661688697,
 ]
 
 

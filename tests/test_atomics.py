@@ -1,5 +1,6 @@
 """Rates, resonant/nonresonant shifts, asymptotic laws, difference laws."""
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -285,8 +286,11 @@ def test_xi_moments_against_mpmath():
     # B4 = 2/b^3 - 1/b + f(b), with the sine/cosine auxiliary functions f
     # and g, at 60 digits, which absorb the cancellation: on both sides of
     # the switch at b = 2 and far into the range where double precision
-    # would lose every digit
-    b = np.concatenate([np.geomspace(1e-3, 1e7, 41), [2.0 - 1e-12, 2.0, 2.0 + 1e-12]])
+    # would lose every digit; below the switch, where Si and Ci come from
+    # their power series, densely and up to its last representable points
+    b = np.concatenate([np.geomspace(1e-3, 1e7, 41), [2.0 - 1e-12, 2.0, 2.0 + 1e-12],
+                        np.geomspace(1e-6, 2.0, 201)[:-1],
+                        2.0 - np.geomspace(1e-14, 1e-2, 25)])
     moments = _moments(b)
     for j, x in enumerate(b):
         with mpmath.workdps(60):
@@ -363,16 +367,61 @@ def test_batched_failures_name_the_height():
     assert excinfo.value.owner == 2
 
 
-def test_import_leaves_the_heavy_scipy_modules_unloaded():
-    # scipy.integrate (populations) and scipy.special (the nonresonant
-    # shift) are imported where they are used, not by `import cpshift`
+_SCIPY_FREE_RUN = r"""
+import math, sys, tempfile
+from pathlib import Path
+if sys.argv[1] == "blocked":
+    class NoScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError(f"{name} is blocked")
+    sys.meta_path.insert(0, NoScipy())
+    try:
+        import scipy
+    except ImportError:
+        pass
+    else:
+        raise SystemExit("scipy was not blocked")
+import cpshift
+from cpshift import cli
+from cpshift.atomics import evolve_populations, nonresonant_shift
+from cpshift.media import AxionMedium, PerfectConductor, PerfectNonreciprocalMirror
+from cpshift.units import AtomModel, canonical_transition
+tr = canonical_transition()
+for medium in (PerfectConductor(), PerfectNonreciprocalMirror(),
+               AxionMedium(epsilon=16.0, theta=math.pi)):
+    print(repr(nonresonant_shift(tr, 0.4, medium)))
+atom = AtomModel((0.0, 1.0, 2.5), {(1, 0): [1.0, 0.0, 0.0], (2, 1): [1.0, 0.0, 0.0],
+                                   (2, 0): [1.0, 0.0, 0.0]})
+print(evolve_populations(atom, {(2, 1): 1.0, (1, 0): 0.5, (2, 0): 0.25},
+                         [0.0, 0.5, 3.0]).tolist())
+assert cli.main(["rates", "--medium", "axion", "--zeta", "0.7"]) == 0
+assert cli.main(["shift", "--medium", "perfect_conductor", "--zeta", "0.5"]) == 0
+with tempfile.TemporaryDirectory() as out:
+    cfg = Path(out) / "scan.cfg"
+    cfg.write_text("medium = axion\nepsilon = 16\ntheta = 1.0pi\nzeta_min = 0.3\n"
+                   "zeta_max = 2.0\ncount = 3\nname = window\n"
+                   "quantities = rate, resonant_shift, nonresonant_shift\n")
+    assert cli.main(["scan", "--config", str(cfg), "--out", out]) == 0
+    print((Path(out) / "window.csv").read_text(), end="")
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_runtime_runs_with_scipy_blocked():
+    # numpy is the only runtime dependency: with every scipy import made to
+    # fail, the library, the population solver and the CLI give the same
+    # numbers as a run that could import it, and neither run loads scipy
     src = str(Path(cpshift.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import cpshift; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.special') "
-            "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "[]"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = {mode: subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN, mode],
+                                capture_output=True, text=True, env=env)
+           for mode in ("blocked", "open")}
+    for run in out.values():
+        assert run.returncode == 0, run.stderr
+    assert out["blocked"].stdout == out["open"].stdout
+    assert out["blocked"].stdout.splitlines()[-1] == "[]"
+    assert len(out["blocked"].stdout.splitlines()) == 13
 
 
 def test_reciprocal_medium_im_term_vanishes():

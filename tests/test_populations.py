@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cpshift.atomics import PopulationState, evolve_populations
+from cpshift.atomics import PopulationState, _expm_triangular, evolve_populations
 from cpshift.units import AtomModel
 
 TWO_LEVEL = AtomModel((0.0, 1.0), {(1, 0): [1.0, 0.0, 0.0]})
@@ -31,6 +31,24 @@ def test_three_level_cascade_against_matrix_exponential():
     p0 = np.array([0.0, 0.0, 1.0])
     for i, ti in enumerate(t):
         assert np.abs(traj[i] - expm(gen * ti) @ p0).max() < 1e-9
+
+
+@pytest.mark.parametrize("stiff", [False, True])
+def test_exponential_against_scipy_on_random_generators(stiff):
+    # seeded triangular generators of 2-5 levels; the stiff ones draw rates
+    # over six decades, so 2^s squarings amplify any error on the diagonal
+    rng = np.random.default_rng(7 + stiff)
+    for _ in range(200):
+        n = int(rng.integers(2, 6))
+        gen = np.zeros((n, n))
+        for upper in range(n):
+            for lower in range(upper):
+                g = 10.0 ** rng.uniform(-3, 3) if stiff else rng.uniform(0.0, 2.0)
+                gen[upper, upper] -= g
+                gen[lower, upper] += g
+        a = gen * 10.0 ** rng.uniform(-2, 3)
+        ref = expm(a)
+        assert np.abs(_expm_triangular(a) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_population_conservation():
@@ -65,6 +83,9 @@ def test_rate_table_validation():
         evolve_populations(TWO_LEVEL, {(0, 1): 1.0}, t)      # upward
     with pytest.raises(ValueError):
         evolve_populations(TWO_LEVEL, {(1, 0): -0.5}, t)     # negative total
+    for rate in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            evolve_populations(TWO_LEVEL, {(1, 0): rate}, t)
     with pytest.raises(ValueError):
         evolve_populations(TWO_LEVEL, np.zeros((3, 3)), t)   # wrong shape
     bad = np.zeros((2, 2))

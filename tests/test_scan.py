@@ -225,20 +225,24 @@ def test_failing_scan_names_a_grid_zeta(tmp_path):
 
 
 def test_pole_in_batched_scan_names_its_zeta(tmp_path, monkeypatch):
-    # a pole far out on the evanescent segment, which every height reaches;
-    # the failure names the grid zeta of the owner that hit it first
+    # every height integrates its evanescent segment over x in (0, 1] with
+    # t = (1 - x)/(2 zeta x), so the first round's central node x = 1/2 of
+    # the third grid point alone sits at t = 1/(2 zeta_2); a stand-in pole
+    # there must name zeta_2, not the first or any other owner
     reflection = AxionMedium.reflection
+    cfg = ScanConfig(medium_kind="axion", epsilon=16.0, zeta_min=0.05, zeta_max=0.8,
+                     count=4, spacing="log", quantities=("rate",), name="pole")
+    zeta = cfg.grid()[2]
+    k_pole = math.sqrt(1.0 + (0.5 / zeta) ** 2)
 
-    def pole_beyond_100(self, omega, k_par):
-        hit = np.flatnonzero(np.abs(np.asarray(k_par)) > 100.0)
+    def pole_of_one_height(self, omega, k_par):
+        hit = np.flatnonzero(np.abs(np.abs(np.asarray(k_par)) / k_pole - 1.0) < 1e-12)
         if hit.size:
             raise PoleError("test pole", owner=int(hit[0]))
         return reflection(self, omega, k_par)
 
-    monkeypatch.setattr(AxionMedium, "reflection", pole_beyond_100)
-    cfg = ScanConfig(medium_kind="axion", epsilon=16.0, zeta_min=0.05, zeta_max=0.8,
-                     count=4, spacing="log", quantities=("rate",), name="pole")
+    monkeypatch.setattr(AxionMedium, "reflection", pole_of_one_height)
     with pytest.raises(ScanError) as excinfo:
         run_scan(cfg, tmp_path)
-    assert excinfo.value.zeta == cfg.grid()[0]
-    assert "PoleError at zeta=0.05" in str(excinfo.value)
+    assert excinfo.value.zeta == zeta
+    assert f"PoleError at zeta={zeta:.6g}" in str(excinfo.value)

@@ -4,6 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from cpshift.quadrature import _G7_WEIGHTS, _K15_NODES, _K15_WEIGHTS
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -33,3 +37,14 @@ def test_reproduce_figures_writes_one_figure(tmp_path):
         assert lines[0] == "zeta,gamma_ratio" and len(lines) == 401
     manifest = json.loads((tmp_path / "gamma_mirrors.manifest.json").read_text())
     assert manifest["status"] == "ok" and manifest["points"] == 800
+
+
+def test_gauss_kronrod_derives_the_engine_constants():
+    # the arrays the script prints are the ones quadrature.py holds, bit for bit
+    code, out = run("gauss_kronrod.py")
+    assert code == 0
+    printed = {"np": np, "_G7_WEIGHTS": np.zeros(15)}
+    exec(out, printed)
+    assert np.array_equal(printed["_K15_NODES"], _K15_NODES)
+    assert np.array_equal(printed["_K15_WEIGHTS"], _K15_WEIGHTS)
+    assert np.array_equal(printed["_G7_WEIGHTS"], _G7_WEIGHTS)
