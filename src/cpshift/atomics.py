@@ -170,6 +170,8 @@ def _moments(b):
         out[:, near] = [f, -cc - ss, r - f, 1.0 / x ** 2 + cc + ss,
                         2.0 / x ** 3 - r + cs - sc]
     hi = ~near
+    if not hi.any():
+        return out
     x = b[hi]
     grid, table = _moment_table()
     y = np.minimum(x, _FAR)  # keeps j inside the table; far points are redone

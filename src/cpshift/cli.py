@@ -7,10 +7,16 @@ Subcommands:
     shift  --medium M --zeta Z [...]    one-point shift query (CSV to stdout)
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+
+`main` builds its argument parser once per process and reuses it: building
+one costs about a millisecond, more than a closed-form scan window, while
+parsing returns a fresh namespace each call, so no value carries over from
+one call to the next.  `build_parser` itself builds a new parser each time.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -89,10 +95,12 @@ def _attach_medium_values(argv) -> list:
     return out
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(
+        args = _parser().parse_args(
             _attach_medium_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the config-error code

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import cpshift
-from cpshift.atomics import (AsymptoticCase, _moments, asymptotic,
+from cpshift.atomics import (AsymptoticCase, _moment_table, _moments, asymptotic,
                              axion_difference, decay_rate, greens_grid, greens_tensor,
                              nonresonant_shift, nonresonant_shift_grid,
                              nonresonant_shift_terms, resonant_shift,
@@ -303,6 +303,17 @@ def test_xi_moments_against_mpmath():
                     float(2 / x_mp ** 3 - 1 / x_mp + f)]
         for n, ref in enumerate(refs):
             assert abs(moments[n, j] / ref - 1) <= 4e-15, (n, x)
+
+
+def test_moments_below_two_build_no_table():
+    # the table of the b >= 2 branch costs tens of milliseconds to build;
+    # a batch below b = 2 never reads it, and its values are those the
+    # same points get inside a batch that does
+    b = np.geomspace(1e-6, 2.0, 50)[:-1]
+    with_table = _moments(np.append(b, 3.0))[:, :-1]
+    _moment_table.cache_clear()
+    assert np.array_equal(_moments(b), with_table)
+    assert _moment_table.cache_info().currsize == 0
 
 
 def test_tight_s_integral_converges_from_contact_to_far_field():

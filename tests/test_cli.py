@@ -1,10 +1,15 @@
 """Command-line surface: subcommands, exit codes, stdout CSV rows."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cpshift.cli
 from cpshift.atomics import decay_rate, nonresonant_shift, resonant_shift
 from cpshift.cli import main
 from cpshift.media import AxionMedium, PerfectNonreciprocalMirror
@@ -197,3 +202,34 @@ def test_cli_medium_flags_follow_the_table(capsys, monkeypatch):
         assert run(capsys, "rates", "--medium", kind, "--zeta", "1.5")[0] == 0
         defaults = ScanConfig(medium_kind=kind, zeta_min=1.0, zeta_max=2.0, count=2)
         assert built[-1] == defaults.build_medium(), kind
+
+
+def test_reused_parser_matches_fresh_interpreters(tmp_path, capsys):
+    # main keeps one parser per process; each call of a sequence prints and
+    # returns what it does as the first call of a fresh interpreter, so no
+    # flag value (here --theta) carries over into the next call
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("medium = nonreciprocal_mirror\nzeta_min = 0.3\nzeta_max = 2.0\n"
+                   "count = 4\nname = reuse\n", encoding="utf-8")
+
+    def calls(out):
+        return [(0, ["rates", "--medium", "axion", "--zeta", "0.7", "--theta", "-1.0pi"]),
+                (1, ["rates", "--medium", "axion", "--theta", "1.0pi"]),
+                (0, ["rates", "--medium", "axion", "--zeta", "0.7"]),
+                (0, ["scan", "--config", str(cfg), "--out", str(out)])]
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cpshift.__file__).resolve().parents[1])}
+    cpshift.cli._parser.cache_clear()
+    outs = []
+    for (code, argv), (_, fresh_argv) in zip(calls(tmp_path / "reused"),
+                                             calls(tmp_path / "fresh")):
+        reused = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "cpshift", *fresh_argv],
+                               capture_output=True, text=True, env=env)
+        assert reused[0] == fresh.returncode == code, argv
+        assert reused[1] == fresh.stdout, argv
+        outs.append(reused[1])
+    assert cpshift.cli._parser.cache_info().misses == 1
+    assert outs[0] != outs[2]  # theta = -pi, then the default theta
+    assert ((tmp_path / "reused" / "reuse.csv").read_bytes()
+            == (tmp_path / "fresh" / "reuse.csv").read_bytes())

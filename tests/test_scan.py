@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from cpshift.atomics import (decay_rate, greens_tensor, nonresonant_shift,
                              nonresonant_shift_terms, resonant_shift)
 from cpshift.config import ConfigError, ScanConfig
-from cpshift.scan import FIGURE_NAMES, ScanError, figure, run_scan
+from cpshift.scan import FIGURE_NAMES, ScanError, _format_csv, figure, run_scan
 from cpshift.media import AxionMedium, PerfectConductor, PerfectNonreciprocalMirror, PoleError
 from cpshift.units import canonical_transition, free_space_rate_formula
 
@@ -246,3 +246,21 @@ def test_pole_in_batched_scan_names_its_zeta(tmp_path, monkeypatch):
         run_scan(cfg, tmp_path)
     assert excinfo.value.zeta == zeta
     assert f"PoleError at zeta={zeta:.6g}" in str(excinfo.value)
+
+
+_CELLS = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-310, 2.2e-308,
+     1e300, -1e300, 1e-300, -1e-300]))
+
+
+@given(data=st.data(), rows=st.integers(1, 60), columns=st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_csv_text_is_one_f_string_per_cell(data, rows, columns):
+    cells = np.array(data.draw(st.lists(_CELLS, min_size=rows * (columns + 1),
+                                        max_size=rows * (columns + 1))))
+    zetas, values = cells[:rows], cells[rows:].reshape(rows, columns)
+    names = tuple(f"q{j}" for j in range(columns))
+    lines = [",".join(("zeta",) + names)]
+    for zeta, row in zip(zetas, values):
+        lines.append(",".join([f"{zeta:.11e}"] + [f"{v:.11e}" for v in row]))
+    assert _format_csv(names, zetas, values) == "\n".join(lines) + "\n"
