@@ -216,7 +216,7 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
     """Both terms of the nonresonant shift at every height z[j] > 0.
 
     With k_perp = i s xi, s(i xi) = (xi/8 pi) int_1^inf ds e^{-2 s xi z}
-    P(s), where P sandwiches the kernels (`_kernels`, weight 1) and, the media
+    P(s), where P sandwiches the kernels (`_kernels`, no weight) and, the media
     being nondispersive, does not depend on xi.  The xi-integral done first
     (`_moments`) leaves, with b = 2 s w z,
         dw_nres = (w^3/8 pi^2) int_1^inf ds [Im P B4(b) - Re P B3(b)],
@@ -239,8 +239,8 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
 
     def f(tau, owner):
         k = _kernels(medium, 1j * w, 1j * w / tau,
-                     w * np.sqrt(1.0 - tau * tau) / tau)
-        p = PlanarTensors(*k, None, None).sandwich(transition.dipole)
+                     w * w * (1.0 - tau) * (1.0 + tau) / (tau * tau))
+        p = PlanarTensors(*k.T, None, None).sandwich(transition.dipole)
         _, _, _, b3, b4 = _moments(scale[owner] / tau)
         # pack both real integrands into one complex quadrature pass
         return (p.imag * b4 + 1j * (p.real * b3)) / (tau * tau)

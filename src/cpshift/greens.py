@@ -17,28 +17,42 @@ c = hbar = mu0 = eps0 = 1):
 
 and G_ab = (i/8pi) * integral over the k_par half-line with measure
 (k_par/k_perp) dk_par.  One quadrature (`numeric_greens`) takes this
-integral on both frequency axes, as segments of one k-plane path.  On the
-evanescent segment k_perp = i*t, the measure contributes -i dt, k_par =
-sqrt(t^2 + omega^2), and e^{-2 t z} damps the kernels.  This segment runs
-to t = inf, through the map t = lo + (1 - x)/(2 z x) of x in (0, 1], with
-Jacobian 1/(2 z x^2) (QUADPACK's infinite-range transform), so no cutoff
-enters the tensor.  For real omega t runs from lo = 0, and a propagating
-segment comes first: k_perp = t in (0, q], whose Jacobian cancels the
-1/k_perp of the measure exactly.  For omega = i*xi the Wick-rotated path is
-the evanescent segment alone, started at t = lo = xi where k_par = 0; every
-factor is real there, and the tensor comes out real (Schwarz reflection
-principle).  On both axes
+integral on both frequency axes, as segments of one k-plane path, and
+evaluates the medium's reflection at the vacuum k_perp of each node.  On
+the evanescent segment k_perp = i*t, the measure contributes -i dt,
+k_par^2 = t^2 + omega^2, and e^{-2 t z} damps the kernels.  This segment
+runs to t = inf, through the map t = lo + (1 - x)/(2 z x) of x in (0, 1],
+with Jacobian 1/(2 z x^2) (QUADPACK's infinite-range transform), so no
+cutoff enters the tensor.  For real omega t runs from lo = 0, and a
+propagating segment comes first: k_perp = t in (0, q], whose Jacobian
+cancels the 1/k_perp of the measure exactly.  For omega = i*xi the
+Wick-rotated path is the evanescent segment alone, started at t = lo = xi
+where k_par = 0; every factor is real there, and the tensor comes out real
+(Schwarz reflection principle).  There e^{-2 xi z} leaves the integral as
+one factor and k_par^2 = u (u + 2 xi) with u = t - xi, so the rounding of
+t never meets 2 xi z.  On both axes
 G = (i/8pi) * (propagating - i * evanescent), with no propagating term on
 the imaginary axis.
+
+On the real axis a medium's own lightline k_par = n omega (its
+`branch_point`, n = sqrt(eps mu)) is a square-root branch point of k_2 and
+so of every coefficient: at t = q sqrt(n^2 - 1) on the evanescent segment
+for n > 1, at t = q sqrt(1 - n^2) on the propagating one for n < 1.
+Bisection would close in on that kink blindly; instead the segment that
+holds it runs over u in [0, 2] (`_branch_map`), its variable quadratic in
+u - 1 on either side of the kink, so the kink sits on the first bisection
+u = 1 and the integrand is smooth on both halves, which still share one
+tolerance.  The imaginary axis has no branch point: there k_2^2 < 0.
 
 The three kernels of one segment share one reflection matrix, so each
 segment of each point is one three-component integral, and all of them run
 as owners of one lockstep quadrature (`quadrature.integrate_batch`): two
 per height of a scan on the real axis, one per (z, xi) of a batch on the
 imaginary axis.  Every round evaluates the reflection matrix once, on the
-nodes of all new panels, and each node serves all three kernels.
-`scattering_greens_numeric` is the one-point case.  The nonresonant shift
-integrates `_kernels` over s = k_perp/(i xi) instead.
+nodes of all new panels, and each node serves all three kernels, written
+into one [nodes, 3] array.  `scattering_greens_numeric` is the one-point
+case.  The nonresonant shift integrates `_kernels` over s = k_perp/(i xi)
+instead.
 
 A reflection matrix that does not depend on k_par leaves elementary
 integrals, so the tensor of every such medium has a closed form
@@ -46,8 +60,9 @@ integrals, so the tensor of every such medium has a closed form
 axis: the two ideal mirrors (`greens_perfect_conductor`,
 `greens_nonreciprocal_mirror`), the constant test medium and the axion
 half-space at epsilon = 1.  The closed forms are the oracles of the
-quadrature, and `atomics.greens_grid` takes one for every medium that
-states its `constant_reflection`.
+quadrature (with a 20-digit mpmath table for the axion half-space,
+`scripts/make_oracle.py`), and `atomics.greens_grid` takes one for every
+medium that states its `constant_reflection`.
 """
 from __future__ import annotations
 
@@ -197,15 +212,32 @@ def greens_nonreciprocal_mirror(z, omega, sign: float = -1.0) -> PlanarTensors:
     return closed_form_greens(z, omega, r)
 
 
-def _kernels(medium, omega, kp, kpar, weight=1.0):
-    """The radial kernels (xx, zz, xy) at nodes of (complex) k_perp kp and
-    (real) k_par kpar, each times `weight` (the k-quadrature passes
-    e^{2 i k_perp z} times its Jacobian); omega and weight are scalars or
-    arrays aligned with the nodes."""
-    r = medium.reflection(omega, kpar)
-    return (weight * (r.r_ss - r.r_pp * kp ** 2 / omega ** 2),
-            weight * 2.0 * r.r_pp * kpar ** 2 / omega ** 2,
-            weight * (r.r_sp + r.r_ps) * kp / omega)
+def _kernels(medium, omega, kp, kpar2, weight=None):
+    """The radial kernels at nodes of (complex) vacuum k_perp kp with real
+    k_par^2 = kpar2, as the columns (xx, zz, xy) of one [M, 3] array, each
+    times `weight` if one is given (the k-quadrature passes e^{2 i k_perp z}
+    times its Jacobian); omega and weight are scalars or arrays aligned
+    with the nodes."""
+    r = medium.reflection(omega, kp)
+    out = np.empty(np.shape(kp) + (3,), dtype=complex)
+    out[..., 0] = r.r_ss - r.r_pp * kp ** 2 / omega ** 2
+    out[..., 1] = 2.0 * r.r_pp * kpar2 / omega ** 2
+    out[..., 2] = (r.r_sp + r.r_ps) * kp / omega
+    if weight is not None:
+        out *= np.asarray(weight)[..., None]
+    return out
+
+
+def _branch_map(u, yb, b):
+    """A segment y in [0, b] whose integrand has a square-root branch point
+    at y = yb, taken over u in [0, 2]: y = yb u (2 - u) below u = 1 and
+    yb + (b - yb)(u - 1)^2 above.  Returns (y, dy/du); y - yb goes as
+    (u - 1)^2 on both halves, so sqrt|y - yb| is smooth on each, and
+    u = 1, where the first bisection of [0, 2] falls, is a panel edge."""
+    s = u - 1.0
+    up = s > 0
+    y = np.where(up, yb + (b - yb) * (s * s), yb * u * (1.0 - s))
+    return y, 2.0 * np.abs(s) * np.where(up, b - yb, yb)
 
 
 def numeric_greens(z, omega, medium,
@@ -214,54 +246,74 @@ def numeric_greens(z, omega, medium,
     omega > 0 or at omega = i*xi[j] (finite xi > 0) aligned with z, in one
     lockstep call.
 
-    Every point integrates the three kernels on the evanescent segment,
-    k_perp = i*t, t in [lo, inf), k_par = sqrt(t^2 + omega^2), measure
-    -i dt, with lo = xi on the imaginary axis and 0 on the real one; the
-    segment is integrated over x in (0, 1], t = lo + (1 - x)/(2 z x).  A
-    real omega first takes the propagating segment, k_perp = t in (0, q],
-    k_par = sqrt(q^2 - t^2).  Owner S*j + s integrates the three
-    kernels on segment s of point j, with S = 2 segments on the real axis
-    and 1 on the imaginary one.  A failure's `owner` is the index j.
+    The segments and their variables are those of the module docstring:
+    the evanescent segment over x in (0, 1] on both axes, after the
+    propagating one over t in (0, q] for real omega, and on the real axis
+    the segment that holds the medium's `branch_point` over u in [0, 2]
+    (`_branch_map`).  Owner S*j + s integrates the three kernels on segment
+    s of point j, with S = 2 segments on the real axis and 1 on the
+    imaginary one.  A failure's `owner` is the index j.
     """
     z = _heights(z)
     cfg = config or QuadratureConfig()
     w = np.asarray(omega, dtype=complex)
     if w.ndim == 0 and w.imag == 0 and 0 < w.real < np.inf:
-        w = complex(w)  # a scalar: per-node omega arrays slow the reflection
-        q = w.real
-        segments, lo, q2 = 2, np.zeros(z.size), np.full(z.size, q * q)
+        q = w = float(w.real)  # a real scalar: omega arrays slow the kernels
+        segments = 2
+        prop = np.tile([True, False], z.size)
+        two_z = 2.0 * np.repeat(z, 2)
+        # the segments' own variables run from 0 to b: t in [0, q] on the
+        # propagating one, x in (0, 1] on the evanescent one
+        owner_b = np.tile([q, 1.0], z.size)
+        n = getattr(medium, "branch_point", None)
+        on_prop, on_evan = n is not None and n < 1, n is not None and n > 1
+        if on_evan:
+            yb = np.repeat(1.0 / (1.0 + 2.0 * z * (q * math.sqrt(n * n - 1.0))), 2)
+        elif on_prop:
+            yb = np.full(prop.size, q * math.sqrt(1.0 - n * n))
+        # k_perp = unit * t and k_par^2 = q^2 + sign * t^2, with unit 1 on
+        # the propagating segment and i on the evanescent one
+        owner_unit = np.where(prop, 1.0 + 0j, 1j)
+        owner_sign = np.where(prop, -1.0, 1.0)
+
+        def f(u, owner):
+            p = prop[owner]
+            tz = two_z[owner]
+            # mapped on every node; only the segment that holds the branch
+            # point reads the map, the other its plain variable u
+            y, dy = (_branch_map(u, yb[owner], owner_b[owner])
+                     if on_prop or on_evan else (u, 1.0))
+            yp, dyp = (y, dy) if on_prop else (u, 1.0)
+            ye, dye = (y, dy) if on_evan else (u, 1.0)
+            t = np.where(p, yp, (1.0 - ye) / (tz * ye))
+            jac = np.where(p, dyp, dye / (tz * ye * ye))
+            kp = t * owner_unit[owner]
+            return _kernels(medium, w, kp, t * t * owner_sign[owner] + q * q,
+                            jac * np.exp(1j * kp * tz))
+
+        upper = np.tile([2.0 if on_prop else q, 2.0 if on_evan else 1.0], z.size)
+        scale = np.ones(z.size)
     elif np.all((w.real == 0) & (w.imag > 0) & (w.imag < np.inf)):
         z, xi = np.broadcast_arrays(z, np.atleast_1d(w.imag))
-        q, segments, lo, q2 = 0.0, 1, xi, -xi ** 2
+        segments = 1
         w = 1j * xi
+
+        def f(x, owner):
+            zo = z[owner]
+            xo = xi[owner]
+            u = (1.0 - x) / (2.0 * zo * x)
+            return _kernels(medium, w[owner], 1j * (xo + u), u * (u + 2.0 * xo),
+                            np.exp(-2.0 * u * zo) / (2.0 * zo * x * x))
+
+        upper = np.ones(z.size)
+        scale = np.exp(-2.0 * xi * z)
     else:
         raise ValueError(f"need one finite real omega > 0, or i*xi with finite "
                          f"xi > 0, got {omega}")
-    owner_z = np.repeat(z, segments)
-    owner_q2 = np.repeat(q2, segments)
-    owner_lo = np.repeat(lo, segments)
-    prop = np.tile(np.arange(segments) < segments - 1, z.size)
-    # k_perp = unit * t and k_par^2 = omega^2 - k_perp^2, with unit 1 on
-    # the propagating segment and i on the evanescent one
-    owner_unit = np.where(prop, 1.0 + 0j, 1j)
-    owner_sign = np.where(prop, -1.0, 1.0)
-
-    def f(x, owner):
-        # the propagating segment integrates t = x over [0, q]; the
-        # evanescent one maps t in [lo, inf) onto x in (0, 1]
-        p = prop[owner]
-        zo = owner_z[owner]
-        t = np.where(p, x, owner_lo[owner] + (1.0 - x) / (2.0 * zo * x))
-        kp = t * owner_unit[owner]
-        kpar2 = t * t * owner_sign[owner] + owner_q2[owner]
-        jac = np.where(p, 1.0, 1.0 / (2.0 * zo * x * x))
-        return np.stack(_kernels(
-            medium, w[owner] if segments == 1 else w, kp,
-            np.sqrt(np.maximum(kpar2, 0.0)), jac * np.exp(2j * kp * zo)), axis=-1)
 
     try:
         values, errors, neval = integrate_batch(
-            f, np.zeros(prop.size), np.where(prop, q, 1.0), rel_tol=cfg.rel_tol,
+            f, np.zeros(upper.size), upper, rel_tol=cfg.rel_tol,
             abs_tol=cfg.abs_tol, max_depth=cfg.max_depth, max_panels=cfg.max_panels)
     except (ArithmeticError, QuadratureError) as exc:
         if getattr(exc, "owner", None) is not None:
@@ -270,9 +322,9 @@ def numeric_greens(z, omega, medium,
     pref = 1j / (8 * np.pi)
     v = values.reshape(-1, segments, 3)
     e = errors.reshape(-1, segments, 3)
-    g = pref * ((v[:, 0] if segments == 2 else 0.0) - 1j * v[:, -1])
-    return PlanarTensors(g[:, 0], g[:, 1], g[:, 2],
-                         abs(pref) * (e[:, :, 0] + e[:, :, 1] + e[:, :, 2]).sum(axis=1),
+    g = pref * ((v[:, 0] if segments == 2 else 0.0) - 1j * v[:, -1]) * scale[:, None]
+    err = abs(pref) * scale * (e[:, :, 0] + e[:, :, 1] + e[:, :, 2]).sum(axis=1)
+    return PlanarTensors(g[:, 0], g[:, 1], g[:, 2], err,
                          neval.reshape(-1, segments).sum(axis=1))
 
 

@@ -7,16 +7,24 @@ coupling theta.  Medium 1 (where the atom sits) is always vacuum.
 Frequencies and wavenumbers are in the package's units, c = hbar = mu0 =
 eps0 = 1.
 
-All reflection evaluations are vectorized over k_par and accept real
+A reflection matrix is evaluated at a frequency and at the vacuum
+wavenumber k_perp = sqrt(omega^2 - k_par^2) of the atom's side (Im >= 0,
+see `perpendicular_wavenumber`), the variable the k-plane quadrature
+integrates over; the medium's own k_2 follows from it, and k_par need not
+be formed.  Evaluations are vectorized over k_perp and accept real
 frequencies as well as purely imaginary omega = i*xi, either one omega for
-all k_par or an array of omega aligned with k_par.  Every medium here is
-nondispersive, r(i lambda xi, lambda k_par) = r(i xi, k_par) for lambda > 0;
-`atomics.nonresonant_shift_grid` relies on this.
+all nodes or an array of omega aligned with them.  Every medium here is
+nondispersive, r(i lambda xi, lambda k_perp) = r(i xi, k_perp) for
+lambda > 0; `atomics.nonresonant_shift_grid` relies on this.
 
-Each medium also states its `constant_reflection`: the reflection matrix
-if it depends neither on k_par nor on omega (the two ideal mirrors, the
-constant test medium, and the axion half-space at epsilon = 1), else None.
-`atomics` takes closed forms for exactly those media.
+Each medium also states two facts the quadrature routes on:
+`constant_reflection`, the reflection matrix if it depends neither on k_par
+nor on omega (the two ideal mirrors, the constant test medium, and the
+axion half-space at epsilon = 1), else None, and `branch_point`, the
+k_par/omega at which k_2 turns from real to imaginary, where every
+coefficient has a square-root branch point (sqrt(eps mu) for the axion
+half-space at epsilon != 1), else None.  `atomics` takes closed forms for
+the first kind; `greens.numeric_greens` puts the second on a panel edge.
 """
 from __future__ import annotations
 
@@ -39,7 +47,7 @@ __all__ = [
 class PoleError(ArithmeticError):
     """Shared reflection denominator vanished on the integration path.
 
-    `owner` is the flat index of the offending k_par node (None where that
+    `owner` is the flat index of the offending k_perp node (None where that
     is not known); a batched quadrature maps it to the integral it serves.
     """
 
@@ -52,7 +60,7 @@ class PoleError(ArithmeticError):
 class ReflectionMatrix:
     """2x2 reflection coefficients r[outgoing][incoming].
 
-    Entries may be scalars or ndarrays (vectorized over k_par).
+    Entries may be scalars or ndarrays (vectorized over k_perp).
     """
 
     r_ss: complex
@@ -90,10 +98,12 @@ def perpendicular_wavenumber(omega, k_par, epsilon: float = 1.0, mu: float = 1.0
 
 class _ConstantReflection:
     """A medium whose reflection matrix is its `constant_reflection` at
-    every (omega, k_par)."""
+    every (omega, k_perp); it has no branch point."""
 
-    def reflection(self, omega, k_par) -> ReflectionMatrix:
-        shape = np.shape(k_par)
+    branch_point = None
+
+    def reflection(self, omega, k_perp) -> ReflectionMatrix:
+        shape = np.shape(k_perp)
         one = np.ones(shape) if shape else 1.0
         r = self.constant_reflection
         return ReflectionMatrix(*(v * one for v in (r.r_ss, r.r_sp, r.r_ps, r.r_pp)))
@@ -163,25 +173,48 @@ class AxionMedium:
         return ReflectionMatrix(r_ss=-self.delta ** 2 / den, r_sp=x, r_ps=x,
                                 r_pp=self.delta ** 2 / den)
 
-    def reflection(self, omega, k_par) -> ReflectionMatrix:
-        k1 = perpendicular_wavenumber(omega, k_par, 1.0, 1.0)
-        k2 = perpendicular_wavenumber(omega, k_par, self.epsilon, self.mu)
-        dd = self.delta ** 2
-        den = (k1 + k2) * (self.epsilon * k1 + k2) + k1 * k2 * dd
+    @property
+    def branch_point(self) -> float | None:
+        """k_par/omega = sqrt(eps mu), where k_2 = sqrt(eps mu omega^2 -
+        k_par^2) vanishes; None at epsilon = 1, where it is the vacuum
+        lightline and k_2 = k_1."""
+        return None if self.epsilon == 1 else math.sqrt(self.epsilon * self.mu)
+
+    def reflection(self, omega, k_perp) -> ReflectionMatrix:
+        """The coefficients at vacuum wavenumber k1 = k_perp, with
+        k2 = sqrt(k1^2 + (eps mu - 1) omega^2) on the branch Im k2 >= 0.
+
+        k1 - k2 = -(eps mu - 1) omega^2/(k1 + k2) and
+        eps k1 - k2 = (eps - 1) k1 + (k1 - k2) carry no cancellation, so the
+        coefficients keep their relative accuracy as epsilon -> 1, where
+        they vanish with eps - 1 (and are exactly the constant ones at 1).
+        """
+        k1 = np.asarray(k_perp, dtype=complex)[()]
+        w2 = (self.epsilon * self.mu - 1.0) * omega ** 2
+        k2 = np.sqrt(k1 * k1 + w2)
+        # the radicand is real on both frequency axes; a -0j imaginary part
+        # puts np.sqrt of a negative one on the wrong side of the cut
+        k2 = np.where(k2.imag < 0, -k2, k2)[()]
+        k12 = k1 * k2
+        mix = k12 * self.delta ** 2
+        s, es = k1 + k2, self.epsilon * k1 + k2
+        den = s * es + mix
         pole = np.flatnonzero(den == 0)
         if pole.size:
             i = int(pole[0])
-            w, k = (np.broadcast_to(v, den.shape).flat[i] for v in (omega, k_par))
-            raise PoleError(f"reflection pole at omega={w}, k_par={k}", owner=i)
-        r_ss = ((k1 - k2) * (self.epsilon * k1 + k2) - k1 * k2 * dd) / den
-        r_pp = ((self.epsilon * k1 - k2) * (k1 + k2) + k1 * k2 * dd) / den
-        r_x = -2.0 * k1 * k2 * self.delta / den
+            w, k = (np.broadcast_to(v, den.shape).flat[i] for v in (omega, k1))
+            raise PoleError(f"reflection pole at omega={w}, k_perp={k}", owner=i)
+        inv = 1.0 / den
+        dk = -w2 / s  # k1 - k2
+        r_ss = (dk * es - mix) * inv
+        r_pp = (((self.epsilon - 1.0) * k1 + dk) * s + mix) * inv
+        r_x = (-2.0 * self.delta) * k12 * inv
         return ReflectionMatrix(r_ss=r_ss, r_sp=r_x, r_ps=r_x, r_pp=r_pp)
 
 
 @dataclass(frozen=True)
 class ConstantReflectionMedium(_ConstantReflection):
-    """Fixed coefficients at every (omega, k_par); single-channel test medium."""
+    """Fixed coefficients at every (omega, k_perp); single-channel test medium."""
 
     r_ss: complex = 0.0
     r_sp: complex = 0.0
@@ -207,16 +240,16 @@ def _real_constants(r: ReflectionMatrix) -> ReflectionMatrix:
 
 def retarded_limit_coefficients(medium) -> ReflectionMatrix:
     """Constant coefficients of the far-field (retarded) regime: the
-    reflection matrix at normal incidence (omega = 1, k_par = 0), as floats.
+    reflection matrix at normal incidence (omega = k_perp = 1), as floats.
 
     For the axion half-space, with n = sqrt(eps), these are e.g.
     r_ss = ((1 - n)(eps + n) - n Delta^2)/((1 + n)(eps + n) + n Delta^2).
     """
-    return _real_constants(medium.reflection(1.0, 0.0))
+    return _real_constants(medium.reflection(1.0, 1.0))
 
 
 def nonretarded_limit_coefficients(medium) -> ReflectionMatrix:
     """Constant coefficients of the near-field regime (k_par -> infinity):
-    the reflection matrix at the quasi-static point omega = 0, k_par = 1,
-    as floats."""
-    return _real_constants(medium.reflection(0.0, 1.0))
+    the reflection matrix at the quasi-static point omega = 0, k_par = 1
+    (k_perp = i), as floats."""
+    return _real_constants(medium.reflection(0.0, 1j))

@@ -229,8 +229,8 @@ class _Opaque:
     def __init__(self, medium):
         self.medium = medium
 
-    def reflection(self, omega, k_par):
-        return self.medium.reflection(omega, k_par)
+    def reflection(self, omega, k_perp):
+        return self.medium.reflection(omega, k_perp)
 
 
 @pytest.mark.parametrize("medium", [
@@ -279,6 +279,20 @@ def test_s_integral_matches_nested_xi_k_route(epsilon, theta, zeta):
     scale = max(abs(im_ref), abs(re_ref))
     assert abs(terms.im_term - im_ref) <= 1e-8 * scale
     assert abs(terms.re_term - re_ref) <= 1e-8 * scale
+
+
+def test_s_integral_converges_next_to_epsilon_one():
+    # the Fresnel numerators carry no cancellation, so a half-space one ulp
+    # off epsilon = 1 reflects (eps - 1) times a smooth function of s: the
+    # s-integral converges (its rounding noise exhausted the panel budget
+    # while k1 - k2 was a difference of two square roots), the reciprocal
+    # medium has no Im channel, and the shift is linear in eps - 1
+    terms = [nonresonant_shift_terms(TR, 1.0, AxionMedium(epsilon=1.0 + k * 2.0 ** -52,
+                                                           theta=0.0))
+             for k in (1, 2, 4)]
+    assert all(t.im_term == 0.0 and t.neval > 0 for t in terms)
+    assert terms[1].re_term == pytest.approx(2.0 * terms[0].re_term, rel=1e-9)
+    assert terms[2].re_term == pytest.approx(4.0 * terms[0].re_term, rel=1e-9)
 
 
 def test_xi_moments_against_mpmath():
@@ -336,9 +350,9 @@ def test_nonresonant_grid_under_a_small_panel_budget_matches_point_calls():
     class Counted(AxionMedium):
         nodes = 0
 
-        def reflection(self, omega, k_par):
-            Counted.nodes += np.size(k_par)
-            return super().reflection(omega, k_par)
+        def reflection(self, omega, k_perp):
+            Counted.nodes += np.size(k_perp)
+            return super().reflection(omega, k_perp)
 
     z = np.array([0.3, 0.7, 1.1, 2.0])
     m16 = Counted(epsilon=16.0, theta=math.pi)
@@ -357,11 +371,11 @@ def test_batched_failures_name_the_height():
     # a stand-in pole at one frequency of an imaginary-axis batch: every
     # height reaches every k_par, so only omega = 0.3i tells the points apart
     class PoleMedium(PerfectConductor):
-        def reflection(self, omega, k_par):
-            hit = np.flatnonzero(np.broadcast_to(omega, np.shape(k_par)) == 0.3j)
+        def reflection(self, omega, k_perp):
+            hit = np.flatnonzero(np.broadcast_to(omega, np.shape(k_perp)) == 0.3j)
             if hit.size:
                 raise PoleError("stand-in pole", owner=int(hit[0]))
-            return super().reflection(omega, k_par)
+            return super().reflection(omega, k_perp)
 
     z = np.array([2.0, 1.0, 0.1, 0.05])
     with pytest.raises(PoleError) as excinfo:

@@ -105,6 +105,51 @@ def test_closed_form_matches_the_k_quadrature(medium, z, xi):
         assert all(abs(a - b) <= 1e-9 * scale for a, b in pairs)
 
 
+def test_imaginary_axis_holds_the_closed_form_to_rounding():
+    # e^{-2 xi z} leaves the integral as one factor and k_par^2 = u (u + 2 xi)
+    # is formed from the mapped offset u = t - xi, so the rounding of t is
+    # not multiplied by 2 xi z: every entry holds to a few ulp up to
+    # 2 xi z = 600 (a factor e^{-2 t z} inside gave 3e-14 there)
+    medium = ConstantReflectionMedium(r_ss=0.3 + 0.1j, r_sp=-0.2j, r_ps=0.4,
+                                      r_pp=0.7 - 0.3j)
+    z = np.geomspace(1e-3, 100.0, 60)
+    xi = np.geomspace(600.0, 1e-2, 60) / (2.0 * z)
+    numeric = numeric_greens(z, 1j * xi, medium)
+    closed = closed_form_greens(z, 1j * xi, medium.constant_reflection)
+    for name in ("xx", "zz", "xy"):
+        a, b = getattr(numeric, name), getattr(closed, name)
+        assert np.all(np.abs(a - b) <= 1e-14 * np.abs(b)), name
+
+
+class _NoBranchPoint:
+    """The same reflection, with no branch point stated: the quadrature
+    keeps the plain segment variables."""
+
+    def __init__(self, medium):
+        self.medium = medium
+
+    def reflection(self, omega, k_perp):
+        return self.medium.reflection(omega, k_perp)
+
+
+@pytest.mark.parametrize("epsilon", [0.25, 4.0, 16.0])
+def test_branch_map_agrees_with_the_plain_segments_on_fewer_nodes(epsilon):
+    # the medium's lightline sits on the propagating segment for epsilon < 1
+    # and on the evanescent one above; the tight plain-variable tensor is the
+    # reference, and the branch map meets it closer with fewer nodes
+    medium = AxionMedium(epsilon=epsilon, theta=math.pi)
+    z = np.linspace(0.05, 8.0, 40)
+    mapped = numeric_greens(z, 1.0, medium)
+    plain = numeric_greens(z, 1.0, _NoBranchPoint(medium))
+    tight = numeric_greens(z, 1.0, _NoBranchPoint(medium), QuadratureConfig().tighter(1e-3))
+    assert mapped.neval.sum() < plain.neval.sum()
+    for name in ("xx", "zz", "xy"):
+        ref = getattr(tight, name)
+        scale = np.abs(ref).max()
+        assert np.abs(getattr(mapped, name) - ref).max() <= 1e-12 * scale, name
+        assert np.abs(getattr(plain, name) - ref).max() <= 1e-9 * scale, name
+
+
 def test_single_channel_ss_only():
     # r_ss = -1 alone: G_xx = -e^{2iqz}/(16 pi z), no zz or xy response
     z, w = 0.8, 1.0

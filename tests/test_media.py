@@ -3,13 +3,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cpshift.constants import ALPHA_FS
 from cpshift.media import (AxionMedium, ConstantReflectionMedium, PerfectConductor,
                            PerfectNonreciprocalMirror, PoleError,
                            ReflectionMatrix, delta, nonretarded_limit_coefficients,
                            perpendicular_wavenumber, retarded_limit_coefficients)
+
+
+def _at_k_par(medium, omega, k_par):
+    """The reflection at in-plane wavenumber k_par: the media take the
+    vacuum k_perp of the atom's side."""
+    return medium.reflection(omega, perpendicular_wavenumber(omega, k_par))
 
 
 def test_axion_mismatch_values():
@@ -46,9 +52,9 @@ def test_frequency_array_aligned_with_k_par():
     m = AxionMedium(epsilon=16.0, theta=math.pi)
     omega = np.array([0.5j, 2.0j, 1.0, 0.0])
     k_par = np.array([0.3, 0.0, 2.0, 1.5])
-    rv = m.reflection(omega, k_par)
+    rv = _at_k_par(m, omega, k_par)
     for i, (w, kp) in enumerate(zip(omega, k_par)):
-        rs = m.reflection(complex(w), float(kp))
+        rs = _at_k_par(m, complex(w), float(kp))
         for name in ("r_ss", "r_sp", "r_ps", "r_pp"):
             assert getattr(rv, name)[i] == pytest.approx(getattr(rs, name), rel=1e-14)
     # only a node with omega = k_par = 0 is undefined
@@ -74,13 +80,14 @@ def test_mirror_coefficients_and_sign_validation():
 
 
 def test_vacuum_axion_theta_zero_reflects_nothing():
-    r = AxionMedium(epsilon=1.0, mu=1.0, theta=0.0).reflection(1.0, 0.4)
+    r = _at_k_par(AxionMedium(epsilon=1.0, mu=1.0, theta=0.0), 1.0, 0.4)
     assert np.allclose(r.as_array(), 0.0)
 
 
 def test_dielectric_normal_incidence():
-    # eps=16, theta=0, k_par=0: r_ss = (1-4)/(1+4), r_pp = (16-4)/(16+4)
-    r = AxionMedium(epsilon=16.0, theta=0.0).reflection(1.0, 0.0)
+    # eps=16, theta=0, k_par=0 (k_perp = omega): r_ss = (1-4)/(1+4),
+    # r_pp = (16-4)/(16+4)
+    r = AxionMedium(epsilon=16.0, theta=0.0).reflection(1.0, 1.0)
     assert r.r_ss == pytest.approx(-0.6, rel=1e-14)
     assert r.r_pp == pytest.approx(0.6, rel=1e-14)
     assert r.r_sp == 0.0
@@ -90,7 +97,7 @@ def test_pure_axion_coefficients_k_independent():
     m = AxionMedium(epsilon=1.0, mu=1.0, theta=math.pi)
     dd = m.delta ** 2
     for k_par in (0.0, 0.4, 0.99, 2.0, 50.0):
-        r = m.reflection(1.0, k_par)
+        r = _at_k_par(m, 1.0, k_par)
         assert r.r_sp == pytest.approx(-2.0 * m.delta / (4.0 + dd), rel=1e-13)
         assert r.r_ps == pytest.approx(r.r_sp, rel=1e-15)
         assert r.r_ss == pytest.approx(-dd / (4.0 + dd), rel=1e-12)
@@ -103,7 +110,7 @@ def test_retarded_coefficients_match_normal_incidence_any_frequency():
     assert ret.r_ss == pytest.approx(-0.6, rel=1e-3)   # Delta^2 correction ~1e-5
     assert ret.r_pp == pytest.approx(0.6, rel=1e-3)
     for omega in (0.3, 1.0, 7.0, 2.0j):
-        r = m.reflection(omega, 0.0)
+        r = _at_k_par(m, omega, 0.0)
         for name in ("r_ss", "r_sp", "r_ps", "r_pp"):
             assert getattr(r, name) == pytest.approx(getattr(ret, name), rel=1e-12)
 
@@ -117,7 +124,7 @@ def test_nonretarded_coefficients_and_deep_evanescent_limit():
     nr = nonretarded_limit_coefficients(m)
     # the k1/k2 mismatch decays as (eps - 1)/(2 k^2), so k must push well
     # past sqrt(eps)/Delta before the Delta^2-suppressed entries stabilize
-    r = m.reflection(1.0, 1.0e5)
+    r = _at_k_par(m, 1.0, 1.0e5)
     for name in ("r_ss", "r_sp", "r_ps", "r_pp"):
         got, want = getattr(r, name), getattr(nr, name)
         assert abs(got - want) <= 1e-4 * max(abs(want), ALPHA_FS)
@@ -133,9 +140,10 @@ def test_limit_coefficients_of_ideal_mirrors_are_their_constants():
 
 def test_limit_coefficients_are_real_floats_of_the_reflection_model():
     for m in (AxionMedium(epsilon=16.0, theta=math.pi), AxionMedium(epsilon=2.5, theta=-3.0)):
-        for fn, (omega, k_par) in ((retarded_limit_coefficients, (1.0, 0.0)),
-                                   (nonretarded_limit_coefficients, (0.0, 1.0))):
-            rc, r = fn(m), m.reflection(omega, k_par)
+        # k_par = 0 at omega = 1, and k_par = 1 at omega = 0
+        for fn, (omega, k_perp) in ((retarded_limit_coefficients, (1.0, 1.0)),
+                                    (nonretarded_limit_coefficients, (0.0, 1j))):
+            rc, r = fn(m), m.reflection(omega, k_perp)
             for name in ("r_ss", "r_sp", "r_ps", "r_pp"):
                 assert type(getattr(rc, name)) is float
                 assert getattr(rc, name) == complex(getattr(r, name)).real
@@ -144,8 +152,8 @@ def test_limit_coefficients_are_real_floats_of_the_reflection_model():
 
 
 def test_theta_sign_equivariance():
-    plus = AxionMedium(epsilon=9.0, theta=math.pi).reflection(1.0, 0.6)
-    minus = AxionMedium(epsilon=9.0, theta=-math.pi).reflection(1.0, 0.6)
+    plus = _at_k_par(AxionMedium(epsilon=9.0, theta=math.pi), 1.0, 0.6)
+    minus = _at_k_par(AxionMedium(epsilon=9.0, theta=-math.pi), 1.0, 0.6)
     assert minus.r_sp == pytest.approx(-plus.r_sp, rel=1e-15)
     assert minus.r_ps == pytest.approx(-plus.r_ps, rel=1e-15)
     assert minus.r_ss == pytest.approx(plus.r_ss, rel=1e-15)
@@ -153,21 +161,21 @@ def test_theta_sign_equivariance():
 
 
 def test_theta_to_zero_continuity():
-    base = AxionMedium(epsilon=4.0, theta=0.0).reflection(1.0, 0.5)
-    tiny = AxionMedium(epsilon=4.0, theta=1e-8).reflection(1.0, 0.5)
+    base = _at_k_par(AxionMedium(epsilon=4.0, theta=0.0), 1.0, 0.5)
+    tiny = _at_k_par(AxionMedium(epsilon=4.0, theta=1e-8), 1.0, 0.5)
     assert abs(tiny.r_ss - base.r_ss) < 1e-7
     assert abs(tiny.r_sp) < 1e-10
 
 
 def test_huge_axion_coupling_approaches_conductor():
-    r = AxionMedium(epsilon=1.0, theta=1e6 * math.pi).reflection(1.0, 0.4)
+    r = _at_k_par(AxionMedium(epsilon=1.0, theta=1e6 * math.pi), 1.0, 0.4)
     assert r.r_ss == pytest.approx(-1.0, abs=1e-6)
     assert r.r_pp == pytest.approx(1.0, abs=1e-6)
     assert abs(r.r_sp) < 1e-3
 
 
 def test_imaginary_frequency_entries_are_real():
-    r = AxionMedium(epsilon=16.0, theta=math.pi).reflection(2.3j, 0.8)
+    r = _at_k_par(AxionMedium(epsilon=16.0, theta=math.pi), 2.3j, 0.8)
     for name in ("r_ss", "r_sp", "r_ps", "r_pp"):
         assert complex(getattr(r, name)).imag == 0.0
 
@@ -183,17 +191,17 @@ def test_reflection_is_scale_invariant_on_the_imaginary_axis(lam, xi, k_par, eps
     for medium in (AxionMedium(epsilon=epsilon, theta=theta), PerfectConductor(),
                    PerfectNonreciprocalMirror(),
                    ConstantReflectionMedium(r_ss=0.3, r_sp=-0.2, r_ps=0.1, r_pp=0.7)):
-        base = medium.reflection(1j * xi, k_par).as_array()
-        scaled = medium.reflection(1j * lam * xi, lam * k_par).as_array()
+        base = _at_k_par(medium, 1j * xi, k_par).as_array()
+        scaled = _at_k_par(medium, 1j * lam * xi, lam * k_par).as_array()
         assert np.allclose(scaled, base, rtol=1e-12, atol=1e-15)
 
 
 def test_reflection_vectorized_matches_scalar():
     m = AxionMedium(epsilon=7.0, theta=2 * math.pi)
     k_par = np.array([0.0, 0.3, 0.9, 1.5, 40.0])
-    rv = m.reflection(1.0, k_par)
+    rv = _at_k_par(m, 1.0, k_par)
     for i, kp in enumerate(k_par):
-        rs = m.reflection(1.0, float(kp))
+        rs = _at_k_par(m, 1.0, float(kp))
         for name in ("r_ss", "r_sp", "r_ps", "r_pp"):
             # array and scalar paths may round differently in the last ulp
             assert abs(getattr(rv, name)[i] - getattr(rs, name)) <= 1e-14
@@ -218,7 +226,7 @@ def test_constant_reflection_is_the_reflection_at_every_k(k_par, xi, theta):
         for omega in (1j * xi, xi):
             if omega == k_par:
                 continue  # the axion's lightline pole
-            r = medium.reflection(omega, k_par).as_array()
+            r = _at_k_par(medium, omega, k_par).as_array()
             assert np.allclose(r, const, rtol=1e-12, atol=1e-15)
     assert AxionMedium(epsilon=1.0 + 1e-12, theta=theta).constant_reflection is None
 
@@ -258,7 +266,7 @@ def test_constant_medium_rejects_non_finite_coefficients():
 def test_pole_error_names_the_node():
     # eps = mu = 1: the shared denominator vanishes on the lightline k_par = q
     with pytest.raises(PoleError) as excinfo:
-        AxionMedium(epsilon=1.0).reflection(1.0, np.array([0.5, 2.0, 1.0, 1.0]))
+        _at_k_par(AxionMedium(epsilon=1.0), 1.0, np.array([0.5, 2.0, 1.0, 1.0]))
     assert excinfo.value.owner == 2
 
 
@@ -267,7 +275,49 @@ def test_pole_error_names_the_node():
 @settings(max_examples=80, deadline=None)
 def test_propagating_reflection_never_exceeds_unit_power(eps, theta_pi, kfrac, omega):
     # lossless half-space: per-channel reflected power bounded by 1
-    r = AxionMedium(epsilon=eps, theta=theta_pi * math.pi).reflection(
-        omega, kfrac * omega)
+    r = _at_k_par(AxionMedium(epsilon=eps, theta=theta_pi * math.pi), omega,
+                  kfrac * omega)
     assert abs(r.r_ss) ** 2 + abs(r.r_ps) ** 2 <= 1.0 + 1e-9
     assert abs(r.r_pp) ** 2 + abs(r.r_sp) ** 2 <= 1.0 + 1e-9
+
+
+def _fresnel_at_k_par(medium, omega, k_par):
+    """The coefficients from k_par: both wavenumbers by
+    `perpendicular_wavenumber`, then the Fresnel-with-axion formulas."""
+    k1 = perpendicular_wavenumber(omega, k_par)
+    k2 = perpendicular_wavenumber(omega, k_par, medium.epsilon)
+    eps, dd = medium.epsilon, medium.delta ** 2
+    den = (k1 + k2) * (eps * k1 + k2) + k1 * k2 * dd
+    return np.array([[(k1 - k2) * (eps * k1 + k2) - k1 * k2 * dd,
+                      -2.0 * k1 * k2 * medium.delta],
+                     [-2.0 * k1 * k2 * medium.delta,
+                      (eps * k1 - k2) * (k1 + k2) + k1 * k2 * dd]]) / den
+
+
+@given(epsilon=st.floats(0.1, 50.0), theta=st.floats(-10.0, 10.0),
+       kfrac=st.floats(0.0, 20.0), w=st.floats(0.1, 10.0), imaginary=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_reflection_from_k_perp_matches_the_k_par_formulas(epsilon, theta, kfrac, w,
+                                                           imaginary):
+    # k2 = sqrt(k1^2 + (eps - 1) omega^2) with one fold is the k2 of k_par on
+    # both axes, on both sides of the medium's lightline k_par = sqrt(eps) q;
+    # right at it both routes carry the rounding of k2^2 through a square
+    # root, and at epsilon = 1 the vacuum lightline is a pole
+    assume(abs(kfrac - math.sqrt(epsilon)) >= 1e-3 and kfrac != 1.0)
+    medium = AxionMedium(epsilon=epsilon, theta=theta)
+    omega = 1j * w if imaginary else w
+    got = _at_k_par(medium, omega, kfrac * w).as_array()
+    want = _fresnel_at_k_par(medium, omega, kfrac * w)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_branch_point_is_where_k2_vanishes():
+    for epsilon in (0.25, 4.0, 16.0):
+        n = AxionMedium(epsilon=epsilon).branch_point
+        assert n == math.sqrt(epsilon)
+        assert perpendicular_wavenumber(1.0, n, epsilon) == 0
+    assert AxionMedium(epsilon=1.0).branch_point is None
+    for medium in (PerfectConductor(), PerfectNonreciprocalMirror(),
+                   ConstantReflectionMedium(r_ss=0.5)):
+        assert medium.branch_point is None
+

@@ -11,6 +11,7 @@ from cpshift.atomics import (decay_rate, greens_tensor, nonresonant_shift,
 from cpshift.config import ConfigError, ScanConfig
 from cpshift.scan import FIGURE_NAMES, ScanError, _format_csv, figure, run_scan
 from cpshift.media import AxionMedium, PerfectConductor, PerfectNonreciprocalMirror, PoleError
+from cpshift.quadrature import _K15_NODES
 from cpshift.units import canonical_transition, free_space_rate_formula
 
 TR = canonical_transition("plus")
@@ -225,21 +226,27 @@ def test_failing_scan_names_a_grid_zeta(tmp_path):
 
 
 def test_pole_in_batched_scan_names_its_zeta(tmp_path, monkeypatch):
-    # every height integrates its evanescent segment over x in (0, 1] with
-    # t = (1 - x)/(2 zeta x), so the first round's central node x = 1/2 of
-    # the third grid point alone sits at t = 1/(2 zeta_2); a stand-in pole
-    # there must name zeta_2, not the first or any other owner
+    # at epsilon = 16 every height integrates its evanescent segment over
+    # u in [0, 2] through the branch map: x = x_b + (1 - x_b)(u - 1)^2 above
+    # u = 1, with x_b = 1/(1 + 2 zeta sqrt(15)) and k_perp = i(1 - x)/(2 zeta x).
+    # The first round's node u = 1 + s (s the smallest positive Kronrod
+    # node) of the third grid point alone sits at |k_perp| = t_2 (the
+    # central node u = 1 is the branch point t = sqrt(15) of every height),
+    # so a stand-in pole there must name zeta_2, not the first or any
+    # other owner
     reflection = AxionMedium.reflection
     cfg = ScanConfig(medium_kind="axion", epsilon=16.0, zeta_min=0.05, zeta_max=0.8,
                      count=4, spacing="log", quantities=("rate",), name="pole")
     zeta = cfg.grid()[2]
-    k_pole = math.sqrt(1.0 + (0.5 / zeta) ** 2)
+    x_b = 1.0 / (1.0 + 2.0 * zeta * math.sqrt(15.0))
+    x = x_b + (1.0 - x_b) * _K15_NODES[8] ** 2
+    k_pole = (1.0 - x) / (2.0 * zeta * x)
 
-    def pole_of_one_height(self, omega, k_par):
-        hit = np.flatnonzero(np.abs(np.abs(np.asarray(k_par)) / k_pole - 1.0) < 1e-12)
+    def pole_of_one_height(self, omega, k_perp):
+        hit = np.flatnonzero(np.abs(np.abs(np.asarray(k_perp)) / k_pole - 1.0) < 1e-12)
         if hit.size:
             raise PoleError("test pole", owner=int(hit[0]))
-        return reflection(self, omega, k_par)
+        return reflection(self, omega, k_perp)
 
     monkeypatch.setattr(AxionMedium, "reflection", pole_of_one_height)
     with pytest.raises(ScanError) as excinfo:

@@ -48,3 +48,14 @@ def test_gauss_kronrod_derives_the_engine_constants():
     assert np.array_equal(printed["_K15_NODES"], _K15_NODES)
     assert np.array_equal(printed["_K15_WEIGHTS"], _K15_WEIGHTS)
     assert np.array_equal(printed["_G7_WEIGHTS"], _G7_WEIGHTS)
+
+
+def test_make_oracle_regenerates_a_row_of_the_table():
+    # the cheapest row, computed again: every digit as committed
+    code, out = run("make_oracle.py", "--only", "16", "8")
+    assert code == 0
+    table = json.loads((Path(__file__).with_name("oracle_real_axis.json")).read_text())
+    committed = [row for row in table["rows"]
+                 if (row["epsilon"], row["zeta"]) == (16.0, 8.0)]
+    assert json.loads(out) == committed[0]
+
