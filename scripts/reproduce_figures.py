@@ -4,7 +4,9 @@
 Usage:
     python3 scripts/reproduce_figures.py [outdir] [--only NAME] [--tight FACTOR]
 
-Writes, per figure name, one CSV per trace plus a run manifest:
+Writes, per figure name, one CSV per trace plus one run manifest,
+`<name>.manifest.json`, whose `outputs` list every file the figure wrote,
+itself last.  The "N files" printed per figure counts all of them:
 
   gamma_mirrors  decay rate vs zeta above both ideal mirrors
   omega_mirrors  resonant + nonresonant shifts vs zeta, both mirrors

@@ -8,6 +8,7 @@ not apply to the chosen medium are errors.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 from numbers import Integral
 
@@ -85,6 +86,9 @@ class ScanConfig:
                               f"expected subset of {sorted(QUANTITY_COLUMNS)}")
         if len(set(self.quantities)) != len(self.quantities):
             raise ConfigError(f"duplicate quantities in {self.quantities}")
+        if not self.name or any(s and s in self.name for s in ("/", os.sep, os.altsep)):
+            raise ConfigError(f"name must be a file stem without a path separator, "
+                              f"got {self.name!r}")
         self.build_medium()
 
     def build_medium(self):

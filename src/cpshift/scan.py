@@ -6,9 +6,13 @@ is evaluated over the whole grid at once, on the calling thread
 (`atomics.greens_grid`, `atomics.nonresonant_shift_grid`); where it takes
 quadrature, the grid points are owners of one lockstep quadrature, and
 where the medium has a constant reflection matrix, closed forms run
-instead.  Every manifest records the run's total integrand evaluations
-(`neval`), 0 for closed forms.  Every point's value equals its one-point
-evaluation bit for bit, so identical configs give byte-identical CSV files.
+instead.  Every point's value equals its one-point evaluation bit for
+bit, so identical configs give byte-identical CSV files.
+
+A run is a list of jobs, and one writer (`_write_run`) turns it into
+files: the jobs' CSVs, then one manifest whose points, neval (0 for closed
+forms) and quad_error are totals over the jobs and whose outputs list every
+file written, itself last.  A scan is one job; a figure is a job list.
 """
 from __future__ import annotations
 
@@ -147,53 +151,77 @@ def _format_csv(columns, zetas, values) -> str:
             + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
-def _write_manifest(path: Path, command: str, config: dict, qcfg: QuadratureConfig,
-                    t0: float, points: int, outputs, error: str | None = None,
-                    quad_error=(math.nan, math.nan), neval=None) -> RunManifest:
-    """Write the manifest of a run that started at t0: status "ok", or
-    "failed" with `error` (the quadrature errors are then NaN, and the
-    evaluation count None)."""
-    quadrature = {"rel_tol": qcfg.rel_tol, "xi_rel_tol": qcfg.xi_rel_tol}
-    manifest = RunManifest(command=command, config=config, quadrature=quadrature,
-                           wall_time_s=time.perf_counter() - t0, points=points,
-                           quad_error_max=quad_error[0], quad_error_mean=quad_error[1],
-                           neval=neval, status="ok" if error is None else "failed",
-                           error=error, outputs=tuple(outputs))
-    path.write_text(manifest.to_json(), encoding="utf-8")
-    return manifest
+def _write_run(out_dir, name: str, command: str, config: dict,
+               qcfg: QuadratureConfig, jobs) -> tuple:
+    """Run `jobs` in order, write their CSVs and one manifest
+    `<name>.manifest.json` into out_dir; return (manifest, tables).
+
+    A job returns (tables, quad_error, neval): CSV tables as (file name,
+    columns, zetas, values), then per grid point its error estimate and
+    integrand evaluations.  On a ScanError the manifest is written with
+    status "failed" and the files and points of the completed jobs (errors
+    NaN, neval None), and the ScanError propagates.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest_path = out / f"{name}.manifest.json"
+    t0 = time.perf_counter()
+    tables, errs, nevals = [], [], []
+
+    def write_manifest(error=None, quad_error=(math.nan, math.nan), neval=None):
+        manifest = RunManifest(
+            command=command, config=config,
+            quadrature={"rel_tol": qcfg.rel_tol, "xi_rel_tol": qcfg.xi_rel_tol},
+            wall_time_s=time.perf_counter() - t0, points=sum(e.size for e in errs),
+            quad_error_max=quad_error[0], quad_error_mean=quad_error[1], neval=neval,
+            status="ok" if error is None else "failed", error=error,
+            outputs=tuple(t[0] for t in tables) + (manifest_path.name,))
+        manifest_path.write_text(manifest.to_json(), encoding="utf-8")
+        return manifest
+
+    try:
+        for job in jobs:
+            job_tables, err, neval = job()
+            for file_name, columns, zetas, values in job_tables:
+                (out / file_name).write_text(_format_csv(columns, zetas, values),
+                                             encoding="utf-8")
+            tables += job_tables
+            errs.append(err)
+            nevals.append(neval)
+    except ScanError as exc:
+        write_manifest(error=str(exc))
+        raise
+    err = np.concatenate(errs)
+    manifest = write_manifest(quad_error=(float(err.max()), float(err.mean())),
+                              neval=sum(int(n.sum()) for n in nevals))
+    return manifest, tables
+
+
+def _trace(name, zetas, medium, transition, quantities, qcfg):
+    """The job of one CSV `<name>.csv`: `quantities` over `zetas`."""
+    values, err, neval = _scan_values(zetas, medium, transition, quantities, qcfg)
+    columns = tuple(QUANTITY_COLUMNS[q] for q in quantities)
+    return [(f"{name}.csv", columns, zetas, values)], err, neval
 
 
 def run_scan(config: ScanConfig, out_dir,
              qcfg: QuadratureConfig | None = None) -> ScanResult:
-    """Evaluate the configured scan and write CSV + manifest into out_dir.
+    """Evaluate the configured scan and write `<name>.csv` and
+    `<name>.manifest.json` into out_dir: the writer's one-job run.
 
     On a numerical failure the manifest is still written (status "failed",
-    error naming the offending zeta) before ScanError propagates.
+    error naming the offending zeta, outputs itself alone) before ScanError
+    propagates.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     qcfg = qcfg or QuadratureConfig()
-    medium = config.build_medium()
-    transition = canonical_transition(config.handedness)
-    zetas = config.grid()
-    columns = tuple(QUANTITY_COLUMNS[q] for q in config.quantities)
-    csv_path = out / f"{config.name}.csv"
-    manifest_path = out / f"{config.name}.manifest.json"
-    write_manifest = partial(_write_manifest, manifest_path, "scan", _config_echo(config),
-                             qcfg, time.perf_counter(), len(zetas))
-    try:
-        values, errs, neval = _scan_values(zetas, medium, transition,
-                                           config.quantities, qcfg)
-    except ScanError as exc:
-        write_manifest((manifest_path.name,), error=str(exc))
-        raise
-
-    csv_path.write_text(_format_csv(columns, zetas, values), encoding="utf-8")
-    manifest = write_manifest((csv_path.name, manifest_path.name),
-                              quad_error=(float(errs.max()), float(errs.mean())),
-                              neval=int(neval.sum()))
+    job = partial(_trace, config.name, config.grid(), config.build_medium(),
+                  canonical_transition(config.handedness), config.quantities, qcfg)
+    manifest, [(_, columns, zetas, values)] = _write_run(
+        out, config.name, "scan", _config_echo(config), qcfg, [job])
     return ScanResult(zetas=zetas, columns=columns, values=values,
-                      csv_path=csv_path, manifest_path=manifest_path,
+                      csv_path=out / f"{config.name}.csv",
+                      manifest_path=out / f"{config.name}.manifest.json",
                       manifest=manifest)
 
 
@@ -218,110 +246,74 @@ FIGURE_NAMES = ("gamma_mirrors", "omega_mirrors", "loglog_nres",
 _OSC_GRID = dict(zeta_min=0.05, zeta_max=8.0, count=400, spacing="linear")
 _LOG_GRID = dict(zeta_min=1e-2, zeta_max=1e2, count=361, spacing="log")
 _MIRRORS = ("perfect_conductor", "nonreciprocal_mirror")
+_PLUS = canonical_transition("plus")
 
 
-def _trace_scan(name, medium_kind, quantities, grid, out, qcfg, **medium_kw):
-    cfg = ScanConfig(medium_kind=medium_kind, quantities=quantities,
-                     name=name, **grid, **medium_kw)
-    return run_scan(cfg, out, qcfg)
+def _loglog_job(medium_kind, zetas, qcfg):
+    """The nonresonant shift above one mirror, then its retarded and
+    nonretarded closed-form asymptotes."""
+    medium = build_medium(medium_kind)
+    tables, err, neval = _trace(f"loglog_nres_{medium_kind}", zetas, medium, _PLUS,
+                                ("nonresonant_shift",), qcfg)
+    gamma0 = free_space_rate_formula(_PLUS)
+    for regime in ("retarded", "nonretarded"):
+        case = AsymptoticCase(regime, medium, "nonresonant_shift")
+        values = np.array([[asymptotic(case, _PLUS, z) / gamma0] for z in zetas])
+        tables.append((f"loglog_nres_{medium_kind}_{regime}_asymptote.csv",
+                       ("shift_nres_ratio",), zetas, values))
+    return tables, err, neval
 
 
-def _difference_traces(name_prefix, quantity, grid, out, qcfg):
-    """ε = 16 with-minus-without-axion traces for theta = ±pi."""
-    transition = canonical_transition("plus")
-    zetas = zeta_grid(**grid)
-    values, errs, neval = {}, 0.0, 0
-    for key, theta in (("plus", np.pi), ("minus", -np.pi), ("zero", 0.0)):
-        v, e, n = _scan_values(zetas, build_medium("axion", epsilon=16.0, theta=theta),
-                               transition, (quantity,), qcfg)
-        values[key] = v
-        errs = errs + e
-        neval += int(n.sum())
-    outputs = []
-    for which, sign_name in (("plus", "theta_pi"), ("minus", "theta_minus_pi")):
-        path = Path(out) / f"{name_prefix}_difference_eps16_{sign_name}.csv"
-        path.write_text(_format_csv((QUANTITY_COLUMNS[quantity],), zetas,
-                                    values[which] - values["zero"]), encoding="utf-8")
-        outputs.append(path.name)
-    return outputs, errs, neval
+def _difference_job(name, quantity, zetas, qcfg):
+    """The eps = 16 with-minus-without-axion traces for theta = +-pi: three
+    quadratures (theta = 0 once), their errors and evaluations summed."""
+    runs = [_scan_values(zetas, build_medium("axion", epsilon=16.0, theta=theta),
+                         _PLUS, (quantity,), qcfg)
+            for theta in (np.pi, -np.pi, 0.0)]
+    (plus, *_), (minus, *_), (zero, *_) = runs
+    columns = (QUANTITY_COLUMNS[quantity],)
+    return ([(f"{name}_difference_eps16_theta_pi.csv", columns, zetas, plus - zero),
+             (f"{name}_difference_eps16_theta_minus_pi.csv", columns, zetas,
+              minus - zero)],
+            sum(run[1] for run in runs), sum(run[2] for run in runs))
+
+
+def _figure_jobs(name: str, qcfg: QuadratureConfig) -> list:
+    """The jobs of figure `name`, in the order their files are written."""
+    osc = zeta_grid(**_OSC_GRID)
+
+    def trace(tag, medium, quantity):
+        return partial(_trace, f"{name}_{tag}", osc, medium, _PLUS, (quantity,), qcfg)
+
+    if name == "gamma_mirrors":
+        return [trace(m, build_medium(m), "rate") for m in _MIRRORS]
+    if name == "omega_mirrors":
+        return [trace(f"{q}_{m}", build_medium(m), q) for m in _MIRRORS
+                for q in ("resonant_shift", "nonresonant_shift")]
+    if name == "loglog_nres":
+        return [partial(_loglog_job, m, zeta_grid(**_LOG_GRID), qcfg) for m in _MIRRORS]
+    quantity = "rate" if name == "gamma_ti" else "resonant_shift"
+    return [trace(f"pure_axion_{tag}", build_medium("axion", theta=theta), quantity)
+            for theta, tag in ((np.pi, "theta_pi"), (-np.pi, "theta_minus_pi"))
+            ] + [partial(_difference_job, name, quantity, osc, qcfg)]
 
 
 def figure(name: str, out_dir, qcfg: QuadratureConfig | None = None) -> list:
-    """Emit the CSV traces for one named figure; returns written file names.
+    """Write the CSV traces of one named figure and its one manifest
+    `<name>.manifest.json` into out_dir; return the names of every file
+    written, the manifest last, as its `outputs` lists them.
 
     gamma_mirrors / omega_mirrors: rate resp. shifts for both ideal mirrors
     on a linear grid.  loglog_nres: nonresonant shift for both mirrors on a
     log grid plus the four closed-form asymptote traces.  gamma_ti /
-    omega_ti: pure-axion theta = ±pi traces plus the eps=16
-    with-minus-without-axion difference traces.
+    omega_ti: pure-axion theta = +-pi traces plus the eps=16
+    with-minus-without-axion difference traces.  The manifest's points,
+    neval and quad_error are totals over every trace.
     """
     if name not in FIGURE_NAMES:
         raise ConfigError(f"unknown figure {name!r}; expected one of "
                           f"{', '.join(FIGURE_NAMES)}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     qcfg = qcfg or QuadratureConfig()
-    manifest_path = out / f"{name}.manifest.json"
-    write_manifest = partial(_write_manifest, manifest_path, f"figure:{name}",
-                             {"figure": name}, qcfg, time.perf_counter())
-    outputs = []
-    err_max = 0.0
-    err_sum = 0.0
-    npts = 0
-    neval = 0
-
-    def collect(result: ScanResult):
-        outputs.extend([result.csv_path.name])
-        nonlocal err_max, err_sum, npts, neval
-        err_max = max(err_max, result.manifest.quad_error_max)
-        err_sum += result.manifest.quad_error_mean * result.manifest.points
-        npts += result.manifest.points
-        neval += result.manifest.neval
-
-    try:
-        if name == "gamma_mirrors":
-            for medium_kind in _MIRRORS:
-                collect(_trace_scan(f"gamma_mirrors_{medium_kind}", medium_kind,
-                                    ("rate",), _OSC_GRID, out, qcfg))
-        elif name == "omega_mirrors":
-            for medium in _MIRRORS:
-                for q in ("resonant_shift", "nonresonant_shift"):
-                    collect(_trace_scan(f"omega_mirrors_{q}_{medium}", medium,
-                                        (q,), _OSC_GRID, out, qcfg))
-        elif name == "loglog_nres":
-            transition = canonical_transition("plus")
-            gamma0 = free_space_rate_formula(transition)
-            for medium_kind in _MIRRORS:
-                collect(_trace_scan(f"loglog_nres_{medium_kind}", medium_kind,
-                                    ("nonresonant_shift",), _LOG_GRID, out, qcfg))
-                medium = build_medium(medium_kind)
-                zetas = zeta_grid(**_LOG_GRID)
-                for regime in ("retarded", "nonretarded"):
-                    case = AsymptoticCase(regime, medium, "nonresonant_shift")
-                    vals = np.array([[asymptotic(case, transition, z) / gamma0]
-                                     for z in zetas])
-                    path = out / f"loglog_nres_{medium_kind}_{regime}_asymptote.csv"
-                    path.write_text(_format_csv(("shift_nres_ratio",), zetas, vals),
-                                    encoding="utf-8")
-                    outputs.append(path.name)
-        elif name in ("gamma_ti", "omega_ti"):
-            quantity = "rate" if name == "gamma_ti" else "resonant_shift"
-            for theta, tag in ((np.pi, "theta_pi"), (-np.pi, "theta_minus_pi")):
-                collect(_trace_scan(f"{name}_pure_axion_{tag}", "axion",
-                                    (quantity,), _OSC_GRID, out, qcfg,
-                                    theta=float(theta)))
-            diff_outputs, diff_errs, diff_neval = _difference_traces(
-                name, quantity, _OSC_GRID, out, qcfg)
-            outputs.extend(diff_outputs)
-            neval += diff_neval
-            err_max = max(err_max, float(diff_errs.max()))
-            err_sum += float(diff_errs.sum())
-            npts += diff_errs.size
-    except ScanError as exc:
-        write_manifest(npts, outputs, error=str(exc))
-        raise
-
-    write_manifest(npts, outputs, quad_error=(err_max, err_sum / max(npts, 1)),
-                   neval=neval)
-    outputs.append(manifest_path.name)
-    return outputs
+    manifest, _ = _write_run(out_dir, name, f"figure:{name}", {"figure": name}, qcfg,
+                             _figure_jobs(name, qcfg))
+    return list(manifest.outputs)

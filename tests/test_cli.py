@@ -143,6 +143,25 @@ name = fail
     assert manifest["status"] == "failed"
 
 
+def test_scan_name_with_a_path_separator_exits_one_and_writes_nothing(
+        tmp_path, capsys, monkeypatch):
+    # the name is the file stem of both outputs: rejected with the config,
+    # before any quadrature, never a file under or outside --out
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature started")
+
+    monkeypatch.setattr("cpshift.greens.integrate_batch", no_quadrature)
+    cfg = tmp_path / "bad.cfg"
+    for name in ("sub/dir", "../escaped"):
+        cfg.write_text("medium = axion\nepsilon = 16\nzeta_min = 0.1\nzeta_max = 1\n"
+                       f"count = 4\nquantities = rate\nname = {name}\n", encoding="utf-8")
+        code, out, err = run(capsys, "scan", "--config", str(cfg), "--out",
+                             str(tmp_path / "out"))
+        assert code == 1, name
+        assert out == "" and "config error" in err and "path separator" in err
+        assert [p.name for p in tmp_path.rglob("*")] == ["bad.cfg"]
+
+
 def test_non_finite_zeta_exits_one(capsys):
     for command in ("rates", "shift"):
         for zeta in ("nan", "inf", "-inf"):

@@ -139,7 +139,8 @@ def test_scan_config_validation():
                 dict(medium_kind="metal"), dict(quantities=()),
                 dict(quantities=("rate", "rate")), dict(sign=0.5),
                 dict(epsilon=-2.0), dict(count=10.5), dict(count=np.float64(3.0)),
-                dict(count=True), dict(count=math.nan), dict(sign=True)):
+                dict(count=True), dict(count=math.nan), dict(sign=True),
+                dict(name=""), dict(name="sub/dir"), dict(name="../escaped")):
         with pytest.raises(ConfigError):
             ScanConfig(**{**ok, **bad})
 

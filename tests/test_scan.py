@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from cpshift.atomics import (decay_rate, greens_tensor, nonresonant_shift,
                              nonresonant_shift_terms, resonant_shift)
 from cpshift.config import ConfigError, ScanConfig
+from cpshift.greens import numeric_greens
 from cpshift.scan import FIGURE_NAMES, ScanError, _format_csv, figure, run_scan
 from cpshift.media import AxionMedium, PerfectConductor, PerfectNonreciprocalMirror, PoleError
 from cpshift.quadrature import _K15_NODES
@@ -101,6 +102,8 @@ def test_failed_scan_still_writes_manifest(tmp_path):
     assert manifest["status"] == "failed"
     assert "zeta" in manifest["error"]
     assert manifest["neval"] is None
+    # the points and files of the jobs that completed: none
+    assert manifest["points"] == 0 and manifest["outputs"] == ["fail.manifest.json"]
     assert not (tmp_path / "fail.csv").exists()
 
 
@@ -183,6 +186,63 @@ def test_omega_ti_figure_traces(tmp_path):
     # cross channel roughly tenfold, so the defect peaks near 2*Delta*10
     scale = np.abs(plus[:, 1]).max()
     assert np.abs(plus[:, 1] + minus[:, 1]).max() <= 1e-1 * scale
+
+
+@pytest.fixture(scope="module")
+def figure_runs(tmp_path_factory):
+    """Every figure written into a directory of its own: name -> (directory,
+    the file names figure() returned)."""
+    root = tmp_path_factory.mktemp("figures")
+    return {name: (root / name, figure(name, root / name)) for name in FIGURE_NAMES}
+
+
+def test_a_figure_writes_exactly_what_it_reports(figure_runs):
+    points = {}
+    for name, (out, outputs) in figure_runs.items():
+        manifest = json.loads((out / f"{name}.manifest.json").read_text())
+        assert outputs == manifest["outputs"], name
+        assert outputs[-1] == f"{name}.manifest.json"
+        assert sorted(outputs) == sorted(p.name for p in out.iterdir()), name
+        points[name] = manifest["points"]
+    assert points == {"gamma_mirrors": 800, "omega_mirrors": 1600, "loglog_nres": 722,
+                      "gamma_ti": 1200, "omega_ti": 1200}
+
+
+def test_figure_totals_are_the_sums_over_its_traces(figure_runs):
+    # the pure-axion traces take the closed form (0 evaluations, 0 error);
+    # the difference traces run theta = pi, -pi and 0 once each at eps = 16
+    out, _ = figure_runs["gamma_ti"]
+    manifest = json.loads((out / "gamma_ti.manifest.json").read_text())
+    zetas = np.linspace(0.05, 8.0, 400)
+    tensors = [numeric_greens(zetas, 1.0, AxionMedium(epsilon=16.0, theta=theta))
+               for theta in (math.pi, -math.pi, 0.0)]
+    assert manifest["points"] == 1200
+    assert manifest["neval"] == sum(int(t.neval.sum()) for t in tensors)
+    assert manifest["quad_error"]["max"] == float(sum(t.quad_error for t in tensors).max())
+
+
+def test_a_failing_figure_leaves_one_manifest(tmp_path, monkeypatch):
+    # the pure-axion traces (eps = 1) complete; the difference traces' first
+    # quadrature fails at its first height
+    reflection = AxionMedium.reflection
+
+    def pole_at_eps16(self, omega, k_perp):
+        if self.epsilon == 16.0:
+            raise PoleError("test pole", owner=0)
+        return reflection(self, omega, k_perp)
+
+    monkeypatch.setattr(AxionMedium, "reflection", pole_at_eps16)
+    with pytest.raises(ScanError) as excinfo:
+        figure("gamma_ti", tmp_path)
+    assert excinfo.value.zeta == 0.05
+    assert [p.name for p in tmp_path.glob("*.manifest.json")] == ["gamma_ti.manifest.json"]
+    manifest = json.loads((tmp_path / "gamma_ti.manifest.json").read_text())
+    assert manifest["status"] == "failed" and "zeta=0.05" in manifest["error"]
+    assert manifest["points"] == 800 and manifest["neval"] is None
+    assert manifest["outputs"] == ["gamma_ti_pure_axion_theta_pi.csv",
+                                   "gamma_ti_pure_axion_theta_minus_pi.csv",
+                                   "gamma_ti.manifest.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(manifest["outputs"])
 
 
 @given(kind=st.sampled_from(["perfect_conductor", "nonreciprocal_mirror", "axion"]),
