@@ -8,8 +8,8 @@ Usage:
 
 The table holds G_xx, G_zz and G_xy at omega = 1 and height z = zeta, in
 the package's units c = hbar = mu0 = eps0 = 1, for epsilon in
-{0.25, 4, 16}, theta = pi and zeta in {0.05, 1, 8}, as decimal strings of
-DIGITS significant digits.  It is written to tests/oracle_real_axis.json
+{0.25, 4, 16}, theta = pi and zeta in {0.001, 0.05, 1, 8, 100}, as
+decimal strings of DIGITS significant digits.  It is written to tests/oracle_real_axis.json
 unless OUT is given; tests/test_oracle.py holds the package's
 k-quadrature to it.
 
@@ -46,7 +46,7 @@ import mpmath as mp
 DIGITS = 20
 ALPHA = "7.2973525693e-3"  # CODATA 2018, the package's ALPHA_FS
 EPSILONS = (0.25, 4.0, 16.0)
-ZETAS = (0.05, 1.0, 8.0)
+ZETAS = (1e-3, 0.05, 1.0, 8.0, 100.0)
 THETA_OVER_PI = 1
 DEFAULT_OUT = Path(__file__).resolve().parents[1] / "tests" / "oracle_real_axis.json"
 

@@ -18,9 +18,8 @@ itself last.  The "N files" printed per figure counts all of them:
 
 The gamma_ti and omega_ti sets dominate the runtime: every grid point
 runs the real-axis k-quadrature for the three eps = 16 axion media of the
-difference traces, 375,720 integrand evaluations per set.  Their
-evanescent segments are integrated over a variable that puts the medium's
-branch point k_par = 4 omega on a panel edge (`greens.numeric_greens`).
+difference traces, 196,980 integrand evaluations per set, on the path
+k_perp = omega + i u, where nothing oscillates (`greens.numeric_greens`).
 The two pure-axion traces (eps = 1) and the mirror sets have
 k_par-independent reflection and take closed forms, in milliseconds.
 """

@@ -16,41 +16,46 @@ c = hbar = mu0 = eps0 = 1):
     xy (= -yx):  e^{2 i k_perp z} (r_sp + r_ps) k_perp/q
 
 and G_ab = (i/8pi) * integral over the k_par half-line with measure
-(k_par/k_perp) dk_par.  One quadrature (`numeric_greens`) takes this
-integral on both frequency axes, as segments of one k-plane path, and
-evaluates the medium's reflection at the vacuum k_perp of each node.  On
-the evanescent segment k_perp = i*t, the measure contributes -i dt,
-k_par^2 = t^2 + omega^2, and e^{-2 t z} damps the kernels.  This segment
-runs to t = inf, through the map t = lo + (1 - x)/(2 z x) of x in (0, 1],
-with Jacobian 1/(2 z x^2) (QUADPACK's infinite-range transform), so no
-cutoff enters the tensor.  For real omega t runs from lo = 0, and a
-propagating segment comes first: k_perp = t in (0, q], whose Jacobian
-cancels the 1/k_perp of the measure exactly.  For omega = i*xi the
-Wick-rotated path is the evanescent segment alone, started at t = lo = xi
-where k_par = 0; every factor is real there, and the tensor comes out real
-(Schwarz reflection principle).  There e^{-2 xi z} leaves the integral as
-one factor and k_par^2 = u (u + 2 xi) with u = t - xi, so the rounding of
-t never meets 2 xi z.  On both axes
-G = (i/8pi) * (propagating - i * evanescent), with no propagating term on
-the imaginary axis.
+(k_par/k_perp) dk_par = -dk_perp, from k_perp = i*inf to q.  One
+quadrature (`numeric_greens`) takes this integral on both frequency axes
+along one path, k_perp = q + i u with u in [0, inf):
 
-On the real axis a medium's own lightline k_par = n omega (its
-`branch_point`, n = sqrt(eps mu)) is a square-root branch point of k_2 and
-so of every coefficient: at t = q sqrt(n^2 - 1) on the evanescent segment
-for n > 1, at t = q sqrt(1 - n^2) on the propagating one for n < 1.
-Bisection would close in on that kink blindly; instead the segment that
-holds it runs over u in [0, 2] (`_branch_map`), its variable quadratic in
-u - 1 on either side of the kink, so the kink sits on the first bisection
-u = 1 and the integrand is smooth on both halves, which still share one
-tolerance.  The imaginary axis has no branch point: there k_2^2 < 0.
+    G_ab = (1/8pi) e^{2 i q z} int_0^inf K_ab(q + i u) e^{-2 u z} du,
+    k_par^2 = u (u - 2 i q),
 
-The three kernels of one segment share one reflection matrix, so each
-segment of each point is one three-component integral, and all of them run
-as owners of one lockstep quadrature (`quadrature.integrate_batch`): two
-per height of a scan on the real axis, one per (z, xi) of a batch on the
-imaginary axis.  Every round evaluates the reflection matrix once, on the
-nodes of all new panels, and each node serves all three kernels, written
-into one [nodes, 3] array.  `scattering_greens_numeric` is the one-point
+and evaluates the medium's reflection at the vacuum k_perp of each node.
+Nothing oscillates on this path: e^{2 i q z} leaves the integral as one
+factor, and e^{-2 u z} damps the kernels.  For real omega this is the
+usual deformation of a Sommerfeld integral off the real k_par axis (Chew,
+Waves and Fields in Inhomogeneous Media, ch. 2; Michalski and Mosig, IEEE
+Trans. Antennas Propag. 45, 508 (1997)).  Between that axis and this
+path the medium's k_2^2 = k_perp^2 + (eps mu - 1) q^2 has a positive
+imaginary part, so no branch cut of k_2 is crossed, the axion reflection
+has no pole, and the arc at infinity vanishes with e^{2 i k_perp z}; the
+medium's lightline, a square-root branch point on the real k_par axis,
+is not on the path.  For omega = i*xi the same formula is the
+Wick-rotated contour: k_perp = i (xi + u), k_par^2 = u (u + 2 xi) and
+e^{2 i q z} = e^{-2 xi z}.  Every factor is real there, and the tensor
+comes out real (Schwarz reflection principle).  On both axes k_par^2 and
+e^{-2 u z} are formed from u itself, so the rounding of k_perp never
+meets 2 q z.  u runs to infinity through the map u = (1 - x)/(a x) of
+x in (0, 1], with Jacobian 1/(a x^2) (QUADPACK's infinite-range
+transform), so no cutoff enters the tensor.  The integrand has two
+scales in u: 1/(2z), over which e^{-2 u z} decays, and |q|, over which
+the reflection varies (every medium here is nondispersive).  For
+2 |q| z >= 1 the scale is a = 2z.  Below, a = 2z would squeeze the
+reflection's scale into a sliver of width ~2 |q| z at x = 1, and the
+rate, the small imaginary part of the tensor there, would lose digits
+(2e-6 of it at z = 1e-3 above epsilon = 0.25); a = sqrt(2z/|q|), their
+geometric mean, keeps both scales ~sqrt(2 |q| z) from the ends of x.
+
+The three kernels of a point share one reflection matrix, so each point
+is one three-component integral, and all of them run as owners of one
+lockstep quadrature (`quadrature.integrate_batch`): one per height of a
+scan on the real axis, one per (z, xi) of a batch on the imaginary axis.
+Every round evaluates the reflection matrix once, on the nodes of all new
+panels, and each node serves all three kernels, written into one
+[nodes, 3] array.  `scattering_greens_numeric` is the one-point
 case.  The nonresonant shift integrates `_kernels` over s = k_perp/(i xi)
 instead.
 
@@ -73,7 +78,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .media import PerfectConductor, PerfectNonreciprocalMirror, ReflectionMatrix
-from .quadrature import QuadratureConfig, QuadratureError, integrate_batch
+from .quadrature import QuadratureConfig, integrate_batch
 # integrate is not called here but stays importable from this module:
 # perfbench/tracer.py wraps it by this name.
 from .quadrature import integrate  # noqa: F401
@@ -90,9 +95,8 @@ class PlanarTensors(NamedTuple):
     """G_xx = G_yy, G_zz and G_xy = -G_yx at a batch of points.
 
     The fields are arrays aligned with the points, or Python scalars for
-    one point (`point`).  quad_error and neval are per point, summed over
-    the k-plane segments (quad_error over the kernels too); a closed form
-    has zero of both.
+    one point (`point`).  quad_error (summed over the three kernels) and
+    neval are per point; a closed form has zero of both.
     """
 
     xx: np.ndarray
@@ -213,9 +217,9 @@ def greens_nonreciprocal_mirror(z, omega, sign: float = -1.0) -> PlanarTensors:
 
 
 def _kernels(medium, omega, kp, kpar2, weight=None):
-    """The radial kernels at nodes of (complex) vacuum k_perp kp with real
+    """The radial kernels at nodes of (complex) vacuum k_perp kp with
     k_par^2 = kpar2, as the columns (xx, zz, xy) of one [M, 3] array, each
-    times `weight` if one is given (the k-quadrature passes e^{2 i k_perp z}
+    times `weight` if one is given (the k-quadrature passes e^{-2 u z}
     times its Jacobian); omega and weight are scalars or arrays aligned
     with the nodes."""
     r = medium.reflection(omega, kp)
@@ -228,104 +232,46 @@ def _kernels(medium, omega, kp, kpar2, weight=None):
     return out
 
 
-def _branch_map(u, yb, b):
-    """A segment y in [0, b] whose integrand has a square-root branch point
-    at y = yb, taken over u in [0, 2]: y = yb u (2 - u) below u = 1 and
-    yb + (b - yb)(u - 1)^2 above.  Returns (y, dy/du); y - yb goes as
-    (u - 1)^2 on both halves, so sqrt|y - yb| is smooth on each, and
-    u = 1, where the first bisection of [0, 2] falls, is a panel edge."""
-    s = u - 1.0
-    up = s > 0
-    y = np.where(up, yb + (b - yb) * (s * s), yb * u * (1.0 - s))
-    return y, 2.0 * np.abs(s) * np.where(up, b - yb, yb)
-
-
 def numeric_greens(z, omega, medium,
                    config: QuadratureConfig | None = None) -> PlanarTensors:
     """Scattering tensor by k-quadrature at every height z[j] > 0, at one real
     omega > 0 or at omega = i*xi[j] (finite xi > 0) aligned with z, in one
     lockstep call.
 
-    The segments and their variables are those of the module docstring:
-    the evanescent segment over x in (0, 1] on both axes, after the
-    propagating one over t in (0, q] for real omega, and on the real axis
-    the segment that holds the medium's `branch_point` over u in [0, 2]
-    (`_branch_map`).  Owner S*j + s integrates the three kernels on segment
-    s of point j, with S = 2 segments on the real axis and 1 on the
-    imaginary one.  A failure's `owner` is the index j.
+    Owner j integrates the three kernels of point j on the path k_perp =
+    q + i u of the module docstring, over x in (0, 1] with u = (1 - x)/(a x);
+    a failure's `owner` is the index j.
     """
     z = _heights(z)
     cfg = config or QuadratureConfig()
     w = np.asarray(omega, dtype=complex)
     if w.ndim == 0 and w.imag == 0 and 0 < w.real < np.inf:
-        q = w = float(w.real)  # a real scalar: omega arrays slow the kernels
-        segments = 2
-        prop = np.tile([True, False], z.size)
-        two_z = 2.0 * np.repeat(z, 2)
-        # the segments' own variables run from 0 to b: t in [0, q] on the
-        # propagating one, x in (0, 1] on the evanescent one
-        owner_b = np.tile([q, 1.0], z.size)
-        n = getattr(medium, "branch_point", None)
-        on_prop, on_evan = n is not None and n < 1, n is not None and n > 1
-        if on_evan:
-            yb = np.repeat(1.0 / (1.0 + 2.0 * z * (q * math.sqrt(n * n - 1.0))), 2)
-        elif on_prop:
-            yb = np.full(prop.size, q * math.sqrt(1.0 - n * n))
-        # k_perp = unit * t and k_par^2 = q^2 + sign * t^2, with unit 1 on
-        # the propagating segment and i on the evanescent one
-        owner_unit = np.where(prop, 1.0 + 0j, 1j)
-        owner_sign = np.where(prop, -1.0, 1.0)
-
-        def f(u, owner):
-            p = prop[owner]
-            tz = two_z[owner]
-            # mapped on every node; only the segment that holds the branch
-            # point reads the map, the other its plain variable u
-            y, dy = (_branch_map(u, yb[owner], owner_b[owner])
-                     if on_prop or on_evan else (u, 1.0))
-            yp, dyp = (y, dy) if on_prop else (u, 1.0)
-            ye, dye = (y, dy) if on_evan else (u, 1.0)
-            t = np.where(p, yp, (1.0 - ye) / (tz * ye))
-            jac = np.where(p, dyp, dye / (tz * ye * ye))
-            kp = t * owner_unit[owner]
-            return _kernels(medium, w, kp, t * t * owner_sign[owner] + q * q,
-                            jac * np.exp(1j * kp * tz))
-
-        upper = np.tile([2.0 if on_prop else q, 2.0 if on_evan else 1.0], z.size)
-        scale = np.ones(z.size)
+        q = float(w.real)  # a real scalar: omega arrays slow the kernels
     elif np.all((w.real == 0) & (w.imag > 0) & (w.imag < np.inf)):
         z, xi = np.broadcast_arrays(z, np.atleast_1d(w.imag))
-        segments = 1
-        w = 1j * xi
-
-        def f(x, owner):
-            zo = z[owner]
-            xo = xi[owner]
-            u = (1.0 - x) / (2.0 * zo * x)
-            return _kernels(medium, w[owner], 1j * (xo + u), u * (u + 2.0 * xo),
-                            np.exp(-2.0 * u * zo) / (2.0 * zo * x * x))
-
-        upper = np.ones(z.size)
-        scale = np.exp(-2.0 * xi * z)
+        q = 1j * xi
     else:
         raise ValueError(f"need one finite real omega > 0, or i*xi with finite "
                          f"xi > 0, got {omega}")
 
-    try:
-        values, errors, neval = integrate_batch(
-            f, np.zeros(upper.size), upper, rel_tol=cfg.rel_tol,
-            abs_tol=cfg.abs_tol, max_depth=cfg.max_depth, max_panels=cfg.max_panels)
-    except (ArithmeticError, QuadratureError) as exc:
-        if getattr(exc, "owner", None) is not None:
-            exc.owner //= segments
-        raise
-    pref = 1j / (8 * np.pi)
-    v = values.reshape(-1, segments, 3)
-    e = errors.reshape(-1, segments, 3)
-    g = pref * ((v[:, 0] if segments == 2 else 0.0) - 1j * v[:, -1]) * scale[:, None]
-    err = abs(pref) * scale * (e[:, :, 0] + e[:, :, 1] + e[:, :, 2]).sum(axis=1)
-    return PlanarTensors(g[:, 0], g[:, 1], g[:, 2], err,
-                         neval.reshape(-1, segments).sum(axis=1))
+    a = np.maximum(2.0 * z, np.sqrt(2.0 * z / np.abs(q)))
+
+    def f(x, owner):
+        zo, ao = z[owner], a[owner]
+        qo = q[owner] if np.ndim(q) else q
+        u = (1.0 - x) / (ao * x)
+        return _kernels(medium, qo, qo + 1j * u, u * (u - 2j * qo),
+                        np.exp(-2.0 * u * zo) / (ao * x * x))
+
+    values, errors, neval = integrate_batch(
+        f, np.zeros(z.size), np.ones(z.size), rel_tol=cfg.rel_tol,
+        abs_tol=cfg.abs_tol, max_depth=cfg.max_depth, max_panels=cfg.max_panels)
+    # [N, 3]; the engine returns no heights as a flat empty array
+    v, e = values.reshape(-1, 3), errors.reshape(-1, 3)
+    phase = np.exp(2j * q * z)
+    g = (1.0 / (8 * np.pi)) * v * phase[:, None]
+    err = (1.0 / (8 * np.pi)) * np.abs(phase) * (e[:, 0] + e[:, 1] + e[:, 2])
+    return PlanarTensors(g[:, 0], g[:, 1], g[:, 2], err, neval)
 
 
 def scattering_greens_numeric(point: EvaluationPoint, medium,

@@ -17,14 +17,10 @@ all nodes or an array of omega aligned with them.  Every medium here is
 nondispersive, r(i lambda xi, lambda k_perp) = r(i xi, k_perp) for
 lambda > 0; `atomics.nonresonant_shift_grid` relies on this.
 
-Each medium also states two facts the quadrature routes on:
-`constant_reflection`, the reflection matrix if it depends neither on k_par
-nor on omega (the two ideal mirrors, the constant test medium, and the
-axion half-space at epsilon = 1), else None, and `branch_point`, the
-k_par/omega at which k_2 turns from real to imaginary, where every
-coefficient has a square-root branch point (sqrt(eps mu) for the axion
-half-space at epsilon != 1), else None.  `atomics` takes closed forms for
-the first kind; `greens.numeric_greens` puts the second on a panel edge.
+Each medium also states its `constant_reflection`: the reflection matrix
+if it depends neither on k_par nor on omega (the two ideal mirrors, the
+constant test medium, and the axion half-space at epsilon = 1), else None.
+`atomics` takes closed forms for those and the k-quadrature for the others.
 """
 from __future__ import annotations
 
@@ -98,9 +94,7 @@ def perpendicular_wavenumber(omega, k_par, epsilon: float = 1.0, mu: float = 1.0
 
 class _ConstantReflection:
     """A medium whose reflection matrix is its `constant_reflection` at
-    every (omega, k_perp); it has no branch point."""
-
-    branch_point = None
+    every (omega, k_perp)."""
 
     def reflection(self, omega, k_perp) -> ReflectionMatrix:
         shape = np.shape(k_perp)
@@ -173,13 +167,6 @@ class AxionMedium:
         return ReflectionMatrix(r_ss=-self.delta ** 2 / den, r_sp=x, r_ps=x,
                                 r_pp=self.delta ** 2 / den)
 
-    @property
-    def branch_point(self) -> float | None:
-        """k_par/omega = sqrt(eps mu), where k_2 = sqrt(eps mu omega^2 -
-        k_par^2) vanishes; None at epsilon = 1, where it is the vacuum
-        lightline and k_2 = k_1."""
-        return None if self.epsilon == 1 else math.sqrt(self.epsilon * self.mu)
-
     def reflection(self, omega, k_perp) -> ReflectionMatrix:
         """The coefficients at vacuum wavenumber k1 = k_perp, with
         k2 = sqrt(k1^2 + (eps mu - 1) omega^2) on the branch Im k2 >= 0.
@@ -192,8 +179,8 @@ class AxionMedium:
         k1 = np.asarray(k_perp, dtype=complex)[()]
         w2 = (self.epsilon * self.mu - 1.0) * omega ** 2
         k2 = np.sqrt(k1 * k1 + w2)
-        # the radicand is real on both frequency axes; a -0j imaginary part
-        # puts np.sqrt of a negative one on the wrong side of the cut
+        # on the imaginary axis the radicand is real and negative, and a -0j
+        # imaginary part puts np.sqrt of it on the wrong side of the cut
         k2 = np.where(k2.imag < 0, -k2, k2)[()]
         k12 = k1 * k2
         mix = k12 * self.delta ** 2

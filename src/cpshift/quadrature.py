@@ -1,7 +1,7 @@
 """Vectorized globally adaptive Gauss-Kronrod quadrature.
 
-The k- and s-integrals in this package are one-dimensional, smooth away
-from the lightline split, and have to run thousands of times per scan, so
+The k- and s-integrals in this package are one-dimensional, smooth on
+their paths, and have to run thousands of times per scan, so
 the engine batches all pending panel evaluations into single vectorized
 calls: the integrand must accept an ndarray of abscissae and return an
 ndarray of (possibly complex) values of the same length, or one row of K
@@ -80,7 +80,7 @@ _G7_WEIGHTS[1::2] = [
 class QuadratureConfig:
     """Tolerances and caps for the quadratures.
 
-    rel_tol      : relative tolerance of each k-plane segment integral
+    rel_tol      : relative tolerance of each point's k-integral
     xi_rel_tol   : relative tolerance of the nonresonant shift's s-integral
     abs_tol      : absolute floor (identically-zero channels stop at once)
     max_depth    : bisection cap per panel

@@ -12,7 +12,7 @@ import pytest
 import cpshift.cli
 from cpshift.atomics import decay_rate, nonresonant_shift, resonant_shift
 from cpshift.cli import main
-from cpshift.media import AxionMedium, PerfectNonreciprocalMirror
+from cpshift.media import AxionMedium, PerfectNonreciprocalMirror, PoleError
 from cpshift.units import canonical_transition
 from cpshift.version import __version__
 
@@ -124,13 +124,18 @@ def test_scan_config_errors_exit_one(tmp_path, capsys):
     assert run(capsys, "scan", "--config", str(missing), "--out", str(tmp_path))[0] == 1
 
 
-def test_scan_numerical_failure_exits_two(tmp_path, capsys):
+def test_scan_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
+    # a stand-in reflection with a pole at the first node of the quadrature
+    def pole(self, omega, k_perp):
+        raise PoleError("stand-in pole", owner=0)
+
+    monkeypatch.setattr(AxionMedium, "reflection", pole)
     cfg = tmp_path / "fail.cfg"
     cfg.write_text("""\
 medium = axion
 epsilon = 16
-zeta_min = 2.9e5
-zeta_max = 3.1e5
+zeta_min = 0.5
+zeta_max = 2
 count = 2
 quantities = rate
 name = fail
@@ -138,7 +143,7 @@ name = fail
     code, _, err = run(capsys, "scan", "--config", str(cfg), "--out",
                        str(tmp_path / "out"))
     assert code == 2
-    assert "numerical failure" in err
+    assert "numerical failure" in err and "zeta=0.5" in err
     manifest = json.loads((tmp_path / "out" / "fail.manifest.json").read_text())
     assert manifest["status"] == "failed"
 

@@ -309,15 +309,3 @@ def test_reflection_from_k_perp_matches_the_k_par_formulas(epsilon, theta, kfrac
     got = _at_k_par(medium, omega, kfrac * w).as_array()
     want = _fresnel_at_k_par(medium, omega, kfrac * w)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-
-
-def test_branch_point_is_where_k2_vanishes():
-    for epsilon in (0.25, 4.0, 16.0):
-        n = AxionMedium(epsilon=epsilon).branch_point
-        assert n == math.sqrt(epsilon)
-        assert perpendicular_wavenumber(1.0, n, epsilon) == 0
-    assert AxionMedium(epsilon=1.0).branch_point is None
-    for medium in (PerfectConductor(), PerfectNonreciprocalMirror(),
-                   ConstantReflectionMedium(r_ss=0.5)):
-        assert medium.branch_point is None
-

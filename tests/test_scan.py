@@ -12,7 +12,7 @@ from cpshift.config import ConfigError, ScanConfig
 from cpshift.greens import numeric_greens
 from cpshift.scan import FIGURE_NAMES, ScanError, _format_csv, figure, run_scan
 from cpshift.media import AxionMedium, PerfectConductor, PerfectNonreciprocalMirror, PoleError
-from cpshift.quadrature import _K15_NODES
+from cpshift.quadrature import _K15_NODES, QuadratureConfig
 from cpshift.units import canonical_transition, free_space_rate_formula
 
 TR = canonical_transition("plus")
@@ -92,11 +92,11 @@ def test_manifest_evaluation_count_shows_the_route(tmp_path):
 
 
 def test_failed_scan_still_writes_manifest(tmp_path):
-    # far outside the oscillation-resolvable range the panel budget runs out
-    cfg = ScanConfig(medium_kind="axion", epsilon=16.0, zeta_min=2.9e5, zeta_max=3.1e5,
+    # every height needs more panels than a budget of 4
+    cfg = ScanConfig(medium_kind="axion", epsilon=16.0, zeta_min=0.5, zeta_max=2.0,
                      count=2, quantities=("rate",), name="fail")
     with pytest.raises(ScanError) as excinfo:
-        run_scan(cfg, tmp_path)
+        run_scan(cfg, tmp_path, QuadratureConfig(max_panels=4))
     assert excinfo.value.zeta is not None
     manifest = json.loads((tmp_path / "fail.manifest.json").read_text())
     assert manifest["status"] == "failed"
@@ -275,10 +275,10 @@ def test_batched_scan_equals_point_calls_bit_for_bit(tmp_path, kind, handedness,
 def test_failing_scan_names_a_grid_zeta(tmp_path):
     # every point needs more than the whole panel budget; the lowest zeta
     # ends up running alone and fails first
-    cfg = ScanConfig(medium_kind="axion", epsilon=16.0, zeta_min=2.9e5,
-                     zeta_max=3.1e5, count=16, quantities=("rate",), name="fail16")
+    cfg = ScanConfig(medium_kind="axion", epsilon=16.0, zeta_min=0.5,
+                     zeta_max=2.0, count=16, quantities=("rate",), name="fail16")
     with pytest.raises(ScanError) as excinfo:
-        run_scan(cfg, tmp_path)
+        run_scan(cfg, tmp_path, QuadratureConfig(max_panels=4))
     assert excinfo.value.zeta in cfg.grid().tolist()
     manifest = json.loads((tmp_path / "fail16.manifest.json").read_text())
     assert manifest["status"] == "failed"
@@ -286,21 +286,17 @@ def test_failing_scan_names_a_grid_zeta(tmp_path):
 
 
 def test_pole_in_batched_scan_names_its_zeta(tmp_path, monkeypatch):
-    # at epsilon = 16 every height integrates its evanescent segment over
-    # u in [0, 2] through the branch map: x = x_b + (1 - x_b)(u - 1)^2 above
-    # u = 1, with x_b = 1/(1 + 2 zeta sqrt(15)) and k_perp = i(1 - x)/(2 zeta x).
-    # The first round's node u = 1 + s (s the smallest positive Kronrod
-    # node) of the third grid point alone sits at |k_perp| = t_2 (the
-    # central node u = 1 is the branch point t = sqrt(15) of every height),
-    # so a stand-in pole there must name zeta_2, not the first or any
-    # other owner
+    # at zeta >= 1/2 (omega = 1) height zeta integrates over x in (0, 1] with
+    # k_perp = 1 + i u, u = (1 - x)/(2 zeta x), so the first round's node
+    # x = (1 + s)/2 (s the smallest positive Kronrod node) sits at a
+    # |k_perp| of the third grid point alone: a stand-in pole there must
+    # name zeta_2, not the first or any other owner
     reflection = AxionMedium.reflection
-    cfg = ScanConfig(medium_kind="axion", epsilon=16.0, zeta_min=0.05, zeta_max=0.8,
+    cfg = ScanConfig(medium_kind="axion", epsilon=16.0, zeta_min=0.6, zeta_max=4.0,
                      count=4, spacing="log", quantities=("rate",), name="pole")
     zeta = cfg.grid()[2]
-    x_b = 1.0 / (1.0 + 2.0 * zeta * math.sqrt(15.0))
-    x = x_b + (1.0 - x_b) * _K15_NODES[8] ** 2
-    k_pole = (1.0 - x) / (2.0 * zeta * x)
+    x = 0.5 + 0.5 * _K15_NODES[8]
+    k_pole = abs(1.0 + 1j * (1.0 - x) / (2.0 * zeta * x))
 
     def pole_of_one_height(self, omega, k_perp):
         hit = np.flatnonzero(np.abs(np.abs(np.asarray(k_perp)) / k_pole - 1.0) < 1e-12)
