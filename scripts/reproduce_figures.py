@@ -6,7 +6,9 @@ Usage:
 
 Writes, per figure name, one CSV per trace plus one run manifest,
 `<name>.manifest.json`, whose `outputs` list every file the figure wrote,
-itself last.  The "N files" printed per figure counts all of them:
+itself last.  Each figure's line prints its wall time, the integrand
+evaluations of its quadratures (the manifest's `neval`, 0 for closed
+forms, the same on every machine) and "N files", all of them:
 
   gamma_mirrors  decay rate vs zeta above both ideal mirrors
   omega_mirrors  resonant + nonresonant shifts vs zeta, both mirrors
@@ -18,12 +20,13 @@ itself last.  The "N files" printed per figure counts all of them:
 
 The gamma_ti and omega_ti sets dominate the runtime: every grid point
 runs the real-axis k-quadrature for the three eps = 16 axion media of the
-difference traces, 196,980 integrand evaluations per set, on the path
+difference traces, 122,040 integrand evaluations per set, on the path
 k_perp = omega + i u, where nothing oscillates (`greens.numeric_greens`).
 The two pure-axion traces (eps = 1) and the mirror sets have
 k_par-independent reflection and take closed forms, in milliseconds.
 """
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
@@ -51,7 +54,9 @@ def main():
         t0 = time.perf_counter()
         outputs = figure(name, args.outdir, qcfg=qcfg)
         dt = time.perf_counter() - t0
-        print(f"{name:14s} {dt:6.1f} s  {len(outputs)} files")
+        manifest = json.loads((args.outdir / f"{name}.manifest.json").read_text())
+        print(f"{name:14s} {dt:6.1f} s  {manifest['neval']:9,d} evaluations  "
+              f"{len(outputs)} files")
         for fn in outputs:
             print(f"    {args.outdir / fn}")
 

@@ -31,7 +31,7 @@ from .greens import (PlanarTensors, _heights, _kernels, closed_form_greens,
 from .media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
                     ReflectionMatrix, delta as axion_delta,
                     nonretarded_limit_coefficients, retarded_limit_coefficients)
-from .quadrature import QuadratureConfig, integrate_batch
+from .quadrature import HALF_LINE_MESH, QuadratureConfig, integrate_batch
 # not called here but importable from this module: perfbench/tracer.py
 # wraps them by these names.
 from .greens import scattering_greens_numeric  # noqa: F401
@@ -221,7 +221,9 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
     (`_moments`) leaves, with b = 2 s w z,
         dw_nres = (w^3/8 pi^2) int_1^inf ds [Im P B4(b) - Re P B3(b)],
     over tau = 1/s in (0, 1] at rel_tol `xi_rel_tol`, height j as owner j of
-    one `integrate_batch` (a failure's `owner` is j).  A medium that states
+    one `integrate_batch` (a failure's `owner` is j).  s = inf sits at
+    tau = 0, as u = inf does at x = 0 in the k-quadrature, and every height
+    starts on the same dyadic panels (HALF_LINE_MESH).  A medium that states
     a constant reflection matrix has P polynomial in s, and the s-integral
     in closed form instead (`_closed_form_nonresonant`).
     """
@@ -247,7 +249,8 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
 
     values, errors, neval = integrate_batch(
         f, np.zeros(z.size), np.ones(z.size), rel_tol=cfg.xi_rel_tol,
-        abs_tol=cfg.abs_tol, max_depth=cfg.max_depth, max_panels=cfg.max_panels)
+        abs_tol=cfg.abs_tol, max_depth=cfg.max_depth, max_panels=cfg.max_panels,
+        mesh=HALF_LINE_MESH)
     return NonresonantTerms(im_term=pref * values.real, re_term=-pref * values.imag,
                             quad_error=pref * errors, neval=neval)
 

@@ -48,6 +48,9 @@ reflection's scale into a sliver of width ~2 |q| z at x = 1, and the
 rate, the small imaginary part of the tensor there, would lose digits
 (2e-6 of it at z = 1e-3 above epsilon = 0.25); a = sqrt(2z/|q|), their
 geometric mean, keeps both scales ~sqrt(2 |q| z) from the ends of x.
+Bisection from [0, 1] reaches the panels between 0, 1/16, 1/8, 1/4, 1/2
+and 1 at every height, so every point starts on them
+(`quadrature.HALF_LINE_MESH`).
 
 The three kernels of a point share one reflection matrix, so each point
 is one three-component integral, and all of them run as owners of one
@@ -78,7 +81,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .media import PerfectConductor, PerfectNonreciprocalMirror, ReflectionMatrix
-from .quadrature import QuadratureConfig, integrate_batch
+from .quadrature import HALF_LINE_MESH, QuadratureConfig, integrate_batch
 # integrate is not called here but stays importable from this module:
 # perfbench/tracer.py wraps it by this name.
 from .quadrature import integrate  # noqa: F401
@@ -239,8 +242,9 @@ def numeric_greens(z, omega, medium,
     lockstep call.
 
     Owner j integrates the three kernels of point j on the path k_perp =
-    q + i u of the module docstring, over x in (0, 1] with u = (1 - x)/(a x);
-    a failure's `owner` is the index j.
+    q + i u of the module docstring, over x in (0, 1] with u = (1 - x)/(a x),
+    starting on the panels of HALF_LINE_MESH; a failure's `owner` is the
+    index j.
     """
     z = _heights(z)
     cfg = config or QuadratureConfig()
@@ -265,7 +269,8 @@ def numeric_greens(z, omega, medium,
 
     values, errors, neval = integrate_batch(
         f, np.zeros(z.size), np.ones(z.size), rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol, max_depth=cfg.max_depth, max_panels=cfg.max_panels)
+        abs_tol=cfg.abs_tol, max_depth=cfg.max_depth, max_panels=cfg.max_panels,
+        mesh=HALF_LINE_MESH)
     # [N, 3]; the engine returns no heights as a flat empty array
     v, e = values.reshape(-1, 3), errors.reshape(-1, 3)
     phase = np.exp(2j * q * z)

@@ -33,7 +33,7 @@ from .constants import ALPHA_FS
 
 __all__ = [
     "ReflectionMatrix", "PoleError",
-    "PerfectConductor", "PerfectNonreciprocalMirror", "AxionMedium",
+    "PerfectConductor", "PerfectNonreciprocalMirror", "AxionMedium", "EPSILON_MAX",
     "ConstantReflectionMedium",
     "delta", "perpendicular_wavenumber",
     "retarded_limit_coefficients", "nonretarded_limit_coefficients",
@@ -127,6 +127,13 @@ class PerfectNonreciprocalMirror(_ConstantReflection):
         return ReflectionMatrix(r_ss=0.0, r_sp=self.sign, r_ps=self.sign, r_pp=0.0)
 
 
+# The largest epsilon of an axion half-space.  Its reflection's products
+# overflow near epsilon = 1.6e201, and long before that the tensor has its
+# epsilon -> infinity value: at zeta = 0.05, on either frequency axis, it
+# reads the same at 1e100 and 1e200 to 4e-16 of its largest entry.
+EPSILON_MAX = 1e100
+
+
 @dataclass(frozen=True)
 class AxionMedium:
     """Half-space with permittivity, permeability and axion coupling theta.
@@ -134,9 +141,10 @@ class AxionMedium:
     Medium 1 is vacuum (eps_1 = 1, theta_1 = 0, n_1 = 1).  The cross
     coefficients carry Delta = alpha*theta/pi.  The Fresnel weights are
     those of a nonmagnetic medium, so mu must be 1 (it is kept as a field
-    for callers that state it); epsilon must be positive and finite, theta
-    finite.  Nondispersive (constant eps) by construction.  theta is marked
-    as an angle (radians), so text input may also give it as a pi-multiple.
+    for callers that state it); epsilon must be positive and at most
+    EPSILON_MAX, theta finite.  Nondispersive (constant eps) by
+    construction.  theta is marked as an angle (radians), so text input may
+    also give it as a pi-multiple.
     """
 
     epsilon: float = 1.0
@@ -145,8 +153,9 @@ class AxionMedium:
     delta: float = field(init=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not 0 < self.epsilon <= EPSILON_MAX:
+            raise ValueError(f"epsilon must be positive and at most {EPSILON_MAX:g}, "
+                             f"got {self.epsilon}")
         if self.mu != 1:
             raise ValueError(f"mu must be 1 (the Fresnel weights are those of a "
                              f"nonmagnetic medium), got {self.mu}")

@@ -22,9 +22,12 @@ per integral per round.  An owner may have K components that share its
 panels, as in QUADPACK-style vector quadrature: several integrands over
 one interval cost one set of nodes.  Each owner applies the same rule with
 its own tolerance and depth cap, and drops out of the rounds once every
-component has converged.  `max_panels` bounds the live panels of the whole
-call: owners that would overflow it wait in a queue and restart later, so
-a call's memory does not grow with N.  `integrate` is the one-owner,
+component has converged.  Every owner starts on one shared mesh of
+panels, fractions of its interval (QUADPACK QAGP's breakpoints): [a, b]
+itself by default, `HALF_LINE_MESH` for a half-line mapped onto (0, 1].
+`max_panels` bounds the live panels of the whole call: owners that would
+overflow it wait in a queue and restart later on their start mesh, so a
+call's memory does not grow with N.  `integrate` is the one-owner,
 one-component case.
 """
 from __future__ import annotations
@@ -35,8 +38,8 @@ from numbers import Integral
 
 import numpy as np
 
-__all__ = ["QuadratureConfig", "QuadratureError", "QuadResult", "integrate",
-           "integrate_batch"]
+__all__ = ["HALF_LINE_MESH", "QuadratureConfig", "QuadratureError", "QuadResult",
+           "integrate", "integrate_batch"]
 
 
 class QuadratureError(RuntimeError):
@@ -74,6 +77,13 @@ _G7_WEIGHTS[1::2] = [
     0.4179591836734694, 0.38183005050511892, 0.27970539148927664,
     0.1294849661688697,
 ]
+
+# The start mesh of a half-line mapped onto x in (0, 1] with infinity at
+# x = 0.  Bisection from [0, 1] reaches these panels at every height of the
+# k-integral (`greens.numeric_greens`), so starting on them skips its first
+# four rounds; the s-integral's easiest heights end on coarser panels, at
+# the same 75 evaluations.
+HALF_LINE_MESH = (0.0, 0.0625, 0.125, 0.25, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -130,8 +140,10 @@ def _panels(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
     Returns the integrand's trailing shape (() or (K,)) and every panel's
     K15 sum and |K15 - G7| as [panels, K] arrays.  einsum reduces each row
     on its own, without BLAS, so a panel's sums do not depend on the other
-    panels of the call.  An exception from f whose `owner` names a node of
-    x is re-pointed at the integral that node belongs to.
+    panels of the call; complex values are summed as their real and
+    imaginary parts, a float view, which gives the same sums faster.  An
+    exception from f whose `owner` names a node of x is re-pointed at the
+    integral that node belongs to.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -144,9 +156,17 @@ def _panels(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
             exc.owner = int(node_owner[exc.owner])
         raise
     shape = y.shape[1:]
+    cplx = np.iscomplexobj(y)
+    if cplx:
+        y = np.ascontiguousarray(y, dtype=complex).view(float)
     y = y.reshape(x.shape + (-1,))
-    k15 = half[:, None] * np.einsum("pnk,n->pk", y, _K15_WEIGHTS)
-    return shape, k15, np.abs(k15 - half[:, None] * np.einsum("pnk,n->pk", y, _G7_WEIGHTS))
+
+    def rule(weights):
+        s = np.einsum("pnk,n->pk", y, weights)
+        return half[:, None] * (s.view(complex) if cplx else s)
+
+    k15 = rule(_K15_WEIGHTS)
+    return shape, k15, np.abs(k15 - rule(_G7_WEIGHTS))
 
 
 def integrate(f, a: float, b: float, rel_tol: float = 1e-9, abs_tol: float = 0.0,
@@ -163,7 +183,7 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-9, abs_tol: float = 0.0
 
 
 def integrate_batch(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0,
-                    max_depth: int = 30, max_panels: int = 20000):
+                    max_depth: int = 30, max_panels: int = 20000, mesh=(0.0, 1.0)):
     """Integrate N independent integrals, owner i over [a[i], b[i]], in lockstep.
 
     f(x, owner) -> ndarray is called once per refinement round; x holds the
@@ -175,13 +195,19 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0,
     abs_tol), until every component's summed |K15 - G7| is within its
     tolerance; no panel deeper than `max_depth` bisections.
 
+    Every owner starts on the panels between the fractions `mesh` of its
+    interval, t_0 = 0 < t_1 < ... < t_m = 1 (QUADPACK QAGP's breakpoints,
+    shared by all owners; the default is [a, b] itself).  A start panel
+    counts at its dyadic level, the smallest d with 2^-d <= t_(j+1) - t_j,
+    so no panel made by bisection is narrower than 2^-max_depth of [a, b].
+
     `max_panels` bounds the live panels of the whole call, so memory does
-    not grow with N.  Owners start in index order as the budget allows; when
-    a round would exceed it, the highest-index live owners are evicted back
-    to the queue, to restart later from their first panel (queued owners
-    start only in rounds that evict none).  The lowest-index live owner is
-    never evicted, so it keeps the standalone cap: it fails only if it
-    alone would exceed `max_panels`.
+    not grow with N.  Owners start in index order as the budget allows, each
+    with its m start panels; when a round would exceed it, the highest-index
+    live owners are evicted back to the queue, to restart later on their
+    start mesh (queued owners start only in rounds that evict none).  The
+    lowest-index live owner is never evicted, so it keeps the standalone
+    cap: it fails only if it alone would exceed `max_panels`.
 
     Owners are deterministic, each keeps its panels in one order, and every
     panel and every owner is reduced on its own (einsum and reduceat, no
@@ -201,10 +227,19 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0,
     if not np.all(hi0 > lo0):
         i = int(np.argmin(hi0 > lo0))
         raise ValueError(f"need b > a, got [{lo0[i]}, {hi0[i]}] for integral {i}")
+    t = np.asarray(mesh, dtype=float)
+    if not (t.ndim == 1 and t.size >= 2 and t[0] == 0 and t[-1] == 1
+            and np.all(t[1:] > t[:-1])):
+        raise ValueError(f"need a mesh rising from 0 to 1, got {mesh}")
+    m = t.size - 1
+    start_depth = 1 - np.frexp(np.diff(t))[1]  # w = f 2^e, 1/2 <= f < 1: d = 1 - e
     n = lo0.size
     neval = np.zeros(n, dtype=int)
     if n == 0:
         return np.zeros(0, dtype=complex), np.zeros(0), neval
+    if max_panels < m:
+        raise QuadratureError(f"panel budget {max_panels} exhausted in integral 0 "
+                              f"(its start mesh has {m} panels)", owner=0)
     pending = np.arange(n)  # queued owners, ascending, all above the live ones
     # live panels, sorted by owner; each owner's panels in a standalone order
     own = np.empty(0, dtype=int)
@@ -212,17 +247,19 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0,
     vals = errs = None  # [panels, K], shaped by the first round
     depth = np.empty(0, dtype=int)
     keep = split = np.empty(0, dtype=int)
-    admit, pending = pending[:max_panels], pending[max_panels:]
+    admit, pending = pending[:max_panels // m], pending[max_panels // m:]
 
     while True:
         # this round's panels: both halves of every split panel, then the
-        # first panel of every admitted owner
+        # start panels of every admitted owner, (1 - t) a + t b with both
+        # ends exact
         mid = 0.5 * (lo[split] + hi[split])
-        new_own = np.concatenate([own[split], own[split], admit])
-        new_lo = np.concatenate([lo[split], mid, lo0[admit]])
-        new_hi = np.concatenate([mid, hi[split], hi0[admit]])
+        ends = lo0[admit, None] * (1.0 - t) + hi0[admit, None] * t
+        new_own = np.concatenate([own[split], own[split], np.repeat(admit, m)])
+        new_lo = np.concatenate([lo[split], mid, ends[:, :-1].ravel()])
+        new_hi = np.concatenate([mid, hi[split], ends[:, 1:].ravel()])
         new_depth = np.concatenate([depth[split] + 1, depth[split] + 1,
-                                    np.zeros(admit.size, dtype=int)])
+                                    np.tile(start_depth, admit.size)])
         shape, new_vals, new_errs = _panels(f, new_lo, new_hi, new_own)
         neval += 15 * np.bincount(new_own, minlength=n)
         if vals is None:  # the first round fixes the number of components
@@ -294,7 +331,7 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0,
                 # queued owners start only in a round that evicted none, so
                 # an evicted owner does not restart at once into the same
                 # shortage
-                room = max_panels - int(used[-1])
+                room = (max_panels - int(used[-1])) // m
                 admit, pending = pending[:room], pending[room:]
         split = np.flatnonzero(mask)
         keep = np.flatnonzero(live & ~mask)

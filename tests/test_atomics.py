@@ -343,10 +343,11 @@ def test_tight_s_integral_converges_from_contact_to_far_field():
 
 
 def test_nonresonant_grid_under_a_small_panel_budget_matches_point_calls():
-    # a budget of 8 panels holds the s-integral of any one of the four
-    # heights (3 to 5 live panels) but not all of them, so heights are
-    # evicted and restarted, which costs reflection nodes; each still equals
-    # its one-height call at the default budget, bit for bit
+    # a budget of 12 panels holds the s-integral of any one of the four
+    # heights (5 to 10 live panels, from the 5 of the start mesh) but not
+    # all of them, so heights are evicted and restarted, which costs
+    # reflection nodes; each still equals its one-height call at the
+    # default budget, bit for bit
     class Counted(AxionMedium):
         nodes = 0
 
@@ -354,17 +355,27 @@ def test_nonresonant_grid_under_a_small_panel_budget_matches_point_calls():
             Counted.nodes += np.size(k_perp)
             return super().reflection(omega, k_perp)
 
-    z = np.array([0.3, 0.7, 1.1, 2.0])
+    z = np.array([0.03, 0.1, 0.3, 1.1])
     m16 = Counted(epsilon=16.0, theta=math.pi)
     nonresonant_shift_grid(TR, z, m16)
     unbounded, Counted.nodes = Counted.nodes, 0
-    grid = nonresonant_shift_grid(TR, z, m16, config=QuadratureConfig(max_panels=8))
+    grid = nonresonant_shift_grid(TR, z, m16, config=QuadratureConfig(max_panels=12))
     assert Counted.nodes > unbounded
-    assert grid.neval.sum() > 8 * 15
+    assert grid.neval.sum() > 12 * 15
     for j, zj in enumerate(z):
         one = nonresonant_shift_terms(TR, float(zj), m16)
         assert (grid.im_term[j], grid.re_term[j]) == (one.im_term, one.re_term)
         assert (grid.quad_error[j], grid.neval[j]) == (one.quad_error, one.neval)
+
+
+def test_nonresonant_evaluation_count_on_the_benchmark_pool():
+    # evaluation counts do not depend on the machine: the benchmark's 64
+    # log-spaced zeta in [0.01, 10] take 8,640 from the start mesh (10,980
+    # from [0, 1])
+    zeta = 10.0 ** (-2.0 + 3.0 * (np.arange(64) + 0.5) / 64)
+    terms = nonresonant_shift_grid(TR, zeta / TR.frequency,
+                                   AxionMedium(epsilon=16.0, theta=math.pi))
+    assert terms.neval.sum() <= 9_000
 
 
 def test_batched_failures_name_the_height():

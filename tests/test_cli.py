@@ -197,6 +197,38 @@ def test_bad_medium_parameters_exit_one_before_quadrature(capsys, monkeypatch):
             assert "config error" in err
 
 
+def test_epsilon_beyond_its_bound_exits_one_before_quadrature(tmp_path, capsys,
+                                                              monkeypatch):
+    # the axion reflection overflows near epsilon = 1.6e201; the medium takes
+    # epsilon up to 1e100, and the CLI rejects more with the config
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature started")
+
+    for module in ("cpshift.greens", "cpshift.atomics", "cpshift.quadrature"):
+        monkeypatch.setattr(f"{module}.integrate_batch", no_quadrature)
+    for command in ("rates", "shift"):
+        code, out, err = run(capsys, command, "--medium", "axion",
+                             "--epsilon", "1e300", "--zeta", "1")
+        assert code == 1, command
+        assert out == "" and "config error" in err and "at most 1e+100" in err
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("medium = axion\nepsilon = 1e250\nzeta_min = 0.1\nzeta_max = 1\n"
+                   "count = 4\nquantities = rate\nname = huge\n", encoding="utf-8")
+    code, out, err = run(capsys, "scan", "--config", str(cfg), "--out",
+                         str(tmp_path / "out"))
+    assert code == 1
+    assert out == "" and "config error" in err and "at most 1e+100" in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["huge.cfg"]
+
+
+def test_epsilon_at_its_bound_runs(capsys):
+    code, out, _ = run(capsys, "rates", "--medium", "axion", "--epsilon", "1e100",
+                       "--zeta", "1")
+    assert code == 0
+    header, row = parse_row(out)
+    assert header == ["zeta", "gamma_ratio"] and math.isfinite(row[1])
+
+
 def test_figure_subcommand(tmp_path, capsys):
     code, _, _ = run(capsys, "figure", "gamma_mirrors", "--out", str(tmp_path))
     assert code == 0

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cpshift.constants import ALPHA_FS
-from cpshift.media import (AxionMedium, ConstantReflectionMedium, PerfectConductor,
-                           PerfectNonreciprocalMirror, PoleError,
+from cpshift.media import (EPSILON_MAX, AxionMedium, ConstantReflectionMedium,
+                           PerfectConductor, PerfectNonreciprocalMirror, PoleError,
                            ReflectionMatrix, delta, nonretarded_limit_coefficients,
                            perpendicular_wavenumber, retarded_limit_coefficients)
 
@@ -240,6 +240,9 @@ def test_reflection_matrix_container():
 def test_medium_validation():
     with pytest.raises(ValueError):
         AxionMedium(epsilon=-1.0)
+    assert AxionMedium(epsilon=EPSILON_MAX).epsilon == 1e100
+    with pytest.raises(ValueError, match="at most 1e"):
+        AxionMedium(epsilon=np.nextafter(EPSILON_MAX, math.inf))
     with pytest.raises(ValueError):
         AxionMedium(mu=0.0)
     assert issubclass(PoleError, ArithmeticError)

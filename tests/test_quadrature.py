@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpshift.quadrature import (_G7_WEIGHTS, _K15_NODES, _K15_WEIGHTS,
+from cpshift.quadrature import (_G7_WEIGHTS, _K15_NODES, _K15_WEIGHTS, HALF_LINE_MESH,
                                 QuadratureConfig, QuadratureError, integrate,
                                 integrate_batch)
 
@@ -230,17 +230,27 @@ def test_zero_owners_return_empty_arrays_without_calling_f():
     assert values.dtype == complex and neval.dtype.kind == "i"
 
 
+# start meshes: [a, b] itself (the default), the half-line mesh, and meshes
+# whose panels are not powers of 2 wide
+_MESHES = st.one_of(
+    st.just((0.0, 1.0)), st.just(HALF_LINE_MESH),
+    st.lists(st.integers(1, 99), min_size=1, max_size=4, unique=True).map(
+        lambda t: (0.0, *sorted(k / 100 for k in t), 1.0)))
+
+
 @given(owners=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 4.0),
                                  st.floats(-5.0, 5.0), st.floats(0.0, 20.0),
                                  st.floats(-3.0, 3.0), st.floats(1e-3, 1.0)),
                        min_size=2, max_size=8),
-       share=st.floats(0.0, 1.0))
-@settings(max_examples=40, deadline=None)
-def test_panel_budget_evicts_and_owners_still_match_standalone(owners, share):
+       share=st.floats(0.0, 1.0), mesh=_MESHES)
+@settings(max_examples=60, deadline=None)
+def test_panel_budget_evicts_and_owners_still_match_standalone(owners, share, mesh):
     a = [o[0] for o in owners]
     b = [o[0] + o[1] for o in owners]
     f = _lockstep_integrand([o[2:] for o in owners])
-    alone = [_alone(f, i, lo, hi, rel_tol=1e-10) for i, (lo, hi) in enumerate(zip(a, b))]
+    m = len(mesh) - 1
+    alone = [_alone(f, i, lo, hi, rel_tol=1e-10, mesh=mesh)
+             for i, (lo, hi) in enumerate(zip(a, b))]
     # each owner evaluates at least as many panels as it ever holds, so a
     # lone owner fits; anything below the sum forces evictions
     largest = max(r[2] // 15 for r in alone)
@@ -249,19 +259,87 @@ def test_panel_budget_evicts_and_owners_still_match_standalone(owners, share):
     peaks = []
 
     def counted(x, owner):
-        # a continuing owner adds two halves per split panel; one new panel
-        # means it (re)starts; an owner missing from a round holds none
+        # an owner missing from a round holds none; one that held none
+        # (re)starts on the m panels of its mesh; a continuing owner adds
+        # two halves per split panel
         new = np.bincount(owner, minlength=len(owners)) // 15
         for i in range(len(owners)):
-            live[i] = 0 if new[i] == 0 else (1 if new[i] == 1 else live[i] + new[i] // 2)
+            held = live.get(i, 0)
+            assert held or new[i] in (0, m)
+            live[i] = 0 if new[i] == 0 else (new[i] if held == 0 else held + new[i] // 2)
         peaks.append(sum(live.values()))
         return f(x, owner)
 
     values, errors, neval = integrate_batch(counted, a, b, rel_tol=1e-10,
-                                            max_panels=budget)
+                                            max_panels=budget, mesh=mesh)
     assert max(peaks) <= budget
     for i, res in enumerate(alone):
         _assert_same((values[i], errors[i], neval[i]), res)
+
+
+def test_start_mesh_is_its_panels_with_exact_ends():
+    rounds = []
+
+    def f(x, owner):
+        rounds.append(x.reshape(-1, 15))
+        return np.exp(x)
+
+    values, _, neval = integrate_batch(f, [-1.0, 0.2], [3.0, 0.9], rel_tol=1e-12,
+                                       mesh=HALF_LINE_MESH)
+    assert neval.tolist() == [75, 75] and len(rounds) == 1
+    t = np.array(HALF_LINE_MESH)
+    for i, (lo, hi) in enumerate(((-1.0, 3.0), (0.2, 0.9))):
+        ends = (1.0 - t) * lo + t * hi
+        assert (ends[0], ends[-1]) == (lo, hi)
+        mid, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
+        assert np.array_equal(rounds[0][5 * i:5 * i + 5],
+                              mid[:, None] + half[:, None] * _K15_NODES)
+        assert abs(values[i] - (math.exp(hi) - math.exp(lo))) <= 1e-12 * math.exp(hi)
+
+
+@pytest.mark.parametrize("mesh", [(0.0, 1.0), HALF_LINE_MESH, (0.0, 0.3, 1.0)])
+def test_start_panels_count_at_their_dyadic_level(mesh):
+    # x^-1/2 refines at x = 0 until the cap: the narrowest panel is then
+    # 2^-max_depth of [0, 1] on the dyadic meshes, and within a factor 2
+    # above it on a mesh whose panels are not powers of 2 wide
+    for max_depth in (4, 6, 9):
+        widths = []
+
+        def singular(x, owner):
+            x = x.reshape(-1, 15)
+            half = (x[:, -1] - x[:, 0]) / (_K15_NODES[-1] - _K15_NODES[0])
+            widths.append(2.0 * half.min())
+            return x.ravel() ** -0.5
+
+        with pytest.raises(QuadratureError, match=f"exceeded {max_depth} levels"):
+            integrate_batch(singular, [0.0], [1.0], rel_tol=1e-12, max_depth=max_depth,
+                            mesh=mesh)
+        narrowest = min(widths) * 2.0 ** max_depth
+        if mesh == (0.0, 0.3, 1.0):
+            assert 1.0 <= narrowest < 2.0
+        else:
+            assert narrowest == pytest.approx(1.0, rel=1e-12)
+
+
+def test_budget_below_the_start_mesh_names_owner_zero():
+    def f(x, owner):
+        raise AssertionError("integrand called")
+
+    with pytest.raises(QuadratureError, match="budget 4 exhausted in integral 0") as exc:
+        integrate_batch(f, [0.0, 0.0], [1.0, 1.0], max_panels=4, mesh=HALF_LINE_MESH)
+    assert exc.value.owner == 0
+    # five panels fit one owner at a time, and both still finish
+    values, _, neval = integrate_batch(lambda x, owner: np.cos(x), [0.0, 0.0], [1.0, 2.0],
+                                       max_panels=5, mesh=HALF_LINE_MESH)
+    assert neval.tolist() == [75, 75]
+    assert abs(values[1] - math.sin(2.0)) < 1e-12
+
+
+@pytest.mark.parametrize("mesh", [(0.0,), (0.0, 0.5), (0.1, 1.0), (0.0, 0.5, 0.5, 1.0),
+                                  ((0.0, 1.0),), (0.0, math.nan, 1.0)])
+def test_bad_start_mesh_rejected(mesh):
+    with pytest.raises(ValueError, match="mesh"):
+        integrate_batch(lambda x, owner: x, [0.0], [1.0], mesh=mesh)
 
 
 def test_panel_budget_bounds_the_whole_call():

@@ -287,15 +287,15 @@ def test_failing_scan_names_a_grid_zeta(tmp_path):
 
 def test_pole_in_batched_scan_names_its_zeta(tmp_path, monkeypatch):
     # at zeta >= 1/2 (omega = 1) height zeta integrates over x in (0, 1] with
-    # k_perp = 1 + i u, u = (1 - x)/(2 zeta x), so the first round's node
-    # x = (1 + s)/2 (s the smallest positive Kronrod node) sits at a
-    # |k_perp| of the third grid point alone: a stand-in pole there must
-    # name zeta_2, not the first or any other owner
+    # k_perp = 1 + i u, u = (1 - x)/(2 zeta x), so the node x = (3 + s)/4
+    # of the first round's start panel [1/2, 1] (s the smallest positive
+    # Kronrod node) sits at a |k_perp| of the third grid point alone: a
+    # stand-in pole there must name zeta_2, not the first or any other owner
     reflection = AxionMedium.reflection
     cfg = ScanConfig(medium_kind="axion", epsilon=16.0, zeta_min=0.6, zeta_max=4.0,
                      count=4, spacing="log", quantities=("rate",), name="pole")
     zeta = cfg.grid()[2]
-    x = 0.5 + 0.5 * _K15_NODES[8]
+    x = 0.75 + 0.25 * _K15_NODES[8]
     k_pole = abs(1.0 + 1j * (1.0 - x) / (2.0 * zeta * x))
 
     def pole_of_one_height(self, omega, k_perp):

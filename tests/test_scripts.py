@@ -32,8 +32,11 @@ def test_asymptotics_check_prints_the_difference_ratios():
 def test_reproduce_figures_writes_one_figure(tmp_path):
     code, out = run("reproduce_figures.py", tmp_path, "--only", "gamma_mirrors")
     assert code == 0 and out.startswith("gamma_mirrors")
-    # "gamma_mirrors     0.0 s  3 files": every file on disk, manifest included
-    assert int(out.splitlines()[0].split()[-2]) == len(list(tmp_path.iterdir())) == 3
+    # "gamma_mirrors     0.0 s          0 evaluations  3 files": every file
+    # on disk, manifest included, and the manifest's evaluation count
+    words = out.splitlines()[0].split()
+    assert int(words[-2]) == len(list(tmp_path.iterdir())) == 3
+    assert words[-4:-2] == ["0", "evaluations"]
     for medium in ("perfect_conductor", "nonreciprocal_mirror"):
         lines = (tmp_path / f"gamma_mirrors_{medium}.csv").read_text().splitlines()
         assert lines[0] == "zeta,gamma_ratio" and len(lines) == 401
