@@ -9,9 +9,13 @@ Usage:
 The table holds G_xx, G_zz and G_xy at omega = 1 and height z = zeta, in
 the package's units c = hbar = mu0 = eps0 = 1, for epsilon in
 {0.25, 4, 16}, theta = pi and zeta in {0.001, 0.05, 1, 8, 100}, as
-decimal strings of DIGITS significant digits.  It is written to tests/oracle_real_axis.json
-unless OUT is given; tests/test_oracle.py holds the package's
-k-quadrature to it.
+decimal strings of DIGITS significant digits (`rows`).  Beside them,
+`difference_rows` hold the with-minus-without-axion tensor at epsilon = 16,
+G(theta = pi) - G(theta = 0), at the same zeta: two tensors subtracted at
+DIGITS + 10 working digits, which absorb the cancellation (the differences
+are down to about 1e-4 of the totals).  It is written to
+tests/oracle_real_axis.json unless OUT is given; tests/test_oracle.py holds
+the package's k-quadrature to it.
 
 Nothing here comes from the package: only mpmath is imported.  With
 k_perp = sqrt(1 - k_par^2) and k_2 = sqrt(eps - k_par^2), both on the branch
@@ -34,7 +38,7 @@ k_par = sin(phi), above it over k_par = cosh(psi); there k_perp =
 cos(phi) resp. i sinh(psi) carries no cancellation, and the measure is
 sin(phi) dphi resp. -i cosh(psi) dpsi.  The last piece ends where
 e^{2 i k_perp z} = e^{-2 z sinh(psi)} has fallen below 10^-(DIGITS + 20).  A row takes about a
-second.
+second, a difference row a few.
 """
 import argparse
 import json
@@ -48,6 +52,7 @@ ALPHA = "7.2973525693e-3"  # CODATA 2018, the package's ALPHA_FS
 EPSILONS = (0.25, 4.0, 16.0)
 ZETAS = (1e-3, 0.05, 1.0, 8.0, 100.0)
 THETA_OVER_PI = 1
+DIFFERENCE_EPSILON = 16.0
 DEFAULT_OUT = Path(__file__).resolve().parents[1] / "tests" / "oracle_real_axis.json"
 
 
@@ -56,10 +61,10 @@ def _root(k2):
     return mp.sqrt(k2) if k2 >= 0 else 1j * mp.sqrt(-k2)
 
 
-def tensor(epsilon, zeta):
+def tensor(epsilon, zeta, theta_over_pi=THETA_OVER_PI):
     """(G_xx, G_zz, G_xy) at omega = 1, z = zeta, as mpc."""
     eps, z = mp.mpf(epsilon), mp.mpf(zeta)
-    delta = mp.mpf(ALPHA) * THETA_OVER_PI
+    delta = mp.mpf(ALPHA) * theta_over_pi
 
     def kernels(kpar, k1, measure):
         # the three integrands at k_par, k_perp = k1, times measure = the
@@ -91,12 +96,22 @@ def tensor(epsilon, zeta):
                  for c in range(3))
 
 
+def _row(epsilon, zeta, entries):
+    return {"epsilon": epsilon, "zeta": zeta,
+            **{name: [mp.nstr(v.real, DIGITS), mp.nstr(v.imag, DIGITS)]
+               for name, v in zip(("xx", "zz", "xy"), entries)}}
+
+
 def row(epsilon, zeta):
     with mp.workdps(DIGITS + 5):
-        entries = tensor(epsilon, zeta)
-        return {"epsilon": epsilon, "zeta": zeta,
-                **{name: [mp.nstr(v.real, DIGITS), mp.nstr(v.imag, DIGITS)]
-                   for name, v in zip(("xx", "zz", "xy"), entries)}}
+        return _row(epsilon, zeta, tensor(epsilon, zeta))
+
+
+def difference_row(zeta):
+    """The theta = pi minus theta = 0 tensor at epsilon = DIFFERENCE_EPSILON."""
+    with mp.workdps(DIGITS + 10):
+        on, off = tensor(DIFFERENCE_EPSILON, zeta), tensor(DIFFERENCE_EPSILON, zeta, 0)
+        return _row(DIFFERENCE_EPSILON, zeta, [a - b for a, b in zip(on, off)])
 
 
 def main(argv=None):
@@ -113,7 +128,8 @@ def main(argv=None):
         return 0
     table = {"omega": 1, "theta_over_pi": THETA_OVER_PI, "alpha": ALPHA,
              "digits": DIGITS, "generator": "scripts/make_oracle.py",
-             "rows": [row(e, z) for e in EPSILONS for z in ZETAS]}
+             "rows": [row(e, z) for e in EPSILONS for z in ZETAS],
+             "difference_rows": [difference_row(z) for z in ZETAS]}
     args.out.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
     return 0
 

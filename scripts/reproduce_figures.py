@@ -18,10 +18,11 @@ forms, the same on every machine) and "N files", all of them:
                  at theta = +/- pi and the eps = 16 with/without difference
   omega_ti       the same traces for the resonant shift
 
-The gamma_ti and omega_ti sets dominate the runtime: every grid point
-runs the real-axis k-quadrature for the three eps = 16 axion media of the
-difference traces, 122,040 integrand evaluations per set, on the path
-k_perp = omega + i u, where nothing oscillates (`greens.numeric_greens`).
+The gamma_ti and omega_ti sets dominate the runtime: every grid point of
+their two difference traces runs the real-axis k-quadrature of the
+eps = 16 reflection difference r(theta) - r(0), theta = +/- pi, 81,000
+integrand evaluations per set, on the path k_perp = omega + i u, where
+nothing oscillates (`greens.numeric_greens`).
 The two pure-axion traces (eps = 1) and the mirror sets have
 k_par-independent reflection and take closed forms, in milliseconds.
 """

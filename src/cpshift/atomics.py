@@ -169,25 +169,26 @@ def _moments(b):
         f, r = cs - sc, 1.0 / x
         out[:, near] = [f, -cc - ss, r - f, 1.0 / x ** 2 + cc + ss,
                         2.0 / x ** 3 - r + cs - sc]
-    hi = ~near
-    if not hi.any():
-        return out
-    x = b[hi]
-    grid, table = _moment_table()
-    y = np.minimum(x, _FAR)  # keeps j inside the table; far points are redone
-    j = np.rint(np.log(0.5 * y) * (1.0 / math.log(_STEP))).astype(int)
-    h, rows = y - grid[j], table[:, j]
-    acc = rows[_TAYLOR:].copy()
-    for k in range(_TAYLOR - 1, -1, -1):
-        acc *= h * (-1.0 / (k + 1))
-        acc += rows[k:k + 2]
-    far = x >= _FAR
+    far = b >= _FAR
+    hi = ~near & ~far
+    if hi.any():
+        x = b[hi]
+        grid, table = _moment_table()
+        j = np.rint(np.log(0.5 * x) * (1.0 / math.log(_STEP))).astype(int)
+        h, rows = x - grid[j], table[:, j]
+        acc = rows[_TAYLOR:].copy()
+        for k in range(_TAYLOR - 1, -1, -1):
+            acc *= h * (-1.0 / (k + 1))
+            acc += rows[k:k + 2]
+        b3, b4 = acc
+        b2 = 2.0 / x ** 3 - b4
+        out[:, hi] = [1.0 / x - b2, 1.0 / x ** 2 - b3, b2, b3, b4]
     if far.any():
-        y = x[far]
-        acc[:, far] = [(6.0 - 120.0 / y ** 2) / y ** 4, (24.0 - 720.0 / y ** 2) / y ** 5]
-    b3, b4 = acc
-    b2 = 2.0 / x ** 3 - b4
-    out[:, hi] = [1.0 / x - b2, 1.0 / x ** 2 - b3, b2, b3, b4]
+        r = 1.0 / b[far]  # its powers underflow where those of b would overflow
+        r2 = r * r
+        b3, b4 = (6.0 - 120.0 * r2) * r2 * r2, (24.0 - 720.0 * r2) * r2 * r2 * r
+        b2 = 2.0 * r2 * r - b4
+        out[:, far] = [r - b2, r2 - b3, b2, b3, b4]
     return out
 
 
@@ -249,8 +250,7 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
 
     values, errors, neval = integrate_batch(
         f, np.zeros(z.size), np.ones(z.size), rel_tol=cfg.xi_rel_tol,
-        abs_tol=cfg.abs_tol, max_depth=cfg.max_depth, max_panels=cfg.max_panels,
-        mesh=HALF_LINE_MESH)
+        max_depth=cfg.max_depth, max_panels=cfg.max_panels, mesh=HALF_LINE_MESH)
     return NonresonantTerms(im_term=pref * values.real, re_term=-pref * values.imag,
                             quad_error=pref * errors, neval=neval)
 

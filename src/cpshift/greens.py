@@ -74,7 +74,6 @@ medium that states its `constant_reflection`.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -144,15 +143,8 @@ class EvaluationPoint:
     frequency: complex
 
     def __post_init__(self):
-        if not 0 < self.z < math.inf:
-            raise ValueError(f"atom height must be positive and finite, got z={self.z}")
-        w = complex(self.frequency)
-        real_positive = w.imag == 0 and 0 < w.real < math.inf
-        imag_positive = w.real == 0 and 0 < w.imag < math.inf
-        if not (real_positive or imag_positive):
-            raise ValueError(
-                f"frequency must be finite real-positive or i*xi with finite "
-                f"xi>0, got {w}")
+        _heights(self.z)
+        _frequencies(self.frequency)
 
     @property
     def is_imaginary(self) -> bool:
@@ -169,6 +161,18 @@ def generalized_im(dyadic):
     """Anti-Hermitian part (A - A^dagger)/(2i); Hermitian-valued."""
     a = np.asarray(dyadic, dtype=complex)
     return (a - a.conj().T) / 2j
+
+
+def _frequencies(omega) -> np.ndarray:
+    """omega as an array, each entry checked to be real and positive or i*xi
+    with xi > 0, both finite (elsewhere e^{2 i omega z} may grow with z)."""
+    w = np.asarray(omega)
+    re, im = w.real, w.imag
+    good = np.isfinite(w) & ((re == 0) | (im == 0)) & (np.maximum(re, im) > 0)
+    if not good.all():
+        raise ValueError(f"frequency omega must be finite real-positive or i*xi with "
+                         f"finite xi > 0, got {w[~good]}")
+    return w
 
 
 def _heights(z) -> np.ndarray:
@@ -193,9 +197,7 @@ def closed_form_greens(z, omega, r: ReflectionMatrix) -> PlanarTensors:
     """
     shape = np.broadcast_shapes(np.shape(z), np.shape(omega))
     z = _heights(z)
-    q = np.asarray(omega)
-    if not np.all(np.isfinite(q) & (q != 0)):
-        raise ValueError(f"omega must be finite and nonzero, got {omega}")
+    q = _frequencies(omega)
     y = -0.5j / (q * z)
     scale = np.exp(2j * q * z) / (16 * np.pi * z)
     xx = scale * (r.r_ss - r.r_pp * (1.0 - 2.0 * y + 2.0 * y * y))
@@ -248,15 +250,14 @@ def numeric_greens(z, omega, medium,
     """
     z = _heights(z)
     cfg = config or QuadratureConfig()
-    w = np.asarray(omega, dtype=complex)
-    if w.ndim == 0 and w.imag == 0 and 0 < w.real < np.inf:
+    w = _frequencies(omega)
+    if w.ndim == 0 and w.imag == 0:
         q = float(w.real)  # a real scalar: omega arrays slow the kernels
-    elif np.all((w.real == 0) & (w.imag > 0) & (w.imag < np.inf)):
+    elif np.all(w.real == 0):
         z, xi = np.broadcast_arrays(z, np.atleast_1d(w.imag))
         q = 1j * xi
     else:
-        raise ValueError(f"need one finite real omega > 0, or i*xi with finite "
-                         f"xi > 0, got {omega}")
+        raise ValueError(f"need one real omega, or an array of i*xi, got {omega}")
 
     a = np.maximum(2.0 * z, np.sqrt(2.0 * z / np.abs(q)))
 
@@ -269,8 +270,7 @@ def numeric_greens(z, omega, medium,
 
     values, errors, neval = integrate_batch(
         f, np.zeros(z.size), np.ones(z.size), rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol, max_depth=cfg.max_depth, max_panels=cfg.max_panels,
-        mesh=HALF_LINE_MESH)
+        max_depth=cfg.max_depth, max_panels=cfg.max_panels, mesh=HALF_LINE_MESH)
     # [N, 3]; the engine returns no heights as a flat empty array
     v, e = values.reshape(-1, 3), errors.reshape(-1, 3)
     phase = np.exp(2j * q * z)

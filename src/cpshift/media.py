@@ -176,18 +176,11 @@ class AxionMedium:
         return ReflectionMatrix(r_ss=-self.delta ** 2 / den, r_sp=x, r_ps=x,
                                 r_pp=self.delta ** 2 / den)
 
-    def reflection(self, omega, k_perp) -> ReflectionMatrix:
-        """The coefficients at vacuum wavenumber k1 = k_perp, with
-        k2 = sqrt(k1^2 + (eps mu - 1) omega^2) on the branch Im k2 >= 0.
-
-        k1 - k2 = -(eps mu - 1) omega^2/(k1 + k2) and
-        eps k1 - k2 = (eps - 1) k1 + (k1 - k2) carry no cancellation, so the
-        coefficients keep their relative accuracy as epsilon -> 1, where
-        they vanish with eps - 1 (and are exactly the constant ones at 1).
-        """
+    def _fresnel(self, omega, k_perp):
+        """(k1, k2, k1 + k2, eps k1 + k2, mix = k1 k2 Delta^2, 1/D, r_sp) at
+        k1 = k_perp, with k2 = sqrt(k1^2 + (eps mu - 1) omega^2), Im k2 >= 0."""
         k1 = np.asarray(k_perp, dtype=complex)[()]
-        w2 = (self.epsilon * self.mu - 1.0) * omega ** 2
-        k2 = np.sqrt(k1 * k1 + w2)
+        k2 = np.sqrt(k1 * k1 + (self.epsilon * self.mu - 1.0) * omega ** 2)
         # on the imaginary axis the radicand is real and negative, and a -0j
         # imaginary part puts np.sqrt of it on the wrong side of the cut
         k2 = np.where(k2.imag < 0, -k2, k2)[()]
@@ -201,11 +194,31 @@ class AxionMedium:
             w, k = (np.broadcast_to(v, den.shape).flat[i] for v in (omega, k1))
             raise PoleError(f"reflection pole at omega={w}, k_perp={k}", owner=i)
         inv = 1.0 / den
-        dk = -w2 / s  # k1 - k2
+        return k1, k2, s, es, mix, inv, (-2.0 * self.delta) * k12 * inv
+
+    def reflection(self, omega, k_perp) -> ReflectionMatrix:
+        """The coefficients at vacuum wavenumber k1 = k_perp (`_fresnel`).
+        k1 - k2 = -(eps mu - 1) omega^2/(k1 + k2) and eps k1 - k2 =
+        (eps - 1) k1 + (k1 - k2) carry no cancellation, so the coefficients
+        keep their relative accuracy as epsilon -> 1, where they vanish with
+        eps - 1 (and are exactly the constant ones at 1)."""
+        k1, _, s, es, mix, inv, r_x = self._fresnel(omega, k_perp)
+        dk = -((self.epsilon * self.mu - 1.0) * omega ** 2) / s  # k1 - k2
         r_ss = (dk * es - mix) * inv
         r_pp = (((self.epsilon - 1.0) * k1 + dk) * s + mix) * inv
-        r_x = (-2.0 * self.delta) * k12 * inv
         return ReflectionMatrix(r_ss=r_ss, r_sp=r_x, r_ps=r_x, r_pp=r_pp)
+
+
+class _AxionDifference(AxionMedium):
+    """r(theta) - r(0): the reflection of the figures' with-minus-without-axion
+    traces (`scan`), with nothing cancelling.  With D = (k1 + k2)(eps k1 + k2)
+    + mix, dr_ss = -2 k1 mix/(D (k1 + k2)), dr_pp = 2 k2 mix/(D (eps k1 + k2))
+    and dr_sp = dr_ps = r_sp (`_fresnel`); r(0) vanishes at epsilon = 1."""
+
+    def reflection(self, omega, k_perp) -> ReflectionMatrix:
+        k1, k2, s, es, mix, inv, r_x = self._fresnel(omega, k_perp)
+        return ReflectionMatrix(r_ss=-2.0 * k1 * mix * inv / s, r_sp=r_x, r_ps=r_x,
+                                r_pp=2.0 * k2 * mix * inv / es)
 
 
 @dataclass(frozen=True)

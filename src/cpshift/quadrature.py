@@ -8,7 +8,7 @@ ndarray of (possibly complex) values of the same length, or one row of K
 components per abscissa.
 
 Error control is the usual |K15 - G7| per panel, summed globally, against
-max(rel_tol * |result|, abs_tol), for each component.  Panels refine to at
+rel_tol * |result|, for each component.  Panels refine to at
 most `max_depth` bisection levels (default 30); exceeding the cap or the
 panel budget raises QuadratureError rather than returning a silently bad
 number, and so does a non-finite integrand value or error estimate, at
@@ -92,7 +92,6 @@ class QuadratureConfig:
 
     rel_tol      : relative tolerance of each point's k-integral
     xi_rel_tol   : relative tolerance of the nonresonant shift's s-integral
-    abs_tol      : absolute floor (identically-zero channels stop at once)
     max_depth    : bisection cap per panel
     max_panels   : hard budget on simultaneously live panels of one
                    quadrature call, shared by all its owners (see
@@ -103,7 +102,6 @@ class QuadratureConfig:
 
     rel_tol: float = 1e-9
     xi_rel_tol: float = 1e-10
-    abs_tol: float = 0.0
     max_depth: int = 30
     max_panels: int = 20000
     kappa_cutoff: float = 40.0
@@ -114,8 +112,6 @@ class QuadratureConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0):
-            raise ValueError(f"abs_tol must be >= 0 and finite, got {self.abs_tol}")
         for name in ("max_depth", "max_panels"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
@@ -169,8 +165,8 @@ def _panels(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
     return shape, k15, np.abs(k15 - rule(_G7_WEIGHTS))
 
 
-def integrate(f, a: float, b: float, rel_tol: float = 1e-9, abs_tol: float = 0.0,
-              max_depth: int = 30, max_panels: int = 20000) -> QuadResult:
+def integrate(f, a: float, b: float, rel_tol: float = 1e-9, max_depth: int = 30,
+              max_panels: int = 20000) -> QuadResult:
     """Integrate f over [a, b] with global adaptive bisection.
 
     f must be vectorized: f(x: ndarray) -> ndarray (real or complex).
@@ -178,12 +174,12 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-9, abs_tol: float = 0.0
     This is integrate_batch with one owner.
     """
     values, errors, neval = integrate_batch(lambda x, owner: f(x), [a], [b], rel_tol,
-                                            abs_tol, max_depth, max_panels)
+                                            max_depth, max_panels)
     return QuadResult(complex(values[0]), float(errors[0]), int(neval[0]))
 
 
-def integrate_batch(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0,
-                    max_depth: int = 30, max_panels: int = 20000, mesh=(0.0, 1.0)):
+def integrate_batch(f, a, b, rel_tol: float = 1e-9, max_depth: int = 30,
+                    max_panels: int = 20000, mesh=(0.0, 1.0)):
     """Integrate N independent integrals, owner i over [a[i], b[i]], in lockstep.
 
     f(x, owner) -> ndarray is called once per refinement round; x holds the
@@ -191,9 +187,9 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0,
     x[j] belongs to.  f returns [M] values, or [M, K] for K components that
     share one panel set.  Each owner follows one rule on its own: split
     every panel that exceeds, in some component, that component's fair
-    share tol_k / (2 * panels) of its tolerance max(rel_tol * |sum_k|,
-    abs_tol), until every component's summed |K15 - G7| is within its
-    tolerance; no panel deeper than `max_depth` bisections.
+    share tol_k / (2 * panels) of its tolerance rel_tol * |sum_k|, until
+    every component's summed |K15 - G7| is within its tolerance; no panel
+    deeper than `max_depth` bisections.
 
     Every owner starts on the panels between the fractions `mesh` of its
     interval, t_0 = 0 < t_1 < ... < t_m = 1 (QUADPACK QAGP's breakpoints,
@@ -220,6 +216,7 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0,
     Returns (values complex[N], errors float[N], neval int[N]), values and
     errors [N, K] for K-component integrands.
     """
+    QuadratureConfig(rel_tol=rel_tol, max_depth=max_depth, max_panels=max_panels)
     lo0 = np.atleast_1d(np.asarray(a, dtype=float))
     hi0 = np.atleast_1d(np.asarray(b, dtype=float))
     if lo0.ndim != 1 or lo0.shape != hi0.shape:
@@ -288,7 +285,7 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, abs_tol: float = 0.0,
             raise QuadratureError(
                 f"non-finite integrand value or error estimate in integral "
                 f"{owners[i]} (sum={total[i]}, err={err_total[i]})", owner=int(owners[i]))
-        tol = np.maximum(rel_tol * np.abs(total), abs_tol)
+        tol = rel_tol * np.abs(total)
         done = (err_total <= tol).all(axis=1)
         values[owners[done]] = total[done]
         errors[owners[done]] = err_total[done]

@@ -12,7 +12,8 @@ bit, so identical configs give byte-identical CSV files.
 A run is a list of jobs, and one writer (`_write_run`) turns it into
 files: the jobs' CSVs, then one manifest whose points, neval (0 for closed
 forms) and quad_error are totals over the jobs and whose outputs list every
-file written, itself last.  A scan is one job; a figure is a job list.
+file written, itself last.  A scan is one job; a figure is a job list,
+each CSV the trace of one medium (the loglog asymptote lines aside).
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from .atomics import (asymptotic, AsymptoticCase, greens_grid,
 from .atomics import greens_tensor, nonresonant_shift_terms  # noqa: F401
 from .config import (ConfigError, MEDIUM_PARAMETERS, QUANTITY_COLUMNS, ScanConfig,
                      build_medium, zeta_grid)
+from .media import AxionMedium, _AxionDifference
 from .quadrature import QuadratureConfig, QuadratureError
 from .units import canonical_transition, free_space_rate_formula
 from .version import __version__
@@ -264,20 +266,6 @@ def _loglog_job(medium_kind, zetas, qcfg):
     return tables, err, neval
 
 
-def _difference_job(name, quantity, zetas, qcfg):
-    """The eps = 16 with-minus-without-axion traces for theta = +-pi: three
-    quadratures (theta = 0 once), their errors and evaluations summed."""
-    runs = [_scan_values(zetas, build_medium("axion", epsilon=16.0, theta=theta),
-                         _PLUS, (quantity,), qcfg)
-            for theta in (np.pi, -np.pi, 0.0)]
-    (plus, *_), (minus, *_), (zero, *_) = runs
-    columns = (QUANTITY_COLUMNS[quantity],)
-    return ([(f"{name}_difference_eps16_theta_pi.csv", columns, zetas, plus - zero),
-             (f"{name}_difference_eps16_theta_minus_pi.csv", columns, zetas,
-              minus - zero)],
-            sum(run[1] for run in runs), sum(run[2] for run in runs))
-
-
 def _figure_jobs(name: str, qcfg: QuadratureConfig) -> list:
     """The jobs of figure `name`, in the order their files are written."""
     osc = zeta_grid(**_OSC_GRID)
@@ -293,9 +281,11 @@ def _figure_jobs(name: str, qcfg: QuadratureConfig) -> list:
     if name == "loglog_nres":
         return [partial(_loglog_job, m, zeta_grid(**_LOG_GRID), qcfg) for m in _MIRRORS]
     quantity = "rate" if name == "gamma_ti" else "resonant_shift"
-    return [trace(f"pure_axion_{tag}", build_medium("axion", theta=theta), quantity)
-            for theta, tag in ((np.pi, "theta_pi"), (-np.pi, "theta_minus_pi"))
-            ] + [partial(_difference_job, name, quantity, osc, qcfg)]
+    media = {"pure_axion": AxionMedium,
+             "difference_eps16": partial(_AxionDifference, epsilon=16.0)}
+    return [trace(f"{kind}_{tag}", medium(theta=theta), quantity)
+            for kind, medium in media.items()
+            for theta, tag in ((np.pi, "theta_pi"), (-np.pi, "theta_minus_pi"))]
 
 
 def figure(name: str, out_dir, qcfg: QuadratureConfig | None = None) -> list:
@@ -306,9 +296,9 @@ def figure(name: str, out_dir, qcfg: QuadratureConfig | None = None) -> list:
     gamma_mirrors / omega_mirrors: rate resp. shifts for both ideal mirrors
     on a linear grid.  loglog_nres: nonresonant shift for both mirrors on a
     log grid plus the four closed-form asymptote traces.  gamma_ti /
-    omega_ti: pure-axion theta = +-pi traces plus the eps=16
-    with-minus-without-axion difference traces.  The manifest's points,
-    neval and quad_error are totals over every trace.
+    omega_ti: pure-axion theta = +-pi traces plus the eps = 16
+    with-minus-without-axion traces of r(theta) - r(0).  The manifest's
+    points, neval and quad_error are totals over every trace.
     """
     if name not in FIGURE_NAMES:
         raise ConfigError(f"unknown figure {name!r}; expected one of "

@@ -99,12 +99,11 @@ def test_greens_tensor_routes_by_medium():
         greens_tensor(COND, 1.0, 1.0, method="numeric")
     with pytest.raises(TypeError, match="method"):
         nonresonant_shift_terms(TR, 1.0, COND, method="numeric")
-    # quadrature runs on the real or the imaginary axis only; the closed
-    # forms stay analytic in omega, but both routes reject omega = 0 and
-    # non-finite omega
-    with pytest.raises(ValueError, match="omega"):
-        greens_tensor(m16, 1.0, 1.0 + 0.5j)
-    assert greens_tensor(COND, 1.0, 1.0 + 0.5j).neval == 0
+    # both routes take the real or the imaginary axis only, and both reject
+    # omega = 0 and non-finite omega
+    for medium in (COND, m16):
+        with pytest.raises(ValueError, match="omega"):
+            greens_tensor(medium, 1.0, 1.0 + 0.5j)
     for medium in (COND, AxionMedium(epsilon=1.0), m16):
         for omega in (0.0, math.inf, complex(0.0, math.nan)):
             with pytest.raises(ValueError, match="omega"):
@@ -328,6 +327,19 @@ def test_moments_below_two_build_no_table():
     _moment_table.cache_clear()
     assert np.array_equal(_moments(b), with_table)
     assert _moment_table.cache_info().currsize == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_far_field_nonresonant_shift_keeps_its_power_law():
+    # from b = 2^20 on the moments come from 1/b: b^5 overflowed from
+    # zeta ~ 1e60 (conductor at 1e62, the s-integral's deep nodes at eps = 16
+    # from 1e60).  The mirror's z^-5 shift is below the smallest normal
+    # double beyond zeta ~ 1e61, so it is held there.
+    for medium, power, far in ((COND, 4, 1e70), (AxionMedium(epsilon=16.0), 4, 1e70),
+                               (MIR, 5, 1e61)):
+        near = nonresonant_shift(TR, 1e40, medium) * 1e40 ** power
+        assert nonresonant_shift(TR, far, medium) * far ** power == pytest.approx(
+            near, rel=1e-12), medium
 
 
 def test_tight_s_integral_converges_from_contact_to_far_field():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpshift.atomics import AsymptoticCase, asymptotic, decay_rate
+from cpshift.atomics import AsymptoticCase, asymptotic, decay_rate, greens_grid
 from cpshift.greens import (EvaluationPoint, PlanarTensors, closed_form_greens,
                             generalized_im,
                             generalized_re, greens_nonreciprocal_mirror,
@@ -312,6 +312,20 @@ def test_generalized_parts_random_dyadics(seed):
     assert np.array_equal(re, re.conj().T)
     assert np.array_equal(im, im.conj().T)
     assert np.abs(re + 1j * im - a).max() < 1e-14
+
+
+@pytest.mark.parametrize("omega", [-1j, -1.0, 1.0 + 1.0j, 0.0, 1j * math.inf, math.nan,
+                                   [1.0, -1j], [2j, 1.0 + 1e-300j]])
+def test_both_tensor_routes_reject_the_same_frequencies(omega):
+    # off the positive real and imaginary half-axes the closed form's
+    # e^{2 i omega z} grows with z (at omega = -1j the conductor's xx read
+    # -0.22 and -0.88 at z = 1 and 2); the closed form and the quadrature
+    # share one check, and EvaluationPoint applies it too
+    for medium in (PerfectConductor(), AxionMedium(epsilon=4.0)):
+        with pytest.raises(ValueError, match="omega must be finite real-positive"):
+            greens_grid(medium, [1.0, 2.0], omega)
+    with pytest.raises(ValueError, match="frequency"):
+        EvaluationPoint(1.0, np.ravel(omega)[-1])
 
 
 def test_evaluation_point_validation():

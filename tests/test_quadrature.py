@@ -107,10 +107,8 @@ def test_polynomials_match_antiderivative(coeffs, a, width):
 
 
 def test_config_rejects_invalid_values():
-    QuadratureConfig(abs_tol=0.0)
     for bad in (dict(rel_tol=-1.0), dict(rel_tol=0.0), dict(xi_rel_tol=math.nan),
                 dict(kappa_cutoff=-5.0), dict(xi_cutoff=math.inf),
-                dict(abs_tol=-1e-12), dict(abs_tol=math.inf),
                 dict(max_depth=0), dict(max_panels=0),
                 dict(max_depth=math.nan), dict(max_panels=math.nan),
                 dict(max_panels=100.5), dict(max_depth=30.0),
@@ -119,6 +117,27 @@ def test_config_rejects_invalid_values():
             QuadratureConfig(**bad)
     with pytest.raises(ValueError):
         QuadratureConfig().tighter(0.0)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(rel_tol=math.nan), dict(rel_tol=math.inf), dict(rel_tol=0.0),
+    dict(rel_tol=-1e-9), dict(max_depth=2.5), dict(max_depth=0),
+    dict(max_panels=0), dict(max_panels=True)])
+def test_engine_rejects_invalid_settings_before_any_evaluation(bad):
+    # as QuadratureConfig does: rel_tol = nan used to die reshaping an empty
+    # array, rel_tol = inf to return the first panel as converged, and
+    # rel_tol <= 0 to run to the depth cap
+    calls = []
+
+    def f(x, owner):
+        calls.append(x.size)
+        return np.sqrt(x)
+
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        integrate_batch(f, [0.0], [1.0], **bad)
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        integrate(lambda x: f(x, None), 0.0, 1.0, **bad)
+    assert calls == []
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -376,7 +395,7 @@ def test_vector_owner_meets_every_component_and_matches_its_one_owner_call():
 
     n, rel_tol = 4, 1e-10
     a, b = np.zeros(n), np.ones(n)
-    values, errors, neval = integrate_batch(f, a, b, rel_tol=rel_tol, abs_tol=0.0)
+    values, errors, neval = integrate_batch(f, a, b, rel_tol=rel_tol)
     assert values.shape == errors.shape == (n, 3)
     smooth = np.sin(1.0 + np.arange(n)) / (1.0 + np.arange(n))
     assert np.all(np.abs(values[:, 0] - smooth) <= rel_tol * np.abs(smooth))
