@@ -13,9 +13,11 @@ decimal strings of DIGITS significant digits (`rows`).  Beside them,
 `difference_rows` hold the with-minus-without-axion tensor at epsilon = 16,
 G(theta = pi) - G(theta = 0), at the same zeta: two tensors subtracted at
 DIGITS + 10 working digits, which absorb the cancellation (the differences
-are down to about 1e-4 of the totals).  It is written to
-tests/oracle_real_axis.json unless OUT is given; tests/test_oracle.py holds
-the package's k-quadrature to it.
+are down to about 1e-4 of the totals).  `nonresonant_rows` hold both
+terms of the nonresonant shift at epsilon = 16, theta = pi and the same
+zeta, for the canonical transition (omega = 1, d = sqrt(3 pi/2) (1, i, 0)).
+It is written to tests/oracle_real_axis.json unless OUT is given;
+tests/test_oracle.py holds the package to it.
 
 Nothing here comes from the package: only mpmath is imported.  With
 k_perp = sqrt(1 - k_par^2) and k_2 = sqrt(eps - k_par^2), both on the branch
@@ -39,6 +41,29 @@ cos(phi) resp. i sinh(psi) carries no cancellation, and the measure is
 sin(phi) dphi resp. -i cosh(psi) dpsi.  The last piece ends where
 e^{2 i k_perp z} = e^{-2 z sinh(psi)} has fallen below 10^-(DIGITS + 20).  A row takes about a
 second, a difference row a few.
+
+The nonresonant rows start from the same integral on the imaginary axis,
+omega = i xi.  There k_perp = i s xi (s >= 1) turns it into G_ab =
+(xi/8pi) int_1^inf ds e^{-2 s xi z} K_ab(s) with K_xx = r_ss - r_pp s^2,
+K_zz = 2 r_pp (1 - s^2) and K_xy = (r_sp + r_ps) s, and k_2 = i s_2 xi with
+s_2 = sqrt(s^2 + eps - 1), so the Fresnel coefficients are those above with
+k_perp -> s, k_2 -> s_2 (each is a ratio of quadratic forms), and real.
+The dipole sandwich is P(s) = 3 pi (K_xx - i K_xy).  With the shift
+
+    dw_nres = (1/pi) int_0^inf dxi xi^3/(xi^2 + 1) Im s(i xi)
+              - (1/pi) int_0^inf dxi xi^2/(xi^2 + 1) Re s(i xi)
+
+and the xi-integral taken first,
+
+    im_term = (1/8pi^2) int_1^inf ds Im P(s) B_4(2 s z),
+    re_term = -(1/8pi^2) int_1^inf ds Re P(s) B_3(2 s z),
+
+with B_n(b) = int_0^inf x^n e^{-bx}/(x^2 + 1) dx = Im int_0^inf x^n e^{-bx}
+/(x - i) dx.  Writing 1/(x - i) = int_0^inf e^{-(x - i) t} dt gives B_n(b) =
+Im n! b^-n e^w E_{n+1}(w) at w = -i b (`mpmath.expint`).  `mp.quad` takes
+the s-integral split at s = 1 + 1/(2z), where the moments fall off, at
+DIGITS + 10 working digits: Im e^w E_{n+1}(w) is a small part of
+e^w E_{n+1}(w) where b is small.  A row takes up to ten seconds (zeta = 1e-3).
 """
 import argparse
 import json
@@ -114,6 +139,41 @@ def difference_row(zeta):
         return _row(DIFFERENCE_EPSILON, zeta, [a - b for a, b in zip(on, off)])
 
 
+def moment(n, b):
+    """B_n(b) = int_0^inf x^n e^{-bx}/(x^2 + 1) dx, as mpf."""
+    w = -1j * b
+    return mp.factorial(n) / b ** n * (mp.exp(w) * mp.expint(n + 1, w)).imag
+
+
+def nonresonant_terms(epsilon, zeta):
+    """(im_term, re_term) of the nonresonant shift at z = zeta, as mpf."""
+    eps, z = mp.mpf(epsilon), mp.mpf(zeta)
+    delta = mp.mpf(ALPHA) * THETA_OVER_PI
+
+    def sandwich(s):
+        # (Re P, Im P) at s, from the Fresnel coefficients on the imaginary axis
+        s2 = mp.sqrt(s * s + eps - 1)
+        mix = s * s2 * delta ** 2
+        den = (s + s2) * (eps * s + s2) + mix
+        r_ss = ((s - s2) * (eps * s + s2) - mix) / den
+        r_pp = ((eps * s - s2) * (s + s2) + mix) / den
+        r_x = -2 * s * s2 * delta / den
+        return 3 * mp.pi * (r_ss - r_pp * s * s), -3 * mp.pi * 2 * r_x * s
+
+    knee = 1 + 1 / (2 * z)
+    pieces = [1, 2, knee, mp.inf] if knee > 2 else [1, mp.inf]
+    im = mp.quad(lambda s: sandwich(s)[1] * moment(4, 2 * s * z), pieces)
+    re = mp.quad(lambda s: sandwich(s)[0] * moment(3, 2 * s * z), pieces)
+    return im / (8 * mp.pi ** 2), -re / (8 * mp.pi ** 2)
+
+
+def nonresonant_row(zeta):
+    with mp.workdps(DIGITS + 10):
+        im, re = nonresonant_terms(DIFFERENCE_EPSILON, zeta)
+        return {"epsilon": DIFFERENCE_EPSILON, "zeta": zeta,
+                "im_term": mp.nstr(im, DIGITS), "re_term": mp.nstr(re, DIGITS)}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", nargs="?", type=Path, default=DEFAULT_OUT)
@@ -129,7 +189,8 @@ def main(argv=None):
     table = {"omega": 1, "theta_over_pi": THETA_OVER_PI, "alpha": ALPHA,
              "digits": DIGITS, "generator": "scripts/make_oracle.py",
              "rows": [row(e, z) for e in EPSILONS for z in ZETAS],
-             "difference_rows": [difference_row(z) for z in ZETAS]}
+             "difference_rows": [difference_row(z) for z in ZETAS],
+             "nonresonant_rows": [nonresonant_row(z) for z in ZETAS]}
     args.out.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
     return 0
 

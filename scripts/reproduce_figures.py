@@ -20,9 +20,10 @@ forms, the same on every machine) and "N files", all of them:
 
 The gamma_ti and omega_ti sets dominate the runtime: every grid point of
 their two difference traces runs the real-axis k-quadrature of the
-eps = 16 reflection difference r(theta) - r(0), theta = +/- pi, 81,000
+eps = 16 reflection difference r(theta) - r(0) at theta = pi, 40,500
 integrand evaluations per set, on the path k_perp = omega + i u, where
-nothing oscillates (`greens.numeric_greens`).
+nothing oscillates (`greens.numeric_greens`); the theta = -pi trace is
+that tensor with G_xy negated.
 The two pure-axion traces (eps = 1) and the mirror sets have
 k_par-independent reflection and take closed forms, in milliseconds.
 """

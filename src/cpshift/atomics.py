@@ -11,7 +11,9 @@ in the package's units c = hbar = mu0 = eps0 = 1 (`cpshift.units`):
 with w the (possibly shifted) transition frequency.  `greens_grid` gives
 the real-axis tensors of all heights of a scan at once.
 `nonresonant_shift_grid` does the xi-integral in closed form and integrates
-over s = k_perp/(i xi) instead.  Both choose their route on one fact, the
+over s = k_perp/(i xi) instead, on the k-quadrature's map of the half line:
+s - 1 = (1 - x)/(c x), with c = min(1, sqrt(2 w z)) in the part of a xi
+there.  Both choose their route on one fact, the
 medium's `constant_reflection`: a medium that states one (the ideal
 mirrors, the constant test medium, the axion half-space at epsilon = 1)
 takes closed forms for both, every other medium the k-quadrature and the
@@ -26,8 +28,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .greens import (PlanarTensors, _heights, _kernels, closed_form_greens,
-                     numeric_greens)
+from .greens import (PlanarTensors, _grid_frequencies, _heights, _kernels,
+                     closed_form_greens, numeric_greens)
 from .media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
                     ReflectionMatrix, delta as axion_delta,
                     nonretarded_limit_coefficients, retarded_limit_coefficients)
@@ -54,11 +56,14 @@ def greens_grid(medium, z, omega,
                 config: QuadratureConfig | None = None) -> PlanarTensors:
     """Scattering tensor at every height z[j] > 0, at one real omega or at
     omega = i*xi[j] aligned with z: the closed form for a medium that states
-    a constant reflection matrix, the k-quadrature for every other medium."""
+    a constant reflection matrix, the k-quadrature for every other medium.
+    Any other omega is rejected on both routes: the closed form, which
+    broadcasts, is held to the quadrature's check."""
     r = getattr(medium, "constant_reflection", None)
-    if r is not None:
-        return closed_form_greens(z, omega, r)
-    return numeric_greens(z, omega, medium, config)
+    if r is None:
+        return numeric_greens(z, omega, medium, config)
+    _grid_frequencies(z, omega)
+    return closed_form_greens(z, omega, r)
 
 
 def greens_tensor(medium, z: float, omega: complex,
@@ -207,9 +212,20 @@ def _closed_form_nonresonant(r: ReflectionMatrix, dipole, a):
     p = PlanarTensors(np.array([r.r_ss - r.r_pp, -2.0 * r.r_pp, -2.0 * r.r_pp]),
                       np.array([0.0, -4.0 * r.r_pp, -4.0 * r.r_pp]),
                       np.array([x, x, 0.0]), None, None).sandwich(dipole)
-    b0, b1, b2, b3, _ = _moments(a)
-    return (p[0].imag * b3 / a + p[1].imag * b2 / a ** 2 + p[2].imag * b1 / a ** 3,
-            p[0].real * b2 / a + p[1].real * b1 / a ** 2 + p[2].real * b0 / a ** 3)
+    b = _moments(a)
+    return _falling_sum(p.imag, b[3:0:-1], a), _falling_sum(p.real, b[2::-1], a)
+
+
+def _falling_sum(c, m, a):
+    """c0 m0/a + c1 m1/a^2 + c2 m2/a^3 at every a > 0.  From _FAR on it is
+    formed from r = 1/a, as the far moments are: a^3 overflows from a ~ 6e102."""
+    far = a >= _FAR
+    x = np.where(far, 1.0, a)  # far entries are overwritten below
+    out = c[0] * m[0] / x + c[1] * m[1] / x ** 2 + c[2] * m[2] / x ** 3
+    if far.any():
+        r, (m0, m1, m2) = 1.0 / a[far], m[:, far]
+        out[far] = (c[0] * m0 + (c[1] * m1 + c[2] * m2 * r) * r) * r
+    return out
 
 
 def nonresonant_shift_grid(transition: Transition, z, medium,
@@ -221,9 +237,17 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
     being nondispersive, does not depend on xi.  The xi-integral done first
     (`_moments`) leaves, with b = 2 s w z,
         dw_nres = (w^3/8 pi^2) int_1^inf ds [Im P B4(b) - Re P B3(b)],
-    over tau = 1/s in (0, 1] at rel_tol `xi_rel_tol`, height j as owner j of
-    one `integrate_batch` (a failure's `owner` is j).  s = inf sits at
-    tau = 0, as u = inf does at x = 0 in the k-quadrature, and every height
+    over x in (0, 1] at rel_tol `xi_rel_tol`, height j as owner j of one
+    `integrate_batch` (a failure's `owner` is j).  The map is the
+    k-quadrature's (QUADPACK's infinite-range transform): s - 1 =
+    (1 - x)/(c x), so tau = 1/s = x/(x + (1 - x)/c) and ds = -dx/(c x^2).
+    The integrand has two scales in s - 1: about 1, over which P varies,
+    and 1/(2 w z), beyond which B3 and B4 fall off.  With c = sqrt(2 w z)
+    below 2 w z = 1 they sit about c from either end of x, the rule of the
+    k-quadrature on the imaginary axis (there s - 1 = u/xi and a xi =
+    sqrt(2 xi z)); tau = 1/s alone would squeeze the second into tau ~ 2 w z,
+    which bisection reaches one level per round.  From 2 w z = 1 on, c = 1
+    and x is tau, bit for bit.  s = inf sits at x = 0, and every height
     starts on the same dyadic panels (HALF_LINE_MESH).  A medium that states
     a constant reflection matrix has P polynomial in s, and the s-integral
     in closed form instead (`_closed_form_nonresonant`).
@@ -240,13 +264,17 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
                                 quad_error=np.zeros(z.size),
                                 neval=np.zeros(z.size, dtype=int))
 
-    def f(tau, owner):
+    c = np.minimum(1.0, np.sqrt(scale))
+
+    def f(x, owner):
+        co = c[owner]
+        tau = x / (x + (1.0 - x) / co)
         k = _kernels(medium, 1j * w, 1j * w / tau,
                      w * w * (1.0 - tau) * (1.0 + tau) / (tau * tau))
         p = PlanarTensors(*k.T, None, None).sandwich(transition.dipole)
         _, _, _, b3, b4 = _moments(scale[owner] / tau)
         # pack both real integrands into one complex quadrature pass
-        return (p.imag * b4 + 1j * (p.real * b3)) / (tau * tau)
+        return (p.imag * b4 + 1j * (p.real * b3)) / (co * x * x)
 
     values, errors, neval = integrate_batch(
         f, np.zeros(z.size), np.ones(z.size), rel_tol=cfg.xi_rel_tol,

@@ -183,6 +183,22 @@ def _heights(z) -> np.ndarray:
     return z
 
 
+def _grid_frequencies(z, omega):
+    """(z, q) for the heights of a grid at one real omega > 0 (q a float:
+    omega arrays slow the kernels) or at omega = i*xi[j] aligned with z (z
+    and q = i*xi broadcast to arrays).  Both tensor routes take these two
+    shapes only (`atomics.greens_grid`), so a medium cannot change what
+    a call accepts."""
+    z = _heights(z)
+    w = _frequencies(omega)
+    if w.ndim == 0 and w.imag == 0:
+        return z, float(w.real)
+    if np.all(w.real == 0):
+        z, xi = np.broadcast_arrays(z, np.atleast_1d(w.imag))
+        return z, 1j * xi
+    raise ValueError(f"need one real omega, or an array of i*xi, got {omega}")
+
+
 def closed_form_greens(z, omega, r: ReflectionMatrix) -> PlanarTensors:
     """The tensor of a reflection matrix r that does not depend on k_par, at
     heights z and frequencies omega, real or i*xi, broadcast against each
@@ -248,17 +264,8 @@ def numeric_greens(z, omega, medium,
     starting on the panels of HALF_LINE_MESH; a failure's `owner` is the
     index j.
     """
-    z = _heights(z)
+    z, q = _grid_frequencies(z, omega)
     cfg = config or QuadratureConfig()
-    w = _frequencies(omega)
-    if w.ndim == 0 and w.imag == 0:
-        q = float(w.real)  # a real scalar: omega arrays slow the kernels
-    elif np.all(w.real == 0):
-        z, xi = np.broadcast_arrays(z, np.atleast_1d(w.imag))
-        q = 1j * xi
-    else:
-        raise ValueError(f"need one real omega, or an array of i*xi, got {omega}")
-
     a = np.maximum(2.0 * z, np.sqrt(2.0 * z / np.abs(q)))
 
     def f(x, owner):

@@ -81,8 +81,9 @@ _G7_WEIGHTS[1::2] = [
 # The start mesh of a half-line mapped onto x in (0, 1] with infinity at
 # x = 0.  Bisection from [0, 1] reaches these panels at every height of the
 # k-integral (`greens.numeric_greens`), so starting on them skips its first
-# four rounds; the s-integral's easiest heights end on coarser panels, at
-# the same 75 evaluations.
+# four rounds.  The s-integral (`atomics.nonresonant_shift_grid`) runs on
+# the same map; at its easiest heights bisection from [0, 1] would end on
+# coarser panels, at the same 75 evaluations.
 HALF_LINE_MESH = (0.0, 0.0625, 0.125, 0.25, 0.5, 1.0)
 
 

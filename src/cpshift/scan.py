@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -113,17 +114,15 @@ def _scan_values(zetas, medium, transition, quantities, qcfg: QuadratureConfig):
     neval = np.zeros(zetas.size, dtype=int)
     s = None
     columns = []
-    try:
+    with _failures_name_zeta(zetas):
         for q in quantities:
-            if q in ("rate", "resonant_shift") and s is None:
-                g = greens_grid(medium, z, w, qcfg)
-                s = g.sandwich(transition.dipole)
-                err += g.quad_error
-                neval += g.neval
-            if q == "rate":
-                columns.append(2.0 * w ** 2 * s.imag / gamma0)
-            elif q == "resonant_shift":
-                columns.append(-w ** 2 * s.real / gamma0)
+            if q in ("rate", "resonant_shift"):
+                if s is None:
+                    g = greens_grid(medium, z, w, qcfg)
+                    s = g.sandwich(transition.dipole)
+                    err += g.quad_error
+                    neval += g.neval
+                columns.append(_tensor_quantity(q, s, transition))
             elif q == "nonresonant_shift":
                 terms = nonresonant_shift_grid(transition, z, medium, qcfg)
                 err += terms.quad_error
@@ -131,12 +130,29 @@ def _scan_values(zetas, medium, transition, quantities, qcfg: QuadratureConfig):
                 columns.append(terms.total / gamma0)
             else:
                 raise ScanError(f"unknown quantity {q!r}")
+    return np.column_stack(columns), err, neval
+
+
+def _tensor_quantity(quantity, s, transition):
+    """The scaled rate or resonant shift from the sandwiches s of the
+    tensors of a grid."""
+    w = transition.frequency
+    if quantity == "rate":
+        return 2.0 * w ** 2 * s.imag / free_space_rate_formula(transition)
+    return -w ** 2 * s.real / free_space_rate_formula(transition)
+
+
+@contextmanager
+def _failures_name_zeta(zetas):
+    """Raise a quadrature or arithmetic failure of owner j as a ScanError
+    naming zetas[j]."""
+    try:
+        yield
     except (QuadratureError, ArithmeticError) as exc:
         owner = getattr(exc, "owner", None)
         zeta = None if owner is None else float(zetas[owner])
         where = "" if zeta is None else f" at zeta={zeta:.6g}"
         raise ScanError(f"{type(exc).__name__}{where}: {exc}", zeta=zeta) from exc
-    return np.column_stack(columns), err, neval
 
 
 def _format_csv(columns, zetas, values) -> str:
@@ -281,11 +297,27 @@ def _figure_jobs(name: str, qcfg: QuadratureConfig) -> list:
     if name == "loglog_nres":
         return [partial(_loglog_job, m, zeta_grid(**_LOG_GRID), qcfg) for m in _MIRRORS]
     quantity = "rate" if name == "gamma_ti" else "resonant_shift"
-    media = {"pure_axion": AxionMedium,
-             "difference_eps16": partial(_AxionDifference, epsilon=16.0)}
-    return [trace(f"{kind}_{tag}", medium(theta=theta), quantity)
-            for kind, medium in media.items()
-            for theta, tag in ((np.pi, "theta_pi"), (-np.pi, "theta_minus_pi"))]
+    return [trace(f"pure_axion_{tag}", AxionMedium(theta=theta), quantity)
+            for theta, tag in ((np.pi, "theta_pi"), (-np.pi, "theta_minus_pi"))
+            ] + [partial(_difference_job, name, osc, quantity, qcfg)]
+
+
+def _difference_job(name, zetas, quantity, qcfg):
+    """Both eps = 16 difference traces of a TI figure from one quadrature.
+
+    Delta r = r(theta) - r(0) is even in Delta in ss and pp and odd in sp
+    and ps, so the theta = -pi tensor is the theta = pi one with xy
+    negated, bit for bit (quad_error and neval included).  Each CSV stays
+    the trace of one medium; both carry the tensor's error per point, and
+    its evaluations count once, on the theta = pi points.
+    """
+    w = _PLUS.frequency
+    with _failures_name_zeta(zetas):
+        g = greens_grid(_AxionDifference(epsilon=16.0, theta=np.pi), zetas / w, w, qcfg)
+    tables = [(f"{name}_difference_eps16_{tag}.csv", (QUANTITY_COLUMNS[quantity],), zetas,
+               _tensor_quantity(quantity, t.sandwich(_PLUS.dipole), _PLUS)[:, None])
+              for t, tag in ((g, "theta_pi"), (g._replace(xy=-g.xy), "theta_minus_pi"))]
+    return tables, np.tile(g.quad_error, 2), np.concatenate([g.neval, np.zeros_like(g.neval)])
 
 
 def figure(name: str, out_dir, qcfg: QuadratureConfig | None = None) -> list:

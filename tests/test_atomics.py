@@ -342,6 +342,18 @@ def test_far_field_nonresonant_shift_keeps_its_power_law():
             near, rel=1e-12), medium
 
 
+@pytest.mark.filterwarnings("error")
+def test_closed_form_nonresonant_shift_does_not_overflow():
+    # a^3 overflowed from zeta ~ 3e102; from a = 2^20 on the closed form
+    # takes powers of 1/a.  The shift rounds to 0 at zeta = 1e150.
+    for medium in (COND, MIR):
+        assert nonresonant_shift(TR, 1e150, medium) == 0.0
+    near = nonresonant_shift(TR, 1e20, COND) * 1e20 ** 4
+    for zeta in (1e40, 1e60):
+        assert nonresonant_shift(TR, zeta, COND) * zeta ** 4 == pytest.approx(
+            near, rel=1e-12)
+
+
 def test_tight_s_integral_converges_from_contact_to_far_field():
     # B3/B4 are smooth to round-off, so a tolerance near 1e-11 converges
     # everywhere instead of stalling on a step between their two branches
@@ -382,12 +394,27 @@ def test_nonresonant_grid_under_a_small_panel_budget_matches_point_calls():
 
 def test_nonresonant_evaluation_count_on_the_benchmark_pool():
     # evaluation counts do not depend on the machine: the benchmark's 64
-    # log-spaced zeta in [0.01, 10] take 8,640 from the start mesh (10,980
-    # from [0, 1])
+    # log-spaced zeta in [0.01, 10] take 6,390 with the two-scale map
+    # (8,640 over tau = 1/s from the start mesh, 10,980 from [0, 1])
     zeta = 10.0 ** (-2.0 + 3.0 * (np.arange(64) + 0.5) / 64)
     terms = nonresonant_shift_grid(TR, zeta / TR.frequency,
                                    AxionMedium(epsilon=16.0, theta=math.pi))
-    assert terms.neval.sum() <= 9_000
+    assert terms.neval.sum() <= 6_500
+
+
+def test_s_integral_holds_its_tight_run_on_log_heights():
+    # the map's scale c = min(1, sqrt(2 w z)) moves with the height below
+    # 2 w z = 1: both terms, each to 1e-13 of itself, from zeta = 1e-3 to
+    # 1e3 (worst seen 7.3e-15, the im_term at eps = 0.25)
+    z = np.geomspace(1e-3, 1e3, 121)
+    tight = QuadratureConfig().tighter(1e-3)
+    for epsilon in (0.25, 4.0, 16.0):
+        medium = AxionMedium(epsilon=epsilon, theta=math.pi)
+        default = nonresonant_shift_grid(TR, z, medium)
+        ref = nonresonant_shift_grid(TR, z, medium, config=tight)
+        for name in ("im_term", "re_term"):
+            got, want = getattr(default, name), getattr(ref, name)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (epsilon, name)
 
 
 def test_batched_failures_name_the_height():
@@ -404,8 +431,10 @@ def test_batched_failures_name_the_height():
     with pytest.raises(PoleError) as excinfo:
         numeric_greens(z, 1j * np.array([0.1, 0.2, 0.3, 0.4]), PoleMedium())
     assert excinfo.value.owner == 2
-    # P(s) is the same for every height, but the s-integrand narrows towards
-    # tau = 0 as z falls: under a depth cap of 5 only z = 1e-3 fails
+    # P(s) is the same for every height, but below 2 w z = 1 the s-integrand
+    # has two scales, about sqrt(2 w z) from either end of x, which part as
+    # z falls; 2 w z >= 1 converges on the start mesh.  Under a depth cap of
+    # 5 (no panel narrower than 1/32) only z = 1e-3 fails
     z = np.array([2.0, 1.0, 1e-3, 0.5])
     capped = QuadratureConfig(max_depth=5)
     m16 = AxionMedium(epsilon=16.0, theta=math.pi)

@@ -328,6 +328,17 @@ def test_both_tensor_routes_reject_the_same_frequencies(omega):
         EvaluationPoint(1.0, np.ravel(omega)[-1])
 
 
+def test_both_tensor_routes_take_the_same_shapes_of_omega():
+    # one real omega, or i*xi per height; an array of real omega is refused
+    # by the closed form as by the quadrature, with one message
+    z, xi = np.array([1.0, 2.0]), np.array([0.5, 1.5])
+    for medium in (PerfectConductor(), AxionMedium(epsilon=4.0)):
+        for omega in (1.0, 1j * xi):
+            assert greens_grid(medium, z, omega).xx.shape == (2,)
+        with pytest.raises(ValueError, match=r"need one real omega, or an array of i\*xi"):
+            greens_grid(medium, z, [1.0, 2.0])
+
+
 def test_evaluation_point_validation():
     for z in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="height"):

@@ -211,16 +211,26 @@ def test_a_figure_writes_exactly_what_it_reports(figure_runs):
 
 def test_figure_totals_are_the_sums_over_its_traces(figure_runs):
     # the pure-axion traces take the closed form (0 evaluations, 0 error);
-    # each difference trace is one quadrature of r(theta) - r(0) at eps = 16
+    # both difference traces come from one quadrature of r(pi) - r(0) at
+    # eps = 16, whose evaluations count once
     out, _ = figure_runs["gamma_ti"]
     manifest = json.loads((out / "gamma_ti.manifest.json").read_text())
     zetas = np.linspace(0.05, 8.0, 400)
-    tensors = [numeric_greens(zetas, 1.0, _AxionDifference(epsilon=16.0, theta=theta))
-               for theta in (math.pi, -math.pi)]
+    tensor = numeric_greens(zetas, 1.0, _AxionDifference(epsilon=16.0, theta=math.pi))
     assert manifest["points"] == 1600
-    assert manifest["neval"] == sum(int(t.neval.sum()) for t in tensors)
-    assert manifest["quad_error"]["max"] == max(float(t.quad_error.max())
-                                                for t in tensors)
+    assert manifest["neval"] == int(tensor.neval.sum()) == 40_500
+    assert manifest["quad_error"]["max"] == float(tensor.quad_error.max())
+
+
+def test_minus_pi_difference_tensor_is_the_pi_one_with_xy_negated():
+    # Delta enters ss and pp as Delta^2, sp and ps as -2 Delta: the figures
+    # write the theta = -pi difference trace from the theta = pi tensor
+    zetas = np.linspace(0.05, 8.0, 400)
+    plus, minus = (numeric_greens(zetas, 1.0, _AxionDifference(epsilon=16.0, theta=theta))
+                   for theta in (math.pi, -math.pi))
+    for name in ("xx", "zz", "quad_error", "neval"):
+        assert np.array_equal(getattr(minus, name), getattr(plus, name)), name
+    assert np.array_equal(minus.xy, -plus.xy)
 
 
 def test_a_failing_figure_leaves_one_manifest(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 """Smoke tests of the scripts under scripts/: they run and print what they promise."""
+import importlib.util
 import json
 import subprocess
 import sys
@@ -64,3 +65,14 @@ def test_make_oracle_regenerates_a_row_of_the_table():
                  if (row["epsilon"], row["zeta"]) == (16.0, 8.0)]
     assert json.loads(out) == committed[0]
 
+
+
+def test_make_oracle_regenerates_a_nonresonant_row():
+    # the cheapest nonresonant row (zeta = 100, well under a second),
+    # computed again by the script's own function: every digit as committed
+    spec = importlib.util.spec_from_file_location("make_oracle", SCRIPTS / "make_oracle.py")
+    make_oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_oracle)
+    table = json.loads((Path(__file__).with_name("oracle_real_axis.json")).read_text())
+    committed = [row for row in table["nonresonant_rows"] if row["zeta"] == 100.0]
+    assert make_oracle.nonresonant_row(100.0) == committed[0]
