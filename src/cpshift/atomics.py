@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .greens import (PlanarTensors, _grid_frequencies, _heights, _kernels,
+from .greens import (PlanarTensors, _grid_omega, _heights, _kernels,
                      closed_form_greens, numeric_greens)
 from .media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
                     ReflectionMatrix, delta as axion_delta,
@@ -57,13 +57,14 @@ def greens_grid(medium, z, omega,
     """Scattering tensor at every height z[j] > 0, at one real omega or at
     omega = i*xi[j] aligned with z: the closed form for a medium that states
     a constant reflection matrix, the k-quadrature for every other medium.
-    Any other omega is rejected on both routes: the closed form, which
-    broadcasts, is held to the quadrature's check."""
+    Any other omega is rejected on both routes (`greens._grid_omega`): the
+    closed form alone would broadcast it."""
     r = getattr(medium, "constant_reflection", None)
     if r is None:
         return numeric_greens(z, omega, medium, config)
-    _grid_frequencies(z, omega)
-    return closed_form_greens(z, omega, r)
+    g = closed_form_greens(z, omega, r)  # checks z and omega first, as the quadrature does
+    _grid_omega(omega)
+    return g
 
 
 def greens_tensor(medium, z: float, omega: complex,
@@ -212,20 +213,12 @@ def _closed_form_nonresonant(r: ReflectionMatrix, dipole, a):
     p = PlanarTensors(np.array([r.r_ss - r.r_pp, -2.0 * r.r_pp, -2.0 * r.r_pp]),
                       np.array([0.0, -4.0 * r.r_pp, -4.0 * r.r_pp]),
                       np.array([x, x, 0.0]), None, None).sandwich(dipole)
-    b = _moments(a)
-    return _falling_sum(p.imag, b[3:0:-1], a), _falling_sum(p.real, b[2::-1], a)
-
-
-def _falling_sum(c, m, a):
-    """c0 m0/a + c1 m1/a^2 + c2 m2/a^3 at every a > 0.  From _FAR on it is
-    formed from r = 1/a, as the far moments are: a^3 overflows from a ~ 6e102."""
-    far = a >= _FAR
-    x = np.where(far, 1.0, a)  # far entries are overwritten below
-    out = c[0] * m[0] / x + c[1] * m[1] / x ** 2 + c[2] * m[2] / x ** 3
-    if far.any():
-        r, (m0, m1, m2) = 1.0 / a[far], m[:, far]
-        out[far] = (c[0] * m0 + (c[1] * m1 + c[2] * m2 * r) * r) * r
-    return out
+    b0, b1, b2, b3, _ = _moments(a)
+    # far up a ** 3 overflows to inf (from a ~ 6e102) and its terms to 0,
+    # which their true values underflow to anyway
+    with np.errstate(over="ignore"):
+        return (p[0].imag * b3 / a + p[1].imag * b2 / a ** 2 + p[2].imag * b1 / a ** 3,
+                p[0].real * b2 / a + p[1].real * b1 / a ** 2 + p[2].real * b0 / a ** 3)
 
 
 def nonresonant_shift_grid(transition: Transition, z, medium,

@@ -183,20 +183,12 @@ def _heights(z) -> np.ndarray:
     return z
 
 
-def _grid_frequencies(z, omega):
-    """(z, q) for the heights of a grid at one real omega > 0 (q a float:
-    omega arrays slow the kernels) or at omega = i*xi[j] aligned with z (z
-    and q = i*xi broadcast to arrays).  Both tensor routes take these two
-    shapes only (`atomics.greens_grid`), so a medium cannot change what
-    a call accepts."""
-    z = _heights(z)
-    w = _frequencies(omega)
-    if w.ndim == 0 and w.imag == 0:
-        return z, float(w.real)
-    if np.all(w.real == 0):
-        z, xi = np.broadcast_arrays(z, np.atleast_1d(w.imag))
-        return z, 1j * xi
-    raise ValueError(f"need one real omega, or an array of i*xi, got {omega}")
+def _grid_omega(omega):
+    """Raise unless omega is one frequency or an array of i*xi: the shapes
+    both tensor routes of a grid take (`atomics.greens_grid`), so a medium
+    cannot change what a call accepts."""
+    if np.ndim(omega) and np.any(np.real(omega) != 0):
+        raise ValueError(f"need one real omega, or an array of i*xi, got {omega}")
 
 
 def closed_form_greens(z, omega, r: ReflectionMatrix) -> PlanarTensors:
@@ -264,8 +256,16 @@ def numeric_greens(z, omega, medium,
     starting on the panels of HALF_LINE_MESH; a failure's `owner` is the
     index j.
     """
-    z, q = _grid_frequencies(z, omega)
+    z = _heights(z)
     cfg = config or QuadratureConfig()
+    w = _frequencies(omega)
+    _grid_omega(w)
+    if w.ndim == 0 and w.imag == 0:
+        q = float(w.real)  # a real scalar: omega arrays slow the kernels
+    else:
+        z, xi = np.broadcast_arrays(z, np.atleast_1d(w.imag))
+        q = 1j * xi
+
     a = np.maximum(2.0 * z, np.sqrt(2.0 * z / np.abs(q)))
 
     def f(x, owner):

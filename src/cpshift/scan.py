@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -114,7 +113,7 @@ def _scan_values(zetas, medium, transition, quantities, qcfg: QuadratureConfig):
     neval = np.zeros(zetas.size, dtype=int)
     s = None
     columns = []
-    with _failures_name_zeta(zetas):
+    try:
         for q in quantities:
             if q in ("rate", "resonant_shift"):
                 if s is None:
@@ -122,7 +121,7 @@ def _scan_values(zetas, medium, transition, quantities, qcfg: QuadratureConfig):
                     s = g.sandwich(transition.dipole)
                     err += g.quad_error
                     neval += g.neval
-                columns.append(_tensor_quantity(q, s, transition))
+                columns.append(_tensor_quantity(q, s, w, gamma0))
             elif q == "nonresonant_shift":
                 terms = nonresonant_shift_grid(transition, z, medium, qcfg)
                 err += terms.quad_error
@@ -130,29 +129,26 @@ def _scan_values(zetas, medium, transition, quantities, qcfg: QuadratureConfig):
                 columns.append(terms.total / gamma0)
             else:
                 raise ScanError(f"unknown quantity {q!r}")
+    except (QuadratureError, ArithmeticError) as exc:
+        raise _scan_error(exc, zetas) from exc
     return np.column_stack(columns), err, neval
 
 
-def _tensor_quantity(quantity, s, transition):
+def _tensor_quantity(quantity, s, w, gamma0):
     """The scaled rate or resonant shift from the sandwiches s of the
-    tensors of a grid."""
-    w = transition.frequency
+    tensors of a grid at transition frequency w."""
     if quantity == "rate":
-        return 2.0 * w ** 2 * s.imag / free_space_rate_formula(transition)
-    return -w ** 2 * s.real / free_space_rate_formula(transition)
+        return 2.0 * w ** 2 * s.imag / gamma0
+    return -w ** 2 * s.real / gamma0
 
 
-@contextmanager
-def _failures_name_zeta(zetas):
-    """Raise a quadrature or arithmetic failure of owner j as a ScanError
-    naming zetas[j]."""
-    try:
-        yield
-    except (QuadratureError, ArithmeticError) as exc:
-        owner = getattr(exc, "owner", None)
-        zeta = None if owner is None else float(zetas[owner])
-        where = "" if zeta is None else f" at zeta={zeta:.6g}"
-        raise ScanError(f"{type(exc).__name__}{where}: {exc}", zeta=zeta) from exc
+def _scan_error(exc, zetas) -> ScanError:
+    """A quadrature or arithmetic failure of owner j as a ScanError naming
+    zetas[j]."""
+    owner = getattr(exc, "owner", None)
+    zeta = None if owner is None else float(zetas[owner])
+    where = "" if zeta is None else f" at zeta={zeta:.6g}"
+    return ScanError(f"{type(exc).__name__}{where}: {exc}", zeta=zeta)
 
 
 def _format_csv(columns, zetas, values) -> str:
@@ -311,11 +307,13 @@ def _difference_job(name, zetas, quantity, qcfg):
     the trace of one medium; both carry the tensor's error per point, and
     its evaluations count once, on the theta = pi points.
     """
-    w = _PLUS.frequency
-    with _failures_name_zeta(zetas):
+    w, gamma0 = _PLUS.frequency, free_space_rate_formula(_PLUS)
+    try:
         g = greens_grid(_AxionDifference(epsilon=16.0, theta=np.pi), zetas / w, w, qcfg)
+    except (QuadratureError, ArithmeticError) as exc:
+        raise _scan_error(exc, zetas) from exc
     tables = [(f"{name}_difference_eps16_{tag}.csv", (QUANTITY_COLUMNS[quantity],), zetas,
-               _tensor_quantity(quantity, t.sandwich(_PLUS.dipole), _PLUS)[:, None])
+               _tensor_quantity(quantity, t.sandwich(_PLUS.dipole), w, gamma0)[:, None])
               for t, tag in ((g, "theta_pi"), (g._replace(xy=-g.xy), "theta_minus_pi"))]
     return tables, np.tile(g.quad_error, 2), np.concatenate([g.neval, np.zeros_like(g.neval)])
 

@@ -344,8 +344,8 @@ def test_far_field_nonresonant_shift_keeps_its_power_law():
 
 @pytest.mark.filterwarnings("error")
 def test_closed_form_nonresonant_shift_does_not_overflow():
-    # a^3 overflowed from zeta ~ 3e102; from a = 2^20 on the closed form
-    # takes powers of 1/a.  The shift rounds to 0 at zeta = 1e150.
+    # a^3 overflows from zeta ~ 3e102, where its term is below the smallest
+    # double anyway: no warning, and the shift rounds to 0 at zeta = 1e150
     for medium in (COND, MIR):
         assert nonresonant_shift(TR, 1e150, medium) == 0.0
     near = nonresonant_shift(TR, 1e20, COND) * 1e20 ** 4
