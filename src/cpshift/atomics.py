@@ -31,7 +31,7 @@ import numpy as np
 from .greens import (PlanarTensors, _grid_omega, _heights, _kernels,
                      closed_form_greens, numeric_greens)
 from .media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
-                    ReflectionMatrix, delta as axion_delta,
+                    ReflectionMatrix, _AxionDifference,
                     nonretarded_limit_coefficients, retarded_limit_coefficients)
 from .quadrature import HALF_LINE_MESH, QuadratureConfig, integrate_batch
 # not called here but importable from this module: perfbench/tracer.py
@@ -356,53 +356,71 @@ class AsymptoticCase:
             raise ValueError(f"unknown quantity {self.quantity!r}")
 
 
+def _first_order_axion(medium) -> bool:
+    """An axion half-space with O(Delta^2) diagonal channels: the pure axion
+    (epsilon = 1), and r(theta) - r(0) (`media._AxionDifference`)."""
+    return isinstance(medium, _AxionDifference) or (
+        isinstance(medium, AxionMedium) and medium.epsilon == 1)
+
+
+def _limit_reflection(medium, regime: str) -> ReflectionMatrix:
+    """The coefficients a limit law inserts: the medium's own far- or
+    near-field constants, except for a first-order axion medium, whose laws
+    are quoted to leading order in Delta.  It inserts only its first-order
+    cross coefficient, -2 Delta/(1 + n)^2 retarded and -Delta/(eps + 1)
+    nonretarded (both -Delta/2 at eps = 1): its Delta^2 diagonal z^-3 terms
+    would otherwise overtake the Delta z^-2 cross term at contact."""
+    if _first_order_axion(medium):
+        eps, dlt = medium.epsilon, medium.delta
+        x = (-2.0 * dlt / (1.0 + math.sqrt(eps)) ** 2 if regime == "retarded"
+             else -dlt / (eps + 1.0))
+        return ReflectionMatrix(0.0, x, x, 0.0)
+    if regime == "retarded":
+        return retarded_limit_coefficients(medium)
+    return nonretarded_limit_coefficients(medium)
+
+
 def asymptotic(case: AsymptoticCase, transition: Transition, z: float) -> float:
     """Closed-form limit law for the requested (regime, medium, quantity).
 
-    Retarded rate/shift entries insert the far-field constant coefficients
-    into the leading 1/z oscillation; nonretarded resonant-shift entries
-    insert the near-field constants into the z^-2/z^-3 terms.  The
-    nonretarded *rate* entry is the stated contact limit for the ideal
-    mirrors (a constant -Gamma0, resp. 0) but the formal coefficient
-    insertion for the axion medium, which is how its limit laws are quoted;
-    the true rate stays finite there.  Nonresonant entries exist for both
-    mirrors (both regimes) and for the pure-axion medium (nonretarded).
+    Every entry inserts the coefficients r of `_limit_reflection`: into the
+    leading 1/z oscillation (retarded rate and resonant shift), the z^-2 and
+    z^-3 terms (nonretarded), and d^2 [r_pp/(16 pi^2 w z^4) - r_sp/(16 pi^2
+    w^2 z^5)] or d^2 [r_pp/(64 pi z^3) - r_sp/(16 pi^2 z^3)] (nonresonant
+    shift, retarded or nonretarded).  Nonresonant laws are stated for the
+    ideal mirrors, and nonretarded also for the first-order axion media.
+    The mirrors' nonretarded rate is their contact limit (-Gamma0, resp. 0).
+
+    What the computed values approach as zeta -> 0: the mirrors' laws to
+    2 % at zeta = 0.01, the pure axion's nonresonant shift 0.987x (1.001x
+    at 1e-3).  A first-order axion medium's nonretarded rate law is a
+    formal insertion: the rate of r(theta) - r(0) at eps = 16 is -0.2 % of
+    it at zeta = 0.01.  At eps != 1 its nonresonant law is the quasi-static
+    insertion, but the s-integral weights s ~ 1 (B4(b) ~ 2/b^3 for b << 1),
+    where dr_sp is -0.080 Delta against -Delta/17 at s -> inf for eps = 16:
+    the shift reads 1.221x the law at zeta = 0.01 and 1.235x at 1e-3
+    (1.048x, 1.062x at eps = 4).  The laws also need Delta << zeta: the
+    resonant shift reads 0.976x at zeta = 0.01 but 0.785x at 1e-3.
     """
-    m = case.medium
+    _heights(z)
+    m, regime = case.medium, case.regime
     w = transition.frequency
     d2 = transition.dipole_squared
     zeta = w * z
     gunit = w ** 2 * d2 / (4 * math.pi)
     ounit = w ** 2 * d2 / (8 * math.pi)
-    pure_axion = isinstance(m, AxionMedium) and m.epsilon == 1.0 and m.mu == 1.0
-
-    if case.quantity == "nonresonant_shift":
-        if case.regime == "retarded":
-            if isinstance(m, PerfectConductor):
-                return d2 / (16 * math.pi ** 2 * w * z ** 4)
-            if isinstance(m, PerfectNonreciprocalMirror):
-                return -m.sign * d2 / (16 * math.pi ** 2 * w ** 2 * z ** 5)
-            raise ValueError("no retarded nonresonant law for the axion medium "
-                             "(the resonant part dominates there)")
-        if isinstance(m, PerfectConductor):
-            return d2 / (64 * math.pi * z ** 3)
-        if isinstance(m, PerfectNonreciprocalMirror):
-            return -m.sign * d2 / (16 * math.pi ** 2 * z ** 3)
-        if pure_axion:
-            return (m.delta / 2.0) * d2 / (16 * math.pi ** 2 * z ** 3)
-        raise ValueError("nonretarded nonresonant law only stated for the "
-                         "pure-axion medium (dispersive eps(i xi) unknown)")
-
-    # The pure-axion laws are quoted to leading order in Delta (the "Delta/2
-    # factor"): the Delta^2 diagonal channels are dropped, as their z^-3 term
-    # would otherwise overtake the Delta z^-2 cross term at contact.
-    if pure_axion:
-        r = ReflectionMatrix(0.0, -m.delta / 2.0, -m.delta / 2.0, 0.0)
-    elif case.regime == "retarded":
-        r = retarded_limit_coefficients(m)
-    else:
-        r = nonretarded_limit_coefficients(m)
-    if case.regime == "retarded":
+    nres = case.quantity == "nonresonant_shift"
+    if nres and not (isinstance(m, (PerfectConductor, PerfectNonreciprocalMirror))
+                     or (regime == "nonretarded" and _first_order_axion(m))):
+        raise ValueError(f"no {regime} nonresonant law for {m!r}")
+    r = _limit_reflection(m, regime)
+    if nres:
+        if regime == "retarded":
+            return (d2 * r.r_pp / (16 * math.pi ** 2 * w * z ** 4)
+                    - d2 * r.r_sp / (16 * math.pi ** 2 * w ** 2 * z ** 5))
+        return (d2 * r.r_pp / (64 * math.pi * z ** 3)
+                - d2 * r.r_sp / (16 * math.pi ** 2 * z ** 3))
+    if regime == "retarded":
         if case.quantity == "rate":
             return gunit / z * (-math.sin(2 * zeta) * r.r_pp
                                 - math.cos(2 * zeta) * r.r_sp)
@@ -421,36 +439,14 @@ def asymptotic(case: AsymptoticCase, transition: Transition, z: float) -> float:
 
 def axion_difference(quantity: str, regime: str, epsilon: float, theta: float,
                      z: float, transition: Transition) -> float:
-    """Closed-form with-minus-without-axion difference laws (Delta << 1).
-
-    retarded:     factor 2*Delta/(1+n)^2 on the mirror-type oscillation
-    nonretarded:  factor Delta/(eps+1) on the z^-2 terms, and
-                  d^2 Delta/(16 pi^2 z^3 (eps+1)) for the
-                  nonresonant shift
+    """With-minus-without-axion limit law (Delta << 1): `asymptotic` of the
+    medium r(theta) - r(0) (`media._AxionDifference`), whose cross
+    coefficient to first order in Delta is -2 Delta/(1 + n)^2 retarded and
+    -Delta/(eps + 1) nonretarded; the medium checks epsilon and theta.  The
+    `asymptotic` docstring states which computed values these laws approach.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if regime not in ("retarded", "nonretarded"):
-        raise ValueError(f"unknown regime {regime!r}")
-    dlt = axion_delta(0.0, theta)
-    w = transition.frequency
-    d2 = transition.dipole_squared
-    zeta = w * z
-    if regime == "retarded":
-        factor = 2.0 * dlt / (1.0 + math.sqrt(epsilon)) ** 2
-        if quantity == "rate":
-            return w ** 2 * d2 / (4 * math.pi * z) * math.cos(2 * zeta) * factor
-        if quantity == "resonant_shift":
-            return w ** 2 * d2 / (8 * math.pi * z) * math.sin(2 * zeta) * factor
-        raise ValueError("retarded nonresonant difference is not a stated law")
-    factor = dlt / (epsilon + 1.0)
-    if quantity == "rate":
-        return -w * d2 / (8 * math.pi * z ** 2) * factor
-    if quantity == "resonant_shift":
-        return w * d2 / (16 * math.pi * z ** 2) * factor
-    if quantity == "nonresonant_shift":
-        return d2 / (16 * math.pi ** 2 * z ** 3) * factor
-    raise ValueError(f"unknown quantity {quantity!r}")
+    medium = _AxionDifference(epsilon=epsilon, theta=theta)
+    return asymptotic(AsymptoticCase(regime, medium, quantity), transition, z)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +462,8 @@ class PopulationState:
         p = np.asarray(self.populations, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("populations must be a nonempty 1-d vector")
-        if np.any(p < 0):
-            raise ValueError(f"negative population in {p}")
+        if not np.all(np.isfinite(p) & (p >= 0)):
+            raise ValueError(f"populations must be finite and nonnegative, got {p}")
         if p.sum() > 1.0 + 1e-9:
             raise ValueError(f"populations sum to {p.sum()} > 1")
         object.__setattr__(self, "populations", p)
@@ -518,8 +514,9 @@ def evolve_populations(atom: AtomModel, rate_matrix, t_grid,
     triangular generator A.  Default initial state: topmost level.
     """
     t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 1 or np.any(np.diff(t) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
+    if (t.ndim != 1 or t.size < 1 or not np.all(np.isfinite(t))
+            or np.any(np.diff(t) <= 0)):
+        raise ValueError(f"t_grid must be finite and strictly increasing, got {t}")
     nlev = atom.num_levels
     table = _rate_table(rate_matrix, nlev)
 

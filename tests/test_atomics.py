@@ -19,7 +19,7 @@ from cpshift.atomics import (AsymptoticCase, _moment_table, _moments, asymptotic
                              self_consistent_shift, total_shift)
 from cpshift.greens import numeric_greens
 from cpshift.media import (AxionMedium, ConstantReflectionMedium, PerfectConductor,
-                           PerfectNonreciprocalMirror, PoleError)
+                           PerfectNonreciprocalMirror, PoleError, _AxionDifference)
 from cpshift.quadrature import QuadratureConfig, QuadratureError, integrate
 from cpshift.units import Transition, canonical_transition, circular_dipole
 
@@ -572,15 +572,33 @@ def test_asymptotic_pure_axion_expressions():
 
 
 def test_asymptotic_unsupported_cases():
+    # the error names the regime and the medium
     m16 = AxionMedium(epsilon=16.0, theta=math.pi)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no retarded nonresonant law for AxionMedium"):
         asymptotic(AsymptoticCase("retarded", m16, "nonresonant_shift"), TR, 5.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no nonretarded nonresonant law for AxionMedium"):
         asymptotic(AsymptoticCase("nonretarded", m16, "nonresonant_shift"), TR, 0.01)
+    with pytest.raises(ValueError, match="nonresonant law for ConstantReflectionMedium"):
+        asymptotic(AsymptoticCase("nonretarded", ConstantReflectionMedium(r_sp=0.5),
+                                  "nonresonant_shift"), TR, 0.01)
+    pure = AxionMedium(epsilon=1.0, theta=math.pi)
+    with pytest.raises(ValueError, match="no retarded nonresonant law"):
+        asymptotic(AsymptoticCase("retarded", pure, "nonresonant_shift"), TR, 5.0)
     with pytest.raises(ValueError):
         AsymptoticCase("midfield", COND, "rate")
     with pytest.raises(ValueError):
         AsymptoticCase("retarded", COND, "force")
+
+
+def test_limit_laws_reject_heights_they_cannot_honour():
+    # a negative or NaN height gave a number, z = 0 a ZeroDivisionError
+    for z in (-3.0, 0.0, math.nan, math.inf):
+        for regime in ("retarded", "nonretarded"):
+            for qty in ("rate", "resonant_shift", "nonresonant_shift"):
+                with pytest.raises(ValueError, match="height"):
+                    asymptotic(AsymptoticCase(regime, COND, qty), TR, z)
+        with pytest.raises(ValueError, match="height"):
+            axion_difference("rate", "retarded", 16.0, math.pi, z, TR)
 
 
 def test_numeric_approaches_retarded_laws():
@@ -648,6 +666,50 @@ def test_axion_difference_signs_and_errors():
         axion_difference("force", "retarded", 16.0, math.pi, 5.0, TR)
     with pytest.raises(ValueError):
         axion_difference("rate", "retarded", -4.0, math.pi, 5.0, TR)
+    # NaN epsilon and non-finite theta gave nan and -inf: the medium checks them
+    with pytest.raises(ValueError, match="epsilon"):
+        axion_difference("rate", "retarded", math.nan, math.pi, 5.0, TR)
+    for theta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="theta"):
+            axion_difference("rate", "retarded", 16.0, theta, 5.0, TR)
+
+
+def test_axion_difference_is_the_law_of_the_difference_medium():
+    # one rule: the difference law is `asymptotic` of r(theta) - r(0), and
+    # at eps = 1, where r(0) = 0, it is the pure axion's law bit for bit,
+    # both inserting the cross coefficient -Delta/2 alone
+    pure = AxionMedium(epsilon=1.0, theta=math.pi)
+    for regime, z, qtys in (("retarded", 5.0, ("rate", "resonant_shift")),
+                            ("nonretarded", 0.02, ("rate", "resonant_shift",
+                                                   "nonresonant_shift"))):
+        for qty in qtys:
+            for eps in (1.0, 16.0):
+                law = asymptotic(AsymptoticCase(
+                    regime, _AxionDifference(epsilon=eps, theta=math.pi), qty), TR, z)
+                assert axion_difference(qty, regime, eps, math.pi, z, TR) == law
+            assert axion_difference(qty, regime, 1.0, math.pi, z, TR) == \
+                asymptotic(AsymptoticCase(regime, pure, qty), TR, z)
+
+
+def test_difference_medium_approaches_its_laws():
+    # the quadrature of r(theta) - r(0) itself, the medium the figures
+    # integrate: the far-field laws at oscillation extrema, and at
+    # zeta = 0.01 the near-field factors the `asymptotic` docstring states
+    m16 = _AxionDifference(epsilon=16.0, theta=math.pi)
+    for qty, fn, z in (("rate", decay_rate, 15 * math.pi / 2),
+                       ("resonant_shift", resonant_shift, 29 * math.pi / 4)):
+        law = axion_difference(qty, "retarded", 16.0, math.pi, z, TR)
+        assert abs(fn(TR, z, m16) / law - 1) < 1e-3, qty      # 1.00009, 1.0001
+
+    def near(fn, qty, eps):
+        medium = _AxionDifference(epsilon=eps, theta=math.pi)
+        return fn(TR, 0.01, medium) / axion_difference(qty, "nonretarded", eps,
+                                                       math.pi, 0.01, TR)
+
+    assert abs(near(resonant_shift, "resonant_shift", 16.0) - 1) < 0.05       # 0.976
+    # the quasi-static insertion misses the s ~ 1 weight of the s-integral
+    assert 1.20 < near(nonresonant_shift, "nonresonant_shift", 16.0) < 1.25  # 1.221
+    assert abs(near(nonresonant_shift, "nonresonant_shift", 1.0) - 1) < 0.02  # 0.987
 
 
 def test_pure_axion_decomposes_into_mirror_and_conductor():

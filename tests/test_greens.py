@@ -96,13 +96,16 @@ def test_closed_form_matches_the_k_quadrature(medium, z, xi):
     # any k_par-independent reflection matrix, complex entries included, on
     # both frequency axes; the scale is the largest entry of either tensor.
     # The heights and frequencies reach both ends of the mapped path: x near
-    # 0 (u -> inf) matters at small z, x near 1 at large |q| z
+    # 0 (u -> inf) matters at small z, x near 1 at large |q| z.  There, from
+    # 2 xi z ~ 700, both tensors are subnormal, and one subnormal spacing is
+    # more than 1e-9 of them, so the scale is at least the smallest normal
+    # double
     for omega in (1.0, [1j * xi]):
         closed = closed_form_greens(z, omega, medium.constant_reflection)
         numeric = numeric_greens(z, omega, medium)
         pairs = [(np.ravel(getattr(closed, n))[0], getattr(numeric, n)[0])
                  for n in ("xx", "zz", "xy")]
-        scale = max(max(abs(a), abs(b)) for a, b in pairs)
+        scale = max(np.finfo(float).tiny, *(max(abs(a), abs(b)) for a, b in pairs))
         assert all(abs(a - b) <= 1e-9 * scale for a, b in pairs)
 
 

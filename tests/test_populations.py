@@ -1,8 +1,11 @@
 """Diagonal rate-equation dynamics for multilevel atoms."""
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from cpshift import atomics
 from cpshift.atomics import PopulationState, _expm_triangular, evolve_populations
 from cpshift.units import AtomModel
 
@@ -106,6 +109,24 @@ def test_time_grid_and_initial_state_validation():
     with pytest.raises(ValueError):
         evolve_populations(TWO_LEVEL, {(1, 0): 1.0}, np.linspace(0, 1, 5),
                            initial=np.array([1.0, 0.0, 0.0]))
+
+
+def test_non_finite_times_and_populations_are_rejected_before_any_exponential(
+        monkeypatch):
+    # NaN passes both p < 0 and p.sum() > 1, and a NaN or inf time passed
+    # the ordering check: each gave a trajectory of NaN rows
+    def no_exponential(a):
+        raise AssertionError("matrix exponential ran on invalid input")
+
+    monkeypatch.setattr(atomics, "_expm_triangular", no_exponential)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_grid must be finite"):
+            evolve_populations(TWO_LEVEL, {(1, 0): 1.0}, [0.0, bad])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            PopulationState([bad, 0.5])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            evolve_populations(TWO_LEVEL, {(1, 0): 1.0}, [0.0, 1.0],
+                               initial=[bad, 0.0])
 
 
 def test_default_initial_state_is_topmost_level():
