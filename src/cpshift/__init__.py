@@ -16,8 +16,7 @@ from .quadrature import QuadratureConfig, QuadratureError, QuadResult, integrate
 from .media import (AxionMedium, ConstantReflectionMedium,
                     PerfectConductor, PerfectNonreciprocalMirror,
                     PoleError, ReflectionMatrix, delta,
-                    nonretarded_limit_coefficients, perpendicular_wavenumber,
-                    retarded_limit_coefficients)
+                    nonretarded_limit_coefficients, retarded_limit_coefficients)
 from .greens import (EvaluationPoint, PlanarTensors, generalized_im,
                      generalized_re, greens_nonreciprocal_mirror,
                      greens_perfect_conductor, scattering_greens_numeric)
@@ -39,7 +38,7 @@ __all__ = [
     "AxionMedium", "ConstantReflectionMedium", "PerfectConductor",
     "PerfectNonreciprocalMirror", "PoleError",
     "ReflectionMatrix", "delta", "nonretarded_limit_coefficients",
-    "perpendicular_wavenumber", "retarded_limit_coefficients",
+    "retarded_limit_coefficients",
     "EvaluationPoint", "PlanarTensors", "generalized_im", "generalized_re",
     "greens_nonreciprocal_mirror", "greens_perfect_conductor",
     "scattering_greens_numeric",

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -271,7 +272,7 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
 
     values, errors, neval = integrate_batch(
         f, np.zeros(z.size), np.ones(z.size), rel_tol=cfg.xi_rel_tol,
-        max_depth=cfg.max_depth, max_panels=cfg.max_panels, mesh=HALF_LINE_MESH)
+        max_panels=cfg.max_panels, mesh=HALF_LINE_MESH)
     return NonresonantTerms(im_term=pref * values.real, re_term=-pref * values.imag,
                             quad_error=pref * errors, neval=neval)
 
@@ -319,8 +320,8 @@ def self_consistent_shift(transition: Transition, z: float, medium,
     every closed-form expression assumes.  If tol is given and the iteration
     does not settle within max_iter steps, raises RuntimeError.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     omega0 = transition.frequency

@@ -3,7 +3,9 @@
 Format: one assignment per line, `#` starts a comment, blank lines ignored.
 Angles accept plain radians or pi-multiples written as `1.0pi` / `-0.5pi`.
 Unknown keys, duplicate keys (both line numbers reported), and keys that do
-not apply to the chosen medium are errors.
+not apply to the chosen medium are errors.  A medium's keys are the init
+fields of its class; the axion half-space is nonmagnetic, so its keys are
+epsilon and theta, and `mu` is an unknown key.
 """
 from __future__ import annotations
 
@@ -33,8 +35,9 @@ QUANTITY_COLUMNS = {
 }
 
 # medium kind -> its class.  A kind's parameters, and their defaults, are
-# its class's init fields; every other description of a medium (config
-# keys, CLI flags, the manifest echo) is derived from this table.
+# its class's init fields (an InitVar, such as AxionMedium's mu, is none);
+# every other description of a medium (config keys, CLI flags, the
+# manifest echo) is derived from this table.
 MEDIUM_KINDS = {
     "perfect_conductor": PerfectConductor,
     "nonreciprocal_mirror": PerfectNonreciprocalMirror,
@@ -56,7 +59,6 @@ class ScanConfig:
     spacing: str = "linear"
     handedness: str = "plus"
     epsilon: float = AxionMedium.epsilon
-    mu: float = AxionMedium.mu
     theta: float = AxionMedium.theta
     sign: float = PerfectNonreciprocalMirror.sign
     quantities: tuple = ("rate", "resonant_shift", "nonresonant_shift")

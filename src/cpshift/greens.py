@@ -29,7 +29,7 @@ factor, and e^{-2 u z} damps the kernels.  For real omega this is the
 usual deformation of a Sommerfeld integral off the real k_par axis (Chew,
 Waves and Fields in Inhomogeneous Media, ch. 2; Michalski and Mosig, IEEE
 Trans. Antennas Propag. 45, 508 (1997)).  Between that axis and this
-path the medium's k_2^2 = k_perp^2 + (eps mu - 1) q^2 has a positive
+path the medium's k_2^2 = k_perp^2 + (eps - 1) q^2 has a positive
 imaginary part, so no branch cut of k_2 is crossed, the axion reflection
 has no pole, and the arc at infinity vanishes with e^{2 i k_perp z}; the
 medium's lightline, a square-root branch point on the real k_par axis,
@@ -277,7 +277,7 @@ def numeric_greens(z, omega, medium,
 
     values, errors, neval = integrate_batch(
         f, np.zeros(z.size), np.ones(z.size), rel_tol=cfg.rel_tol,
-        max_depth=cfg.max_depth, max_panels=cfg.max_panels, mesh=HALF_LINE_MESH)
+        max_panels=cfg.max_panels, mesh=HALF_LINE_MESH)
     # [N, 3]; the engine returns no heights as a flat empty array
     v, e = values.reshape(-1, 3), errors.reshape(-1, 3)
     phase = np.exp(2j * q * z)

@@ -2,20 +2,20 @@
 
 Three media are supported: a perfect electric conductor, a perfect
 nonreciprocal mirror (pure s<->p conversion with a fixed sign), and a
-half-space with permittivity/permeability plus an axion magneto-electric
-coupling theta.  Medium 1 (where the atom sits) is always vacuum.
-Frequencies and wavenumbers are in the package's units, c = hbar = mu0 =
-eps0 = 1.
+nonmagnetic half-space with permittivity epsilon plus an axion
+magneto-electric coupling theta.  Medium 1 (where the atom sits) is always
+vacuum.  Frequencies and wavenumbers are in the package's units, c = hbar =
+mu0 = eps0 = 1.
 
 A reflection matrix is evaluated at a frequency and at the vacuum
 wavenumber k_perp = sqrt(omega^2 - k_par^2) of the atom's side (Im >= 0,
-see `perpendicular_wavenumber`), the variable the k-plane quadrature
-integrates over; the medium's own k_2 follows from it, and k_par need not
-be formed.  Evaluations are vectorized over k_perp and accept real
-frequencies as well as purely imaginary omega = i*xi, either one omega for
-all nodes or an array of omega aligned with them.  Every medium here is
-nondispersive, r(i lambda xi, lambda k_perp) = r(i xi, k_perp) for
-lambda > 0; `atomics.nonresonant_shift_grid` relies on this.
+so that e^{i k_perp z} decays for z > 0), the variable the k-plane
+quadrature integrates over; the medium's own k_2 follows from it, and
+k_par need not be formed.  Evaluations are vectorized over k_perp and
+accept real frequencies as well as purely imaginary omega = i*xi, either
+one omega for all nodes or an array of omega aligned with them.  Every
+medium here is nondispersive, r(i lambda xi, lambda k_perp) = r(i xi,
+k_perp) for lambda > 0; `atomics.nonresonant_shift_grid` relies on this.
 
 Each medium also states its `constant_reflection`: the reflection matrix
 if it depends neither on k_par nor on omega (the two ideal mirrors, the
@@ -25,7 +25,7 @@ constant test medium, and the axion half-space at epsilon = 1), else None.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -34,8 +34,7 @@ from .constants import ALPHA_FS
 __all__ = [
     "ReflectionMatrix", "PoleError",
     "PerfectConductor", "PerfectNonreciprocalMirror", "AxionMedium", "EPSILON_MAX",
-    "ConstantReflectionMedium",
-    "delta", "perpendicular_wavenumber",
+    "ConstantReflectionMedium", "delta",
     "retarded_limit_coefficients", "nonretarded_limit_coefficients",
 ]
 
@@ -64,32 +63,10 @@ class ReflectionMatrix:
     r_ps: complex
     r_pp: complex
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.r_ss, self.r_sp], [self.r_ps, self.r_pp]])
-
 
 def delta(theta1: float, theta2: float) -> float:
     """Dimensionless axion mismatch alpha*(theta2 - theta1)/pi."""
     return ALPHA_FS * (theta2 - theta1) / math.pi
-
-
-def perpendicular_wavenumber(omega, k_par, epsilon: float = 1.0, mu: float = 1.0):
-    """k_perp = sqrt(eps*mu*omega^2 - k_par^2) with Im >= 0.
-
-    Branch: Im(k_perp) >= 0 so that e^{i k_perp z} decays for z > 0; on the
-    real axis (propagating waves) the root with Re >= 0 is taken.  Works for
-    real omega and for omega = i*xi (result then purely imaginary positive);
-    omega may be a scalar or an array aligned with k_par.
-    """
-    k_par = np.asarray(k_par, dtype=float)
-    if np.any((np.asarray(omega) == 0) & (k_par == 0)):
-        raise ValueError("k_perp undefined at omega = k_par = 0")
-    kz = np.sqrt(epsilon * mu * omega ** 2 - k_par ** 2 + 0j)
-    # np.sqrt of a negative real with -0j imaginary part lands on the wrong
-    # side of the cut; fold everything back onto Im >= 0.
-    kz = np.where(kz.imag < 0, -kz, kz)
-    kz = np.where((kz.imag == 0) & (kz.real < 0), -kz, kz)
-    return kz[()] if kz.ndim == 0 else kz
 
 
 class _ConstantReflection:
@@ -136,29 +113,29 @@ EPSILON_MAX = 1e100
 
 @dataclass(frozen=True)
 class AxionMedium:
-    """Half-space with permittivity, permeability and axion coupling theta.
+    """Nonmagnetic half-space with permittivity epsilon and axion coupling theta.
 
     Medium 1 is vacuum (eps_1 = 1, theta_1 = 0, n_1 = 1).  The cross
     coefficients carry Delta = alpha*theta/pi.  The Fresnel weights are
-    those of a nonmagnetic medium, so mu must be 1 (it is kept as a field
-    for callers that state it); epsilon must be positive and at most
-    EPSILON_MAX, theta finite.  Nondispersive (constant eps) by
-    construction.  theta is marked as an angle (radians), so text input may
-    also give it as a pi-multiple.
+    those of a nonmagnetic medium: `mu` is init-only, for callers that
+    state it, and must be 1; it is no field, so no config key or flag.
+    epsilon must be positive and at most EPSILON_MAX, theta finite.
+    Nondispersive (constant eps) by construction.  theta is marked as an
+    angle (radians), so text input may also give it as a pi-multiple.
     """
 
     epsilon: float = 1.0
-    mu: float = 1.0
+    mu: InitVar[float] = 1.0
     theta: float = field(default=math.pi, metadata={"angle": True})
     delta: float = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, mu):
         if not 0 < self.epsilon <= EPSILON_MAX:
             raise ValueError(f"epsilon must be positive and at most {EPSILON_MAX:g}, "
                              f"got {self.epsilon}")
-        if self.mu != 1:
+        if mu != 1:
             raise ValueError(f"mu must be 1 (the Fresnel weights are those of a "
-                             f"nonmagnetic medium), got {self.mu}")
+                             f"nonmagnetic medium), got {mu}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
         object.__setattr__(self, "delta", delta(0.0, self.theta))
@@ -178,9 +155,9 @@ class AxionMedium:
 
     def _fresnel(self, omega, k_perp):
         """(k1, k2, k1 + k2, eps k1 + k2, mix = k1 k2 Delta^2, 1/D, r_sp) at
-        k1 = k_perp, with k2 = sqrt(k1^2 + (eps mu - 1) omega^2), Im k2 >= 0."""
+        k1 = k_perp, with k2 = sqrt(k1^2 + (eps - 1) omega^2), Im k2 >= 0."""
         k1 = np.asarray(k_perp, dtype=complex)[()]
-        k2 = np.sqrt(k1 * k1 + (self.epsilon * self.mu - 1.0) * omega ** 2)
+        k2 = np.sqrt(k1 * k1 + (self.epsilon - 1.0) * omega ** 2)
         # on the imaginary axis the radicand is real and negative, and a -0j
         # imaginary part puts np.sqrt of it on the wrong side of the cut
         k2 = np.where(k2.imag < 0, -k2, k2)[()]
@@ -198,12 +175,12 @@ class AxionMedium:
 
     def reflection(self, omega, k_perp) -> ReflectionMatrix:
         """The coefficients at vacuum wavenumber k1 = k_perp (`_fresnel`).
-        k1 - k2 = -(eps mu - 1) omega^2/(k1 + k2) and eps k1 - k2 =
+        k1 - k2 = -(eps - 1) omega^2/(k1 + k2) and eps k1 - k2 =
         (eps - 1) k1 + (k1 - k2) carry no cancellation, so the coefficients
         keep their relative accuracy as epsilon -> 1, where they vanish with
         eps - 1 (and are exactly the constant ones at 1)."""
         k1, _, s, es, mix, inv, r_x = self._fresnel(omega, k_perp)
-        dk = -((self.epsilon * self.mu - 1.0) * omega ** 2) / s  # k1 - k2
+        dk = -((self.epsilon - 1.0) * omega ** 2) / s  # k1 - k2
         r_ss = (dk * es - mix) * inv
         r_pp = (((self.epsilon - 1.0) * k1 + dk) * s + mix) * inv
         return ReflectionMatrix(r_ss=r_ss, r_sp=r_x, r_ps=r_x, r_pp=r_pp)

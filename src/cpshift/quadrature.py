@@ -8,8 +8,9 @@ ndarray of (possibly complex) values of the same length, or one row of K
 components per abscissa.
 
 Error control is the usual |K15 - G7| per panel, summed globally, against
-rel_tol * |result|, for each component.  Panels refine to at
-most `max_depth` bisection levels (default 30); exceeding the cap or the
+rel_tol * |result|, for each component.  Panels refine to at most
+MAX_DEPTH = 30 bisection levels: a panel narrower than 2^(1 - MAX_DEPTH)
+of its integral's interval does not split.  Exceeding that cap or the
 panel budget raises QuadratureError rather than returning a silently bad
 number, and so does a non-finite integrand value or error estimate, at
 once.
@@ -21,7 +22,7 @@ reflection-matrix evaluation, say) is paid once per round instead of once
 per integral per round.  An owner may have K components that share its
 panels, as in QUADPACK-style vector quadrature: several integrands over
 one interval cost one set of nodes.  Each owner applies the same rule with
-its own tolerance and depth cap, and drops out of the rounds once every
+its own tolerance and width cap, and drops out of the rounds once every
 component has converged.  Every owner starts on one shared mesh of
 panels, fractions of its interval (QUADPACK QAGP's breakpoints): [a, b]
 itself by default, `HALF_LINE_MESH` for a half-line mapped onto (0, 1].
@@ -38,8 +39,8 @@ from numbers import Integral
 
 import numpy as np
 
-__all__ = ["HALF_LINE_MESH", "QuadratureConfig", "QuadratureError", "QuadResult",
-           "integrate", "integrate_batch"]
+__all__ = ["HALF_LINE_MESH", "MAX_DEPTH", "QuadratureConfig", "QuadratureError",
+           "QuadResult", "integrate", "integrate_batch"]
 
 
 class QuadratureError(RuntimeError):
@@ -86,37 +87,40 @@ _G7_WEIGHTS[1::2] = [
 # coarser panels, at the same 75 evaluations.
 HALF_LINE_MESH = (0.0, 0.0625, 0.125, 0.25, 0.5, 1.0)
 
+# The bisection cap: no panel narrower than 2^(1 - MAX_DEPTH) of its
+# integral's interval splits (see integrate_batch).
+MAX_DEPTH = 30
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and caps for the quadratures.
+    """Tolerances and the panel budget of the quadratures.
 
     rel_tol      : relative tolerance of each point's k-integral
     xi_rel_tol   : relative tolerance of the nonresonant shift's s-integral
-    max_depth    : bisection cap per panel
     max_panels   : hard budget on simultaneously live panels of one
                    quadrature call, shared by all its owners (see
                    integrate_batch)
-    kappa_cutoff : affects no result; kept only as perfbench/make_reference.py reads it
-    xi_cutoff    : affects no result; kept only as perfbench/make_reference.py reads it
+
+    kappa_cutoff and xi_cutoff are constants, not settings: no result
+    depends on them, and perfbench/make_reference.py records them beside
+    its references.
     """
 
     rel_tol: float = 1e-9
     xi_rel_tol: float = 1e-10
-    max_depth: int = 30
     max_panels: int = 20000
-    kappa_cutoff: float = 40.0
-    xi_cutoff: float = 50.0
+    kappa_cutoff = 40.0
+    xi_cutoff = 50.0
 
     def __post_init__(self):
-        for name in ("rel_tol", "xi_rel_tol", "kappa_cutoff", "xi_cutoff"):
+        for name in ("rel_tol", "xi_rel_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        for name in ("max_depth", "max_panels"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        n = self.max_panels
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            raise ValueError(f"max_panels must be an integer >= 1, got {n!r}")
 
     def tighter(self, factor: float) -> "QuadratureConfig":
         """Same config with both relative tolerances multiplied by `factor`."""
@@ -166,7 +170,7 @@ def _panels(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
     return shape, k15, np.abs(k15 - rule(_G7_WEIGHTS))
 
 
-def integrate(f, a: float, b: float, rel_tol: float = 1e-9, max_depth: int = 30,
+def integrate(f, a: float, b: float, *, rel_tol: float = 1e-9,
               max_panels: int = 20000) -> QuadResult:
     """Integrate f over [a, b] with global adaptive bisection.
 
@@ -174,13 +178,13 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-9, max_depth: int = 30,
     Returns the integral with an error estimate and the evaluation count.
     This is integrate_batch with one owner.
     """
-    values, errors, neval = integrate_batch(lambda x, owner: f(x), [a], [b], rel_tol,
-                                            max_depth, max_panels)
+    values, errors, neval = integrate_batch(lambda x, owner: f(x), [a], [b],
+                                            rel_tol=rel_tol, max_panels=max_panels)
     return QuadResult(complex(values[0]), float(errors[0]), int(neval[0]))
 
 
-def integrate_batch(f, a, b, rel_tol: float = 1e-9, max_depth: int = 30,
-                    max_panels: int = 20000, mesh=(0.0, 1.0)):
+def integrate_batch(f, a, b, *, rel_tol: float = 1e-9, max_panels: int = 20000,
+                    mesh=(0.0, 1.0)):
     """Integrate N independent integrals, owner i over [a[i], b[i]], in lockstep.
 
     f(x, owner) -> ndarray is called once per refinement round; x holds the
@@ -189,14 +193,14 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, max_depth: int = 30,
     share one panel set.  Each owner follows one rule on its own: split
     every panel that exceeds, in some component, that component's fair
     share tol_k / (2 * panels) of its tolerance rel_tol * |sum_k|, until
-    every component's summed |K15 - G7| is within its tolerance; no panel
-    deeper than `max_depth` bisections.
+    every component's summed |K15 - G7| is within its tolerance.  A panel
+    that would split while hi - lo < 2^(1 - MAX_DEPTH) (b - a) fails the
+    owner instead, so bisection stops at 2^-MAX_DEPTH of [a, b] on a
+    dyadic mesh, and within [1, 2) 2^-MAX_DEPTH of it on any other.
 
     Every owner starts on the panels between the fractions `mesh` of its
     interval, t_0 = 0 < t_1 < ... < t_m = 1 (QUADPACK QAGP's breakpoints,
-    shared by all owners; the default is [a, b] itself).  A start panel
-    counts at its dyadic level, the smallest d with 2^-d <= t_(j+1) - t_j,
-    so no panel made by bisection is narrower than 2^-max_depth of [a, b].
+    shared by all owners; the default is [a, b] itself).
 
     `max_panels` bounds the live panels of the whole call, so memory does
     not grow with N.  Owners start in index order as the budget allows, each
@@ -217,7 +221,7 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, max_depth: int = 30,
     Returns (values complex[N], errors float[N], neval int[N]), values and
     errors [N, K] for K-component integrands.
     """
-    QuadratureConfig(rel_tol=rel_tol, max_depth=max_depth, max_panels=max_panels)
+    QuadratureConfig(rel_tol=rel_tol, max_panels=max_panels)
     lo0 = np.atleast_1d(np.asarray(a, dtype=float))
     hi0 = np.atleast_1d(np.asarray(b, dtype=float))
     if lo0.ndim != 1 or lo0.shape != hi0.shape:
@@ -230,7 +234,7 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, max_depth: int = 30,
             and np.all(t[1:] > t[:-1])):
         raise ValueError(f"need a mesh rising from 0 to 1, got {mesh}")
     m = t.size - 1
-    start_depth = 1 - np.frexp(np.diff(t))[1]  # w = f 2^e, 1/2 <= f < 1: d = 1 - e
+    narrowest = 2.0 ** (1 - MAX_DEPTH) * (hi0 - lo0)  # per owner: no split below
     n = lo0.size
     neval = np.zeros(n, dtype=int)
     if n == 0:
@@ -243,7 +247,6 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, max_depth: int = 30,
     own = np.empty(0, dtype=int)
     lo = hi = np.empty(0)
     vals = errs = None  # [panels, K], shaped by the first round
-    depth = np.empty(0, dtype=int)
     keep = split = np.empty(0, dtype=int)
     admit, pending = pending[:max_panels // m], pending[max_panels // m:]
 
@@ -256,8 +259,6 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, max_depth: int = 30,
         new_own = np.concatenate([own[split], own[split], np.repeat(admit, m)])
         new_lo = np.concatenate([lo[split], mid, ends[:, :-1].ravel()])
         new_hi = np.concatenate([mid, hi[split], ends[:, 1:].ravel()])
-        new_depth = np.concatenate([depth[split] + 1, depth[split] + 1,
-                                    np.tile(start_depth, admit.size)])
         shape, new_vals, new_errs = _panels(f, new_lo, new_hi, new_own)
         neval += 15 * np.bincount(new_own, minlength=n)
         if vals is None:  # the first round fixes the number of components
@@ -271,7 +272,6 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, max_depth: int = 30,
         own = own[order]
         lo = np.concatenate([lo[keep], new_lo])[order]
         hi = np.concatenate([hi[keep], new_hi])[order]
-        depth = np.concatenate([depth[keep], new_depth])[order]
         vals = np.concatenate([vals[keep], new_vals])[order]
         errs = np.concatenate([errs[keep], new_errs])[order]
 
@@ -300,11 +300,11 @@ def integrate_batch(f, a, b, rel_tol: float = 1e-9, max_depth: int = 30,
         live = np.repeat(~done, counts)
         mask = live & (errs > np.repeat(tol / (2.0 * counts[:, None]), counts,
                                         axis=0)).any(axis=1)
-        deep = mask & (depth >= max_depth)
+        deep = mask & (hi - lo < narrowest[own])
         if deep.any():
             i = int(np.searchsorted(owners, own[np.argmax(deep)]))
             raise QuadratureError(
-                f"panel refinement exceeded {max_depth} levels in integral "
+                f"panel refinement exceeded {MAX_DEPTH} levels in integral "
                 f"{owners[i]} (err={err_total[i]}, tol={tol[i]})", owner=int(owners[i]))
 
         # the budget: keep the longest run of live owners, in index order,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -40,6 +40,9 @@ from .version import __version__
 
 __all__ = ["ScanError", "RunManifest", "ScanResult", "run_scan", "figure",
            "FIGURE_NAMES"]
+
+# the settings a manifest echoes: every field of QuadratureConfig
+_QUADRATURE_SETTINGS = tuple(f.name for f in fields(QuadratureConfig))
 
 
 class ScanError(RuntimeError):
@@ -185,7 +188,7 @@ def _write_run(out_dir, name: str, command: str, config: dict,
     def write_manifest(error=None, quad_error=(math.nan, math.nan), neval=None):
         manifest = RunManifest(
             command=command, config=config,
-            quadrature={"rel_tol": qcfg.rel_tol, "xi_rel_tol": qcfg.xi_rel_tol},
+            quadrature={name: getattr(qcfg, name) for name in _QUADRATURE_SETTINGS},
             wall_time_s=time.perf_counter() - t0, points=sum(e.size for e in errs),
             quad_error_max=quad_error[0], quad_error_mean=quad_error[1], neval=neval,
             status="ok" if error is None else "failed", error=error,

@@ -433,10 +433,10 @@ def test_batched_failures_name_the_height():
     assert excinfo.value.owner == 2
     # P(s) is the same for every height, but below 2 w z = 1 the s-integrand
     # has two scales, about sqrt(2 w z) from either end of x, which part as
-    # z falls; 2 w z >= 1 converges on the start mesh.  Under a depth cap of
-    # 5 (no panel narrower than 1/32) only z = 1e-3 fails
+    # z falls; 2 w z >= 1 converges on the start mesh.  Under a budget of 5
+    # panels, the start mesh alone, only z = 1e-3 fails
     z = np.array([2.0, 1.0, 1e-3, 0.5])
-    capped = QuadratureConfig(max_depth=5)
+    capped = QuadratureConfig(max_panels=5)
     m16 = AxionMedium(epsilon=16.0, theta=math.pi)
     nonresonant_shift_grid(TR, z[[0, 1, 3]], m16, config=capped)
     with pytest.raises(QuadratureError) as excinfo:
@@ -779,6 +779,15 @@ def test_self_consistent_nonconvergence_raises():
     for tol in (0.0, -1e-12, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol"):
             self_consistent_shift(TR, 1.0, COND, max_iter=5, tol=tol)
+
+
+def test_self_consistent_max_iter_is_an_integer():
+    # True was taken as one step and returned as the count; 1.5 and 2.0
+    # failed in range() with a TypeError
+    for bad in (0, -1, True, False, 1.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            self_consistent_shift(TR, 1.0, COND, max_iter=bad)
+    assert self_consistent_shift(TR, 1.0, COND, max_iter=np.int64(2))[1] == 2
 
 
 def test_positive_height_required():

@@ -188,13 +188,28 @@ def test_bad_medium_parameters_exit_one_before_quadrature(capsys, monkeypatch):
     monkeypatch.setattr(cpshift.quadrature, "integrate_batch", no_quadrature)
     for command in ("rates", "shift"):
         for flag, value in (("--epsilon", "nan"), ("--epsilon", "inf"),
-                            ("--mu", "2.5"), ("--mu", "nan"), ("--theta", "inf"),
-                            ("--theta", "nan")):
+                            ("--theta", "inf"), ("--theta", "nan")):
             code, out, err = run(capsys, command, "--medium", "axion",
                                  "--zeta", "1.5", flag, value)
             assert code == 1, (command, flag, value)
             assert out == ""
             assert "config error" in err
+
+
+def test_mu_is_neither_flag_nor_key(tmp_path, capsys):
+    # the model is nonmagnetic: mu is no setting, not even at its one value
+    for command in ("rates", "shift"):
+        for value in ("1", "2.5", "nan"):
+            code, out, err = run(capsys, command, "--medium", "axion",
+                                 "--zeta", "1.5", "--mu", value)
+            assert (code, out) == (1, ""), (command, value)
+            assert "unrecognized arguments: --mu" in err
+    cfg = tmp_path / "mu.cfg"
+    cfg.write_text("medium = axion\nmu = 1\nzeta_min = 0.1\nzeta_max = 1\ncount = 2\n")
+    code, out, err = run(capsys, "scan", "--config", str(cfg),
+                         "--out", str(tmp_path / "out"))
+    assert code == 1 and "line 2: unknown key 'mu'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_epsilon_beyond_its_bound_exits_one_before_quadrature(tmp_path, capsys,

@@ -265,19 +265,20 @@ def test_imaginary_axis_rejects_bad_points():
 
 
 def test_config_caps_reach_the_quadrature():
-    # the start mesh's narrowest panels, [0, 1/16] and [1/16, 1/8], are at
-    # level 4: at zeta = 0.5 one of them must split, which a cap of 4 levels
-    # forbids and a cap of 5 allows
+    # the start mesh has 5 panels, which a budget of 1 cannot hold; at
+    # zeta = 0.5 one of them must split, which a budget of 5 forbids, and a
+    # budget of 10 gives the default run's bits
     medium = AxionMedium(epsilon=16.0, theta=math.pi)
     for w in (1.0, 1.0j):
-        with pytest.raises(QuadratureError, match="budget 1 exhausted"):
-            scattering_greens_numeric(EvaluationPoint(0.5, w), medium,
-                                      config=QuadratureConfig(max_panels=1))
-        with pytest.raises(QuadratureError, match="exceeded 4 levels"):
-            scattering_greens_numeric(EvaluationPoint(0.5, w), medium,
-                                      config=QuadratureConfig(max_depth=4))
-        scattering_greens_numeric(EvaluationPoint(0.5, w), medium,
-                                  config=QuadratureConfig(max_depth=5))
+        point = EvaluationPoint(0.5, w)
+        for budget in (1, 5):
+            with pytest.raises(QuadratureError,
+                               match=f"budget {budget} exhausted in integral 0"):
+                scattering_greens_numeric(point, medium,
+                                          config=QuadratureConfig(max_panels=budget))
+        assert (scattering_greens_numeric(point, medium,
+                                          config=QuadratureConfig(max_panels=10))
+                == scattering_greens_numeric(point, medium))
 
 
 def test_tightened_tolerance_stays_within_reported_error():

@@ -1,13 +1,14 @@
 """Adaptive Gauss-Kronrod engines: exactness, adaptivity, lockstep, failure modes."""
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpshift.quadrature import (_G7_WEIGHTS, _K15_NODES, _K15_WEIGHTS, HALF_LINE_MESH,
-                                QuadratureConfig, QuadratureError, integrate,
-                                integrate_batch)
+                                MAX_DEPTH, QuadratureConfig, QuadratureError,
+                                integrate, integrate_batch)
 
 
 def test_polynomial_single_pass():
@@ -70,8 +71,8 @@ def test_integrand_sees_flat_float_batches():
 
 def test_depth_cap_raises():
     # endpoint singularity: the leftmost panel fails tolerance at every depth
-    with pytest.raises(QuadratureError):
-        integrate(lambda x: x ** -0.5, 0.0, 1.0, rel_tol=1e-12, max_depth=3)
+    with pytest.raises(QuadratureError, match=f"exceeded {MAX_DEPTH} levels"):
+        integrate(lambda x: x ** -0.5, 0.0, 1.0, rel_tol=1e-12)
 
 
 def test_panel_budget_raises():
@@ -91,9 +92,27 @@ def test_config_tighter_scales_tolerances_only():
     tight = base.tighter(0.01)
     assert tight.rel_tol == base.rel_tol * 0.01
     assert tight.xi_rel_tol == base.xi_rel_tol * 0.01
-    assert tight.kappa_cutoff == base.kappa_cutoff
-    assert tight.xi_cutoff == base.xi_cutoff
-    assert tight.max_depth == base.max_depth
+    assert tight.max_panels == base.max_panels
+
+
+def test_every_setting_changes_a_result():
+    # the depth cap is the engine's constant, and the two cutoffs are
+    # constants that no result depends on: none of them is a setting
+    assert [f.name for f in fields(QuadratureConfig)] == ["rel_tol", "xi_rel_tol",
+                                                          "max_panels"]
+    assert (QuadratureConfig.kappa_cutoff, QuadratureConfig.xi_cutoff) == (40.0, 50.0)
+    for gone in ("max_depth", "kappa_cutoff", "xi_cutoff"):
+        with pytest.raises(TypeError):
+            QuadratureConfig(**{gone: 30})
+    with pytest.raises(TypeError):
+        integrate(lambda x: x, 0.0, 1.0, max_depth=30)
+    with pytest.raises(TypeError):
+        integrate_batch(lambda x, owner: x, [0.0], [1.0], max_depth=30)
+    # the settings are keyword-only: a positional 30 is no depth and no budget
+    with pytest.raises(TypeError):
+        integrate(lambda x: x, 0.0, 1.0, 1e-9, 30)
+    with pytest.raises(TypeError):
+        integrate_batch(lambda x, owner: x, [0.0], [1.0], 1e-9, 30)
 
 
 @given(coeffs=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=7),
@@ -108,11 +127,10 @@ def test_polynomials_match_antiderivative(coeffs, a, width):
 
 def test_config_rejects_invalid_values():
     for bad in (dict(rel_tol=-1.0), dict(rel_tol=0.0), dict(xi_rel_tol=math.nan),
-                dict(kappa_cutoff=-5.0), dict(xi_cutoff=math.inf),
-                dict(max_depth=0), dict(max_panels=0),
-                dict(max_depth=math.nan), dict(max_panels=math.nan),
-                dict(max_panels=100.5), dict(max_depth=30.0),
-                dict(max_depth=True), dict(max_panels=True)):
+                dict(xi_rel_tol=-1e-10), dict(rel_tol=math.inf),
+                dict(max_panels=0), dict(max_panels=-3), dict(max_panels=math.nan),
+                dict(max_panels=100.5), dict(max_panels=20000.0),
+                dict(max_panels=True)):
         with pytest.raises(ValueError):
             QuadratureConfig(**bad)
     with pytest.raises(ValueError):
@@ -121,7 +139,7 @@ def test_config_rejects_invalid_values():
 
 @pytest.mark.parametrize("bad", [
     dict(rel_tol=math.nan), dict(rel_tol=math.inf), dict(rel_tol=0.0),
-    dict(rel_tol=-1e-9), dict(max_depth=2.5), dict(max_depth=0),
+    dict(rel_tol=-1e-9), dict(max_panels=2.5), dict(max_panels=-1),
     dict(max_panels=0), dict(max_panels=True)])
 def test_engine_rejects_invalid_settings_before_any_evaluation(bad):
     # as QuadratureConfig does: rel_tol = nan used to die reshaping an empty
@@ -225,8 +243,8 @@ def test_lockstep_failure_in_one_owner_raises():
     def singular(x, owner):
         return np.where(owner == 1, np.abs(x) ** -0.5, 1.0)
 
-    with pytest.raises(QuadratureError, match="exceeded 3 levels in integral 1"):
-        integrate_batch(singular, [0.0, 0.0], [1.0, 1.0], rel_tol=1e-12, max_depth=3)
+    with pytest.raises(QuadratureError, match=f"exceeded {MAX_DEPTH} levels in integral 1"):
+        integrate_batch(singular, [0.0, 0.0], [1.0, 1.0], rel_tol=1e-12)
 
     def kink(x, owner):
         return np.where(owner == 0, np.sqrt(np.abs(x - 0.3)), x)
@@ -319,25 +337,23 @@ def test_start_mesh_is_its_panels_with_exact_ends():
 @pytest.mark.parametrize("mesh", [(0.0, 1.0), HALF_LINE_MESH, (0.0, 0.3, 1.0)])
 def test_start_panels_count_at_their_dyadic_level(mesh):
     # x^-1/2 refines at x = 0 until the cap: the narrowest panel is then
-    # 2^-max_depth of [0, 1] on the dyadic meshes, and within a factor 2
+    # 2^-MAX_DEPTH of [0, 1] on the dyadic meshes, and within a factor 2
     # above it on a mesh whose panels are not powers of 2 wide
-    for max_depth in (4, 6, 9):
-        widths = []
+    widths = []
 
-        def singular(x, owner):
-            x = x.reshape(-1, 15)
-            half = (x[:, -1] - x[:, 0]) / (_K15_NODES[-1] - _K15_NODES[0])
-            widths.append(2.0 * half.min())
-            return x.ravel() ** -0.5
+    def singular(x, owner):
+        x = x.reshape(-1, 15)
+        half = (x[:, -1] - x[:, 0]) / (_K15_NODES[-1] - _K15_NODES[0])
+        widths.append(2.0 * half.min())
+        return x.ravel() ** -0.5
 
-        with pytest.raises(QuadratureError, match=f"exceeded {max_depth} levels"):
-            integrate_batch(singular, [0.0], [1.0], rel_tol=1e-12, max_depth=max_depth,
-                            mesh=mesh)
-        narrowest = min(widths) * 2.0 ** max_depth
-        if mesh == (0.0, 0.3, 1.0):
-            assert 1.0 <= narrowest < 2.0
-        else:
-            assert narrowest == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(QuadratureError, match=f"exceeded {MAX_DEPTH} levels"):
+        integrate_batch(singular, [0.0], [1.0], rel_tol=1e-12, mesh=mesh)
+    narrowest = min(widths) * 2.0 ** MAX_DEPTH
+    if mesh == (0.0, 0.3, 1.0):
+        assert 1.0 <= narrowest < 2.0
+    else:
+        assert narrowest == pytest.approx(1.0, rel=1e-12)
 
 
 def test_budget_below_the_start_mesh_names_owner_zero():
