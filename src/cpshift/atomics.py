@@ -30,11 +30,12 @@ from numbers import Integral
 import numpy as np
 
 from .greens import (PlanarTensors, _grid_omega, _heights, _kernels,
-                     closed_form_greens, numeric_greens)
+                     _sandwich, closed_form_greens, numeric_greens)
 from .media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
                     ReflectionMatrix, _AxionDifference,
                     nonretarded_limit_coefficients, retarded_limit_coefficients)
-from .quadrature import HALF_LINE_MESH, QuadratureConfig, integrate_batch
+from .quadrature import (HALF_LINE_MESH, QuadratureConfig, _default_config,
+                         integrate_batch)
 # not called here but importable from this module: perfbench/tracer.py
 # wraps them by these names.
 from .greens import scattering_greens_numeric  # noqa: F401
@@ -151,8 +152,9 @@ def _sici(x):
     return x * s[0], np.euler_gamma + np.log(x) + s[1]
 
 
-def _moments(b):
-    """(B0, ..., B4) at every b > 0, B_n(b) = int_0^inf x^n e^{-bx}/(x^2+1) dx.
+def _moments(b, lower: bool = True):
+    """(B0, ..., B4) at every b > 0, B_n(b) = int_0^inf x^n e^{-bx}/(x^2+1) dx,
+    or only (B3, B4), all the s-integral takes, with lower=False.
 
     Below b = 2, B0 = f(b), B1 = g(b), B2 = 1/b - f, B3 = 1/b^2 - g and
     B4 = 2/b^3 - 1/b + f, with f, g the auxiliary functions of the sine and
@@ -166,19 +168,22 @@ def _moments(b):
     b = 2: each B_n is a small part of n!/b^(n+1).  A region without points
     is skipped: the s-integral calls this once per round on a few dozen.
     """
-    out = np.empty((5,) + b.shape)
-    near = b < 2.0
-    if near.any():
+    out = np.empty((5 if lower else 2,) + b.shape)
+    near, far = b < 2.0, b >= _FAR
+    nnear, nfar = np.count_nonzero(near), np.count_nonzero(far)
+    if nnear:
         x = b[near]
         si, ci = _sici(x)
         si, sin, cos = si - 0.5 * np.pi, np.sin(x), np.cos(x)
         cs, sc, cc, ss = ci * sin, si * cos, ci * cos, si * sin
-        f, r = cs - sc, 1.0 / x
-        out[:, near] = [f, -cc - ss, r - f, 1.0 / x ** 2 + cc + ss,
-                        2.0 / x ** 3 - r + cs - sc]
-    far = b >= _FAR
-    hi = ~near & ~far
-    if hi.any():
+        r = 1.0 / x
+        upper = [1.0 / x ** 2 + cc + ss, 2.0 / x ** 3 - r + cs - sc]
+        if lower:
+            f = cs - sc
+            upper = [f, -cc - ss, r - f] + upper
+        out[:, near] = upper
+    if nnear + nfar < b.size:
+        hi = ~(near | far)
         x = b[hi]
         grid, table = _moment_table()
         j = np.rint(np.log(0.5 * x) * (1.0 / math.log(_STEP))).astype(int)
@@ -187,15 +192,17 @@ def _moments(b):
         for k in range(_TAYLOR - 1, -1, -1):
             acc *= h * (-1.0 / (k + 1))
             acc += rows[k:k + 2]
-        b3, b4 = acc
-        b2 = 2.0 / x ** 3 - b4
-        out[:, hi] = [1.0 / x - b2, 1.0 / x ** 2 - b3, b2, b3, b4]
-    if far.any():
+        if lower:
+            b3, b4 = acc
+            b2 = 2.0 / x ** 3 - b4
+            acc = [1.0 / x - b2, 1.0 / x ** 2 - b3, b2, b3, b4]
+        out[:, hi] = acc
+    if nfar:
         r = 1.0 / b[far]  # its powers underflow where those of b would overflow
         r2 = r * r
         b3, b4 = (6.0 - 120.0 * r2) * r2 * r2, (24.0 - 720.0 * r2) * r2 * r2 * r
         b2 = 2.0 * r2 * r - b4
-        out[:, far] = [r - b2, r2 - b3, b2, b3, b4]
+        out[:, far] = [r - b2, r2 - b3, b2, b3, b4] if lower else [b3, b4]
     return out
 
 
@@ -247,7 +254,7 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
     in closed form instead (`_closed_form_nonresonant`).
     """
     z = _heights(z)
-    cfg = config or QuadratureConfig()
+    cfg = config or _default_config()
     w = transition.frequency
     scale = 2.0 * w * z  # b = scale * s
     pref = w ** 3 / (8 * math.pi ** 2)
@@ -259,14 +266,16 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
                                 neval=np.zeros(z.size, dtype=int))
 
     c = np.minimum(1.0, np.sqrt(scale))
+    d = np.asarray(transition.dipole, dtype=complex)
+    d, dc = d.tolist(), d.conj().tolist()  # Python complexes: cheaper to index
 
     def f(x, owner):
         co = c[owner]
         tau = x / (x + (1.0 - x) / co)
         k = _kernels(medium, 1j * w, 1j * w / tau,
                      w * w * (1.0 - tau) * (1.0 + tau) / (tau * tau))
-        p = PlanarTensors(*k.T, None, None).sandwich(transition.dipole)
-        _, _, _, b3, b4 = _moments(scale[owner] / tau)
+        p = _sandwich(k[:, 0], k[:, 1], k[:, 2], d, dc)  # P = d . G . conj(d)
+        b3, b4 = _moments(scale[owner] / tau, lower=False)
         # pack both real integrands into one complex quadrature pass
         return (p.imag * b4 + 1j * (p.real * b3)) / (co * x * x)
 

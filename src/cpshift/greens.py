@@ -74,13 +74,15 @@ medium that states its `constant_reflection`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .media import PerfectConductor, PerfectNonreciprocalMirror, ReflectionMatrix
-from .quadrature import HALF_LINE_MESH, QuadratureConfig, integrate_batch
+from .quadrature import (HALF_LINE_MESH, QuadratureConfig, _default_config,
+                         integrate_batch)
 # integrate is not called here but stays importable from this module:
 # perfbench/tracer.py wraps it by this name.
 from .quadrature import integrate  # noqa: F401
@@ -126,13 +128,18 @@ class PlanarTensors(NamedTuple):
         the two can differ in the last digits.
         """
         d = np.asarray(dipole, dtype=complex)
-        c = d.conj()
         # arrays, not numpy scalars: scalar complex products round differently
         xx, zz, xy = (np.atleast_1d(np.asarray(g, dtype=complex)) for g in self[:3])
-        v0 = xx * d[0] - xy * d[1]
-        v1 = xy * d[0] + xx * d[1]
-        s = v0 * c[0] + v1 * c[1] + zz * d[2] * c[2]
-        return s.reshape(np.shape(self.xx))
+        return _sandwich(xx, zz, xy, d, d.conj()).reshape(np.shape(self.xx))
+
+
+def _sandwich(xx, zz, xy, d, c):
+    """d . G . conj(d) of complex kernel arrays, c = conj(d): v = d @ M, then
+    v @ c.  PlanarTensors.sandwich and the nonresonant s-integrand both
+    take it here, so the two give the same bits."""
+    v0 = xx * d[0] - xy * d[1]
+    v1 = xy * d[0] + xx * d[1]
+    return v0 * c[0] + v1 * c[1] + zz * d[2] * c[2]
 
 
 @dataclass(frozen=True)
@@ -177,8 +184,8 @@ def _frequencies(omega) -> np.ndarray:
 
 def _heights(z) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    good = np.isfinite(z) & (z > 0)
-    if not np.all(good):
+    good = (z > 0) & (z < math.inf)  # false at nan
+    if not np.logical_and.reduce(good, axis=None):
         raise ValueError(f"atom height must be positive and finite, got z={z[~good]}")
     return z
 
@@ -257,7 +264,7 @@ def numeric_greens(z, omega, medium,
     index j.
     """
     z = _heights(z)
-    cfg = config or QuadratureConfig()
+    cfg = config or _default_config()
     w = _frequencies(omega)
     _grid_omega(w)
     if w.ndim == 0 and w.imag == 0:

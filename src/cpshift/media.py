@@ -130,14 +130,16 @@ class AxionMedium:
     delta: float = field(init=False)
 
     def __post_init__(self, mu):
-        if not 0 < self.epsilon <= EPSILON_MAX:
+        # a bool is no number here: True would read as epsilon or theta = 1
+        eps, theta = self.epsilon, self.theta
+        if isinstance(eps, (bool, np.bool_)) or not 0 < eps <= EPSILON_MAX:
             raise ValueError(f"epsilon must be positive and at most {EPSILON_MAX:g}, "
-                             f"got {self.epsilon}")
+                             f"got {eps}")
         if mu != 1:
             raise ValueError(f"mu must be 1 (the Fresnel weights are those of a "
                              f"nonmagnetic medium), got {mu}")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
+        if isinstance(theta, (bool, np.bool_)) or not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta}")
         object.__setattr__(self, "delta", delta(0.0, self.theta))
 
     @property
@@ -165,9 +167,8 @@ class AxionMedium:
         mix = k12 * self.delta ** 2
         s, es = k1 + k2, self.epsilon * k1 + k2
         den = s * es + mix
-        pole = np.flatnonzero(den == 0)
-        if pole.size:
-            i = int(pole[0])
+        if not np.logical_and.reduce(den, axis=None):  # some den == 0
+            i = int(np.flatnonzero(den == 0)[0])
             w, k = (np.broadcast_to(v, den.shape).flat[i] for v in (omega, k1))
             raise PoleError(f"reflection pole at omega={w}, k_perp={k}", owner=i)
         inv = 1.0 / den

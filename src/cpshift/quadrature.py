@@ -13,7 +13,9 @@ MAX_DEPTH = 30 bisection levels: a panel narrower than 2^(1 - MAX_DEPTH)
 of its integral's interval does not split.  Exceeding that cap or the
 panel budget raises QuadratureError rather than returning a silently bad
 number, and so does a non-finite integrand value or error estimate, at
-once.
+once.  Bounds that are not finite, or so large that a panel's width or
+midpoint would overflow, are refused with ValueError before the
+integrand is called.
 
 `integrate_batch` runs N independent integrals ("owners") in lockstep:
 each refinement round makes one integrand call f(x, owner) on the nodes of
@@ -30,17 +32,25 @@ itself by default, `HALF_LINE_MESH` for a half-line mapped onto (0, 1].
 overflow it wait in a queue and restart later on their start mesh, so a
 call's memory does not grow with N.  `integrate` is the one-owner,
 one-component case.
+
+A round's cost follows its nodes.  Its bookkeeping is a fixed few dozen
+array operations, whatever the number of panels or owners: a mesh is
+checked and its fractions 1 - t and t derived once per distinct mesh, the
+first round is the start mesh itself, panels are re-sorted by owner only
+while more than one owner is live, and an owner's evaluation count
+follows from its panel count when it converges.  The integrand's call is
+the rest.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
-__all__ = ["HALF_LINE_MESH", "MAX_DEPTH", "QuadratureConfig", "QuadratureError",
-           "QuadResult", "integrate", "integrate_batch"]
+__all__ = ["BOUND_MAX", "HALF_LINE_MESH", "MAX_DEPTH", "QuadratureConfig",
+           "QuadratureError", "QuadResult", "integrate", "integrate_batch"]
 
 
 class QuadratureError(RuntimeError):
@@ -91,6 +101,43 @@ HALF_LINE_MESH = (0.0, 0.0625, 0.125, 0.25, 0.5, 1.0)
 # integral's interval splits (see integrate_batch).
 MAX_DEPTH = 30
 
+# Bounds must lie below this in magnitude: then no panel's width b - a or
+# midpoint sum a + b overflows, as both stay below the largest double.
+BOUND_MAX = 2.0 ** 1023
+
+
+def _check_tolerance(name: str, value) -> None:
+    """Raise ValueError unless value is a positive finite number, not a bool."""
+    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_budget(n) -> None:
+    """Raise ValueError unless n is an integer >= 1, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"max_panels must be an integer >= 1, got {n!r}")
+
+
+def _mesh_fractions(mesh):
+    """(m, 1 - t, t) of a mesh 0 = t_0 < ... < t_m = 1, read-only, as every
+    call on the mesh shares them (a cache of the eight last used)."""
+    try:
+        return _checked_mesh(tuple(mesh))
+    except TypeError:  # no sequence, or entries that do not hash
+        raise ValueError(f"need a mesh rising from 0 to 1, got {mesh}") from None
+
+
+@functools.lru_cache(maxsize=8)
+def _checked_mesh(mesh: tuple):
+    t = np.asarray(mesh, dtype=float)
+    if not (t.ndim == 1 and t.size >= 2 and t[0] == 0 and t[-1] == 1
+            and np.all(t[1:] > t[:-1])):
+        raise ValueError(f"need a mesh rising from 0 to 1, got {mesh}")
+    s = 1.0 - t
+    t.setflags(write=False)
+    s.setflags(write=False)
+    return t.size - 1, s, t
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -114,18 +161,21 @@ class QuadratureConfig:
     xi_cutoff = 50.0
 
     def __post_init__(self):
-        for name in ("rel_tol", "xi_rel_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        n = self.max_panels
-        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
-            raise ValueError(f"max_panels must be an integer >= 1, got {n!r}")
+        _check_tolerance("rel_tol", self.rel_tol)
+        _check_tolerance("xi_rel_tol", self.xi_rel_tol)
+        _check_budget(self.max_panels)
 
     def tighter(self, factor: float) -> "QuadratureConfig":
         """Same config with both relative tolerances multiplied by `factor`."""
         return replace(self, rel_tol=self.rel_tol * factor,
                        xi_rel_tol=self.xi_rel_tol * factor)
+
+
+@functools.cache
+def _default_config() -> QuadratureConfig:
+    """QuadratureConfig(), built once: it is frozen, so every call that is
+    given no config can share it."""
+    return QuadratureConfig()
 
 
 @dataclass(frozen=True)
@@ -147,9 +197,9 @@ def _panels(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
     integral that node belongs to.
     """
     mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid[:, None] + half[:, None] * _K15_NODES[None, :]
-    node_owner = np.repeat(owner, x.shape[1])
+    half = 0.5 * (b - a)[:, None]
+    x = mid[:, None] + half * _K15_NODES
+    node_owner = owner.repeat(x.shape[1])
     try:
         y = np.asarray(f(x.ravel(), node_owner))
     except (ArithmeticError, QuadratureError) as exc:
@@ -157,14 +207,15 @@ def _panels(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
             exc.owner = int(node_owner[exc.owner])
         raise
     shape = y.shape[1:]
-    cplx = np.iscomplexobj(y)
-    if cplx:
+    cplx = y.dtype.kind == "c"
+    if cplx:  # half cast to complex once, as each mixed product would cast it
         y = np.ascontiguousarray(y, dtype=complex).view(float)
+        half = half.astype(complex)
     y = y.reshape(x.shape + (-1,))
 
     def rule(weights):
         s = np.einsum("pnk,n->pk", y, weights)
-        return half[:, None] * (s.view(complex) if cplx else s)
+        return half * (s.view(complex) if cplx else s)
 
     k15 = rule(_K15_WEIGHTS)
     return shape, k15, np.abs(k15 - rule(_G7_WEIGHTS))
@@ -196,11 +247,14 @@ def integrate_batch(f, a, b, *, rel_tol: float = 1e-9, max_panels: int = 20000,
     every component's summed |K15 - G7| is within its tolerance.  A panel
     that would split while hi - lo < 2^(1 - MAX_DEPTH) (b - a) fails the
     owner instead, so bisection stops at 2^-MAX_DEPTH of [a, b] on a
-    dyadic mesh, and within [1, 2) 2^-MAX_DEPTH of it on any other.
+    dyadic mesh, and within [1, 2) 2^-MAX_DEPTH of it on any other.  The
+    bounds must satisfy -BOUND_MAX < a < b < BOUND_MAX (finite, and no
+    panel's width or midpoint overflows); f is not called otherwise.
 
     Every owner starts on the panels between the fractions `mesh` of its
     interval, t_0 = 0 < t_1 < ... < t_m = 1 (QUADPACK QAGP's breakpoints,
-    shared by all owners; the default is [a, b] itself).
+    shared by all owners; the default is [a, b] itself), checked once per
+    distinct mesh (a cache of the eight last used).
 
     `max_panels` bounds the live panels of the whole call, so memory does
     not grow with N.  Owners start in index order as the budget allows, each
@@ -213,7 +267,9 @@ def integrate_batch(f, a, b, *, rel_tol: float = 1e-9, max_panels: int = 20000,
     Owners are deterministic, each keeps its panels in one order, and every
     panel and every owner is reduced on its own (einsum and reduceat, no
     BLAS), so an owner's value, error and evaluation count equal those of
-    its one-owner call bit for bit, whatever else runs.  A failure raises
+    its one-owner call bit for bit, whatever else runs.  An owner that
+    converges on P panels evaluated 2 P - m of them, 15 nodes each, as
+    each split adds one panel and evaluates two.  A failure raises
     QuadratureError; its `owner` is the failing integral, and an
     ArithmeticError or QuadratureError from f that names a node of x in
     `owner` gets that node's integral instead.
@@ -221,96 +277,113 @@ def integrate_batch(f, a, b, *, rel_tol: float = 1e-9, max_panels: int = 20000,
     Returns (values complex[N], errors float[N], neval int[N]), values and
     errors [N, K] for K-component integrands.
     """
-    QuadratureConfig(rel_tol=rel_tol, max_panels=max_panels)
+    _check_tolerance("rel_tol", rel_tol)
+    _check_budget(max_panels)
     lo0 = np.atleast_1d(np.asarray(a, dtype=float))
     hi0 = np.atleast_1d(np.asarray(b, dtype=float))
     if lo0.ndim != 1 or lo0.shape != hi0.shape:
         raise ValueError(f"need matching 1-d bounds, got shapes {lo0.shape}, {hi0.shape}")
-    if not np.all(hi0 > lo0):
+    inside = (lo0 > -BOUND_MAX) & (hi0 < BOUND_MAX)  # false at nan
+    if not np.logical_and.reduce(inside):
+        i = int(np.argmin(inside))
+        raise ValueError(f"need finite bounds of magnitude below 2^1023, got "
+                         f"[{lo0[i]}, {hi0[i]}] for integral {i}")
+    if not np.logical_and.reduce(hi0 > lo0):
         i = int(np.argmin(hi0 > lo0))
         raise ValueError(f"need b > a, got [{lo0[i]}, {hi0[i]}] for integral {i}")
-    t = np.asarray(mesh, dtype=float)
-    if not (t.ndim == 1 and t.size >= 2 and t[0] == 0 and t[-1] == 1
-            and np.all(t[1:] > t[:-1])):
-        raise ValueError(f"need a mesh rising from 0 to 1, got {mesh}")
-    m = t.size - 1
-    narrowest = 2.0 ** (1 - MAX_DEPTH) * (hi0 - lo0)  # per owner: no split below
+    m, s, t = _mesh_fractions(mesh)
     n = lo0.size
-    neval = np.zeros(n, dtype=int)
     if n == 0:
-        return np.zeros(0, dtype=complex), np.zeros(0), neval
+        return np.zeros(0, dtype=complex), np.zeros(0), np.zeros(0, dtype=int)
     if max_panels < m:
         raise QuadratureError(f"panel budget {max_panels} exhausted in integral 0 "
                               f"(its start mesh has {m} panels)", owner=0)
-    pending = np.arange(n)  # queued owners, ascending, all above the live ones
-    # live panels, sorted by owner; each owner's panels in a standalone order
-    own = np.empty(0, dtype=int)
-    lo = hi = np.empty(0)
-    vals = errs = None  # [panels, K], shaped by the first round
-    keep = split = np.empty(0, dtype=int)
-    admit, pending = pending[:max_panels // m], pending[max_panels // m:]
+    narrowest = 2.0 ** (1 - MAX_DEPTH) * (hi0 - lo0)  # per owner: no split below
+    # the first round: the start panels of the first owners, in owner order
+    first = min(n, max_panels // m)
+    pending = np.arange(first, n)  # queued owners, ascending, all above the live ones
+    new_own, new_lo, new_hi = _start_panels(lo0[:first], hi0[:first], np.arange(first),
+                                            s, t)
+    nlive = first  # owners holding panels in the coming round
+    own = values = None  # live panels, grouped by owner; converged owners
 
     while True:
-        # this round's panels: both halves of every split panel, then the
-        # start panels of every admitted owner, (1 - t) a + t b with both
-        # ends exact
-        mid = 0.5 * (lo[split] + hi[split])
-        ends = lo0[admit, None] * (1.0 - t) + hi0[admit, None] * t
-        new_own = np.concatenate([own[split], own[split], np.repeat(admit, m)])
-        new_lo = np.concatenate([lo[split], mid, ends[:, :-1].ravel()])
-        new_hi = np.concatenate([mid, hi[split], ends[:, 1:].ravel()])
         shape, new_vals, new_errs = _panels(f, new_lo, new_hi, new_own)
-        neval += 15 * np.bincount(new_own, minlength=n)
-        if vals is None:  # the first round fixes the number of components
-            vals, errs = new_vals[:0], new_errs[:0]
-            values = np.zeros((n, new_vals.shape[1]), dtype=complex)
-            errors = np.zeros(values.shape)
+        if own is None:
+            own, lo, hi, vals, errs = new_own, new_lo, new_hi, new_vals, new_errs
+        else:
+            # kept panels, then left halves, then right halves, per owner
+            own = np.concatenate((own[keep], new_own))
+            lo = np.concatenate((lo[keep], new_lo))
+            hi = np.concatenate((hi[keep], new_hi))
+            vals = np.concatenate((vals[keep], new_vals))
+            errs = np.concatenate((errs[keep], new_errs))
+            if nlive > 1:
+                order = np.argsort(own, kind="stable")
+                own, lo, hi = own[order], lo[order], hi[order]
+                vals, errs = vals[order], errs[order]
 
-        # kept panels, then left halves, then right halves, per owner
-        own = np.concatenate([own[keep], new_own])
-        order = np.argsort(own, kind="stable")
-        own = own[order]
-        lo = np.concatenate([lo[keep], new_lo])[order]
-        hi = np.concatenate([hi[keep], new_hi])[order]
-        vals = np.concatenate([vals[keep], new_vals])[order]
-        errs = np.concatenate([errs[keep], new_errs])[order]
-
-        starts = np.flatnonzero(np.concatenate(([True], own[1:] != own[:-1])))
-        counts = np.diff(np.append(starts, own.size))
+        # owner j's panels are edges[j]:edges[j + 1]
+        if nlive > 1:
+            edges = np.concatenate(([True], own[1:] != own[:-1], [True])).nonzero()[0]
+        else:
+            edges = np.array([0, own.size])
+        starts, counts = edges[:-1], edges[1:] - edges[:-1]
         owners = own[starts]
         total = np.add.reduceat(vals, starts)
         err_total = np.add.reduceat(errs, starts)
-        finite = (np.isfinite(total) & np.isfinite(err_total)).all(axis=1)
-        if not finite.all():
-            i = int(np.argmin(finite))
+        if not (np.logical_and.reduce(np.isfinite(total), axis=None)
+                and np.logical_and.reduce(np.isfinite(err_total), axis=None)):
+            i = int(np.argmin(np.logical_and.reduce(
+                np.isfinite(total) & np.isfinite(err_total), axis=1)))
             raise QuadratureError(
                 f"non-finite integrand value or error estimate in integral "
                 f"{owners[i]} (sum={total[i]}, err={err_total[i]})", owner=int(owners[i]))
         tol = rel_tol * np.abs(total)
-        done = (err_total <= tol).all(axis=1)
-        values[owners[done]] = total[done]
-        errors[owners[done]] = err_total[done]
-        if done.all() and pending.size == 0:
-            return values.reshape((n,) + shape), errors.reshape((n,) + shape), neval
+        done = np.logical_and.reduce(err_total <= tol, axis=1)
+        ndone = np.count_nonzero(done)
+        if ndone:
+            # an owner evaluated its m start panels and both halves of every
+            # panel it split, each split adding one panel: 2 * panels - m
+            if ndone == n:  # all converge together: owners is 0, ..., n - 1
+                values = total.astype(complex, copy=False)
+                return (values.reshape((n,) + shape), err_total.reshape((n,) + shape),
+                        15 * (2 * counts - m))
+            if values is None:
+                values = np.zeros((n, total.shape[1]), dtype=complex)
+                errors = np.zeros(values.shape)
+                neval = np.zeros(n, dtype=int)
+            fin = owners[done]
+            values[fin] = total[done]
+            errors[fin] = err_total[done]
+            neval[fin] = 15 * (2 * counts[done] - m)
+            if ndone == owners.size and pending.size == 0:
+                return values.reshape((n,) + shape), errors.reshape((n,) + shape), neval
 
         # the split rule, per owner: the panels above their fair share in
         # some component.  A live owner always splits its worst panel: some
         # component has err_total > tol, so its largest panel error is at
         # least err_total / panels.
-        live = np.repeat(~done, counts)
-        mask = live & (errs > np.repeat(tol / (2.0 * counts[:, None]), counts,
-                                        axis=0)).any(axis=1)
-        deep = mask & (hi - lo < narrowest[own])
-        if deep.any():
-            i = int(np.searchsorted(owners, own[np.argmax(deep)]))
+        share = (tol / (2.0 * counts[:, None])).repeat(counts, axis=0)
+        mask = np.logical_or.reduce(errs > share, axis=1)
+        live = None  # every panel's owner is live
+        if ndone:
+            live = (~done).repeat(counts)
+            mask &= live
+        split = mask.nonzero()[0]
+        own_s, lo_s, hi_s = own[split], lo[split], hi[split]
+        deep = hi_s - lo_s < narrowest[own_s]
+        if np.logical_or.reduce(deep):
+            i = int(np.searchsorted(owners, own_s[np.argmax(deep)]))
             raise QuadratureError(
                 f"panel refinement exceeded {MAX_DEPTH} levels in integral "
                 f"{owners[i]} (err={err_total[i]}, tol={tol[i]})", owner=int(owners[i]))
+        nlive = owners.size - ndone
 
         # the budget: keep the longest run of live owners, in index order,
         # whose panels after this round fit; the first one must fit alone
         admit = pending[:0]
-        if own.size + np.count_nonzero(mask) > max_panels or pending.size:
+        if own.size + split.size > max_panels or pending.size:
             used = np.cumsum(np.where(done, 0, counts + np.add.reduceat(mask, starts,
                                                                         dtype=int)))
             running = ~done & (used <= max_panels)
@@ -321,15 +394,34 @@ def integrate_batch(f, a, b, *, rel_tol: float = 1e-9, max_panels: int = 20000,
                     raise QuadratureError(
                         f"panel budget {max_panels} exhausted in integral {owners[i]} "
                         f"(err={err_total[i]}, tol={tol[i]})", owner=int(owners[i]))
-                neval[evicted] = 0
-                pending = np.concatenate([evicted, pending])
-                live = np.repeat(running, counts)
+                pending = np.concatenate((evicted, pending))
+                live = running.repeat(counts)
                 mask &= live
+                split = mask.nonzero()[0]
+                own_s, lo_s, hi_s = own[split], lo[split], hi[split]
+                nlive -= evicted.size
             else:
                 # queued owners start only in a round that evicted none, so
                 # an evicted owner does not restart at once into the same
                 # shortage
                 room = (max_panels - int(used[-1])) // m
                 admit, pending = pending[:room], pending[room:]
-        split = np.flatnonzero(mask)
-        keep = np.flatnonzero(live & ~mask)
+                nlive += admit.size
+        keep = (~mask if live is None else live & ~mask).nonzero()[0]
+
+        # this round's panels: both halves of every split panel, then the
+        # start panels of every admitted owner
+        mid = 0.5 * (lo_s + hi_s)
+        parts = [(own_s, lo_s, mid), (own_s, mid, hi_s)]
+        if admit.size:
+            parts.append(_start_panels(lo0[admit], hi0[admit], admit, s, t))
+        new_own, new_lo, new_hi = (np.concatenate(p) for p in zip(*parts))
+
+
+def _start_panels(a, b, owners, s, t):
+    """(owner, lo, hi) of the start panels of `owners` on [a, b], in owner
+    order: the mesh's fractions of each interval, (1 - t) a + t b with both
+    ends exact."""
+    ends = a[:, None] * s + b[:, None] * t
+    return owners.repeat(t.size - 1), ends[:, :-1].ravel(), ends[:, 1:].ravel()
+

@@ -316,6 +316,10 @@ def test_xi_moments_against_mpmath():
                     float(2 / x_mp ** 3 - 1 / x_mp + f)]
         for n, ref in enumerate(refs):
             assert abs(moments[n, j] / ref - 1) <= 4e-15, (n, x)
+    # the s-integral's B3 and B4 alone are the same bits, in all three regions
+    far = np.geomspace(2.0 ** 20, 1e30, 5)
+    assert np.array_equal(_moments(b, lower=False), moments[3:])
+    assert np.array_equal(_moments(far, lower=False), _moments(far)[3:])
 
 
 def test_moments_below_two_build_no_table():
@@ -393,13 +397,20 @@ def test_nonresonant_grid_under_a_small_panel_budget_matches_point_calls():
 
 
 def test_nonresonant_evaluation_count_on_the_benchmark_pool():
-    # evaluation counts do not depend on the machine: the benchmark's 64
-    # log-spaced zeta in [0.01, 10] take 6,390 with the two-scale map
-    # (8,640 over tau = 1/s from the start mesh, 10,980 from [0, 1])
+    # evaluation counts do not depend on the machine, so they pin the
+    # engine's panel decisions: the benchmark's 64 log-spaced zeta in
+    # [0.01, 10] take 6,390 with the two-scale map (8,640 over tau = 1/s
+    # from the start mesh, 10,980 from [0, 1]), and single heights the
+    # README's counts
+    medium = AxionMedium(epsilon=16.0, theta=math.pi)
     zeta = 10.0 ** (-2.0 + 3.0 * (np.arange(64) + 0.5) / 64)
-    terms = nonresonant_shift_grid(TR, zeta / TR.frequency,
-                                   AxionMedium(epsilon=16.0, theta=math.pi))
-    assert terms.neval.sum() <= 6_500
+    terms = nonresonant_shift_grid(TR, zeta / TR.frequency, medium)
+    assert terms.neval.sum() == 6_390
+    counts = {1e-3: 345, 0.01: 195, 0.1: 105, 0.5: 75, 1.0: 75, 10.0: 75}
+    for zeta, neval in counts.items():
+        assert nonresonant_shift_terms(TR, zeta / TR.frequency, medium).neval == neval
+    grid = nonresonant_shift_grid(TR, np.array(list(counts)) / TR.frequency, medium)
+    assert grid.neval.tolist() == list(counts.values())
 
 
 def test_s_integral_holds_its_tight_run_on_log_heights():

@@ -242,7 +242,9 @@ def test_medium_rejects_non_finite_and_magnetic_parameters():
     # are those of a nonmagnetic medium
     AxionMedium(epsilon=4.0, mu=1.0)
     for bad in (dict(epsilon=math.nan), dict(epsilon=math.inf), dict(mu=2.5),
-                dict(mu=math.nan), dict(theta=math.inf), dict(theta=math.nan)):
+                dict(mu=math.nan), dict(theta=math.inf), dict(theta=math.nan),
+                dict(epsilon=True), dict(epsilon=np.True_), dict(theta=True),
+                dict(theta=np.False_)):   # True == 1, but is no permittivity or angle
         with pytest.raises(ValueError):
             AxionMedium(**bad)
 

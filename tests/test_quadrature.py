@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpshift.quadrature import (_G7_WEIGHTS, _K15_NODES, _K15_WEIGHTS, HALF_LINE_MESH,
-                                MAX_DEPTH, QuadratureConfig, QuadratureError,
-                                integrate, integrate_batch)
+from cpshift.quadrature import (_G7_WEIGHTS, _K15_NODES, _K15_WEIGHTS, BOUND_MAX,
+                                HALF_LINE_MESH, MAX_DEPTH, QuadratureConfig,
+                                QuadratureError, integrate, integrate_batch)
 
 
 def test_polynomial_single_pass():
@@ -130,7 +130,8 @@ def test_config_rejects_invalid_values():
                 dict(xi_rel_tol=-1e-10), dict(rel_tol=math.inf),
                 dict(max_panels=0), dict(max_panels=-3), dict(max_panels=math.nan),
                 dict(max_panels=100.5), dict(max_panels=20000.0),
-                dict(max_panels=True)):
+                dict(max_panels=True), dict(rel_tol=True), dict(xi_rel_tol=True),
+                dict(rel_tol=np.True_)):   # True == 1, but is no tolerance
         with pytest.raises(ValueError):
             QuadratureConfig(**bad)
     with pytest.raises(ValueError):
@@ -140,7 +141,7 @@ def test_config_rejects_invalid_values():
 @pytest.mark.parametrize("bad", [
     dict(rel_tol=math.nan), dict(rel_tol=math.inf), dict(rel_tol=0.0),
     dict(rel_tol=-1e-9), dict(max_panels=2.5), dict(max_panels=-1),
-    dict(max_panels=0), dict(max_panels=True)])
+    dict(max_panels=0), dict(max_panels=True), dict(rel_tol=True)])
 def test_engine_rejects_invalid_settings_before_any_evaluation(bad):
     # as QuadratureConfig does: rel_tol = nan used to die reshaping an empty
     # array, rel_tol = inf to return the first panel as converged, and
@@ -254,8 +255,31 @@ def test_lockstep_failure_in_one_owner_raises():
 
 
 def test_lockstep_rejects_empty_intervals():
-    with pytest.raises(ValueError, match="integral 1"):
+    with pytest.raises(ValueError, match=r"need b > a, got \[1.0, 1.0\] for integral 1"):
         integrate_batch(lambda x, owner: x, [0.0, 1.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("a, b", [
+    (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan),
+    (math.inf, math.inf), (-1e308, 1e308), (1e308, 1.7e308), (0.0, BOUND_MAX)])
+@pytest.mark.filterwarnings("error")
+def test_bounds_out_of_range_rejected_before_any_evaluation(a, b):
+    # [0, inf) used to evaluate f once on 15 nan nodes, (-1e308, 1e308) to
+    # overflow b - a, and [1e308, 1.7e308] a panel midpoint's a + b
+    def f(x, owner):
+        raise AssertionError("integrand called")
+
+    with pytest.raises(ValueError, match=r"2\^1023, got .* for integral 1"):
+        integrate_batch(f, [0.0, a], [1.0, b])
+    with pytest.raises(ValueError, match=r"2\^1023, got .* for integral 0"):
+        integrate(lambda x: f(x, None), a, b)
+
+
+@pytest.mark.filterwarnings("error")
+def test_bounds_just_below_the_limit_integrate():
+    top = np.nextafter(BOUND_MAX, 0.0)
+    res = integrate(np.ones_like, -top, top)
+    assert (res.value, res.neval) == (2.0 * top, 15)
 
 
 def test_zero_owners_return_empty_arrays_without_calling_f():
@@ -371,7 +395,8 @@ def test_budget_below_the_start_mesh_names_owner_zero():
 
 
 @pytest.mark.parametrize("mesh", [(0.0,), (0.0, 0.5), (0.1, 1.0), (0.0, 0.5, 0.5, 1.0),
-                                  ((0.0, 1.0),), (0.0, math.nan, 1.0)])
+                                  ((0.0, 1.0),), (0.0, math.nan, 1.0),
+                                  np.zeros((2, 2)), [[0.0, 1.0], [0.0, 1.0]], 5])
 def test_bad_start_mesh_rejected(mesh):
     with pytest.raises(ValueError, match="mesh"):
         integrate_batch(lambda x, owner: x, [0.0], [1.0], mesh=mesh)
