@@ -45,7 +45,8 @@ def main():
     ap.add_argument("--only", choices=FIGURE_NAMES, default=None,
                     help="regenerate a single figure dataset")
     ap.add_argument("--tight", type=float, default=None, metavar="FACTOR",
-                    help="multiply quadrature tolerances by FACTOR (e.g. 0.1)")
+                    help="multiply rel_tol, the one accuracy setting, by FACTOR "
+                         "(e.g. 0.1)")
     args = ap.parse_args()
 
     qcfg = QuadratureConfig().tighter(args.tight) if args.tight else None

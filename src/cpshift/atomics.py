@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 
 import numpy as np
 
@@ -34,8 +33,8 @@ from .greens import (PlanarTensors, _grid_omega, _heights, _kernels,
 from .media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
                     ReflectionMatrix, _AxionDifference,
                     nonretarded_limit_coefficients, retarded_limit_coefficients)
-from .quadrature import (HALF_LINE_MESH, QuadratureConfig, _default_config,
-                         integrate_batch)
+from .quadrature import (DEFAULT_CONFIG, HALF_LINE_MESH, QuadratureConfig,
+                         _check_count, _check_positive, integrate_batch)
 # not called here but importable from this module: perfbench/tracer.py
 # wraps them by these names.
 from .greens import scattering_greens_numeric  # noqa: F401
@@ -78,20 +77,26 @@ def greens_tensor(medium, z: float, omega: complex,
 # ---------------------------------------------------------------------------
 # Rates and shifts
 
+def _tensor_quantities(g: PlanarTensors, transition: Transition) -> dict:
+    """{"rate": Gamma^(1) = 2 w^2 Im s, "resonant_shift": dw_res = -w^2 Re s}
+    from one sandwich s of the tensors g at the transition frequency w."""
+    w = transition.frequency
+    s = g.sandwich(transition.dipole)
+    return {"rate": 2.0 * w ** 2 * s.imag, "resonant_shift": -w ** 2 * s.real}
+
+
 def decay_rate(transition: Transition, z: float, medium,
                config: QuadratureConfig | None = None) -> float:
     """Body-induced decay rate Gamma^(1) at height z."""
-    w = transition.frequency
-    s = greens_tensor(medium, z, w, config).sandwich(transition.dipole)
-    return float(2.0 * w ** 2 * s.imag)
+    g = greens_tensor(medium, z, transition.frequency, config)
+    return float(_tensor_quantities(g, transition)["rate"])
 
 
 def resonant_shift(transition: Transition, z: float, medium,
                    config: QuadratureConfig | None = None) -> float:
     """Resonant (real-photon) part of the frequency shift."""
-    w = transition.frequency
-    s = greens_tensor(medium, z, w, config).sandwich(transition.dipole)
-    return float(-w ** 2 * s.real)
+    g = greens_tensor(medium, z, transition.frequency, config)
+    return float(_tensor_quantities(g, transition)["resonant_shift"])
 
 
 @dataclass(frozen=True)
@@ -218,9 +223,9 @@ def _closed_form_nonresonant(r: ReflectionMatrix, dipole, a):
     """
     x = r.r_sp + r.r_ps
     # P(1), P'(1) and P''(1): the sandwich of the kernels' s-derivatives
-    p = PlanarTensors(np.array([r.r_ss - r.r_pp, -2.0 * r.r_pp, -2.0 * r.r_pp]),
-                      np.array([0.0, -4.0 * r.r_pp, -4.0 * r.r_pp]),
-                      np.array([x, x, 0.0]), None, None).sandwich(dipole)
+    k = np.array([[r.r_ss - r.r_pp, -2.0 * r.r_pp, -2.0 * r.r_pp],
+                  [0.0, -4.0 * r.r_pp, -4.0 * r.r_pp], [x, x, 0.0]], dtype=complex)
+    p = _sandwich(*k, dipole, dipole.conj())
     b0, b1, b2, b3, _ = _moments(a)
     # far up a ** 3 overflows to inf (from a ~ 6e102) and its terms to 0,
     # which their true values underflow to anyway
@@ -238,8 +243,8 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
     being nondispersive, does not depend on xi.  The xi-integral done first
     (`_moments`) leaves, with b = 2 s w z,
         dw_nres = (w^3/8 pi^2) int_1^inf ds [Im P B4(b) - Re P B3(b)],
-    over x in (0, 1] at rel_tol `xi_rel_tol`, height j as owner j of one
-    `integrate_batch` (a failure's `owner` is j).  The map is the
+    over x in (0, 1] at rel_tol / 10 (`xi_rel_tol`), height j as owner j of
+    one `integrate_batch` (a failure's `owner` is j).  The map is the
     k-quadrature's (QUADPACK's infinite-range transform): s - 1 =
     (1 - x)/(c x), so tau = 1/s = x/(x + (1 - x)/c) and ds = -dx/(c x^2).
     The integrand has two scales in s - 1: about 1, over which P varies,
@@ -254,7 +259,7 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
     in closed form instead (`_closed_form_nonresonant`).
     """
     z = _heights(z)
-    cfg = config or _default_config()
+    cfg = config or DEFAULT_CONFIG
     w = transition.frequency
     scale = 2.0 * w * z  # b = scale * s
     pref = w ** 3 / (8 * math.pi ** 2)
@@ -329,10 +334,9 @@ def self_consistent_shift(transition: Transition, z: float, medium,
     every closed-form expression assumes.  If tol is given and the iteration
     does not settle within max_iter steps, raises RuntimeError.
     """
-    if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 1:
-        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_count("max_iter", max_iter, 1)
+    if tol is not None:
+        _check_positive("tol", tol)
     omega0 = transition.frequency
     w = omega0
     for it in range(1, max_iter + 1):

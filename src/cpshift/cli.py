@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import (ConfigError, MEDIUM_KINDS, MEDIUM_PARAMETERS, QUANTITY_COLUMNS,
                      build_medium, parse_config, parse_value)
-from .quadrature import QuadratureConfig
+from .quadrature import DEFAULT_CONFIG
 from .scan import FIGURE_NAMES, ScanError, _format_csv, _scan_values, figure, run_scan
 from .units import canonical_transition
 from .version import __version__
@@ -76,7 +76,7 @@ def _single_point(args) -> int:
                   else ("resonant_shift", "nonresonant_shift"))
     zetas = np.array([args.zeta])
     values, *_ = _scan_values(zetas, medium, canonical_transition(args.handedness),
-                              quantities, QuadratureConfig())
+                              quantities, DEFAULT_CONFIG)
     print(_format_csv([QUANTITY_COLUMNS[q] for q in quantities], zetas, values), end="")
     return 0
 

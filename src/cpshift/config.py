@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, fields
-from numbers import Integral
 
 import numpy as np
 
 from .media import AxionMedium, PerfectConductor, PerfectNonreciprocalMirror
+from .quadrature import _check_count, _check_positive
 
 __all__ = ["ConfigError", "ScanConfig", "parse_config", "parse_value",
            "build_medium", "zeta_grid", "QUANTITY_COLUMNS", "MEDIUM_KINDS",
@@ -65,17 +65,15 @@ class ScanConfig:
     name: str = "scan"
 
     def __post_init__(self):
-        if not (math.isfinite(self.zeta_min) and math.isfinite(self.zeta_max)):
-            raise ConfigError(f"zeta_min and zeta_max must be finite, got "
-                              f"[{self.zeta_min}, {self.zeta_max}]")
-        if self.zeta_min <= 0:
-            raise ConfigError(f"zeta_min must be > 0, got {self.zeta_min}")
+        try:
+            _check_positive("zeta_min", self.zeta_min)
+            _check_positive("zeta_max", self.zeta_max)
+            _check_count("count", self.count, 2)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.zeta_max <= self.zeta_min:
             raise ConfigError(f"zeta_max ({self.zeta_max}) must exceed "
                               f"zeta_min ({self.zeta_min})")
-        if (isinstance(self.count, bool) or not isinstance(self.count, Integral)
-                or self.count < 2):
-            raise ConfigError(f"count must be an integer >= 2, got {self.count!r}")
         if self.spacing not in ("linear", "log"):
             raise ConfigError(f"spacing must be linear or log, got {self.spacing!r}")
         if self.handedness not in ("plus", "minus"):

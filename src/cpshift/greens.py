@@ -81,7 +81,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .media import PerfectConductor, PerfectNonreciprocalMirror, ReflectionMatrix
-from .quadrature import (HALF_LINE_MESH, QuadratureConfig, _default_config,
+from .quadrature import (DEFAULT_CONFIG, HALF_LINE_MESH, QuadratureConfig,
                          integrate_batch)
 # integrate is not called here but stays importable from this module:
 # perfbench/tracer.py wraps it by this name.
@@ -264,7 +264,7 @@ def numeric_greens(z, omega, medium,
     index j.
     """
     z = _heights(z)
-    cfg = config or _default_config()
+    cfg = config or DEFAULT_CONFIG
     w = _frequencies(omega)
     _grid_omega(w)
     if w.ndim == 0 and w.imag == 0:

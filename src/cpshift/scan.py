@@ -27,14 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from .atomics import (asymptotic, AsymptoticCase, greens_grid,
-                      nonresonant_shift_grid)
+                      nonresonant_shift_grid, _tensor_quantities)
 # not called here but importable from this module: perfbench/tracer.py
 # wraps them by these names.
 from .atomics import greens_tensor, nonresonant_shift_terms  # noqa: F401
 from .config import (ConfigError, MEDIUM_PARAMETERS, QUANTITY_COLUMNS, ScanConfig,
                      build_medium, zeta_grid)
 from .media import AxionMedium, _AxionDifference
-from .quadrature import QuadratureConfig, QuadratureError
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError
 from .units import canonical_transition, free_space_rate_formula
 from .version import __version__
 
@@ -114,17 +114,17 @@ def _scan_values(zetas, medium, transition, quantities, qcfg: QuadratureConfig):
     gamma0 = free_space_rate_formula(transition)
     err = np.zeros(zetas.size)
     neval = np.zeros(zetas.size, dtype=int)
-    s = None
+    rate_and_shift = None
     columns = []
     try:
         for q in quantities:
             if q in ("rate", "resonant_shift"):
-                if s is None:
+                if rate_and_shift is None:
                     g = greens_grid(medium, z, w, qcfg)
-                    s = g.sandwich(transition.dipole)
+                    rate_and_shift = _tensor_quantities(g, transition)
                     err += g.quad_error
                     neval += g.neval
-                columns.append(_tensor_quantity(q, s, w, gamma0))
+                columns.append(rate_and_shift[q] / gamma0)
             elif q == "nonresonant_shift":
                 terms = nonresonant_shift_grid(transition, z, medium, qcfg)
                 err += terms.quad_error
@@ -135,14 +135,6 @@ def _scan_values(zetas, medium, transition, quantities, qcfg: QuadratureConfig):
     except (QuadratureError, ArithmeticError) as exc:
         raise _scan_error(exc, zetas) from exc
     return np.column_stack(columns), err, neval
-
-
-def _tensor_quantity(quantity, s, w, gamma0):
-    """The scaled rate or resonant shift from the sandwiches s of the
-    tensors of a grid at transition frequency w."""
-    if quantity == "rate":
-        return 2.0 * w ** 2 * s.imag / gamma0
-    return -w ** 2 * s.real / gamma0
 
 
 def _scan_error(exc, zetas) -> ScanError:
@@ -231,7 +223,7 @@ def run_scan(config: ScanConfig, out_dir,
     propagates.
     """
     out = Path(out_dir)
-    qcfg = qcfg or QuadratureConfig()
+    qcfg = qcfg or DEFAULT_CONFIG
     job = partial(_trace, config.name, config.grid(), config.build_medium(),
                   canonical_transition(config.handedness), config.quantities, qcfg)
     manifest, [(_, columns, zetas, values)] = _write_run(
@@ -316,7 +308,7 @@ def _difference_job(name, zetas, quantity, qcfg):
     except (QuadratureError, ArithmeticError) as exc:
         raise _scan_error(exc, zetas) from exc
     tables = [(f"{name}_difference_eps16_{tag}.csv", (QUANTITY_COLUMNS[quantity],), zetas,
-               _tensor_quantity(quantity, t.sandwich(_PLUS.dipole), w, gamma0)[:, None])
+               (_tensor_quantities(t, _PLUS)[quantity] / gamma0)[:, None])
               for t, tag in ((g, "theta_pi"), (g._replace(xy=-g.xy), "theta_minus_pi"))]
     return tables, np.tile(g.quad_error, 2), np.concatenate([g.neval, np.zeros_like(g.neval)])
 
@@ -336,7 +328,7 @@ def figure(name: str, out_dir, qcfg: QuadratureConfig | None = None) -> list:
     if name not in FIGURE_NAMES:
         raise ConfigError(f"unknown figure {name!r}; expected one of "
                           f"{', '.join(FIGURE_NAMES)}")
-    qcfg = qcfg or QuadratureConfig()
+    qcfg = qcfg or DEFAULT_CONFIG
     manifest, _ = _write_run(out_dir, name, f"figure:{name}", {"figure": name}, qcfg,
                              _figure_jobs(name, qcfg))
     return list(manifest.outputs)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import SCALED_DIPOLE_MAGNITUDE, SI
+from .quadrature import _check_positive
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,7 @@ class Transition:
             raise ValueError(f"dipole components must be finite, got {d}")
         if not np.any(d != 0):
             raise ValueError("dipole vector is identically zero")
-        if not (math.isfinite(self.frequency) and self.frequency > 0):
-            raise ValueError(f"transition frequency must be positive and finite, "
-                             f"got {self.frequency}")
+        _check_positive("transition frequency", self.frequency)
         object.__setattr__(self, "dipole", d)
         d.setflags(write=False)
 
@@ -63,7 +62,8 @@ def circular_dipole(magnitude: float, handedness: str = "plus") -> np.ndarray:
     handedness "plus" gives the (1, +i, 0) vector, "minus" its conjugate.
     The overall magnitude satisfies d . d* = magnitude**2.
     """
-    if not (math.isfinite(magnitude) and magnitude >= 0):
+    if (isinstance(magnitude, (bool, np.bool_))
+            or not (math.isfinite(magnitude) and magnitude >= 0)):
         raise ValueError(f"dipole magnitude must be finite and >= 0, got {magnitude}")
     if handedness == "plus":
         s = 1.0
@@ -152,9 +152,8 @@ class UnitsPolicy:
     dipole_ref: float = 1.0e-29
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0 for v in (self.omega_ref, self.dipole_ref)):
-            raise ValueError(f"reference scales must be positive and finite, got "
-                             f"omega_ref={self.omega_ref}, dipole_ref={self.dipole_ref}")
+        _check_positive("omega_ref", self.omega_ref)
+        _check_positive("dipole_ref", self.dipole_ref)
 
     @property
     def length_ref(self) -> float:

@@ -787,7 +787,7 @@ def test_self_consistent_nonconvergence_raises():
         self_consistent_shift(strong, 0.3, COND, max_iter=1, tol=1e-15)
     with pytest.raises(ValueError):
         self_consistent_shift(TR, 1.0, COND, max_iter=0)
-    for tol in (0.0, -1e-12, math.nan, math.inf):
+    for tol in (0.0, -1e-12, math.nan, math.inf, True, np.True_):   # True is no tolerance
         with pytest.raises(ValueError, match="tol"):
             self_consistent_shift(TR, 1.0, COND, max_iter=5, tol=tol)
 

@@ -148,6 +148,16 @@ name = fail
     assert manifest["status"] == "failed"
 
 
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    # --out naming an existing file: the output directory cannot be made
+    blocker = tmp_path / "taken"
+    blocker.write_text("", encoding="utf-8")
+    code, _, err = run(capsys, "figure", "gamma_mirrors", "--out", str(blocker))
+    assert code == 2
+    assert "i/o failure" in err
+    assert blocker.read_text() == ""
+
+
 def test_scan_name_with_a_path_separator_exits_one_and_writes_nothing(
         tmp_path, capsys, monkeypatch):
     # the name is the file stem of both outputs: rejected with the config,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cpshift.config import (ConfigError, MEDIUM_KINDS, MEDIUM_PARAMETERS, QUANTITY_COLUMNS,
-                            ScanConfig, parse_config)
+                            ScanConfig, build_medium, parse_config)
 from cpshift.media import AxionMedium, PerfectConductor, PerfectNonreciprocalMirror
 
 
@@ -140,6 +140,7 @@ def test_scan_config_validation():
                 dict(quantities=("rate", "rate")), dict(sign=0.5),
                 dict(epsilon=-2.0), dict(count=10.5), dict(count=np.float64(3.0)),
                 dict(count=True), dict(count=math.nan), dict(sign=True),
+                dict(zeta_min=True), dict(zeta_max=True), dict(zeta_min=np.True_),
                 dict(name=""), dict(name="sub/dir"), dict(name="../escaped")):
         with pytest.raises(ConfigError):
             ScanConfig(**{**ok, **bad})
@@ -176,10 +177,14 @@ def test_scan_config_rejects_parameters_the_model_cannot_honour(tmp_path):
                 dict(theta=math.nan), dict(theta=-math.inf)):
         with pytest.raises(ConfigError):
             ScanConfig(**{**ok, **bad})
-    for line in ("epsilon = nan", "theta = inf"):
+    for line, match in (("epsilon = nan", None), ("theta = inf", None),
+                        ("theta = xpi", "line 5: cannot parse pi-multiple 'xpi'"),
+                        ("theta = abc", "line 5: cannot parse 'abc'")):
         text = "medium = axion\nzeta_min = 0.1\nzeta_max = 2.0\ncount = 5\n"
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=match):
             parse_config(write(tmp_path, text + line + "\n"))
+    with pytest.raises(ConfigError, match="unknown medium parameter 'bogus'"):
+        build_medium("axion", bogus=1.0)
     # the Fresnel weights are those of a nonmagnetic medium: mu is no
     # setting, not even at its one value
     assert set(MEDIUM_PARAMETERS) == {"epsilon", "theta", "sign"}

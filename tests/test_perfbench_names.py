@@ -1,9 +1,10 @@
 """The package names the benchmark's tooling reads.
 
 perfbench/make_reference.py records QuadratureConfig's two cutoff constants
-beside its references, and perfbench/tracer.py wraps entry points by name.
-Both are loaded by path and checked here without running a workload; the
-test leaves sys.path and sys.modules as it found them.
+and its derived s-integral tolerance beside its references, and
+perfbench/tracer.py wraps entry points by name.  Both are loaded by path
+and checked here without running a workload; the test leaves sys.path and
+sys.modules as it found them.
 """
 import importlib.util
 import sys
@@ -56,6 +57,10 @@ def test_reference_maker_reads_the_quadrature_settings(load_perfbench):
     assert sys.path[0] == str(PERFBENCH) and sys.path[1:] == path
     assert set(make_reference._quad(QuadratureConfig())) == {
         "rel_tol", "xi_rel_tol", "kappa_cutoff", "xi_cutoff"}
+    # the references record the tolerance the s-integral ran at: a tenth of
+    # rel_tol, at the default and at the references' own tightening
+    for cfg in (QuadratureConfig(), QuadratureConfig().tighter(1e-3)):
+        assert make_reference._quad(cfg)["xi_rel_tol"] == cfg.rel_tol / 10
 
 
 def test_tracer_wraps_and_restores_every_entry_point(load_perfbench):

@@ -91,17 +91,20 @@ def test_config_tighter_scales_tolerances_only():
     base = QuadratureConfig()
     tight = base.tighter(0.01)
     assert tight.rel_tol == base.rel_tol * 0.01
-    assert tight.xi_rel_tol == base.xi_rel_tol * 0.01
     assert tight.max_panels == base.max_panels
+    # the s-integral's tolerance is derived: a tenth of rel_tol, whatever it is
+    for cfg in (base, tight, QuadratureConfig(rel_tol=3e-7)):
+        assert cfg.xi_rel_tol == cfg.rel_tol / 10
+    assert base.xi_rel_tol == 1e-10
 
 
 def test_every_setting_changes_a_result():
-    # the depth cap is the engine's constant, and the two cutoffs are
-    # constants that no result depends on: none of them is a setting
-    assert [f.name for f in fields(QuadratureConfig)] == ["rel_tol", "xi_rel_tol",
-                                                          "max_panels"]
+    # the depth cap is the engine's constant, the two cutoffs are constants
+    # that no result depends on, and the s-integral's tolerance is derived
+    # from rel_tol: none of them is a setting
+    assert [f.name for f in fields(QuadratureConfig)] == ["rel_tol", "max_panels"]
     assert (QuadratureConfig.kappa_cutoff, QuadratureConfig.xi_cutoff) == (40.0, 50.0)
-    for gone in ("max_depth", "kappa_cutoff", "xi_cutoff"):
+    for gone in ("max_depth", "kappa_cutoff", "xi_cutoff", "xi_rel_tol"):
         with pytest.raises(TypeError):
             QuadratureConfig(**{gone: 30})
     with pytest.raises(TypeError):
@@ -126,11 +129,11 @@ def test_polynomials_match_antiderivative(coeffs, a, width):
 
 
 def test_config_rejects_invalid_values():
-    for bad in (dict(rel_tol=-1.0), dict(rel_tol=0.0), dict(xi_rel_tol=math.nan),
-                dict(xi_rel_tol=-1e-10), dict(rel_tol=math.inf),
+    for bad in (dict(rel_tol=-1.0), dict(rel_tol=0.0), dict(rel_tol=math.nan),
+                dict(rel_tol=math.inf),
                 dict(max_panels=0), dict(max_panels=-3), dict(max_panels=math.nan),
                 dict(max_panels=100.5), dict(max_panels=20000.0),
-                dict(max_panels=True), dict(rel_tol=True), dict(xi_rel_tol=True),
+                dict(max_panels=True), dict(rel_tol=True),
                 dict(rel_tol=np.True_)):   # True == 1, but is no tolerance
         with pytest.raises(ValueError):
             QuadratureConfig(**bad)
@@ -273,6 +276,16 @@ def test_bounds_out_of_range_rejected_before_any_evaluation(a, b):
         integrate_batch(f, [0.0, a], [1.0, b])
     with pytest.raises(ValueError, match=r"2\^1023, got .* for integral 0"):
         integrate(lambda x: f(x, None), a, b)
+
+
+@pytest.mark.parametrize("a, b", [
+    ([0.0, 0.0], [1.0]), ([[0.0]], [[1.0]]), (0.0, [1.0, 2.0])])
+def test_bounds_of_different_shapes_rejected_before_any_evaluation(a, b):
+    def f(x, owner):
+        raise AssertionError("integrand called")
+
+    with pytest.raises(ValueError, match="need matching 1-d bounds"):
+        integrate_batch(f, a, b)
 
 
 @pytest.mark.filterwarnings("error")

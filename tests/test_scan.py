@@ -65,14 +65,13 @@ def test_scan_manifest_contents(tmp_path):
     assert manifest["config"]["medium"] == "axion"
     assert manifest["config"]["epsilon"] == 16.0
     # every setting of the run, the panel budget a failure names included
-    assert manifest["quadrature"] == {"rel_tol": 1e-9, "xi_rel_tol": 1e-10,
-                                      "max_panels": 20000}
+    assert manifest["quadrature"] == {"rel_tol": 1e-9, "max_panels": 20000}
     assert manifest["quad_error"]["max"] >= manifest["quad_error"]["mean"]
     assert manifest["neval"] > 0
     assert set(manifest["outputs"]) == {"axion_demo.csv", "axion_demo.manifest.json"}
-    qcfg = QuadratureConfig(rel_tol=1e-8, xi_rel_tol=1e-9, max_panels=5000)
+    qcfg = QuadratureConfig(rel_tol=1e-8, max_panels=5000)
     echo = json.loads(run_scan(cfg, tmp_path / "set", qcfg).manifest_path.read_text())
-    assert echo["quadrature"] == {"rel_tol": 1e-8, "xi_rel_tol": 1e-9, "max_panels": 5000}
+    assert echo["quadrature"] == {"rel_tol": 1e-8, "max_panels": 5000}
 
 
 def test_manifest_evaluation_count_shows_the_route(tmp_path):

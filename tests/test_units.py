@@ -23,9 +23,10 @@ def test_circular_dipole_validation():
         circular_dipole(-1.0)
     with pytest.raises(ValueError):
         circular_dipole(1.0, "left")
-    for magnitude in (math.nan, math.inf):
+    for magnitude in (math.nan, math.inf, True, np.True_):   # True == 1, but no magnitude
         with pytest.raises(ValueError, match="finite"):
             circular_dipole(magnitude)
+    assert not np.any(circular_dipole(0.0))
 
 
 @given(mag=st.floats(1e-2, 1e2))
@@ -58,7 +59,7 @@ def test_transition_validation():
         Transition(np.zeros(3), 1.0)                 # identically zero
     with pytest.raises(ValueError):
         Transition(np.array([1.0, 0.0, 0.0]), 0.0)   # frequency must be > 0
-    for frequency in (math.inf, math.nan, -math.inf):
+    for frequency in (math.inf, math.nan, -math.inf, True, np.True_):
         with pytest.raises(ValueError, match="finite"):
             Transition(np.array([1.0, 0.0, 0.0]), frequency)
     for dipole in ([math.nan, 0.0, 0.0], [1.0, complex(0.0, math.inf), 0.0],
@@ -153,7 +154,8 @@ def test_units_policy_validation():
     with pytest.raises(ValueError):
         UnitsPolicy(omega_ref=0.0)
     for bad in (dict(omega_ref=math.nan), dict(omega_ref=math.inf),
-                dict(dipole_ref=math.nan), dict(dipole_ref=math.inf)):
+                dict(dipole_ref=math.nan), dict(dipole_ref=math.inf),
+                dict(omega_ref=True), dict(dipole_ref=np.True_)):
         with pytest.raises(ValueError, match="finite"):
             UnitsPolicy(**bad)
 
