@@ -26,17 +26,29 @@ nothing oscillates (`greens.numeric_greens`); the theta = -pi trace is
 that tensor with G_xy negated.
 The two pure-axion traces (eps = 1) and the mirror sets have
 k_par-independent reflection and take closed forms, in milliseconds.
+
+`--tight FACTOR` multiplies rel_tol by FACTOR, which must be positive and
+finite; any other value is a usage error, before any figure runs.
 """
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cpshift.quadrature import QuadratureConfig
+from cpshift.quadrature import DEFAULT_CONFIG
 from cpshift.scan import FIGURE_NAMES, figure
+
+
+def factor(text: str) -> float:
+    """--tight's FACTOR: a positive, finite number, or a usage error."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"FACTOR must be positive and finite, got {text}")
+    return value
 
 
 def main():
@@ -44,12 +56,12 @@ def main():
     ap.add_argument("outdir", nargs="?", default="figures", type=Path)
     ap.add_argument("--only", choices=FIGURE_NAMES, default=None,
                     help="regenerate a single figure dataset")
-    ap.add_argument("--tight", type=float, default=None, metavar="FACTOR",
+    ap.add_argument("--tight", type=factor, default=None, metavar="FACTOR",
                     help="multiply rel_tol, the one accuracy setting, by FACTOR "
                          "(e.g. 0.1)")
     args = ap.parse_args()
 
-    qcfg = QuadratureConfig().tighter(args.tight) if args.tight else None
+    qcfg = None if args.tight is None else DEFAULT_CONFIG.tighter(args.tight)
     names = [args.only] if args.only else list(FIGURE_NAMES)
     args.outdir.mkdir(parents=True, exist_ok=True)
 
@@ -58,7 +70,7 @@ def main():
         outputs = figure(name, args.outdir, qcfg=qcfg)
         dt = time.perf_counter() - t0
         manifest = json.loads((args.outdir / f"{name}.manifest.json").read_text())
-        print(f"{name:14s} {dt:6.1f} s  {manifest['neval']:9,d} evaluations  "
+        print(f"{name:14s} {dt * 1e3:8.1f} ms  {manifest['neval']:9,d} evaluations  "
               f"{len(outputs)} files")
         for fn in outputs:
             print(f"    {args.outdir / fn}")

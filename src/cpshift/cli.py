@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .config import (ConfigError, MEDIUM_KINDS, MEDIUM_PARAMETERS, QUANTITY_COLUMNS,
-                     build_medium, parse_config, parse_value)
+                     _ANGLES, build_medium, parse_config, parse_value)
 from .quadrature import DEFAULT_CONFIG
 from .scan import FIGURE_NAMES, ScanError, _format_csv, _scan_values, figure, run_scan
 from .units import canonical_transition
@@ -57,11 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scaled distance w z / c")
         # values in the config-file syntax, e.g. `--theta 1.0pi`
         for name, kind in MEDIUM_PARAMETERS.items():
-            cls = MEDIUM_KINDS[kind]
-            note = ("; radians or a pi-multiple"
-                    if cls.__dataclass_fields__[name].metadata.get("angle") else "")
-            p.add_argument(f"--{name}", help=f"{kind} parameter "
-                                             f"(default {getattr(cls, name):g}){note}")
+            note = "; radians or a pi-multiple" if name in _ANGLES else ""
+            default = getattr(MEDIUM_KINDS[kind], name)
+            p.add_argument(f"--{name}", help=f"{kind} parameter (default {default:g}){note}")
         p.add_argument("--handedness", choices=("plus", "minus"), default="plus")
     return parser
 

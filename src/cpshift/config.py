@@ -3,9 +3,10 @@
 Format: one assignment per line, `#` starts a comment, blank lines ignored.
 Angles accept plain radians or pi-multiples written as `1.0pi` / `-0.5pi`.
 Unknown keys, duplicate keys (both line numbers reported), and keys that do
-not apply to the chosen medium are errors.  A medium's keys are the init
-fields of its class; the axion half-space is nonmagnetic, so its keys are
-epsilon and theta, and `mu` is an unknown key.
+not apply to the chosen medium are errors; `build_medium`, and so a CLI
+flag or ScanConfig field, refuses another kind's parameter the same way.
+A medium's keys are the init fields of its class; the axion half-space is
+nonmagnetic, so its keys are epsilon and theta, and `mu` is an unknown key.
 """
 from __future__ import annotations
 
@@ -86,14 +87,18 @@ class ScanConfig:
                               f"expected subset of {sorted(QUANTITY_COLUMNS)}")
         if len(set(self.quantities)) != len(self.quantities):
             raise ConfigError(f"duplicate quantities in {self.quantities}")
-        if not self.name or any(s and s in self.name for s in ("/", os.sep, os.altsep)):
-            raise ConfigError(f"name must be a file stem without a path separator, "
-                              f"got {self.name!r}")
+        if not self.name or any(s and s in self.name for s in ("/", "\0", os.sep, os.altsep)):
+            raise ConfigError(f"name must be a file stem without a path separator "
+                              f"or NUL byte, got {self.name!r}")
         self.build_medium()
 
     def build_medium(self):
-        return build_medium(self.medium_kind,
-                            **{name: getattr(self, name) for name in MEDIUM_PARAMETERS})
+        """The scan's medium, from its kind's fields.  Another kind's field
+        set off its default is passed on too, and build_medium refuses it."""
+        return build_medium(self.medium_kind, **{
+            name: getattr(self, name) for name, kind in MEDIUM_PARAMETERS.items()
+            if kind == self.medium_kind
+            or getattr(self, name) != getattr(ScanConfig, name)})
 
     def grid(self) -> np.ndarray:
         return zeta_grid(self.zeta_min, self.zeta_max, self.count, self.spacing)
@@ -102,21 +107,27 @@ class ScanConfig:
 def build_medium(medium_kind: str, **params):
     """The medium named by `medium_kind`, from `params` and its class defaults.
 
-    Every given parameter is checked by the medium it belongs to, used by
-    this one or not; ConfigError names one the model cannot honour.
+    Only that medium is built.  ConfigError names an unknown parameter,
+    a parameter of another kind (`_check_own`), or a value the model
+    cannot honour.
     """
     _parse_kind(medium_kind, "medium")
-    given = {kind: {} for kind in MEDIUM_KINDS}
-    for name, value in params.items():
+    for name in params:
         if name not in MEDIUM_PARAMETERS:
             raise ConfigError(f"unknown medium parameter {name!r}")
-        given[MEDIUM_PARAMETERS[name]][name] = value
+        _check_own(medium_kind, name)
     try:
-        media = {kind: MEDIUM_KINDS[kind](**own) for kind, own in given.items()
-                 if own or kind == medium_kind}
+        return MEDIUM_KINDS[medium_kind](**params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return media[medium_kind]
+
+
+def _check_own(medium_kind: str, key: str) -> None:
+    """ConfigError if `key` is a parameter of a medium kind other than
+    `medium_kind`; any other key passes."""
+    kind = MEDIUM_PARAMETERS.get(key, medium_kind)
+    if kind != medium_kind:
+        raise ConfigError(f"key {key!r} only applies to medium {kind}, not {medium_kind}")
 
 
 def zeta_grid(zeta_min: float, zeta_max: float, count: int,
@@ -127,25 +138,18 @@ def zeta_grid(zeta_min: float, zeta_max: float, count: int,
     return np.linspace(zeta_min, zeta_max, count)
 
 
-def _parse_angle(text: str, key: str) -> float:
+def _parse_float(text: str, key: str) -> float:
+    """A float; an angle (`_ANGLES`) may also be a pi-multiple."""
     t = text.strip()
     if t.endswith("pi"):
+        if key not in _ANGLES:
+            raise ConfigError(f"pi-multiples are only valid for angles, not for {key}")
         head = t[:-2].strip()
         try:
             return (float(head) if head not in ("", "+", "-")
                     else float(head + "1")) * math.pi
         except ValueError:
             raise ConfigError(f"cannot parse pi-multiple {text!r} for {key}") from None
-    try:
-        return float(t)
-    except ValueError:
-        raise ConfigError(f"cannot parse {text!r} for {key}") from None
-
-
-def _parse_float(text: str, key: str) -> float:
-    t = text.strip()
-    if t.endswith("pi"):
-        raise ConfigError(f"pi-multiples are only valid for angles, not for {key}")
     try:
         return float(t)
     except ValueError:
@@ -174,13 +178,15 @@ def _parse_list(text: str, key: str) -> tuple:
     return tuple(item.strip() for item in text.split(",") if item.strip())
 
 
+# the medium parameters marked as angles (radians), which take pi-multiples
+_ANGLES = {f.name for cls in MEDIUM_KINDS.values() for f in fields(cls)
+           if f.metadata.get("angle")}
 # config key -> parser; the medium parameters come from MEDIUM_KINDS
 _PARSERS = {
     "medium": _parse_kind, "zeta_min": _parse_float, "zeta_max": _parse_float,
     "count": _parse_int, "spacing": _parse_text, "handedness": _parse_text,
     "quantities": _parse_list, "name": _parse_text,
-    **{f.name: _parse_angle if f.metadata.get("angle") else _parse_float
-       for cls in MEDIUM_KINDS.values() for f in fields(cls) if f.init},
+    **dict.fromkeys(MEDIUM_PARAMETERS, _parse_float),
 }
 
 
@@ -195,7 +201,7 @@ def parse_config(path) -> ScanConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
 
     seen: dict[str, int] = {}
@@ -222,17 +228,15 @@ def parse_config(path) -> ScanConfig:
         if key not in raw:
             raise ConfigError(f"missing required key {key!r}")
 
-    def parsed(key):
+    def at_line(key, check, *args):
+        """check(*args), a ConfigError it raises prefixed with key's line."""
         try:
-            return parse_value(key, raw[key])
+            return check(*args)
         except ConfigError as exc:
             raise ConfigError(f"line {seen[key]}: {exc}") from None
 
-    medium_kind = parsed("medium")
+    medium_kind = at_line("medium", parse_value, "medium", raw["medium"])
     for key in raw:
-        kind = MEDIUM_PARAMETERS.get(key, medium_kind)
-        if kind != medium_kind:
-            raise ConfigError(f"line {seen[key]}: key {key!r} only applies to "
-                              f"medium {kind}, not {medium_kind}")
-    return ScanConfig(**{"medium_kind" if key == "medium" else key: parsed(key)
-                         for key in raw})
+        at_line(key, _check_own, medium_kind, key)
+    return ScanConfig(**{"medium_kind" if key == "medium" else key:
+                         at_line(key, parse_value, key, raw[key]) for key in raw})

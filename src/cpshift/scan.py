@@ -70,22 +70,17 @@ class RunManifest:
     outputs: tuple
 
     def to_json(self) -> str:
-        payload = {
-            "tool": "cpshift",
-            "version": __version__,
-            "command": self.command,
-            "config": self.config,
-            "quadrature": self.quadrature,
-            "wall_time_s": self.wall_time_s,
-            "points": self.points,
-            "quad_error": {"max": self.quad_error_max,
-                           "mean": self.quad_error_mean},
-            "neval": self.neval,
-            "status": self.status,
-            "error": self.error,
-            "outputs": list(self.outputs),
-        }
+        """The manifest file's text: every field, the two quad_error ones
+        nested as quad_error {max, mean}, plus the tool and its version."""
+        payload = {name: getattr(self, name) for name in _MANIFEST_FIELDS}
+        payload["quad_error"] = {"max": payload.pop("quad_error_max"),
+                                 "mean": payload.pop("quad_error_mean")}
+        payload.update(tool="cpshift", version=__version__)
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# read by name, not with dataclasses.asdict, which deep-copies every value
+_MANIFEST_FIELDS = tuple(f.name for f in fields(RunManifest))
 
 
 @dataclass(frozen=True)
@@ -235,15 +230,11 @@ def run_scan(config: ScanConfig, out_dir,
 
 
 def _config_echo(config: ScanConfig) -> dict:
-    echo = {
-        "medium": config.medium_kind, "handedness": config.handedness,
-        "zeta_min": config.zeta_min, "zeta_max": config.zeta_max,
-        "count": config.count, "spacing": config.spacing,
-        "quantities": list(config.quantities), "name": config.name,
-    }
-    echo.update((name, getattr(config, name)) for name, kind in MEDIUM_PARAMETERS.items()
-                if kind == config.medium_kind)
-    return echo
+    """The manifest's `config`: every ScanConfig field (`medium_kind` as
+    `medium`) but the parameters of other medium kinds."""
+    return {"medium" if f.name == "medium_kind" else f.name: getattr(config, f.name)
+            for f in fields(config)
+            if MEDIUM_PARAMETERS.get(f.name, config.medium_kind) == config.medium_kind}
 
 
 # ---------------------------------------------------------------------------

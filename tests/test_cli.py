@@ -122,6 +122,12 @@ def test_scan_config_errors_exit_one(tmp_path, capsys):
     assert run(capsys, "scan", "--config", str(bad), "--out", str(tmp_path))[0] == 1
     missing = tmp_path / "missing.cfg"
     assert run(capsys, "scan", "--config", str(missing), "--out", str(tmp_path))[0] == 1
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes(b"medium = perfect_conductor\nzeta_min = 0.1\nzeta_max = 1\n"
+                      b"count = 2\nname = \xff\xfe\n")
+    code, out, err = run(capsys, "scan", "--config", str(latin), "--out",
+                         str(tmp_path / "out"))
+    assert (code, out) == (1, "") and "config error: cannot read config" in err
 
 
 def test_scan_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
@@ -167,7 +173,7 @@ def test_scan_name_with_a_path_separator_exits_one_and_writes_nothing(
 
     monkeypatch.setattr("cpshift.greens.integrate_batch", no_quadrature)
     cfg = tmp_path / "bad.cfg"
-    for name in ("sub/dir", "../escaped"):
+    for name in ("sub/dir", "../escaped", "a\0b"):
         cfg.write_text("medium = axion\nepsilon = 16\nzeta_min = 0.1\nzeta_max = 1\n"
                        f"count = 4\nquantities = rate\nname = {name}\n", encoding="utf-8")
         code, out, err = run(capsys, "scan", "--config", str(cfg), "--out",
@@ -283,6 +289,16 @@ def test_cli_medium_flags_follow_the_table(capsys, monkeypatch):
         assert run(capsys, "rates", "--medium", kind, "--zeta", "1.5")[0] == 0
         defaults = ScanConfig(medium_kind=kind, zeta_min=1.0, zeta_max=2.0, count=2)
         assert built[-1] == defaults.build_medium(), kind
+    # a flag of another kind is refused, as its config key is
+    values = {"epsilon": "4", "theta": "0.5pi", "sign": "1"}
+    for command in ("rates", "shift"):
+        for kind in MEDIUM_KINDS:
+            for name, other in MEDIUM_PARAMETERS.items():
+                if other != kind:
+                    code, out, err = run(capsys, command, "--medium", kind, "--zeta", "1",
+                                         f"--{name}", values[name])
+                    assert (code, out) == (1, ""), (command, kind, name)
+                    assert f"key '{name}' only applies to medium {other}, not {kind}" in err
 
 
 def test_reused_parser_matches_fresh_interpreters(tmp_path, capsys):

@@ -79,6 +79,12 @@ zeta_min = 0.1
 zeta_max = 2.0
 count = 5
 """))
+    # two keys of other kinds: the first in file order names its line
+    with pytest.raises(ConfigError, match="line 6: key 'theta' only applies to medium "
+                                          "axion, not nonreciprocal_mirror"):
+        parse_config(write(tmp_path, MINIMAL.replace("perfect_conductor",
+                                                     "nonreciprocal_mirror")
+                           + "theta = 1.0pi\nsign = 1\nepsilon = 4.0\n"))
 
 
 def test_pi_suffix_rejected_on_dimensionless_keys(tmp_path):
@@ -119,9 +125,14 @@ count = 5
     assert medium.sign == 1.0
 
 
-def test_missing_file():
+def test_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         parse_config("/nonexistent/path.cfg")
+    # a file that is not UTF-8 cannot be read either
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(MINIMAL.encode() + b"name = \xff\xfe\n")
+    with pytest.raises(ConfigError, match="cannot read config .*latin.cfg"):
+        parse_config(path)
 
 
 def test_quantities_parsing(tmp_path):
@@ -141,7 +152,8 @@ def test_scan_config_validation():
                 dict(epsilon=-2.0), dict(count=10.5), dict(count=np.float64(3.0)),
                 dict(count=True), dict(count=math.nan), dict(sign=True),
                 dict(zeta_min=True), dict(zeta_max=True), dict(zeta_min=np.True_),
-                dict(name=""), dict(name="sub/dir"), dict(name="../escaped")):
+                dict(name=""), dict(name="sub/dir"), dict(name="../escaped"),
+                dict(name="a\0b"), dict(sign=1.0)):
         with pytest.raises(ConfigError):
             ScanConfig(**{**ok, **bad})
 
@@ -185,6 +197,9 @@ def test_scan_config_rejects_parameters_the_model_cannot_honour(tmp_path):
             parse_config(write(tmp_path, text + line + "\n"))
     with pytest.raises(ConfigError, match="unknown medium parameter 'bogus'"):
         build_medium("axion", bogus=1.0)
+    with pytest.raises(ConfigError, match="key 'sign' only applies to medium "
+                                          "nonreciprocal_mirror, not axion"):
+        build_medium("axion", sign=1.0)
     # the Fresnel weights are those of a nonmagnetic medium: mu is no
     # setting, not even at its one value
     assert set(MEDIUM_PARAMETERS) == {"epsilon", "theta", "sign"}

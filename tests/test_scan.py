@@ -122,6 +122,27 @@ def test_scan_deterministic_csv(tmp_path):
         (tmp_path / "b" / "det.csv").read_bytes()
 
 
+def test_a_conductor_scan_builds_two_media(tmp_path, monkeypatch):
+    # ScanConfig checks its medium by building it and run_scan builds it
+    # again; no medium of another kind is built
+    from cpshift.config import MEDIUM_KINDS
+
+    built = []
+
+    def counting(init):
+        def init_and_count(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+        return init_and_count
+
+    for cls in MEDIUM_KINDS.values():
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    cfg = ScanConfig(medium_kind="perfect_conductor", zeta_min=0.5, zeta_max=1.5,
+                     count=3, quantities=("rate",))
+    run_scan(cfg, tmp_path)
+    assert built == [PerfectConductor, PerfectConductor]
+
+
 def test_mirror_sign_scans_negate_exactly(tmp_path):
     grids = {}
     for sign, tag in ((-1.0, "minus"), (1.0, "plus")):

@@ -33,7 +33,7 @@ def test_asymptotics_check_prints_the_difference_ratios():
 def test_reproduce_figures_writes_one_figure(tmp_path):
     code, out = run("reproduce_figures.py", tmp_path, "--only", "gamma_mirrors")
     assert code == 0 and out.startswith("gamma_mirrors")
-    # "gamma_mirrors     0.0 s          0 evaluations  3 files": every file
+    # "gamma_mirrors       1.7 ms          0 evaluations  3 files": every file
     # on disk, manifest included, and the manifest's evaluation count
     words = out.splitlines()[0].split()
     assert int(words[-2]) == len(list(tmp_path.iterdir())) == 3
@@ -43,6 +43,23 @@ def test_reproduce_figures_writes_one_figure(tmp_path):
         assert lines[0] == "zeta,gamma_ratio" and len(lines) == 401
     manifest = json.loads((tmp_path / "gamma_mirrors.manifest.json").read_text())
     assert manifest["status"] == "ok" and manifest["points"] == 800
+
+
+def test_reproduce_figures_takes_only_a_positive_finite_factor(tmp_path):
+    # any other --tight is a usage error before any figure runs
+    for factor in ("0", "-1", "inf"):
+        proc = subprocess.run([sys.executable, str(SCRIPTS / "reproduce_figures.py"),
+                               tmp_path / "out", "--only", "gamma_mirrors",
+                               "--tight", factor], capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == "", factor
+        assert "FACTOR must be positive and finite" in proc.stderr
+        assert not (tmp_path / "out").exists()
+    # a valid factor scales rel_tol; the wall time is printed in ms
+    code, out = run("reproduce_figures.py", tmp_path / "out", "--only", "gamma_mirrors",
+                    "--tight", "0.5")
+    assert code == 0 and out.splitlines()[0].split()[2] == "ms"
+    manifest = json.loads((tmp_path / "out" / "gamma_mirrors.manifest.json").read_text())
+    assert manifest["quadrature"]["rel_tol"] == 5e-10
 
 
 def test_gauss_kronrod_derives_the_engine_constants():
