@@ -22,8 +22,8 @@ The gamma_ti and omega_ti sets dominate the runtime: every grid point of
 their two difference traces runs the real-axis k-quadrature of the
 eps = 16 reflection difference r(theta) - r(0) at theta = pi, 40,500
 integrand evaluations per set, on the path k_perp = omega + i u, where
-nothing oscillates (`greens.numeric_greens`); the theta = -pi trace is
-that tensor with G_xy negated.
+nothing oscillates (`greens.numeric_greens`); each theta = -pi trace is
+the theta = pi tensor of its medium read with the sigma- dipole.
 The two pure-axion traces (eps = 1) and the mirror sets have
 k_par-independent reflection and take closed forms, in milliseconds.
 

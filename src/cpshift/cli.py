@@ -73,8 +73,8 @@ def _single_point(args) -> int:
     quantities = (("rate",) if args.command == "rates"
                   else ("resonant_shift", "nonresonant_shift"))
     zetas = np.array([args.zeta])
-    values, *_ = _scan_values(zetas, medium, canonical_transition(args.handedness),
-                              quantities, DEFAULT_CONFIG)
+    [(values, _, _)] = _scan_values(zetas, medium, (canonical_transition(args.handedness),),
+                                    quantities, DEFAULT_CONFIG)
     print(_format_csv([QUANTITY_COLUMNS[q] for q in quantities], zetas, values), end="")
     return 0
 

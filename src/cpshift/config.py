@@ -199,7 +199,7 @@ def parse_value(key: str, text: str):
 def parse_config(path) -> ScanConfig:
     """Read a scan config file; raises ConfigError with line numbers."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None

@@ -110,6 +110,13 @@ class PerfectNonreciprocalMirror(_ConstantReflection):
 # reads the same at 1e100 and 1e200 to 4e-16 of its largest entry.
 EPSILON_MAX = 1e100
 
+# The largest |theta| of an axion half-space.  Its reflection's products
+# overflow near |theta| = 1e150 at epsilon = EPSILON_MAX (and Delta^2 itself
+# near 5.8e156), and long before that the medium is a perfect conductor: at
+# |theta| = 1e100 and epsilon = 1e-100, 1, 16 or EPSILON_MAX, the rate and
+# both shifts at zeta = 1 and 100 are those of the conductor to 4e-16.
+_THETA_MAX = 1e100
+
 
 @dataclass(frozen=True)
 class AxionMedium:
@@ -119,7 +126,8 @@ class AxionMedium:
     coefficients carry Delta = alpha*theta/pi.  The Fresnel weights are
     those of a nonmagnetic medium: `mu` is init-only, for callers that
     state it, and must be 1; it is no field, so no config key or flag.
-    epsilon must be positive and at most EPSILON_MAX, theta finite.
+    epsilon must be positive and at most EPSILON_MAX, |theta| at most
+    _THETA_MAX.
     Nondispersive (constant eps) by construction.  theta is marked as an
     angle (radians), so text input may also give it as a pi-multiple.
     """
@@ -138,8 +146,9 @@ class AxionMedium:
         if mu != 1:
             raise ValueError(f"mu must be 1 (the Fresnel weights are those of a "
                              f"nonmagnetic medium), got {mu}")
-        if isinstance(theta, (bool, np.bool_)) or not math.isfinite(theta):
-            raise ValueError(f"theta must be finite, got {theta}")
+        if isinstance(theta, (bool, np.bool_)) or not -_THETA_MAX <= theta <= _THETA_MAX:
+            raise ValueError(f"theta must be finite, at most {_THETA_MAX:g} in magnitude, "
+                             f"got {theta}")
         object.__setattr__(self, "delta", delta(0.0, self.theta))
 
     @property

@@ -7,13 +7,16 @@ is evaluated over the whole grid at once, on the calling thread
 quadrature, the grid points are owners of one lockstep quadrature, and
 where the medium has a constant reflection matrix, closed forms run
 instead.  Every point's value equals its one-point evaluation bit for
-bit, so identical configs give byte-identical CSV files.
+bit, so identical configs give byte-identical CSV files.  A value that is
+not finite fails the run at its zeta, as a quadrature failure does.
 
-A run is a list of jobs, and one writer (`_write_run`) turns it into
-files: the jobs' CSVs, then one manifest whose points, neval (0 for closed
-forms) and quad_error are totals over the jobs and whose outputs list every
-file written, itself last.  A scan is one job; a figure is a job list,
-each CSV the trace of one medium (the loglog asymptote lines aside).
+`_scan_values` is the one path from a medium to values, for scans, figures
+and the CLI's point queries.  A run is a list of jobs, and one writer
+(`_write_run`) turns it into files: the jobs' CSVs, then one manifest whose
+points, neval (0 for closed forms) and quad_error are totals over the jobs
+and whose outputs list every file written, itself last.  A scan is one job;
+a figure is a job list, each job one medium, each CSV the trace of one
+transition above it (the loglog asymptote lines aside).
 """
 from __future__ import annotations
 
@@ -93,52 +96,57 @@ class ScanResult:
     manifest: RunManifest
 
 
-def _scan_values(zetas, medium, transition, quantities, qcfg: QuadratureConfig):
-    """All requested scaled quantities over the whole grid.
+def _scan_values(zetas, medium, transitions, quantities, qcfg: QuadratureConfig):
+    """All requested scaled quantities over the whole grid, per transition.
 
-    Each quantity is one batched call over every grid point (the rate and
-    the resonant shift share their tensors).  Returns (values[N, Q], summed
-    quadrature error estimate per point, summed integrand evaluations per
-    point; both 0 where a closed form ran).  The heights are z = zeta/w;
-    the normalization Gamma0 is computed rather than assumed 1 so
-    non-canonical transitions stay correct.  A failure raises ScanError
-    naming the zeta of the failing point.
+    The transitions share one frequency w, and the heights are z = zeta/w.
+    Each quantity is one batched call over every grid point, in the order
+    `quantities` asks: the medium's tensor is evaluated once, for the rate
+    and the resonant shift of every transition, and the s-integral once per
+    transition.  Returns per transition (values[N, Q], summed quadrature
+    error estimate per point, summed integrand evaluations per point; both
+    0 where a closed form ran); the tensor's evaluations count once, on the
+    first transition that reads it.  The normalization Gamma0 is computed
+    rather than assumed 1 so non-canonical transitions stay correct.  A
+    failure, or a value that is not finite, raises ScanError naming the
+    zeta of the first such point.
     """
-    w = transition.frequency
+    w = transitions[0].frequency
     z = zetas / w
-    gamma0 = free_space_rate_formula(transition)
-    err = np.zeros(zetas.size)
-    neval = np.zeros(zetas.size, dtype=int)
-    rate_and_shift = None
-    columns = []
+    g, results = None, []
     try:
-        for q in quantities:
-            if q in ("rate", "resonant_shift"):
-                if rate_and_shift is None:
-                    g = greens_grid(medium, z, w, qcfg)
-                    rate_and_shift = _tensor_quantities(g, transition)
-                    err += g.quad_error
-                    neval += g.neval
-                columns.append(rate_and_shift[q] / gamma0)
-            elif q == "nonresonant_shift":
-                terms = nonresonant_shift_grid(transition, z, medium, qcfg)
-                err += terms.quad_error
-                neval += terms.neval
-                columns.append(terms.total / gamma0)
-            else:
-                raise ScanError(f"unknown quantity {q!r}")
+        with np.errstate(all="ignore"):
+            for transition in transitions:
+                err = np.zeros(zetas.size)
+                neval = np.zeros(zetas.size, dtype=int)
+                rate_and_shift, columns = None, []
+                for q in quantities:
+                    if q == "nonresonant_shift":
+                        terms = nonresonant_shift_grid(transition, z, medium, qcfg)
+                        err += terms.quad_error
+                        neval += terms.neval
+                        columns.append(terms.total)
+                        continue
+                    if rate_and_shift is None:
+                        if g is None:
+                            g = greens_grid(medium, z, w, qcfg)
+                            neval += g.neval
+                        rate_and_shift = _tensor_quantities(g, transition)
+                        err += g.quad_error
+                    columns.append(rate_and_shift[q])
+                values = np.column_stack(columns) / free_space_rate_formula(transition)
+                rows, cols = np.nonzero(~np.isfinite(values))
+                if rows.size:
+                    zeta = float(zetas[rows[0]])
+                    raise ScanError(f"non-finite {quantities[cols[0]]} at zeta={zeta:.6g}",
+                                    zeta=zeta)
+                results.append((values, err, neval))
     except (QuadratureError, ArithmeticError) as exc:
-        raise _scan_error(exc, zetas) from exc
-    return np.column_stack(columns), err, neval
-
-
-def _scan_error(exc, zetas) -> ScanError:
-    """A quadrature or arithmetic failure of owner j as a ScanError naming
-    zetas[j]."""
-    owner = getattr(exc, "owner", None)
-    zeta = None if owner is None else float(zetas[owner])
-    where = "" if zeta is None else f" at zeta={zeta:.6g}"
-    return ScanError(f"{type(exc).__name__}{where}: {exc}", zeta=zeta)
+        owner = getattr(exc, "owner", None)
+        zeta = None if owner is None else float(zetas[owner])
+        where = "" if zeta is None else f" at zeta={zeta:.6g}"
+        raise ScanError(f"{type(exc).__name__}{where}: {exc}", zeta=zeta) from exc
+    return results
 
 
 def _format_csv(columns, zetas, values) -> str:
@@ -201,11 +209,15 @@ def _write_run(out_dir, name: str, command: str, config: dict,
     return manifest, tables
 
 
-def _trace(name, zetas, medium, transition, quantities, qcfg):
-    """The job of one CSV `<name>.csv`: `quantities` over `zetas`."""
-    values, err, neval = _scan_values(zetas, medium, transition, quantities, qcfg)
+def _trace(traces: dict, zetas, medium, quantities, qcfg):
+    """The job of one CSV `<name>.csv` per (name, transition) of `traces`:
+    `quantities` over `zetas` above `medium`, all from one `_scan_values`
+    call."""
+    values, errs, nevals = zip(*_scan_values(zetas, medium, tuple(traces.values()),
+                                             quantities, qcfg))
     columns = tuple(QUANTITY_COLUMNS[q] for q in quantities)
-    return [(f"{name}.csv", columns, zetas, values)], err, neval
+    return ([(f"{name}.csv", columns, zetas, v) for name, v in zip(traces, values)],
+            np.concatenate(errs), np.concatenate(nevals))
 
 
 def run_scan(config: ScanConfig, out_dir,
@@ -219,8 +231,8 @@ def run_scan(config: ScanConfig, out_dir,
     """
     out = Path(out_dir)
     qcfg = qcfg or DEFAULT_CONFIG
-    job = partial(_trace, config.name, config.grid(), config.build_medium(),
-                  canonical_transition(config.handedness), config.quantities, qcfg)
+    job = partial(_trace, {config.name: canonical_transition(config.handedness)},
+                  config.grid(), config.build_medium(), config.quantities, qcfg)
     manifest, [(_, columns, zetas, values)] = _write_run(
         out, config.name, "scan", _config_echo(config), qcfg, [job])
     return ScanResult(zetas=zetas, columns=columns, values=values,
@@ -246,14 +258,14 @@ FIGURE_NAMES = ("gamma_mirrors", "omega_mirrors", "loglog_nres",
 _OSC_GRID = dict(zeta_min=0.05, zeta_max=8.0, count=400, spacing="linear")
 _LOG_GRID = dict(zeta_min=1e-2, zeta_max=1e2, count=361, spacing="log")
 _MIRRORS = ("perfect_conductor", "nonreciprocal_mirror")
-_PLUS = canonical_transition("plus")
+_PLUS, _MINUS = canonical_transition("plus"), canonical_transition("minus")
 
 
 def _loglog_job(medium_kind, zetas, qcfg):
     """The nonresonant shift above one mirror, then its retarded and
     nonretarded closed-form asymptotes."""
     medium = build_medium(medium_kind)
-    tables, err, neval = _trace(f"loglog_nres_{medium_kind}", zetas, medium, _PLUS,
+    tables, err, neval = _trace({f"loglog_nres_{medium_kind}": _PLUS}, zetas, medium,
                                 ("nonresonant_shift",), qcfg)
     gamma0 = free_space_rate_formula(_PLUS)
     for regime in ("retarded", "nonretarded"):
@@ -268,40 +280,21 @@ def _figure_jobs(name: str, qcfg: QuadratureConfig) -> list:
     """The jobs of figure `name`, in the order their files are written."""
     osc = zeta_grid(**_OSC_GRID)
 
-    def trace(tag, medium, quantity):
-        return partial(_trace, f"{name}_{tag}", osc, medium, _PLUS, (quantity,), qcfg)
+    def trace(traces, medium, quantity):
+        return partial(_trace, traces, osc, medium, (quantity,), qcfg)
 
     if name == "gamma_mirrors":
-        return [trace(m, build_medium(m), "rate") for m in _MIRRORS]
+        return [trace({f"{name}_{m}": _PLUS}, build_medium(m), "rate") for m in _MIRRORS]
     if name == "omega_mirrors":
-        return [trace(f"{q}_{m}", build_medium(m), q) for m in _MIRRORS
+        return [trace({f"{name}_{q}_{m}": _PLUS}, build_medium(m), q) for m in _MIRRORS
                 for q in ("resonant_shift", "nonresonant_shift")]
     if name == "loglog_nres":
         return [partial(_loglog_job, m, zeta_grid(**_LOG_GRID), qcfg) for m in _MIRRORS]
     quantity = "rate" if name == "gamma_ti" else "resonant_shift"
-    return [trace(f"pure_axion_{tag}", AxionMedium(theta=theta), quantity)
-            for theta, tag in ((np.pi, "theta_pi"), (-np.pi, "theta_minus_pi"))
-            ] + [partial(_difference_job, name, osc, quantity, qcfg)]
-
-
-def _difference_job(name, zetas, quantity, qcfg):
-    """Both eps = 16 difference traces of a TI figure from one quadrature.
-
-    Delta r = r(theta) - r(0) is even in Delta in ss and pp and odd in sp
-    and ps, so the theta = -pi tensor is the theta = pi one with xy
-    negated, bit for bit (quad_error and neval included).  Each CSV stays
-    the trace of one medium; both carry the tensor's error per point, and
-    its evaluations count once, on the theta = pi points.
-    """
-    w, gamma0 = _PLUS.frequency, free_space_rate_formula(_PLUS)
-    try:
-        g = greens_grid(_AxionDifference(epsilon=16.0, theta=np.pi), zetas / w, w, qcfg)
-    except (QuadratureError, ArithmeticError) as exc:
-        raise _scan_error(exc, zetas) from exc
-    tables = [(f"{name}_difference_eps16_{tag}.csv", (QUANTITY_COLUMNS[quantity],), zetas,
-               (_tensor_quantities(t, _PLUS)[quantity] / gamma0)[:, None])
-              for t, tag in ((g, "theta_pi"), (g._replace(xy=-g.xy), "theta_minus_pi"))]
-    return tables, np.tile(g.quad_error, 2), np.concatenate([g.neval, np.zeros_like(g.neval)])
+    media = {"pure_axion": AxionMedium(theta=np.pi),
+             "difference_eps16": _AxionDifference(epsilon=16.0, theta=np.pi)}
+    return [trace({f"{name}_{tag}_theta_pi": _PLUS, f"{name}_{tag}_theta_minus_pi": _MINUS},
+                  medium, quantity) for tag, medium in media.items()]
 
 
 def figure(name: str, out_dir, qcfg: QuadratureConfig | None = None) -> list:
@@ -313,8 +306,11 @@ def figure(name: str, out_dir, qcfg: QuadratureConfig | None = None) -> list:
     on a linear grid.  loglog_nres: nonresonant shift for both mirrors on a
     log grid plus the four closed-form asymptote traces.  gamma_ti /
     omega_ti: pure-axion theta = +-pi traces plus the eps = 16
-    with-minus-without-axion traces of r(theta) - r(0).  The manifest's
-    points, neval and quad_error are totals over every trace.
+    with-minus-without-axion traces of r(theta) - r(0), each medium
+    evaluated once, at theta = pi, and its theta = -pi trace read with the
+    sigma- dipole.  The manifest's points, neval and quad_error are totals
+    over every trace; a tensor's evaluations count once, on its theta = pi
+    trace, and its error on both.
     """
     if name not in FIGURE_NAMES:
         raise ConfigError(f"unknown figure {name!r}; expected one of "

@@ -294,6 +294,24 @@ def test_s_integral_converges_next_to_epsilon_one():
     assert terms[2].re_term == pytest.approx(4.0 * terms[0].re_term, rel=1e-9)
 
 
+def test_theta_at_its_bound_evaluates_as_the_conductor():
+    # |Delta| = 2.3e97 at |theta| = 1e100: r_ss -> -1, r_pp -> 1 and
+    # r_sp -> 0 at every epsilon, and nothing overflows on the way
+    from cpshift.media import _THETA_MAX
+    for theta in (_THETA_MAX, -_THETA_MAX):
+        for eps in (1e-100, 16.0, 1e100):
+            medium = AxionMedium(epsilon=eps, theta=theta)
+            for z in (1e-3, 1.0, 100.0):
+                for fn in (decay_rate, resonant_shift, nonresonant_shift):
+                    value, conductor = fn(TR, z, medium), fn(TR, z, COND)
+                    assert math.isfinite(value), (theta, eps, z, fn.__name__)
+                    if z >= 1.0:
+                        assert value == pytest.approx(conductor, rel=1e-15), \
+                            (theta, eps, z, fn.__name__)
+    with pytest.raises(ValueError, match="theta"):
+        AxionMedium(theta=np.nextafter(_THETA_MAX, math.inf))
+
+
 def test_xi_moments_against_mpmath():
     # B0 = f(b), B1 = g(b), B2 = 1/b - f, B3 = 1/b^2 - g(b) and
     # B4 = 2/b^3 - 1/b + f(b), with the sine/cosine auxiliary functions f

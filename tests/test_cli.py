@@ -154,6 +154,15 @@ name = fail
     assert manifest["status"] == "failed"
 
 
+def test_a_non_finite_value_exits_two_and_names_its_zeta(capsys):
+    # the conductor's closed forms overflow to inf - inf this close
+    code, out, err = run(capsys, "shift", "--medium", "perfect_conductor",
+                         "--zeta", "1e-110")
+    assert code == 2
+    assert out == ""
+    assert "numerical failure" in err and "zeta=1e-110" in err
+
+
 def test_unwritable_output_exits_two(tmp_path, capsys):
     # --out naming an existing file: the output directory cannot be made
     blocker = tmp_path / "taken"
@@ -204,7 +213,7 @@ def test_bad_medium_parameters_exit_one_before_quadrature(capsys, monkeypatch):
     monkeypatch.setattr(cpshift.quadrature, "integrate_batch", no_quadrature)
     for command in ("rates", "shift"):
         for flag, value in (("--epsilon", "nan"), ("--epsilon", "inf"),
-                            ("--theta", "inf"), ("--theta", "nan")):
+                            ("--theta", "inf"), ("--theta", "nan"), ("--theta", "1e300")):
             code, out, err = run(capsys, command, "--medium", "axion",
                                  "--zeta", "1.5", flag, value)
             assert code == 1, (command, flag, value)

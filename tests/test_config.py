@@ -135,6 +135,13 @@ def test_missing_file(tmp_path):
         parse_config(path)
 
 
+def test_a_byte_order_mark_is_no_part_of_the_first_key(tmp_path):
+    # some editors start a UTF-8 file with U+FEFF
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + MINIMAL.split("\n", 1)[1].encode())
+    assert parse_config(path) == parse_config(write(tmp_path, MINIMAL))
+
+
 def test_quantities_parsing(tmp_path):
     cfg = parse_config(write(tmp_path, MINIMAL + "quantities = rate, resonant_shift\n"))
     assert cfg.quantities == ("rate", "resonant_shift")

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cpshift.atomics import (decay_rate, greens_tensor, nonresonant_shift,
-                             nonresonant_shift_terms, resonant_shift)
+from cpshift.atomics import (_tensor_quantities, decay_rate, greens_grid, greens_tensor,
+                             nonresonant_shift, nonresonant_shift_terms, resonant_shift)
 from cpshift.config import ConfigError, ScanConfig
 from cpshift.greens import numeric_greens
 from cpshift.scan import FIGURE_NAMES, ScanError, _format_csv, figure, run_scan
@@ -256,6 +256,46 @@ def test_minus_pi_difference_tensor_is_the_pi_one_with_xy_negated():
     for name in ("xx", "zz", "quad_error", "neval"):
         assert np.array_equal(getattr(minus, name), getattr(plus, name)), name
     assert np.array_equal(minus.xy, -plus.xy)
+    # so theta -> -theta is d -> d*: each theta = -pi trace of a TI figure is
+    # the theta = pi tensor read with the sigma- dipole, sign bits included
+    sigma_minus = canonical_transition("minus")
+    for medium in (_AxionDifference, AxionMedium):
+        eps = 16.0 if medium is _AxionDifference else 1.0
+        at_pi, at_minus_pi = (greens_grid(medium(epsilon=eps, theta=theta), zetas, 1.0)
+                              for theta in (math.pi, -math.pi))
+        read_minus = _tensor_quantities(at_pi, sigma_minus)
+        read_plus = _tensor_quantities(at_minus_pi, TR)
+        for q in ("rate", "resonant_shift"):
+            assert np.array_equal(read_minus[q], read_plus[q]), (medium, q)
+            assert np.array_equal(np.signbit(read_minus[q]), np.signbit(read_plus[q]))
+
+
+def test_a_ti_figure_evaluates_two_media(tmp_path, monkeypatch):
+    # the pure axion and r(theta) - r(0), each at theta = pi only
+    import cpshift.scan
+    media = []
+
+    def counting(medium, *args, **kwargs):
+        media.append(medium)
+        return greens_grid(medium, *args, **kwargs)
+
+    monkeypatch.setattr(cpshift.scan, "greens_grid", counting)
+    figure("gamma_ti", tmp_path)
+    assert len(media) == 2
+    assert [(type(m), m.theta) for m in media] == [(AxionMedium, math.pi),
+                                                   (_AxionDifference, math.pi)]
+
+
+def test_a_non_finite_value_fails_the_scan_at_its_zeta(tmp_path):
+    # the conductor's closed forms overflow to inf - inf this close
+    cfg = ScanConfig(medium_kind="perfect_conductor", zeta_min=1e-120, zeta_max=1e-100,
+                     count=5, spacing="log", quantities=("rate",), name="close")
+    with pytest.raises(ScanError) as excinfo:
+        run_scan(cfg, tmp_path)
+    assert excinfo.value.zeta == 1e-120
+    manifest = json.loads((tmp_path / "close.manifest.json").read_text())
+    assert manifest["status"] == "failed" and "zeta=1e-120" in manifest["error"]
+    assert [p.name for p in tmp_path.iterdir()] == ["close.manifest.json"]
 
 
 def test_a_failing_figure_leaves_one_manifest(tmp_path, monkeypatch):
