@@ -11,14 +11,15 @@ in the package's units c = hbar = mu0 = eps0 = 1 (`cpshift.units`):
 with w the (possibly shifted) transition frequency.  `greens_grid` gives
 the real-axis tensors of all heights of a scan at once.
 `nonresonant_shift_grid` does the xi-integral in closed form and integrates
-over s = k_perp/(i xi) instead, on the k-quadrature's map of the half line:
-s - 1 = (1 - x)/(c x), with c = min(1, sqrt(2 w z)) in the part of a xi
-there.  Both choose their route on one fact, the
-medium's `constant_reflection`: a medium that states one (the ideal
-mirrors, the constant test medium, the axion half-space at epsilon = 1)
-takes closed forms for both, every other medium the k-quadrature and the
-s-integral.  The one-height functions are the N = 1 cases of the grid ones,
-so a grid value equals its one-height value bit for bit.
+over tau = 1/s, s = k_perp/(i xi), instead, each height starting on a
+dyadic ladder of tau that reaches its scale 2 w z.  Both choose their
+route on one fact, the medium's `constant_reflection`: a medium that
+states one (the ideal mirrors, the constant test medium, the axion
+half-space at epsilon = 1) takes closed forms for both, every other medium
+the k-quadrature and the s-integral.  The one-height functions are the
+N = 1 cases of the grid ones, so a grid value equals its one-height value
+bit for bit.  A rate or shift that is not finite raises QuadratureError,
+with the first such height as its owner (`_finite`).
 """
 from __future__ import annotations
 
@@ -33,8 +34,8 @@ from .greens import (PlanarTensors, _grid_omega, _heights, _kernels,
 from .media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
                     ReflectionMatrix, _AxionDifference,
                     nonretarded_limit_coefficients, retarded_limit_coefficients)
-from .quadrature import (DEFAULT_CONFIG, HALF_LINE_MESH, QuadratureConfig,
-                         _check_count, _check_positive, integrate_batch)
+from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, QuadratureError,
+                         _check_count, _check_positive, _dyadic_mesh, integrate_batch)
 # not called here but importable from this module: perfbench/tracer.py
 # wraps them by these names.
 from .greens import scattering_greens_numeric  # noqa: F401
@@ -79,23 +80,28 @@ def greens_tensor(medium, z: float, omega: complex,
 
 def _tensor_quantities(g: PlanarTensors, transition: Transition) -> dict:
     """{"rate": Gamma^(1) = 2 w^2 Im s, "resonant_shift": dw_res = -w^2 Re s}
-    from one sandwich s of the tensors g at the transition frequency w."""
+    from one sandwich s of the tensors g at the transition frequency w,
+    under np.errstate: a value that is not finite raises QuadratureError
+    with the first such height as its owner (`_finite`)."""
     w = transition.frequency
-    s = g.sandwich(transition.dipole)
-    return {"rate": 2.0 * w ** 2 * s.imag, "resonant_shift": -w ** 2 * s.real}
+    with np.errstate(all="ignore"):
+        s = g.sandwich(transition.dipole)
+        return _finite({"rate": 2.0 * w ** 2 * s.imag, "resonant_shift": -w ** 2 * s.real})
 
 
 def decay_rate(transition: Transition, z: float, medium,
                config: QuadratureConfig | None = None) -> float:
     """Body-induced decay rate Gamma^(1) at height z."""
-    g = greens_tensor(medium, z, transition.frequency, config)
+    with np.errstate(all="ignore"):  # an overflow ends in _tensor_quantities' check
+        g = greens_tensor(medium, z, transition.frequency, config)
     return float(_tensor_quantities(g, transition)["rate"])
 
 
 def resonant_shift(transition: Transition, z: float, medium,
                    config: QuadratureConfig | None = None) -> float:
     """Resonant (real-photon) part of the frequency shift."""
-    g = greens_tensor(medium, z, transition.frequency, config)
+    with np.errstate(all="ignore"):  # an overflow ends in _tensor_quantities' check
+        g = greens_tensor(medium, z, transition.frequency, config)
     return float(_tensor_quantities(g, transition)["resonant_shift"])
 
 
@@ -188,7 +194,7 @@ def _moments(b, lower: bool = True):
             upper = [f, -cc - ss, r - f] + upper
         out[:, near] = upper
     if nnear + nfar < b.size:
-        hi = ~(near | far)
+        hi = ~(near | far) if nnear + nfar else slice(None)  # a view, not a gather
         x = b[hi]
         grid, table = _moment_table()
         j = np.rint(np.log(0.5 * x) * (1.0 / math.log(_STEP))).astype(int)
@@ -228,10 +234,19 @@ def _closed_form_nonresonant(r: ReflectionMatrix, dipole, a):
     p = _sandwich(*k, dipole, dipole.conj())
     b0, b1, b2, b3, _ = _moments(a)
     # far up a ** 3 overflows to inf (from a ~ 6e102) and its terms to 0,
-    # which their true values underflow to anyway
-    with np.errstate(over="ignore"):
-        return (p[0].imag * b3 / a + p[1].imag * b2 / a ** 2 + p[2].imag * b1 / a ** 3,
-                p[0].real * b2 / a + p[1].real * b1 / a ** 2 + p[2].real * b0 / a ** 3)
+    # which their true values underflow to anyway (the caller evaluates
+    # under np.errstate)
+    return (p[0].imag * b3 / a + p[1].imag * b2 / a ** 2 + p[2].imag * b1 / a ** 3,
+            p[0].real * b2 / a + p[1].real * b1 / a ** 2 + p[2].real * b0 / a ** 3)
+
+
+# The deepest start ladder of the s-integral.  Its finest panel [0, 2^-1022]
+# ends at the smallest normal double: deeper, the ladder's steps would be
+# subnormal, one bit shorter per level, until from 2^-1075 on they round to
+# 0 and the mesh no longer rises.  Only heights with 2 w z below about
+# 2^-1018 reach the cap, far below where the integrand overflows (zeta ~
+# 1e-77 for the canonical transition), so they fail at their height either way.
+_LADDER_MAX = 1022
 
 
 def nonresonant_shift_grid(transition: Transition, z, medium,
@@ -243,52 +258,84 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
     being nondispersive, does not depend on xi.  The xi-integral done first
     (`_moments`) leaves, with b = 2 s w z,
         dw_nres = (w^3/8 pi^2) int_1^inf ds [Im P B4(b) - Re P B3(b)],
-    over x in (0, 1] at rel_tol / 10 (`xi_rel_tol`), height j as owner j of
-    one `integrate_batch` (a failure's `owner` is j).  The map is the
-    k-quadrature's (QUADPACK's infinite-range transform): s - 1 =
-    (1 - x)/(c x), so tau = 1/s = x/(x + (1 - x)/c) and ds = -dx/(c x^2).
-    The integrand has two scales in s - 1: about 1, over which P varies,
-    and 1/(2 w z), beyond which B3 and B4 fall off.  With c = sqrt(2 w z)
-    below 2 w z = 1 they sit about c from either end of x, the rule of the
-    k-quadrature on the imaginary axis (there s - 1 = u/xi and a xi =
-    sqrt(2 xi z)); tau = 1/s alone would squeeze the second into tau ~ 2 w z,
-    which bisection reaches one level per round.  From 2 w z = 1 on, c = 1
-    and x is tau, bit for bit.  s = inf sits at x = 0, and every height
-    starts on the same dyadic panels (HALF_LINE_MESH).  A medium that states
-    a constant reflection matrix has P polynomial in s, and the s-integral
-    in closed form instead (`_closed_form_nonresonant`).
+    over tau = 1/s in (0, 1] (ds = -dtau/tau^2) at rel_tol / 10
+    (`xi_rel_tol`).  The integrand has two scales: tau ~ 1, over which P
+    varies, and tau ~ 2 w z, below which B3 and B4 fall off.  So height j
+    starts on the dyadic ladder (0, 2^-L, ..., 1/4, 1/2, 1) with
+    L = max(4, 4 - round(log2 2 w z)) (`quadrature._dyadic_mesh`), whose
+    finest panel sits near tau = 2 w z / 16, and at most _LADDER_MAX levels.
+    The heights that share L are the owners of one `integrate_batch` call,
+    and a failure's `owner` is the height.  A medium that states a constant
+    reflection matrix has P polynomial in s, and the s-integral in closed
+    form instead (`_closed_form_nonresonant`).  Evaluation runs under
+    np.errstate: a term that is not finite raises QuadratureError with the
+    first such height as its owner.
     """
     z = _heights(z)
     cfg = config or DEFAULT_CONFIG
     w = transition.frequency
-    scale = 2.0 * w * z  # b = scale * s
     pref = w ** 3 / (8 * math.pi ** 2)
     r = getattr(medium, "constant_reflection", None)
-    if r is not None:
-        im, re = _closed_form_nonresonant(r, transition.dipole, scale)
-        return NonresonantTerms(im_term=pref * im, re_term=-pref * re,
-                                quad_error=np.zeros(z.size),
-                                neval=np.zeros(z.size, dtype=int))
+    with np.errstate(all="ignore"):
+        scale = 2.0 * w * z  # b = scale * s
+        if r is not None:
+            im, re = _closed_form_nonresonant(r, transition.dipole, scale)
+            errors, neval = np.zeros(z.size), np.zeros(z.size, dtype=int)
+        else:
+            values, errors, neval = _s_integral(transition, scale, medium, cfg)
+            im, re = values.real, values.imag
+        terms = _finite({"im_term": pref * im, "re_term": -pref * re})
+    return NonresonantTerms(**terms, quad_error=pref * errors, neval=neval)
 
-    c = np.minimum(1.0, np.sqrt(scale))
+
+def _s_integral(transition: Transition, scale, medium, cfg: QuadratureConfig):
+    """int_0^1 dtau/tau^2 [Im P B4(b) + i Re P B3(b)], b = scale[j]/tau, at
+    every height j: one `integrate_batch` call per start ladder."""
+    w = transition.frequency
     d = np.asarray(transition.dipole, dtype=complex)
     d, dc = d.tolist(), d.conj().tolist()  # Python complexes: cheaper to index
+    levels = (4.0 - np.rint(np.log2(scale))).clip(4, _LADDER_MAX).astype(int)
 
-    def f(x, owner):
-        co = c[owner]
-        tau = x / (x + (1.0 - x) / co)
-        k = _kernels(medium, 1j * w, 1j * w / tau,
-                     w * w * (1.0 - tau) * (1.0 + tau) / (tau * tau))
-        p = _sandwich(k[:, 0], k[:, 1], k[:, 2], d, dc)  # P = d . G . conj(d)
-        b3, b4 = _moments(scale[owner] / tau, lower=False)
-        # pack both real integrands into one complex quadrature pass
-        return (p.imag * b4 + 1j * (p.real * b3)) / (co * x * x)
+    def run(level, scale):
+        def f(tau, owner):
+            tau2 = tau * tau
+            k = _kernels(medium, 1j * w, 1j * w / tau,
+                         w * w * (1.0 - tau) * (1.0 + tau) / tau2)
+            p = _sandwich(k[:, 0], k[:, 1], k[:, 2], d, dc)  # P = d . G . conj(d)
+            b3, b4 = _moments(scale[owner] / tau, lower=False)
+            # pack both real integrands into one complex quadrature pass
+            return (p.imag * b4 + 1j * (p.real * b3)) / tau2
 
-    values, errors, neval = integrate_batch(
-        f, np.zeros(z.size), np.ones(z.size), rel_tol=cfg.xi_rel_tol,
-        max_panels=cfg.max_panels, mesh=HALF_LINE_MESH)
-    return NonresonantTerms(im_term=pref * values.real, re_term=-pref * values.imag,
-                            quad_error=pref * errors, neval=neval)
+        return integrate_batch(f, np.zeros(scale.size), np.ones(scale.size),
+                               rel_tol=cfg.xi_rel_tol, max_panels=cfg.max_panels,
+                               mesh=_dyadic_mesh(level))
+
+    ladders = sorted(set(levels.tolist()))
+    if len(ladders) == 1:
+        return run(ladders[0], scale)
+    values = np.empty(scale.size, dtype=complex)
+    errors, neval = np.empty(scale.size), np.empty(scale.size, dtype=int)
+    for level in ladders:
+        own = np.flatnonzero(levels == level)
+        try:
+            values[own], errors[own], neval[own] = run(level, scale[own])
+        except (QuadratureError, ArithmeticError) as exc:
+            if getattr(exc, "owner", None) is not None:
+                exc.owner = int(own[exc.owner])
+                exc.args = (f"{exc} (height {exc.owner})",)
+            raise
+    return values, errors, neval
+
+
+def _finite(quantities: dict) -> dict:
+    """quantities, arrays over heights (0-d for one height), unless one is
+    not finite at some height: then QuadratureError, as a quadrature failure
+    raises, with the first such height as its owner."""
+    finite = np.isfinite(list(quantities.values()))
+    if np.logical_and.reduce(finite, axis=None):
+        return quantities
+    i = int(np.argmin(np.logical_and.reduce(finite)))
+    raise QuadratureError(f"{' or '.join(quantities)} not finite at height {i}", owner=i)
 
 
 def nonresonant_shift_terms(transition: Transition, z: float, medium,

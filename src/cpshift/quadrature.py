@@ -28,7 +28,8 @@ one interval cost one set of nodes.  Each owner applies the same rule with
 its own tolerance and width cap, and drops out of the rounds once every
 component has converged.  Every owner starts on one shared mesh of
 panels, fractions of its interval (QUADPACK QAGP's breakpoints): [a, b]
-itself by default, `HALF_LINE_MESH` for a half-line mapped onto (0, 1].
+itself by default, a dyadic ladder (`_dyadic_mesh`, `HALF_LINE_MESH`) for
+a half-line mapped onto (0, 1].
 `max_panels` bounds the live panels of the whole call: owners that would
 overflow it wait in a queue and restart later on their start mesh, so a
 call's memory does not grow with N.  `integrate` is the one-owner,
@@ -91,13 +92,20 @@ _G7_WEIGHTS[1::2] = [
     0.1294849661688697,
 ]
 
-# The start mesh of a half-line mapped onto x in (0, 1] with infinity at
-# x = 0.  Bisection from [0, 1] reaches these panels at every height of the
-# k-integral (`greens.numeric_greens`), so starting on them skips its first
-# four rounds.  The s-integral (`atomics.nonresonant_shift_grid`) runs on
-# the same map; at its easiest heights bisection from [0, 1] would end on
-# coarser panels, at the same 75 evaluations.
-HALF_LINE_MESH = (0.0, 0.0625, 0.125, 0.25, 0.5, 1.0)
+@functools.cache
+def _dyadic_mesh(levels: int) -> tuple:
+    """The start mesh (0, 2^-levels, ..., 1/4, 1/2, 1) of a half-line mapped
+    onto x in (0, 1] with infinity at x = 0: a ladder whose finest panel,
+    [0, 2^-levels], holds the tail."""
+    return (0.0,) + tuple(2.0 ** -k for k in range(levels, -1, -1))
+
+
+# The 4-level ladder.  Bisection from [0, 1] reaches these panels at every
+# height of the k-integral (`greens.numeric_greens`), so starting on them
+# skips its first four rounds.  The s-integral
+# (`atomics.nonresonant_shift_grid`) starts on it from 2 w z = 2^-1/2 up,
+# and below on a deeper ladder, whose finest panel sits near tau = 2 w z/16.
+HALF_LINE_MESH = _dyadic_mesh(4)
 
 # The bisection cap: no panel narrower than 2^(1 - MAX_DEPTH) of its
 # integral's interval splits (see integrate_batch).

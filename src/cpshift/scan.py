@@ -108,8 +108,9 @@ def _scan_values(zetas, medium, transitions, quantities, qcfg: QuadratureConfig)
     0 where a closed form ran); the tensor's evaluations count once, on the
     first transition that reads it.  The normalization Gamma0 is computed
     rather than assumed 1 so non-canonical transitions stay correct.  A
-    failure, or a value that is not finite, raises ScanError naming the
-    zeta of the first such point.
+    failure, a value that is not finite included (`atomics._finite`),
+    raises ScanError naming the zeta of the first such point; the grid runs
+    under np.errstate, so a tensor that overflows reaches that check.
     """
     w = transitions[0].frequency
     z = zetas / w
@@ -135,11 +136,6 @@ def _scan_values(zetas, medium, transitions, quantities, qcfg: QuadratureConfig)
                         err += g.quad_error
                     columns.append(rate_and_shift[q])
                 values = np.column_stack(columns) / free_space_rate_formula(transition)
-                rows, cols = np.nonzero(~np.isfinite(values))
-                if rows.size:
-                    zeta = float(zetas[rows[0]])
-                    raise ScanError(f"non-finite {quantities[cols[0]]} at zeta={zeta:.6g}",
-                                    zeta=zeta)
                 results.append((values, err, neval))
     except (QuadratureError, ArithmeticError) as exc:
         owner = getattr(exc, "owner", None)

@@ -12,15 +12,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import cpshift
-from cpshift.atomics import (AsymptoticCase, _moment_table, _moments, asymptotic,
-                             axion_difference, decay_rate, greens_grid, greens_tensor,
-                             nonresonant_shift, nonresonant_shift_grid,
+from cpshift.atomics import (AsymptoticCase, _moment_table, _moments, _tensor_quantities,
+                             asymptotic, axion_difference, decay_rate, greens_grid,
+                             greens_tensor, nonresonant_shift, nonresonant_shift_grid,
                              nonresonant_shift_terms, resonant_shift,
                              self_consistent_shift, total_shift)
 from cpshift.greens import numeric_greens
 from cpshift.media import (AxionMedium, ConstantReflectionMedium, PerfectConductor,
                            PerfectNonreciprocalMirror, PoleError, _AxionDifference)
 from cpshift.quadrature import QuadratureConfig, QuadratureError, integrate
+from cpshift.scan import ScanError, _scan_values
 from cpshift.units import Transition, canonical_transition, circular_dipole
 
 TR = canonical_transition("plus")
@@ -389,11 +390,13 @@ def test_tight_s_integral_converges_from_contact_to_far_field():
 
 
 def test_nonresonant_grid_under_a_small_panel_budget_matches_point_calls():
-    # a budget of 12 panels holds the s-integral of any one of the four
-    # heights (5 to 10 live panels, from the 5 of the start mesh) but not
-    # all of them, so heights are evicted and restarted, which costs
-    # reflection nodes; each still equals its one-height call at the
-    # default budget, bit for bit
+    # the four heights share the 4-level start ladder (2 w z >= 2^-1/2), and
+    # above eps = 0.25 each splits one of its 5 start panels; a budget of
+    # 11 panels holds the s-integral of any one of them but not two, so
+    # heights are evicted and restarted, which costs reflection nodes; each
+    # still equals its one-height call at the default budget, bit for bit.
+    # (Above eps = 16 every height converges on its start ladder, and no
+    # owner that does not split is ever evicted.)
     class Counted(AxionMedium):
         nodes = 0
 
@@ -401,34 +404,118 @@ def test_nonresonant_grid_under_a_small_panel_budget_matches_point_calls():
             Counted.nodes += np.size(k_perp)
             return super().reflection(omega, k_perp)
 
-    z = np.array([0.03, 0.1, 0.3, 1.1])
-    m16 = Counted(epsilon=16.0, theta=math.pi)
-    nonresonant_shift_grid(TR, z, m16)
+    z = np.array([0.5, 1.1, 2.0, 5.0])
+    m025 = Counted(epsilon=0.25, theta=math.pi)
+    nonresonant_shift_grid(TR, z, m025)
     unbounded, Counted.nodes = Counted.nodes, 0
-    grid = nonresonant_shift_grid(TR, z, m16, config=QuadratureConfig(max_panels=12))
+    grid = nonresonant_shift_grid(TR, z, m025, config=QuadratureConfig(max_panels=11))
     assert Counted.nodes > unbounded
     assert grid.neval.sum() > 12 * 15
+    for j, zj in enumerate(z):
+        one = nonresonant_shift_terms(TR, float(zj), m025)
+        assert (grid.im_term[j], grid.re_term[j]) == (one.im_term, one.re_term)
+        assert (grid.quad_error[j], grid.neval[j]) == (one.quad_error, one.neval)
+
+
+def test_nonresonant_grid_over_many_start_ladders_matches_point_calls():
+    # zeta = 1e-4 ... 20 start on ladders of 4 to 17 levels, one
+    # integrate_batch call per ladder; each height still equals its
+    # one-height call bit for bit
+    z = np.geomspace(1e-4, 20.0, 12)
+    levels = np.clip(4 - np.rint(np.log2(2.0 * z)), 4, None)
+    assert np.unique(levels).size >= 4
+    m16 = AxionMedium(epsilon=16.0, theta=math.pi)
+    grid = nonresonant_shift_grid(TR, z, m16)
     for j, zj in enumerate(z):
         one = nonresonant_shift_terms(TR, float(zj), m16)
         assert (grid.im_term[j], grid.re_term[j]) == (one.im_term, one.re_term)
         assert (grid.quad_error[j], grid.neval[j]) == (one.quad_error, one.neval)
 
 
+def test_a_pole_on_a_deeper_ladder_names_its_height():
+    # zeta = 1e-3 alone starts on the 13-level ladder, whose panel
+    # [2^-13, 2^-12] no other height's ladder has: a stand-in pole at its
+    # middle node fails that ladder's call, whose owner 0 is height 3
+    tau = 1.5 * 2.0 ** -13
+    reflection = AxionMedium.reflection
+
+    class PoleAtTau(AxionMedium):
+        def reflection(self, omega, k_perp):
+            hit = np.flatnonzero(np.abs(np.abs(k_perp) * tau - 1.0) < 1e-12)
+            if hit.size:
+                raise PoleError("stand-in pole", owner=int(hit[0]))
+            return reflection(self, omega, k_perp)
+
+    zetas = np.array([2.0, 0.05, 0.5, 1e-3])
+    medium = PoleAtTau(epsilon=16.0, theta=math.pi)
+    with pytest.raises(PoleError) as excinfo:
+        nonresonant_shift_grid(TR, zetas / TR.frequency, medium)
+    assert excinfo.value.owner == 3
+    with pytest.raises(ScanError) as excinfo:
+        _scan_values(zetas, medium, (TR,), ("nonresonant_shift",), QuadratureConfig())
+    assert excinfo.value.zeta == 1e-3
+
+
 def test_nonresonant_evaluation_count_on_the_benchmark_pool():
     # evaluation counts do not depend on the machine, so they pin the
     # engine's panel decisions: the benchmark's 64 log-spaced zeta in
-    # [0.01, 10] take 6,390 with the two-scale map (8,640 over tau = 1/s
-    # from the start mesh, 10,980 from [0, 1]), and single heights the
-    # README's counts
-    medium = AxionMedium(epsilon=16.0, theta=math.pi)
+    # [0.01, 10] take 6,330 from start ladders that reach 2 w z (8,640
+    # from the 4-level ladder alone, 10,980 from [0, 1]), and single
+    # heights the README's counts, each converging in its start round: one
+    # reflection call
+    class Counted(AxionMedium):
+        calls = 0
+
+        def reflection(self, omega, k_perp):
+            Counted.calls += 1
+            return super().reflection(omega, k_perp)
+
+    medium = Counted(epsilon=16.0, theta=math.pi)
     zeta = 10.0 ** (-2.0 + 3.0 * (np.arange(64) + 0.5) / 64)
     terms = nonresonant_shift_grid(TR, zeta / TR.frequency, medium)
-    assert terms.neval.sum() == 6_390
-    counts = {1e-3: 345, 0.01: 195, 0.1: 105, 0.5: 75, 1.0: 75, 10.0: 75}
+    assert terms.neval.sum() == 6_330
+    counts = {1e-3: 210, 0.01: 165, 0.1: 105, 0.5: 75, 1.0: 75, 10.0: 75}
     for zeta, neval in counts.items():
+        Counted.calls = 0
         assert nonresonant_shift_terms(TR, zeta / TR.frequency, medium).neval == neval
+        assert Counted.calls == 1, zeta
     grid = nonresonant_shift_grid(TR, np.array(list(counts)) / TR.frequency, medium)
     assert grid.neval.tolist() == list(counts.values())
+
+
+def test_nonresonant_shift_near_contact_holds_its_law_or_names_the_height():
+    # the start ladder deepens with the height, to at most 1022 levels: to
+    # zeta = 1e-50, zeta^3 dw_nres holds its contact value, and where the
+    # integrand overflows, or its ladder would pass the smallest normal
+    # double, the call fails at the height
+    m16 = AxionMedium(epsilon=16.0, theta=math.pi)
+    ref = 1e-16 ** 3 * nonresonant_shift(TR, 1e-16, m16)
+    for zeta in (1e-20, 1e-30, 1e-50):
+        got = zeta ** 3 * nonresonant_shift(TR, zeta / TR.frequency, m16)
+        assert abs(got - ref) <= 1e-12 * abs(ref), zeta
+    for zeta in (1e-100, 5e-324):
+        with pytest.raises(QuadratureError) as excinfo:
+            nonresonant_shift_grid(TR, [1.0, zeta / TR.frequency], m16)
+        assert excinfo.value.owner == 1, zeta
+
+
+def test_a_non_finite_quantity_raises_at_its_height():
+    # the conductor's closed forms overflow this close: each entry point
+    # raises QuadratureError with the first such height as its owner, and
+    # no numpy RuntimeWarning escapes (the suite turns warnings into errors)
+    for quantity, zeta in ((nonresonant_shift, 1e-103), (decay_rate, 1e-104),
+                           (resonant_shift, 1e-104)):
+        with pytest.raises(QuadratureError) as excinfo:
+            quantity(TR, zeta, COND)
+        assert excinfo.value.owner == 0, quantity
+    with pytest.raises(QuadratureError) as excinfo:
+        nonresonant_shift_grid(TR, [1.0, 0.1, 1e-103, 1e-110], COND)
+    assert excinfo.value.owner == 2
+    with np.errstate(all="ignore"):
+        g = greens_grid(COND, [1.0, 1e-104, 1e-110], 1.0)
+    with pytest.raises(QuadratureError) as excinfo:
+        _tensor_quantities(g, TR)
+    assert excinfo.value.owner == 1
 
 
 def test_s_integral_holds_its_tight_run_on_log_heights():

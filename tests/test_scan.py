@@ -1,6 +1,16 @@
-"""run_scan / figure: CSV contract, manifests, determinism, failure paths."""
+"""run_scan / figure: CSV contract, manifests, determinism, failure paths.
+
+Run as a script, `python tests/test_scan.py`, it rewrites the figures'
+reference (FIGURE_REFERENCE) from a fresh run of every figure: a change
+that means to move a figure does so in the same commit.
+"""
+import gzip
+import importlib.util
 import json
 import math
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,6 +232,55 @@ def figure_runs(tmp_path_factory):
     return {name: (root / name, figure(name, root / name)) for name in FIGURE_NAMES}
 
 
+# The 20 CSVs of the five figures, {"numpy": the version that wrote them,
+# "files": {file name: text}}, as JSON, gzipped.  Their bytes depend on
+# numpy's exp, sin and sqrt.
+FIGURE_REFERENCE = Path(__file__).with_name("figures_reference.json.gz")
+_COMPARE_CSVS = Path(__file__).resolve().parents[1] / "scripts" / "compare_csvs.py"
+
+
+def _figure_csvs(runs) -> dict:
+    """{file name: text} of every CSV the figure runs wrote."""
+    return {f: (out / f).read_text(encoding="utf-8")
+            for out, outputs in runs.values() for f in outputs if f.endswith(".csv")}
+
+
+def _scaled_deviation(old: str, new: str) -> float:
+    """The largest over the columns of max|new - old| / max|old|, as
+    scripts/compare_csvs.py computes it; inf if the headers or row counts
+    differ."""
+    spec = importlib.util.spec_from_file_location("compare_csvs", _COMPARE_CSVS)
+    compare_csvs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_csvs)
+    old, new = ([line.split(",") for line in t.splitlines()] for t in (old, new))
+    if old[0] != new[0] or len(old) != len(new):
+        return math.inf
+    return max(compare_csvs._scaled(a, b) for a, b in zip(zip(*old[1:]), zip(*new[1:])))
+
+
+def test_every_figure_csv_matches_its_reference(figure_runs):
+    # byte for byte under the numpy version that wrote the reference.
+    # Under another one, whose exp, sin and sqrt may round differently,
+    # the test does not skip: every column must then hold the reference to
+    # 1e-9 (the default rel_tol) of its largest magnitude.  A failure names
+    # each file that differs and its largest column-scaled deviation.
+    ref = json.loads(gzip.decompress(FIGURE_REFERENCE.read_bytes()))
+    got = _figure_csvs(figure_runs)
+    assert sorted(got) == sorted(ref["files"])
+    same_numpy = ref["numpy"] == np.__version__
+    bad = {}
+    for name, text in got.items():
+        if text != ref["files"][name]:
+            deviation = _scaled_deviation(ref["files"][name], text)
+            if same_numpy or not deviation <= 1e-9:
+                bad[name] = deviation
+    assert not bad, (
+        f"figure CSVs differ from {FIGURE_REFERENCE.name} (written with numpy "
+        f"{ref['numpy']}, running {np.__version__}):\n"
+        + "\n".join(f"  {name}: largest column-scaled deviation {d:.3g}"
+                    for name, d in bad.items()))
+
+
 def test_a_figure_writes_exactly_what_it_reports(figure_runs):
     points = {}
     for name, (out, outputs) in figure_runs.items():
@@ -404,3 +463,13 @@ def test_csv_text_is_one_f_string_per_cell(data, rows, columns):
     for zeta, row in zip(zetas, values):
         lines.append(",".join([f"{zeta:.11e}"] + [f"{v:.11e}" for v in row]))
     assert _format_csv(names, zetas, values) == "\n".join(lines) + "\n"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as root:
+        runs = {name: (Path(root, name), figure(name, Path(root, name)))
+                for name in FIGURE_NAMES}
+        payload = {"numpy": np.__version__, "files": _figure_csvs(runs)}
+    FIGURE_REFERENCE.write_bytes(gzip.compress(
+        json.dumps(payload, indent=0, sort_keys=True).encode(), mtime=0))
+    print(f"wrote {FIGURE_REFERENCE} ({len(payload['files'])} files)", file=sys.stderr)
