@@ -265,11 +265,12 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
     L = max(4, 4 - round(log2 2 w z)) (`quadrature._dyadic_mesh`), whose
     finest panel sits near tau = 2 w z / 16, and at most _LADDER_MAX levels.
     The heights that share L are the owners of one `integrate_batch` call,
-    and a failure's `owner` is the height.  A medium that states a constant
-    reflection matrix has P polynomial in s, and the s-integral in closed
-    form instead (`_closed_form_nonresonant`).  Evaluation runs under
-    np.errstate: a term that is not finite raises QuadratureError with the
-    first such height as its owner.
+    the calls run in the order of their first height, and a failure's
+    `owner` is the height.  A medium that states a constant reflection
+    matrix has P polynomial in s, and the s-integral in closed form
+    instead (`_closed_form_nonresonant`).  Evaluation runs under
+    np.errstate: a shift, im_term + re_term, that is not finite raises
+    QuadratureError with the first such height as its owner.
     """
     z = _heights(z)
     cfg = config or DEFAULT_CONFIG
@@ -284,8 +285,10 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
         else:
             values, errors, neval = _s_integral(transition, scale, medium, cfg)
             im, re = values.real, values.imag
-        terms = _finite({"im_term": pref * im, "re_term": -pref * re})
-    return NonresonantTerms(**terms, quad_error=pref * errors, neval=neval)
+        im_term, re_term = pref * im, -pref * re
+        _finite({"nonresonant_shift": im_term + re_term})  # finite only if both terms are
+    return NonresonantTerms(im_term=im_term, re_term=re_term, quad_error=pref * errors,
+                            neval=neval)
 
 
 def _s_integral(transition: Transition, scale, medium, cfg: QuadratureConfig):
@@ -310,12 +313,9 @@ def _s_integral(transition: Transition, scale, medium, cfg: QuadratureConfig):
                                rel_tol=cfg.xi_rel_tol, max_panels=cfg.max_panels,
                                mesh=_dyadic_mesh(level))
 
-    ladders = sorted(set(levels.tolist()))
-    if len(ladders) == 1:
-        return run(ladders[0], scale)
     values = np.empty(scale.size, dtype=complex)
     errors, neval = np.empty(scale.size), np.empty(scale.size, dtype=int)
-    for level in ladders:
+    for level in dict.fromkeys(levels.tolist()):  # in the order of their first height
         own = np.flatnonzero(levels == level)
         try:
             values[own], errors[own], neval[own] = run(level, scale[own])

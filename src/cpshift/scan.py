@@ -109,8 +109,9 @@ def _scan_values(zetas, medium, transitions, quantities, qcfg: QuadratureConfig)
     first transition that reads it.  The normalization Gamma0 is computed
     rather than assumed 1 so non-canonical transitions stay correct.  A
     failure, a value that is not finite included (`atomics._finite`),
-    raises ScanError naming the zeta of the first such point; the grid runs
-    under np.errstate, so a tensor that overflows reaches that check.
+    raises ScanError naming the zeta of its point (the exception's
+    `owner`); the grid runs under np.errstate, so a tensor that overflows
+    reaches that check.
     """
     w = transitions[0].frequency
     z = zetas / w

@@ -12,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import cpshift
-from cpshift.atomics import (AsymptoticCase, _moment_table, _moments, _tensor_quantities,
-                             asymptotic, axion_difference, decay_rate, greens_grid,
-                             greens_tensor, nonresonant_shift, nonresonant_shift_grid,
-                             nonresonant_shift_terms, resonant_shift,
-                             self_consistent_shift, total_shift)
+from cpshift.atomics import (AsymptoticCase, _closed_form_nonresonant, _moment_table,
+                             _moments, _tensor_quantities, asymptotic, axion_difference,
+                             decay_rate, greens_grid, greens_tensor, nonresonant_shift,
+                             nonresonant_shift_grid, nonresonant_shift_terms,
+                             resonant_shift, self_consistent_shift, total_shift)
 from cpshift.greens import numeric_greens
 from cpshift.media import (AxionMedium, ConstantReflectionMedium, PerfectConductor,
                            PerfectNonreciprocalMirror, PoleError, _AxionDifference)
@@ -516,6 +516,21 @@ def test_a_non_finite_quantity_raises_at_its_height():
     with pytest.raises(QuadratureError) as excinfo:
         _tensor_quantities(g, TR)
     assert excinfo.value.owner == 1
+    # at w = 100 the closed form's terms reach 1e308 near contact: at zeta =
+    # 7.5e-104 both are finite and positive, and their sum, the shift, is not
+    tr, zeta = Transition(TR.dipole, 100.0), 7.5e-104
+    medium = ConstantReflectionMedium(r_sp=-1.5, r_pp=1.0)
+    pref = 100.0 ** 3 / (8 * math.pi ** 2)
+    im, re = _closed_form_nonresonant(medium.constant_reflection, tr.dipole,
+                                      np.array([2 * 100.0 * zeta]))
+    terms = pref * im[0], -pref * re[0]
+    assert np.all(np.isfinite(terms)) and min(terms) > 1e308
+    with pytest.raises(QuadratureError) as excinfo:
+        nonresonant_shift(tr, zeta, medium)
+    assert excinfo.value.owner == 0
+    with pytest.raises(QuadratureError) as excinfo:
+        nonresonant_shift_grid(tr, [1.0, 1e-103, zeta], medium)
+    assert excinfo.value.owner == 2
 
 
 def test_s_integral_holds_its_tight_run_on_log_heights():
