@@ -11,8 +11,9 @@ in the package's units c = hbar = mu0 = eps0 = 1 (`cpshift.units`):
 with w the (possibly shifted) transition frequency.  `greens_grid` gives
 the real-axis tensors of all heights of a scan at once.
 `nonresonant_shift_grid` does the xi-integral in closed form and integrates
-over tau = 1/s, s = k_perp/(i xi), instead, each height starting on a
-dyadic ladder of tau that reaches its scale 2 w z.  Both choose their
+over tau = 1/s, s = k_perp/(i xi), instead: every height is an owner of
+one lockstep quadrature, starting on a dyadic ladder of tau that reaches
+its scale 2 w z.  Both choose their
 route on one fact, the medium's `constant_reflection`: a medium that
 states one (the ideal mirrors, the constant test medium, the axion
 half-space at epsilon = 1) takes closed forms for both, every other medium
@@ -34,8 +35,8 @@ from .greens import (PlanarTensors, _grid_omega, _heights, _kernels,
 from .media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
                     ReflectionMatrix, _AxionDifference,
                     nonretarded_limit_coefficients, retarded_limit_coefficients)
-from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, QuadratureError,
-                         _check_count, _check_positive, _dyadic_mesh, integrate_batch)
+from .quadrature import (DEFAULT_CONFIG, LEVELS_MAX, QuadratureConfig, QuadratureError,
+                         _check_count, _check_positive, integrate_batch)
 # not called here but importable from this module: perfbench/tracer.py
 # wraps them by these names.
 from .greens import scattering_greens_numeric  # noqa: F401
@@ -240,15 +241,6 @@ def _closed_form_nonresonant(r: ReflectionMatrix, dipole, a):
             p[0].real * b2 / a + p[1].real * b1 / a ** 2 + p[2].real * b0 / a ** 3)
 
 
-# The deepest start ladder of the s-integral.  Its finest panel [0, 2^-1022]
-# ends at the smallest normal double: deeper, the ladder's steps would be
-# subnormal, one bit shorter per level, until from 2^-1075 on they round to
-# 0 and the mesh no longer rises.  Only heights with 2 w z below about
-# 2^-1018 reach the cap, far below where the integrand overflows (zeta ~
-# 1e-77 for the canonical transition), so they fail at their height either way.
-_LADDER_MAX = 1022
-
-
 def nonresonant_shift_grid(transition: Transition, z, medium,
                            config: QuadratureConfig | None = None) -> NonresonantTerms:
     """Both terms of the nonresonant shift at every height z[j] > 0.
@@ -262,13 +254,14 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
     (`xi_rel_tol`).  The integrand has two scales: tau ~ 1, over which P
     varies, and tau ~ 2 w z, below which B3 and B4 fall off.  So height j
     starts on the dyadic ladder (0, 2^-L, ..., 1/4, 1/2, 1) with
-    L = max(4, 4 - round(log2 2 w z)) (`quadrature._dyadic_mesh`), whose
-    finest panel sits near tau = 2 w z / 16, and at most _LADDER_MAX levels.
-    The heights that share L are the owners of one `integrate_batch` call,
-    the calls run in the order of their first height, and a failure's
-    `owner` is the height.  A medium that states a constant reflection
-    matrix has P polynomial in s, and the s-integral in closed form
-    instead (`_closed_form_nonresonant`).  Evaluation runs under
+    L = max(4, 4 - round(log2 2 w z)), whose finest panel sits near
+    tau = 2 w z / 16, and at most `quadrature.LEVELS_MAX` levels.  Only
+    heights with 2 w z below about 2^-1018 reach that cap, far below where
+    the integrand overflows (zeta ~ 1e-77 for the canonical transition), so
+    they fail at their height either way.  Every height is one owner of one
+    `integrate_batch` call, so a failure's `owner` is the height.  A medium
+    that states a constant reflection matrix has P polynomial in s, and the
+    s-integral in closed form instead (`_closed_form_nonresonant`).  Evaluation runs under
     np.errstate: a shift, im_term + re_term, that is not finite raises
     QuadratureError with the first such height as its owner.
     """
@@ -293,38 +286,24 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
 
 def _s_integral(transition: Transition, scale, medium, cfg: QuadratureConfig):
     """int_0^1 dtau/tau^2 [Im P B4(b) + i Re P B3(b)], b = scale[j]/tau, at
-    every height j: one `integrate_batch` call per start ladder."""
+    every height j, each on its own start ladder: one `integrate_batch` call."""
     w = transition.frequency
     d = np.asarray(transition.dipole, dtype=complex)
     d, dc = d.tolist(), d.conj().tolist()  # Python complexes: cheaper to index
-    levels = (4.0 - np.rint(np.log2(scale))).clip(4, _LADDER_MAX).astype(int)
 
-    def run(level, scale):
-        def f(tau, owner):
-            tau2 = tau * tau
-            k = _kernels(medium, 1j * w, 1j * w / tau,
-                         w * w * (1.0 - tau) * (1.0 + tau) / tau2)
-            p = _sandwich(k[:, 0], k[:, 1], k[:, 2], d, dc)  # P = d . G . conj(d)
-            b3, b4 = _moments(scale[owner] / tau, lower=False)
-            # pack both real integrands into one complex quadrature pass
-            return (p.imag * b4 + 1j * (p.real * b3)) / tau2
+    def f(tau, owner):
+        tau2 = tau * tau
+        k = _kernels(medium, 1j * w, 1j * w / tau,
+                     w * w * (1.0 - tau) * (1.0 + tau) / tau2)
+        p = _sandwich(k[:, 0], k[:, 1], k[:, 2], d, dc)  # P = d . G . conj(d)
+        b3, b4 = _moments(scale[owner] / tau, lower=False)
+        # pack both real integrands into one complex quadrature pass
+        return (p.imag * b4 + 1j * (p.real * b3)) / tau2
 
-        return integrate_batch(f, np.zeros(scale.size), np.ones(scale.size),
-                               rel_tol=cfg.xi_rel_tol, max_panels=cfg.max_panels,
-                               mesh=_dyadic_mesh(level))
-
-    values = np.empty(scale.size, dtype=complex)
-    errors, neval = np.empty(scale.size), np.empty(scale.size, dtype=int)
-    for level in dict.fromkeys(levels.tolist()):  # in the order of their first height
-        own = np.flatnonzero(levels == level)
-        try:
-            values[own], errors[own], neval[own] = run(level, scale[own])
-        except (QuadratureError, ArithmeticError) as exc:
-            if getattr(exc, "owner", None) is not None:
-                exc.owner = int(own[exc.owner])
-                exc.args = (f"{exc} (height {exc.owner})",)
-            raise
-    return values, errors, neval
+    levels = (4.0 - np.rint(np.log2(scale))).clip(4, LEVELS_MAX).astype(int)
+    return integrate_batch(f, np.zeros(scale.size), np.ones(scale.size),
+                           rel_tol=cfg.xi_rel_tol, max_panels=cfg.max_panels,
+                           levels=levels)
 
 
 def _finite(quantities: dict) -> dict:

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 import numpy as np
 
 from .config import (ConfigError, MEDIUM_KINDS, MEDIUM_PARAMETERS, QUANTITY_COLUMNS,
-                     _ANGLES, build_medium, parse_config, parse_value)
+                     _ANGLES, _check_zeta, build_medium, parse_config, parse_value)
 from .quadrature import DEFAULT_CONFIG
 from .scan import FIGURE_NAMES, ScanError, _format_csv, _scan_values, figure, run_scan
 from .units import canonical_transition
@@ -65,8 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _single_point(args) -> int:
-    if not (math.isfinite(args.zeta) and args.zeta > 0):
-        raise ConfigError(f"--zeta must be positive and finite, got {args.zeta}")
+    _check_zeta("--zeta", args.zeta)
     medium = build_medium(args.medium, **{
         name: parse_value(name, getattr(args, name))
         for name in MEDIUM_PARAMETERS if getattr(args, name) is not None})

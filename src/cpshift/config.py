@@ -21,7 +21,7 @@ from .quadrature import _check_count, _check_positive
 
 __all__ = ["ConfigError", "ScanConfig", "parse_config", "parse_value",
            "build_medium", "zeta_grid", "QUANTITY_COLUMNS", "MEDIUM_KINDS",
-           "MEDIUM_PARAMETERS"]
+           "MEDIUM_PARAMETERS", "ZETA_MIN"]
 
 
 class ConfigError(ValueError):
@@ -49,6 +49,22 @@ MEDIUM_PARAMETERS = {f.name: kind for kind, cls in MEDIUM_KINDS.items()
                      for f in fields(cls) if f.init}
 
 
+# The smallest zeta a config or the CLI takes.  The shifts grow as zeta^-3:
+# for the canonical transition the resonant shift is -9.4e307 at zeta =
+# 1e-103, where the closed forms' shifts overflow.  The overflow height
+# depends on w and |d|^2, so library calls have no floor: there a value
+# that is not finite raises at its height (`atomics._finite`).
+ZETA_MIN = 1e-100
+
+
+def _check_zeta(name: str, zeta) -> None:
+    """ConfigError unless zeta is a finite number of at least ZETA_MIN, not
+    a bool."""
+    if isinstance(zeta, (bool, np.bool_)) or not (math.isfinite(zeta) and zeta >= ZETA_MIN):
+        raise ConfigError(f"{name} must be finite and at least ZETA_MIN = {ZETA_MIN:g}, "
+                          f"got {zeta}")
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Distance scan: a medium, a dipole handedness, and a zeta grid."""
@@ -66,8 +82,8 @@ class ScanConfig:
     name: str = "scan"
 
     def __post_init__(self):
+        _check_zeta("zeta_min", self.zeta_min)
         try:
-            _check_positive("zeta_min", self.zeta_min)
             _check_positive("zeta_max", self.zeta_max)
             _check_count("count", self.count, 2)
         except ValueError as exc:

@@ -49,8 +49,8 @@ rate, the small imaginary part of the tensor there, would lose digits
 (2e-6 of it at z = 1e-3 above epsilon = 0.25); a = sqrt(2z/|q|), their
 geometric mean, keeps both scales ~sqrt(2 |q| z) from the ends of x.
 Bisection from [0, 1] reaches the panels between 0, 1/16, 1/8, 1/4, 1/2
-and 1 at every height, so every point starts on them
-(`quadrature.HALF_LINE_MESH`).
+and 1 at every height, so every point starts on them, the 4-level ladder
+of `quadrature.integrate_batch`.
 
 The three kernels of a point share one reflection matrix, so each point
 is one three-component integral, and all of them run as owners of one
@@ -59,8 +59,8 @@ scan on the real axis, one per (z, xi) of a batch on the imaginary axis.
 Every round evaluates the reflection matrix once, on the nodes of all new
 panels, and each node serves all three kernels, written into one
 [nodes, 3] array.  `scattering_greens_numeric` is the one-point
-case.  The nonresonant shift integrates `_kernels` over s = k_perp/(i xi)
-instead.
+case.  The nonresonant shift integrates `_kernels` over tau = 1/s,
+s = k_perp/(i xi), instead (`atomics.nonresonant_shift_grid`).
 
 A reflection matrix that does not depend on k_par leaves elementary
 integrals, so the tensor of every such medium has a closed form
@@ -81,8 +81,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .media import PerfectConductor, PerfectNonreciprocalMirror, ReflectionMatrix
-from .quadrature import (DEFAULT_CONFIG, HALF_LINE_MESH, QuadratureConfig,
-                         integrate_batch)
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_batch
 # integrate is not called here but stays importable from this module:
 # perfbench/tracer.py wraps it by this name.
 from .quadrature import integrate  # noqa: F401
@@ -260,8 +259,8 @@ def numeric_greens(z, omega, medium,
 
     Owner j integrates the three kernels of point j on the path k_perp =
     q + i u of the module docstring, over x in (0, 1] with u = (1 - x)/(a x),
-    starting on the panels of HALF_LINE_MESH; a failure's `owner` is the
-    index j.
+    starting on the 4-level ladder 0, 1/16, 1/8, 1/4, 1/2, 1; a failure's
+    `owner` is the index j.
     """
     z = _heights(z)
     cfg = config or DEFAULT_CONFIG
@@ -284,7 +283,7 @@ def numeric_greens(z, omega, medium,
 
     values, errors, neval = integrate_batch(
         f, np.zeros(z.size), np.ones(z.size), rel_tol=cfg.rel_tol,
-        max_panels=cfg.max_panels, mesh=HALF_LINE_MESH)
+        max_panels=cfg.max_panels, levels=4)
     # [N, 3]; the engine returns no heights as a flat empty array
     v, e = values.reshape(-1, 3), errors.reshape(-1, 3)
     phase = np.exp(2j * q * z)

@@ -26,32 +26,32 @@ per integral per round.  An owner may have K components that share its
 panels, as in QUADPACK-style vector quadrature: several integrands over
 one interval cost one set of nodes.  Each owner applies the same rule with
 its own tolerance and width cap, and drops out of the rounds once every
-component has converged.  Every owner starts on one shared mesh of
-panels, fractions of its interval (QUADPACK QAGP's breakpoints): [a, b]
-itself by default, a dyadic ladder (`_dyadic_mesh`, `HALF_LINE_MESH`) for
-a half-line mapped onto (0, 1].
+component has converged.  Every owner starts on a dyadic ladder of its
+own depth L, the panels between the fractions 0, 2^-L, ..., 1/4, 1/2, 1
+of its interval (QUADPACK QAGP's breakpoints): [a, b] itself at the
+default L = 0, and for L > 0 fine panels at a, where a half-line mapped
+onto (0, 1] keeps its tail.
 `max_panels` bounds the live panels of the whole call: owners that would
-overflow it wait in a queue and restart later on their start mesh, so a
+overflow it wait in a queue and restart later on their start ladder, so a
 call's memory does not grow with N.  `integrate` is the one-owner,
 one-component case.
 
 A round's cost follows its nodes.  Its bookkeeping is a fixed few dozen
-array operations, whatever the number of panels or owners: a mesh is
-checked and its fractions 1 - t and t derived once per distinct mesh, the
-first round is the start mesh itself, panels are re-sorted by owner only
+array operations, whatever the number of panels or owners: every
+ladder's fractions are read off one table of the powers of 2, the first
+round is the start ladders themselves, panels are re-sorted by owner only
 while more than one owner is live, and an owner's evaluation count
 follows from its panel count when it converges.  The integrand's call is
 the rest.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["BOUND_MAX", "DEFAULT_CONFIG", "HALF_LINE_MESH", "MAX_DEPTH",
+__all__ = ["BOUND_MAX", "DEFAULT_CONFIG", "LEVELS_MAX", "MAX_DEPTH",
            "QuadratureConfig", "QuadratureError", "QuadResult", "integrate",
            "integrate_batch"]
 
@@ -92,20 +92,16 @@ _G7_WEIGHTS[1::2] = [
     0.1294849661688697,
 ]
 
-@functools.cache
-def _dyadic_mesh(levels: int) -> tuple:
-    """The start mesh (0, 2^-levels, ..., 1/4, 1/2, 1) of a half-line mapped
-    onto x in (0, 1] with infinity at x = 0: a ladder whose finest panel,
-    [0, 2^-levels], holds the tail."""
-    return (0.0,) + tuple(2.0 ** -k for k in range(levels, -1, -1))
+# The deepest start ladder.  Its finest panel [0, 2^-1022] ends at the
+# smallest normal double: deeper, the ladder's steps would be subnormal, one
+# bit shorter per level, until from 2^-1075 on they round to 0 and the
+# ladder no longer rises.
+LEVELS_MAX = 1022
 
-
-# The 4-level ladder.  Bisection from [0, 1] reaches these panels at every
-# height of the k-integral (`greens.numeric_greens`), so starting on them
-# skips its first four rounds.  The s-integral
-# (`atomics.nonresonant_shift_grid`) starts on it from 2 w z = 2^-1/2 up,
-# and below on a deeper ladder, whose finest panel sits near tau = 2 w z/16.
-HALF_LINE_MESH = _dyadic_mesh(4)
+# The ladder's rungs t = 2^-k, k = LEVELS_MAX ... 1, 0, and their 1 - t: a
+# ladder of L levels ends its panels at the last L + 1 of them.
+_RUNGS = np.ldexp(1.0, np.arange(-LEVELS_MAX, 1))
+_ONE_MINUS_RUNGS = 1.0 - _RUNGS
 
 # The bisection cap: no panel narrower than 2^(1 - MAX_DEPTH) of its
 # integral's interval splits (see integrate_batch).
@@ -126,27 +122,6 @@ def _check_count(name: str, n, minimum: int) -> None:
     """Raise ValueError unless n is an integer >= minimum, not a bool."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
-
-
-def _mesh_fractions(mesh):
-    """(m, 1 - t, t) of a mesh 0 = t_0 < ... < t_m = 1, read-only, as every
-    call on the mesh shares them (a cache of the eight last used)."""
-    try:
-        return _checked_mesh(tuple(mesh))
-    except TypeError:  # no sequence, or entries that do not hash
-        raise ValueError(f"need a mesh rising from 0 to 1, got {mesh}") from None
-
-
-@functools.lru_cache(maxsize=8)
-def _checked_mesh(mesh: tuple):
-    t = np.asarray(mesh, dtype=float)
-    if not (t.ndim == 1 and t.size >= 2 and t[0] == 0 and t[-1] == 1
-            and np.all(t[1:] > t[:-1])):
-        raise ValueError(f"need a mesh rising from 0 to 1, got {mesh}")
-    s = 1.0 - t
-    t.setflags(write=False)
-    s.setflags(write=False)
-    return t.size - 1, s, t
 
 
 @dataclass(frozen=True)
@@ -244,7 +219,7 @@ def integrate(f, a: float, b: float, *, rel_tol: float = DEFAULT_CONFIG.rel_tol,
 
 
 def integrate_batch(f, a, b, *, rel_tol: float = DEFAULT_CONFIG.rel_tol,
-                    max_panels: int = DEFAULT_CONFIG.max_panels, mesh=(0.0, 1.0)):
+                    max_panels: int = DEFAULT_CONFIG.max_panels, levels=0):
     """Integrate N independent integrals, owner i over [a[i], b[i]], in lockstep.
 
     f(x, owner) -> ndarray is called once per refinement round; x holds the
@@ -255,30 +230,31 @@ def integrate_batch(f, a, b, *, rel_tol: float = DEFAULT_CONFIG.rel_tol,
     share tol_k / (2 * panels) of its tolerance rel_tol * |sum_k|, until
     every component's summed |K15 - G7| is within its tolerance.  A panel
     that would split while hi - lo < 2^(1 - MAX_DEPTH) (b - a) fails the
-    owner instead, so bisection stops at 2^-MAX_DEPTH of [a, b] on a
-    dyadic mesh, and within [1, 2) 2^-MAX_DEPTH of it on any other.  The
+    owner instead, so bisection stops at 2^-MAX_DEPTH of [a, b].  The
     bounds must satisfy -BOUND_MAX < a < b < BOUND_MAX (finite, and no
     panel's width or midpoint overflows); f is not called otherwise.
 
-    Every owner starts on the panels between the fractions `mesh` of its
-    interval, t_0 = 0 < t_1 < ... < t_m = 1 (QUADPACK QAGP's breakpoints,
-    shared by all owners; the default is [a, b] itself), checked once per
-    distinct mesh (a cache of the eight last used).
+    Owner i starts on the L + 1 panels between the fractions 0, 2^-L, ...,
+    1/4, 1/2, 1 of its interval, L = levels[i] (QUADPACK QAGP's
+    breakpoints), each end (1 - t) a + t b, so both ends are exact.
+    `levels` is one integer from 0 to LEVELS_MAX for all owners, or one
+    per owner; the default, 0, starts on [a, b] itself.
 
     `max_panels` bounds the live panels of the whole call, so memory does
     not grow with N.  Owners start in index order as the budget allows, each
-    with its m start panels; when a round would exceed it, the highest-index
+    on its own start ladder; when a round would exceed it, the highest-index
     live owners are evicted back to the queue, to restart later on their
-    start mesh (queued owners start only in rounds that evict none).  The
+    start ladders (queued owners start only in rounds that evict none).  The
     lowest-index live owner is never evicted, so it keeps the standalone
-    cap: it fails only if it alone would exceed `max_panels`.
+    cap: it fails only if it alone would exceed `max_panels`.  An owner
+    whose ladder alone exceeds it fails before f is called.
 
     Owners are deterministic, each keeps its panels in one order, and every
     panel and every owner is reduced on its own (einsum and reduceat, no
     BLAS), so an owner's value, error and evaluation count equal those of
     its one-owner call bit for bit, whatever else runs.  An owner that
-    converges on P panels evaluated 2 P - m of them, 15 nodes each, as
-    each split adds one panel and evaluates two.  A failure raises
+    converges on P panels evaluated 2 P - (L + 1) of them, 15 nodes each,
+    as each split adds one panel and evaluates two.  A failure raises
     QuadratureError; its `owner` is the failing integral, and an
     ArithmeticError or QuadratureError from f that names a node of x in
     `owner` gets that node's integral instead.
@@ -288,8 +264,8 @@ def integrate_batch(f, a, b, *, rel_tol: float = DEFAULT_CONFIG.rel_tol,
     """
     _check_positive("rel_tol", rel_tol)
     _check_count("max_panels", max_panels, 1)
-    lo0 = np.atleast_1d(np.asarray(a, dtype=float))
-    hi0 = np.atleast_1d(np.asarray(b, dtype=float))
+    lo0 = np.array(a, dtype=float, ndmin=1, copy=None)
+    hi0 = np.array(b, dtype=float, ndmin=1, copy=None)
     if lo0.ndim != 1 or lo0.shape != hi0.shape:
         raise ValueError(f"need matching 1-d bounds, got shapes {lo0.shape}, {hi0.shape}")
     inside = (lo0 > -BOUND_MAX) & (hi0 < BOUND_MAX)  # false at nan
@@ -300,19 +276,29 @@ def integrate_batch(f, a, b, *, rel_tol: float = DEFAULT_CONFIG.rel_tol,
     if not np.logical_and.reduce(hi0 > lo0):
         i = int(np.argmin(hi0 > lo0))
         raise ValueError(f"need b > a, got [{lo0[i]}, {hi0[i]}] for integral {i}")
-    m, s, t = _mesh_fractions(mesh)
+    depth, deepest = np.asarray(levels), LEVELS_MAX + 1
+    if depth.dtype.kind in "iu" and depth.shape in ((), lo0.shape):
+        depth = np.full(lo0.size, depth, dtype=int)
+        # one reduction checks both ends: a negative level reads as 2^64 - |L|
+        deepest = depth.view(np.uint64).max(initial=0)
+    if deepest > LEVELS_MAX:
+        raise ValueError(f"need levels from 0 to {LEVELS_MAX}, one or one per "
+                         f"integral, got {levels!r}")
     n = lo0.size
     if n == 0:
         return np.zeros(0, dtype=complex), np.zeros(0), np.zeros(0, dtype=int)
-    if max_panels < m:
-        raise QuadratureError(f"panel budget {max_panels} exhausted in integral 0 "
-                              f"(its start mesh has {m} panels)", owner=0)
+    start = depth + 1  # each owner's start panels
+    if deepest >= max_panels:
+        i = int(np.argmax(start > max_panels))
+        raise QuadratureError(f"panel budget {max_panels} exhausted in integral {i} "
+                              f"(its start ladder has {start[i]} panels)", owner=i)
     narrowest = 2.0 ** (1 - MAX_DEPTH) * (hi0 - lo0)  # per owner: no split below
     # the first round: the start panels of the first owners, in owner order
-    first = min(n, max_panels // m)
+    ends = np.add.accumulate(start)
+    first = n if ends[-1] <= max_panels else int(ends.searchsorted(max_panels, "right"))
     pending = np.arange(first, n)  # queued owners, ascending, all above the live ones
     new_own, new_lo, new_hi = _start_panels(lo0[:first], hi0[:first], np.arange(first),
-                                            s, t)
+                                            start[:first], ends[:first])
     nlive = first  # owners holding panels in the coming round
     own = values = None  # live panels, grouped by owner; converged owners
 
@@ -352,12 +338,12 @@ def integrate_batch(f, a, b, *, rel_tol: float = DEFAULT_CONFIG.rel_tol,
         done = np.logical_and.reduce(err_total <= tol, axis=1)
         ndone = np.count_nonzero(done)
         if ndone:
-            # an owner evaluated its m start panels and both halves of every
-            # panel it split, each split adding one panel: 2 * panels - m
+            # an owner evaluated its L + 1 start panels and both halves of
+            # every panel it split, each split adding one panel
             if ndone == n:  # all converge together: owners is 0, ..., n - 1
                 values = total.astype(complex, copy=False)
                 return (values.reshape((n,) + shape), err_total.reshape((n,) + shape),
-                        15 * (2 * counts - m))
+                        15 * (2 * counts - start))
             if values is None:
                 values = np.zeros((n, total.shape[1]), dtype=complex)
                 errors = np.zeros(values.shape)
@@ -365,7 +351,7 @@ def integrate_batch(f, a, b, *, rel_tol: float = DEFAULT_CONFIG.rel_tol,
             fin = owners[done]
             values[fin] = total[done]
             errors[fin] = err_total[done]
-            neval[fin] = 15 * (2 * counts[done] - m)
+            neval[fin] = 15 * (2 * counts[done] - start[fin])
             if ndone == owners.size and pending.size == 0:
                 return values.reshape((n,) + shape), errors.reshape((n,) + shape), neval
 
@@ -413,8 +399,9 @@ def integrate_batch(f, a, b, *, rel_tol: float = DEFAULT_CONFIG.rel_tol,
                 # queued owners start only in a round that evicted none, so
                 # an evicted owner does not restart at once into the same
                 # shortage
-                room = (max_panels - int(used[-1])) // m
-                admit, pending = pending[:room], pending[room:]
+                ends = np.add.accumulate(start[pending])
+                room = ends.searchsorted(max_panels - used[-1], side="right")
+                admit, pending, ends = pending[:room], pending[room:], ends[:room]
                 nlive += admit.size
         keep = (~mask if live is None else live & ~mask).nonzero()[0]
 
@@ -423,14 +410,18 @@ def integrate_batch(f, a, b, *, rel_tol: float = DEFAULT_CONFIG.rel_tol,
         mid = 0.5 * (lo_s + hi_s)
         parts = [(own_s, lo_s, mid), (own_s, mid, hi_s)]
         if admit.size:
-            parts.append(_start_panels(lo0[admit], hi0[admit], admit, s, t))
+            parts.append(_start_panels(lo0[admit], hi0[admit], admit, start[admit], ends))
         new_own, new_lo, new_hi = (np.concatenate(p) for p in zip(*parts))
 
 
-def _start_panels(a, b, owners, s, t):
+def _start_panels(a, b, owners, start, ends):
     """(owner, lo, hi) of the start panels of `owners` on [a, b], in owner
-    order: the mesh's fractions of each interval, (1 - t) a + t b with both
-    ends exact."""
-    ends = a[:, None] * s + b[:, None] * t
-    return owners.repeat(t.size - 1), ends[:, :-1].ravel(), ends[:, 1:].ravel()
-
+    order, given each owner's count start[i] = L + 1 and their running sum
+    `ends`: the panels end at the last L + 1 rungs, (1 - t) a + t b, and
+    the first begins at a."""
+    rung = np.arange(ends[-1]) - ends.repeat(start)  # -(L + 1), ..., -1
+    hi = a.repeat(start) * _ONE_MINUS_RUNGS[rung] + b.repeat(start) * _RUNGS[rung]
+    lo = np.empty_like(hi)
+    lo[1:] = hi[:-1]
+    lo[ends - start] = a
+    return owners.repeat(start), lo, hi

@@ -25,7 +25,7 @@ from .quadrature import _check_positive
 class Transition:
     """One downward atomic transition n -> k.
 
-    dipole    : complex 3-vector d_nk
+    dipole    : complex 3-vector d_nk, d . d* a positive finite double
     frequency : transition frequency, > 0
     labels    : (upper, lower) level indices
     """
@@ -38,13 +38,12 @@ class Transition:
         d = np.asarray(self.dipole, dtype=complex)
         if d.shape != (3,):
             raise ValueError(f"dipole must be a 3-vector, got shape {d.shape}")
-        if not np.all(np.isfinite(d)):
-            raise ValueError(f"dipole components must be finite, got {d}")
-        if not np.any(d != 0):
-            raise ValueError("dipole vector is identically zero")
-        _check_positive("transition frequency", self.frequency)
         object.__setattr__(self, "dipole", d)
         d.setflags(write=False)
+        # d . d* scales every rate and shift: one that underflows to 0 or
+        # overflows would make them nan or inf
+        _check_positive("dipole d . d*", self.dipole_squared)
+        _check_positive("transition frequency", self.frequency)
 
     @property
     def dipole_squared(self) -> float:

@@ -417,15 +417,32 @@ def test_nonresonant_grid_under_a_small_panel_budget_matches_point_calls():
         assert (grid.quad_error[j], grid.neval[j]) == (one.quad_error, one.neval)
 
 
-def test_nonresonant_grid_over_many_start_ladders_matches_point_calls():
-    # zeta = 1e-4 ... 20 start on ladders of 4 to 17 levels, one
-    # integrate_batch call per ladder; each height still equals its
+def _count_calls(monkeypatch):
+    """A list that records the `levels` of every integrate_batch call the
+    s-integral makes."""
+    import cpshift.atomics
+
+    calls, integrate_batch = [], cpshift.atomics.integrate_batch
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["levels"])
+        return integrate_batch(*args, **kwargs)
+
+    monkeypatch.setattr(cpshift.atomics, "integrate_batch", counted)
+    return calls
+
+
+def test_nonresonant_grid_over_many_start_ladders_matches_point_calls(monkeypatch):
+    # zeta = 1e-4 ... 20 start on ladders of 4 to 17 levels, each height an
+    # owner of one integrate_batch call; each height still equals its
     # one-height call bit for bit
     z = np.geomspace(1e-4, 20.0, 12)
     levels = np.clip(4 - np.rint(np.log2(2.0 * z)), 4, None)
     assert np.unique(levels).size >= 4
     m16 = AxionMedium(epsilon=16.0, theta=math.pi)
+    calls = _count_calls(monkeypatch)
     grid = nonresonant_shift_grid(TR, z, m16)
+    assert len(calls) == 1 and calls[0].tolist() == levels.tolist()
     for j, zj in enumerate(z):
         one = nonresonant_shift_terms(TR, float(zj), m16)
         assert (grid.im_term[j], grid.re_term[j]) == (one.im_term, one.re_term)
@@ -435,7 +452,7 @@ def test_nonresonant_grid_over_many_start_ladders_matches_point_calls():
 def test_a_pole_on_a_deeper_ladder_names_its_height():
     # zeta = 1e-3 alone starts on the 13-level ladder, whose panel
     # [2^-13, 2^-12] no other height's ladder has: a stand-in pole at its
-    # middle node fails that ladder's call, whose owner 0 is height 3
+    # middle node fails the call, and its owner is height 3
     tau = 1.5 * 2.0 ** -13
     reflection = AxionMedium.reflection
 
@@ -456,13 +473,13 @@ def test_a_pole_on_a_deeper_ladder_names_its_height():
     assert excinfo.value.zeta == 1e-3
 
 
-def test_nonresonant_evaluation_count_on_the_benchmark_pool():
+def test_nonresonant_evaluation_count_on_the_benchmark_pool(monkeypatch):
     # evaluation counts do not depend on the machine, so they pin the
     # engine's panel decisions: the benchmark's 64 log-spaced zeta in
-    # [0.01, 10] take 6,330 from start ladders that reach 2 w z (8,640
-    # from the 4-level ladder alone, 10,980 from [0, 1]), and single
-    # heights the README's counts, each converging in its start round: one
-    # reflection call
+    # [0.01, 10] take 6,330 in one integrate_batch call from start ladders
+    # that reach 2 w z (8,640 from the 4-level ladder alone, 10,980 from
+    # [0, 1]), and single heights the README's counts, each converging in
+    # its start round: one reflection call
     class Counted(AxionMedium):
         calls = 0
 
@@ -472,8 +489,10 @@ def test_nonresonant_evaluation_count_on_the_benchmark_pool():
 
     medium = Counted(epsilon=16.0, theta=math.pi)
     zeta = 10.0 ** (-2.0 + 3.0 * (np.arange(64) + 0.5) / 64)
+    calls = _count_calls(monkeypatch)
     terms = nonresonant_shift_grid(TR, zeta / TR.frequency, medium)
     assert terms.neval.sum() == 6_330
+    assert len(calls) == 1 and np.unique(calls[0]).size > 1
     counts = {1e-3: 210, 0.01: 165, 0.1: 105, 0.5: 75, 1.0: 75, 10.0: 75}
     for zeta, neval in counts.items():
         Counted.calls = 0
@@ -534,9 +553,9 @@ def test_a_non_finite_quantity_raises_at_its_height():
 
 
 def test_s_integral_holds_its_tight_run_on_log_heights():
-    # the map's scale c = min(1, sqrt(2 w z)) moves with the height below
-    # 2 w z = 1: both terms, each to 1e-13 of itself, from zeta = 1e-3 to
-    # 1e3 (worst seen 7.3e-15, the im_term at eps = 0.25)
+    # the start ladder deepens with the height below 2 w z = 2^-1/2: both
+    # terms hold a 1000 times tighter run, each to 1e-13 of itself, from
+    # zeta = 1e-3 to 1e3 (worst seen 3.3e-15, the im_term at eps = 0.25)
     z = np.geomspace(1e-3, 1e3, 121)
     tight = QuadratureConfig().tighter(1e-3)
     for epsilon in (0.25, 4.0, 16.0):
@@ -562,10 +581,10 @@ def test_batched_failures_name_the_height():
     with pytest.raises(PoleError) as excinfo:
         numeric_greens(z, 1j * np.array([0.1, 0.2, 0.3, 0.4]), PoleMedium())
     assert excinfo.value.owner == 2
-    # P(s) is the same for every height, but below 2 w z = 1 the s-integrand
-    # has two scales, about sqrt(2 w z) from either end of x, which part as
-    # z falls; 2 w z >= 1 converges on the start mesh.  Under a budget of 5
-    # panels, the start mesh alone, only z = 1e-3 fails
+    # P(s) is the same for every height, but the s-integrand falls off below
+    # tau ~ 2 w z, so each height starts on a ladder of max(4, 4 - round(
+    # log2 2 w z)) levels.  Under a budget of 5 panels, the 4-level ladder,
+    # only z = 1e-3, whose 13-level ladder does not fit, fails
     z = np.array([2.0, 1.0, 1e-3, 0.5])
     capped = QuadratureConfig(max_panels=5)
     m16 = AxionMedium(epsilon=16.0, theta=math.pi)

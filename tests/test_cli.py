@@ -154,13 +154,48 @@ name = fail
     assert manifest["status"] == "failed"
 
 
-def test_a_non_finite_value_exits_two_and_names_its_zeta(capsys):
-    # the conductor's closed forms overflow to inf - inf this close
-    code, out, err = run(capsys, "shift", "--medium", "perfect_conductor",
-                         "--zeta", "1e-110")
+def test_a_non_finite_value_exits_two_and_names_its_zeta(tmp_path, capsys):
+    # above the height floor, the s-integrand still overflows below zeta ~
+    # 1e-77 for the canonical transition
+    cfg = tmp_path / "close.cfg"
+    cfg.write_text("medium = axion\nepsilon = 16\nzeta_min = 1e-90\nzeta_max = 1e-80\n"
+                   "count = 3\nspacing = log\nquantities = nonresonant_shift\n"
+                   "name = close\n", encoding="utf-8")
+    code, out, err = run(capsys, "scan", "--config", str(cfg), "--out", str(tmp_path))
     assert code == 2
     assert out == ""
-    assert "numerical failure" in err and "zeta=1e-110" in err
+    assert "numerical failure" in err and "zeta=1e-90" in err and "non-finite" in err
+
+
+def test_a_height_below_the_floor_exits_one_before_any_evaluation(tmp_path, capsys,
+                                                                  monkeypatch):
+    # the conductor's closed forms overflow near zeta = 1e-103: text input
+    # stops at ZETA_MIN = 1e-100, with exit 1 and no file written
+    import cpshift.scan
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluation started")
+
+    cfg = tmp_path / "close.cfg"
+    cfg.write_text("medium = perfect_conductor\nzeta_min = 1e-120\nzeta_max = 1e-100\n"
+                   "count = 5\nspacing = log\nname = close\n", encoding="utf-8")
+    with monkeypatch.context() as patched:
+        for module in (cpshift.cli, cpshift.scan):
+            patched.setattr(module, "_scan_values", no_evaluation)
+        code, out, err = run(capsys, "scan", "--config", str(cfg), "--out",
+                             str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert "zeta_min must be finite and at least ZETA_MIN = 1e-100" in err
+        assert [p.name for p in tmp_path.rglob("*")] == ["close.cfg"]
+        for command in ("rates", "shift"):
+            code, out, err = run(capsys, command, "--medium", "perfect_conductor",
+                                 "--zeta", "1e-110")
+            assert (code, out) == (1, ""), command
+            assert "--zeta must be finite and at least ZETA_MIN = 1e-100" in err
+    # at the floor itself the conductor's values are finite
+    cfg.write_text("medium = perfect_conductor\nzeta_min = 1e-100\nzeta_max = 1e-99\n"
+                   "count = 5\nspacing = log\nname = close\n", encoding="utf-8")
+    assert run(capsys, "scan", "--config", str(cfg), "--out", str(tmp_path / "out"))[0] == 0
 
 
 def test_unwritable_output_exits_two(tmp_path, capsys):

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from cpshift.config import (ConfigError, MEDIUM_KINDS, MEDIUM_PARAMETERS, QUANTITY_COLUMNS,
-                            ScanConfig, build_medium, parse_config)
+from cpshift.config import (ZETA_MIN, ConfigError, MEDIUM_KINDS, MEDIUM_PARAMETERS,
+                            QUANTITY_COLUMNS, ScanConfig, build_medium, parse_config)
 from cpshift.media import AxionMedium, PerfectConductor, PerfectNonreciprocalMirror
 
 
@@ -171,6 +171,16 @@ def test_scan_config_rejects_non_finite_zeta():
                 dict(zeta_max=math.inf), dict(zeta_min=math.inf, zeta_max=math.inf)):
         with pytest.raises(ConfigError, match="finite"):
             ScanConfig(**{**ok, **bad})
+
+
+def test_scan_config_holds_the_height_floor():
+    # zeta_min from ZETA_MIN up: below it the shifts overflow, so no grid
+    # there can succeed (zeta_max exceeds zeta_min and needs no check)
+    ok = dict(medium_kind="perfect_conductor", zeta_max=1.0, count=5)
+    assert ScanConfig(zeta_min=ZETA_MIN, **ok).zeta_min == 1e-100
+    for zeta_min in (np.nextafter(ZETA_MIN, 0.0), 1e-120, 5e-324, -1.0):
+        with pytest.raises(ConfigError, match="at least ZETA_MIN = 1e-100"):
+            ScanConfig(zeta_min=zeta_min, **ok)
 
 
 def test_grid_spacings():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpshift.quadrature import (_G7_WEIGHTS, _K15_NODES, _K15_WEIGHTS, BOUND_MAX,
-                                HALF_LINE_MESH, MAX_DEPTH, QuadratureConfig,
+                                LEVELS_MAX, MAX_DEPTH, QuadratureConfig,
                                 QuadratureError, integrate, integrate_batch)
 
 
@@ -304,26 +304,19 @@ def test_zero_owners_return_empty_arrays_without_calling_f():
     assert values.dtype == complex and neval.dtype.kind == "i"
 
 
-# start meshes: [a, b] itself (the default), the half-line mesh, and meshes
-# whose panels are not powers of 2 wide
-_MESHES = st.one_of(
-    st.just((0.0, 1.0)), st.just(HALF_LINE_MESH),
-    st.lists(st.integers(1, 99), min_size=1, max_size=4, unique=True).map(
-        lambda t: (0.0, *sorted(k / 100 for k in t), 1.0)))
-
-
 @given(owners=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 4.0),
                                  st.floats(-5.0, 5.0), st.floats(0.0, 20.0),
-                                 st.floats(-3.0, 3.0), st.floats(1e-3, 1.0)),
+                                 st.floats(-3.0, 3.0), st.floats(1e-3, 1.0),
+                                 st.integers(0, 12)),
                        min_size=2, max_size=8),
-       share=st.floats(0.0, 1.0), mesh=_MESHES)
+       share=st.floats(0.0, 1.0))
 @settings(max_examples=60, deadline=None)
-def test_panel_budget_evicts_and_owners_still_match_standalone(owners, share, mesh):
+def test_panel_budget_evicts_and_owners_still_match_standalone(owners, share):
     a = [o[0] for o in owners]
     b = [o[0] + o[1] for o in owners]
-    f = _lockstep_integrand([o[2:] for o in owners])
-    m = len(mesh) - 1
-    alone = [_alone(f, i, lo, hi, rel_tol=1e-10, mesh=mesh)
+    levels = np.array([o[6] for o in owners])
+    f = _lockstep_integrand([o[2:6] for o in owners])
+    alone = [_alone(f, i, lo, hi, rel_tol=1e-10, levels=levels[i])
              for i, (lo, hi) in enumerate(zip(a, b))]
     # each owner evaluates at least as many panels as it ever holds, so a
     # lone owner fits; anything below the sum forces evictions
@@ -334,24 +327,25 @@ def test_panel_budget_evicts_and_owners_still_match_standalone(owners, share, me
 
     def counted(x, owner):
         # an owner missing from a round holds none; one that held none
-        # (re)starts on the m panels of its mesh; a continuing owner adds
-        # two halves per split panel
+        # (re)starts on the L + 1 panels of its own ladder; a continuing
+        # owner adds two halves per split panel
         new = np.bincount(owner, minlength=len(owners)) // 15
         for i in range(len(owners)):
             held = live.get(i, 0)
-            assert held or new[i] in (0, m)
+            assert held or new[i] in (0, levels[i] + 1)
             live[i] = 0 if new[i] == 0 else (new[i] if held == 0 else held + new[i] // 2)
         peaks.append(sum(live.values()))
         return f(x, owner)
 
     values, errors, neval = integrate_batch(counted, a, b, rel_tol=1e-10,
-                                            max_panels=budget, mesh=mesh)
+                                            max_panels=budget, levels=levels)
     assert max(peaks) <= budget
     for i, res in enumerate(alone):
         _assert_same((values[i], errors[i], neval[i]), res)
 
 
 def test_start_mesh_is_its_panels_with_exact_ends():
+    # each owner starts on its own ladder 0, 2^-L, ..., 1/2, 1 of [a, b]
     rounds = []
 
     def f(x, owner):
@@ -359,23 +353,24 @@ def test_start_mesh_is_its_panels_with_exact_ends():
         return np.exp(x)
 
     values, _, neval = integrate_batch(f, [-1.0, 0.2], [3.0, 0.9], rel_tol=1e-12,
-                                       mesh=HALF_LINE_MESH)
-    assert neval.tolist() == [75, 75] and len(rounds) == 1
-    t = np.array(HALF_LINE_MESH)
-    for i, (lo, hi) in enumerate(((-1.0, 3.0), (0.2, 0.9))):
+                                       levels=[4, 2])
+    assert neval.tolist() == [75, 45] and len(rounds) == 1
+    first = 0
+    for i, (lo, hi, level) in enumerate(((-1.0, 3.0, 4), (0.2, 0.9, 2))):
+        t = np.array([0.0] + [2.0 ** -k for k in range(level, -1, -1)])
         ends = (1.0 - t) * lo + t * hi
         assert (ends[0], ends[-1]) == (lo, hi)
         mid, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
-        assert np.array_equal(rounds[0][5 * i:5 * i + 5],
+        assert np.array_equal(rounds[0][first:first + level + 1],
                               mid[:, None] + half[:, None] * _K15_NODES)
         assert abs(values[i] - (math.exp(hi) - math.exp(lo))) <= 1e-12 * math.exp(hi)
+        first += level + 1
 
 
-@pytest.mark.parametrize("mesh", [(0.0, 1.0), HALF_LINE_MESH, (0.0, 0.3, 1.0)])
-def test_start_panels_count_at_their_dyadic_level(mesh):
+@pytest.mark.parametrize("levels", [0, 4])
+def test_start_panels_count_at_their_dyadic_level(levels):
     # x^-1/2 refines at x = 0 until the cap: the narrowest panel is then
-    # 2^-MAX_DEPTH of [0, 1] on the dyadic meshes, and within a factor 2
-    # above it on a mesh whose panels are not powers of 2 wide
+    # 2^-MAX_DEPTH of [0, 1], whatever ladder it starts on
     widths = []
 
     def singular(x, owner):
@@ -385,12 +380,9 @@ def test_start_panels_count_at_their_dyadic_level(mesh):
         return x.ravel() ** -0.5
 
     with pytest.raises(QuadratureError, match=f"exceeded {MAX_DEPTH} levels"):
-        integrate_batch(singular, [0.0], [1.0], rel_tol=1e-12, mesh=mesh)
-    narrowest = min(widths) * 2.0 ** MAX_DEPTH
-    if mesh == (0.0, 0.3, 1.0):
-        assert 1.0 <= narrowest < 2.0
-    else:
-        assert narrowest == pytest.approx(1.0, rel=1e-12)
+        integrate_batch(singular, [0.0], [1.0], rel_tol=1e-12, levels=levels)
+    assert widths[0] == pytest.approx(2.0 ** -levels, rel=1e-12)  # the finest rung
+    assert min(widths) * 2.0 ** MAX_DEPTH == pytest.approx(1.0, rel=1e-12)
 
 
 def test_budget_below_the_start_mesh_names_owner_zero():
@@ -398,21 +390,38 @@ def test_budget_below_the_start_mesh_names_owner_zero():
         raise AssertionError("integrand called")
 
     with pytest.raises(QuadratureError, match="budget 4 exhausted in integral 0") as exc:
-        integrate_batch(f, [0.0, 0.0], [1.0, 1.0], max_panels=4, mesh=HALF_LINE_MESH)
+        integrate_batch(f, [0.0, 0.0], [1.0, 1.0], max_panels=4, levels=4)
     assert exc.value.owner == 0
     # five panels fit one owner at a time, and both still finish
     values, _, neval = integrate_batch(lambda x, owner: np.cos(x), [0.0, 0.0], [1.0, 2.0],
-                                       max_panels=5, mesh=HALF_LINE_MESH)
+                                       max_panels=5, levels=4)
     assert neval.tolist() == [75, 75]
     assert abs(values[1] - math.sin(2.0)) < 1e-12
 
 
-@pytest.mark.parametrize("mesh", [(0.0,), (0.0, 0.5), (0.1, 1.0), (0.0, 0.5, 0.5, 1.0),
-                                  ((0.0, 1.0),), (0.0, math.nan, 1.0),
-                                  np.zeros((2, 2)), [[0.0, 1.0], [0.0, 1.0]], 5])
-def test_bad_start_mesh_rejected(mesh):
-    with pytest.raises(ValueError, match="mesh"):
-        integrate_batch(lambda x, owner: x, [0.0], [1.0], mesh=mesh)
+def test_a_ladder_beyond_the_budget_names_its_owner_before_any_evaluation():
+    # owner 2's 12 start panels exceed a budget of 10 that the others fit
+    def f(x, owner):
+        raise AssertionError("integrand called")
+
+    with pytest.raises(QuadratureError, match="budget 10 exhausted in integral 2 "
+                       r"\(its start ladder has 12 panels\)") as exc:
+        integrate_batch(f, np.zeros(4), np.ones(4), max_panels=10, levels=[4, 9, 11, 0])
+    assert exc.value.owner == 2
+
+
+@pytest.mark.parametrize("levels", [
+    -1, LEVELS_MAX + 1, 2 ** 70, 2.0, True, "4", None, [4, 4, 4], [4], [[4, 4]]],
+    ids=["negative", "beyond_max", "beyond_int64", "float", "bool", "text", "none",
+         "three_for_two", "one_for_two", "two_dimensional"])
+def test_bad_start_mesh_rejected(levels):
+    # one level from 0 to LEVELS_MAX for all owners, or one per owner: a
+    # single-entry array is not broadcast
+    def f(x, owner):
+        raise AssertionError("integrand called")
+
+    with pytest.raises(ValueError, match="need levels from 0 to 1022"):
+        integrate_batch(f, [0.0, 0.0], [1.0, 1.0], levels=levels)
 
 
 def test_panel_budget_bounds_the_whole_call():

@@ -62,8 +62,10 @@ def test_transition_validation():
     for frequency in (math.inf, math.nan, -math.inf, True, np.True_):
         with pytest.raises(ValueError, match="finite"):
             Transition(np.array([1.0, 0.0, 0.0]), frequency)
+    # d . d* must be a positive finite double: 0 for [1e-170, 1e-170i, 0],
+    # whose squares underflow, and inf for [1e200, 0, 0]
     for dipole in ([math.nan, 0.0, 0.0], [1.0, complex(0.0, math.inf), 0.0],
-                   [1.0, 0.0, -math.inf]):
+                   [1.0, 0.0, -math.inf], [1e-170, 1e-170j, 0.0], [1e200, 0.0, 0.0]):
         with pytest.raises(ValueError, match="finite"):
             Transition(np.array(dipole), 1.0)
     tr = Transition(np.array([1.0, 0.0, 0.0]), 1.0)
