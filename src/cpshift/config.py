@@ -58,11 +58,14 @@ ZETA_MIN = 1e-100
 
 
 def _check_zeta(name: str, zeta) -> None:
-    """ConfigError unless zeta is a finite number of at least ZETA_MIN, not
-    a bool."""
-    if isinstance(zeta, (bool, np.bool_)) or not (math.isfinite(zeta) and zeta >= ZETA_MIN):
-        raise ConfigError(f"{name} must be finite and at least ZETA_MIN = {ZETA_MIN:g}, "
-                          f"got {zeta}")
+    """ConfigError unless zeta is a positive finite number (not a bool) of at
+    least ZETA_MIN."""
+    try:
+        _check_positive(name, zeta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if zeta < ZETA_MIN:
+        raise ConfigError(f"{name} must be at least ZETA_MIN = {ZETA_MIN:g}, got {zeta}")
 
 
 @dataclass(frozen=True)

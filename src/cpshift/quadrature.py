@@ -264,8 +264,8 @@ def integrate_batch(f, a, b, *, rel_tol: float = DEFAULT_CONFIG.rel_tol,
     """
     _check_positive("rel_tol", rel_tol)
     _check_count("max_panels", max_panels, 1)
-    lo0 = np.array(a, dtype=float, ndmin=1, copy=None)
-    hi0 = np.array(b, dtype=float, ndmin=1, copy=None)
+    lo0 = np.array(a, dtype=float, ndmin=1)
+    hi0 = np.array(b, dtype=float, ndmin=1)
     if lo0.ndim != 1 or lo0.shape != hi0.shape:
         raise ValueError(f"need matching 1-d bounds, got shapes {lo0.shape}, {hi0.shape}")
     inside = (lo0 > -BOUND_MAX) & (hi0 < BOUND_MAX)  # false at nan
@@ -278,7 +278,7 @@ def integrate_batch(f, a, b, *, rel_tol: float = DEFAULT_CONFIG.rel_tol,
         raise ValueError(f"need b > a, got [{lo0[i]}, {hi0[i]}] for integral {i}")
     depth, deepest = np.asarray(levels), LEVELS_MAX + 1
     if depth.dtype.kind in "iu" and depth.shape in ((), lo0.shape):
-        depth = np.full(lo0.size, depth, dtype=int)
+        depth = np.full(lo0.size, depth, dtype=np.int64)
         # one reduction checks both ends: a negative level reads as 2^64 - |L|
         deepest = depth.view(np.uint64).max(initial=0)
     if deepest > LEVELS_MAX:

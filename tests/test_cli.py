@@ -167,6 +167,15 @@ def test_a_non_finite_value_exits_two_and_names_its_zeta(tmp_path, capsys):
     assert "numerical failure" in err and "zeta=1e-90" in err and "non-finite" in err
 
 
+def test_a_single_point_numerical_failure_exits_two_and_names_its_zeta(capsys):
+    # above the height floor, the quadratures still fail this close
+    code, out, err = run(capsys, "shift", "--medium", "axion", "--epsilon", "16",
+                         "--zeta", "1e-90")
+    assert code == 2
+    assert out == ""
+    assert "numerical failure" in err and "zeta=1e-90" in err
+
+
 def test_a_height_below_the_floor_exits_one_before_any_evaluation(tmp_path, capsys,
                                                                   monkeypatch):
     # the conductor's closed forms overflow near zeta = 1e-103: text input
@@ -185,13 +194,13 @@ def test_a_height_below_the_floor_exits_one_before_any_evaluation(tmp_path, caps
         code, out, err = run(capsys, "scan", "--config", str(cfg), "--out",
                              str(tmp_path / "out"))
         assert (code, out) == (1, "")
-        assert "zeta_min must be finite and at least ZETA_MIN = 1e-100" in err
+        assert "zeta_min must be at least ZETA_MIN = 1e-100" in err
         assert [p.name for p in tmp_path.rglob("*")] == ["close.cfg"]
         for command in ("rates", "shift"):
             code, out, err = run(capsys, command, "--medium", "perfect_conductor",
                                  "--zeta", "1e-110")
             assert (code, out) == (1, ""), command
-            assert "--zeta must be finite and at least ZETA_MIN = 1e-100" in err
+            assert "--zeta must be at least ZETA_MIN = 1e-100" in err
     # at the floor itself the conductor's values are finite
     cfg.write_text("medium = perfect_conductor\nzeta_min = 1e-100\nzeta_max = 1e-99\n"
                    "count = 5\nspacing = log\nname = close\n", encoding="utf-8")

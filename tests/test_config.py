@@ -178,9 +178,11 @@ def test_scan_config_holds_the_height_floor():
     # there can succeed (zeta_max exceeds zeta_min and needs no check)
     ok = dict(medium_kind="perfect_conductor", zeta_max=1.0, count=5)
     assert ScanConfig(zeta_min=ZETA_MIN, **ok).zeta_min == 1e-100
-    for zeta_min in (np.nextafter(ZETA_MIN, 0.0), 1e-120, 5e-324, -1.0):
+    for zeta_min in (np.nextafter(ZETA_MIN, 0.0), 1e-120, 5e-324):
         with pytest.raises(ConfigError, match="at least ZETA_MIN = 1e-100"):
             ScanConfig(zeta_min=zeta_min, **ok)
+    with pytest.raises(ConfigError, match="zeta_min must be positive"):
+        ScanConfig(zeta_min=-1.0, **ok)
 
 
 def test_grid_spacings():
