@@ -30,8 +30,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .greens import (PlanarTensors, _grid_omega, _heights, _kernels,
-                     _sandwich, closed_form_greens, numeric_greens)
+from .greens import (PlanarTensors, _grid_omega, _heights, _sandwich,
+                     closed_form_greens, numeric_greens)
 from .media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
                     ReflectionMatrix, _AxionDifference,
                     nonretarded_limit_coefficients, retarded_limit_coefficients)
@@ -126,23 +126,37 @@ class NonresonantTerms:
         return self.im_term + self.re_term
 
 
-_STEP, _TAYLOR, _FAR = 1.0 + 2.0 ** -10, 5, 2.0 ** 20
+_STEP, _TAYLOR, _NEAR, _FAR = 1.0 + 2.0 ** -10, 5, 2.0 ** -9, 2.0 ** 20
+# the table's nodes b_j = 2 _STEP^j, j >= -_BELOW, start next to _NEAR
+_BELOW = round(math.log(2.0 / _NEAR) / math.log(_STEP))
 
 
 @functools.cache
 def _moment_table():
-    """(b_j = 2 _STEP^j < _FAR, B_m(b_j) for m = 3 ... 4 + _TAYLOR): B_m = m! b^-m
-    Im e^z E_{m+1}(z) at z = -ib, the continued fraction of e^z E_{m+1}(z) summed
-    backward from depth 6 + 250/b; _moments expands about b_j to degree _TAYLOR."""
-    b = 2.0 * _STEP ** np.arange(round(math.log(_FAR / 2.0) / math.log(_STEP)) + 2)
+    """(b_j = 2 _STEP^j from about _NEAR to past _FAR, B_m(b_j) for
+    m = 3 ... 4 + _TAYLOR); _moments expands about b_j to degree _TAYLOR.
+
+    From b = 2 up, B_m = m! b^-m Im e^z E_{m+1}(z) at z = -ib, the continued
+    fraction of e^z E_{m+1}(z) summed backward from depth 6 + 250/b.  Below,
+    where that depth grows as 1/b, B3 and B4 come from the series of
+    `_series` and B5 ... B9 from the upward recurrence
+    B_(n+2) = n!/b^(n+1) - B_n, whose subtraction is a small part of
+    n!/b^(n+1) there (at most 28 % of it, next to b = 2)."""
+    b = 2.0 * _STEP ** np.arange(-_BELOW, round(math.log(_FAR / 2.0) / math.log(_STEP)) + 2)
+    low, up = b[:_BELOW], b[_BELOW:]
     m = np.arange(3.0, 5.0 + _TAYLOR)[:, None]
-    depth = np.ceil(6.0 + 250.0 / b).astype(int)  # falls along b: live points are a prefix
-    t = np.zeros((m.size, b.size), dtype=complex)
+    depth = np.ceil(6.0 + 250.0 / up).astype(int)  # falls along b: live points are a prefix
+    t = np.zeros((m.size, up.size), dtype=complex)
     for k in range(depth[0], 0, -1):
         n = np.count_nonzero(depth >= k)
-        t[:, :n] = -k * (m + k) / (m + 1 + 2 * k - 1j * b[:n] + t[:, :n])
+        t[:, :n] = -k * (m + k) / (m + 1 + 2 * k - 1j * up[:n] + t[:, :n])
     m_factorial = np.cumprod(np.arange(1.0, 5.0 + _TAYLOR))[2:, None]
-    return b, m_factorial * (1.0 / (m + 1 - 1j * b + t)).imag / b ** m
+    upper = m_factorial * (1.0 / (m + 1 - 1j * up + t)).imag / up ** m
+    del t  # the rows below 2 follow without it: the build's peak memory is the fraction's
+    rows = _series(low, lower=False)
+    for n in range(3, 3 + _TAYLOR):
+        rows.append(math.factorial(n) / low ** (n + 1) - rows[n - 3])
+    return b, np.concatenate([np.array(rows), upper], axis=1)
 
 
 # Si(x)/x and Ci(x) - gamma - ln x as power series in x^2 (Abramowitz &
@@ -164,42 +178,51 @@ def _sici(x):
     return x * s[0], np.euler_gamma + np.log(x) + s[1]
 
 
+def _series(x, lower: bool):
+    """[B0, ..., B4], or [B3, B4] with lower=False, at every 0 < x < 2:
+    B0 = f(x), B1 = g(x), B2 = 1/x - f, B3 = 1/x^2 - g and
+    B4 = 2/x^3 - 1/x + f, with f, g the auxiliary functions of the sine and
+    cosine integrals (Abramowitz & Stegun 5.2), Si and Ci from their power
+    series (`_sici`)."""
+    si, ci = _sici(x)
+    si, sin, cos = si - 0.5 * np.pi, np.sin(x), np.cos(x)
+    cs, sc, cc, ss = ci * sin, si * cos, ci * cos, si * sin
+    r = 1.0 / x
+    upper = [1.0 / x ** 2 + cc + ss, 2.0 / x ** 3 - r + cs - sc]
+    if not lower:
+        return upper
+    f = cs - sc
+    return [f, -cc - ss, r - f] + upper
+
+
 def _moments(b, lower: bool = True):
     """(B0, ..., B4) at every b > 0, B_n(b) = int_0^inf x^n e^{-bx}/(x^2+1) dx,
     or only (B3, B4), all the s-integral takes, with lower=False.
 
-    Below b = 2, B0 = f(b), B1 = g(b), B2 = 1/b - f, B3 = 1/b^2 - g and
-    B4 = 2/b^3 - 1/b + f, with f, g the auxiliary functions of the sine and
-    cosine integrals (Abramowitz & Stegun 5.2), Si and Ci from their power
-    series (`_sici`).  Above, where those cancel,
-    dB_n/db = -B_{n+1} gives Taylor terms of B3 and B4 falling by about
-    2^-11 each, and from _FAR on two terms of the asymptotic series suffice;
-    all three hold to a few ulp, so no switch leaves a step.  From B3 and
-    B4, x^n/(x^2+1) = x^(n-2) - x^(n-2)/(x^2+1) gives the downward
-    recurrence B_n = n!/b^(n+1) - B_(n+2), which loses no digits above
-    b = 2: each B_n is a small part of n!/b^(n+1).  A region without points
-    is skipped: the s-integral calls this once per round on a few dozen.
+    Below b = 2 (`_series`), B0 ... B2 hold their digits, while the table
+    (`_moment_table`) would give them by cancelling from B3 and B4; with
+    lower=False the series serves only below _NEAR, where the table ends.
+    From there, dB_n/db = -B_{n+1} gives Taylor terms of B3 and B4 about the
+    nearest table node, falling by about 2^-11 each, and from _FAR on two
+    terms of the asymptotic series suffice; all three hold to a few ulp, so
+    no switch leaves a step.  From B3 and B4, x^n/(x^2+1) = x^(n-2) -
+    x^(n-2)/(x^2+1) gives the downward recurrence B_n = n!/b^(n+1) -
+    B_(n+2), which loses no digits above b = 2: each B_n is a small part of
+    n!/b^(n+1).  A region without points is skipped: the s-integral calls
+    this once per round on a few dozen, all in the table at every height
+    from 2 w z = 2^-9 to about 2^8.
     """
     out = np.empty((5 if lower else 2,) + b.shape)
-    near, far = b < 2.0, b >= _FAR
+    near, far = b < (2.0 if lower else _NEAR), b >= _FAR
     nnear, nfar = np.count_nonzero(near), np.count_nonzero(far)
     if nnear:
-        x = b[near]
-        si, ci = _sici(x)
-        si, sin, cos = si - 0.5 * np.pi, np.sin(x), np.cos(x)
-        cs, sc, cc, ss = ci * sin, si * cos, ci * cos, si * sin
-        r = 1.0 / x
-        upper = [1.0 / x ** 2 + cc + ss, 2.0 / x ** 3 - r + cs - sc]
-        if lower:
-            f = cs - sc
-            upper = [f, -cc - ss, r - f] + upper
-        out[:, near] = upper
+        out[:, near] = _series(b[near], lower)
     if nnear + nfar < b.size:
         hi = ~(near | far) if nnear + nfar else slice(None)  # a view, not a gather
         x = b[hi]
         grid, table = _moment_table()
-        j = np.rint(np.log(0.5 * x) * (1.0 / math.log(_STEP))).astype(int)
-        h, rows = x - grid[j], table[:, j]
+        j = np.rint(np.log(0.5 * x) * (1.0 / math.log(_STEP))).astype(int) + _BELOW
+        h, rows = x - grid[j], table.take(j, axis=1)  # table[:, j], gathered faster
         acc = rows[_TAYLOR:].copy()
         for k in range(_TAYLOR - 1, -1, -1):
             acc *= h * (-1.0 / (k + 1))
@@ -246,9 +269,11 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
     """Both terms of the nonresonant shift at every height z[j] > 0.
 
     With k_perp = i s xi, s(i xi) = (xi/8 pi) int_1^inf ds e^{-2 s xi z}
-    P(s), where P sandwiches the kernels (`_kernels`, no weight) and, the media
-    being nondispersive, does not depend on xi.  The xi-integral done first
-    (`_moments`) leaves, with b = 2 s w z,
+    P(s), where P sandwiches the kernels of `greens` (no weight) and, the
+    media being nondispersive, does not depend on xi; the s-integrand forms
+    it from three weights of the dipole and the reflection on real
+    arguments (`_s_integral`).  The xi-integral done first (`_moments`)
+    leaves, with b = 2 s w z,
         dw_nres = (w^3/8 pi^2) int_1^inf ds [Im P B4(b) - Re P B3(b)],
     over tau = 1/s in (0, 1] (ds = -dtau/tau^2) at rel_tol / 10
     (`xi_rel_tol`).  The integrand has two scales: tau ~ 1, over which P
@@ -286,19 +311,27 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
 
 def _s_integral(transition: Transition, scale, medium, cfg: QuadratureConfig):
     """int_0^1 dtau/tau^2 [Im P B4(b) + i Re P B3(b)], b = scale[j]/tau, at
-    every height j, each on its own start ladder: one `integrate_batch` call."""
+    every height j, each on its own start ladder: one `integrate_batch` call.
+
+    With s = 1/tau, the kernels are xx = r_ss - r_pp s^2,
+    zz = 2 r_pp (1 - s^2) and xy = (r_sp + r_ps) s, from the reflection on
+    real arguments, r(w, w s) = r(i w, i w s) (`media`), and
+    P = A xx + C zz + iB xy with the dipole's weights A = |d_x|^2 + |d_y|^2,
+    C = |d_z|^2 and iB = d_x conj(d_y) - d_y conj(d_x)."""
     w = transition.frequency
-    d = np.asarray(transition.dipole, dtype=complex)
-    d, dc = d.tolist(), d.conj().tolist()  # Python complexes: cheaper to index
+    dx, dy, dz = transition.dipole.tolist()
+    a, c = abs(dx) ** 2 + abs(dy) ** 2, abs(dz) ** 2
+    ib = dx * dy.conjugate() - dy * dx.conjugate()
 
     def f(tau, owner):
-        tau2 = tau * tau
-        k = _kernels(medium, 1j * w, 1j * w / tau,
-                     w * w * (1.0 - tau) * (1.0 + tau) / tau2)
-        p = _sandwich(k[:, 0], k[:, 1], k[:, 2], d, dc)  # P = d . G . conj(d)
+        s = 1.0 / tau
+        s2 = s * s
+        r = medium.reflection(w, w / tau)
+        xz = a * r.r_ss - r.r_pp * ((a + 2.0 * c) * s2 - 2.0 * c)  # A xx + C zz
+        p = xz + (ib * s) * (r.r_sp + r.r_ps)
         b3, b4 = _moments(scale[owner] / tau, lower=False)
         # pack both real integrands into one complex quadrature pass
-        return (p.imag * b4 + 1j * (p.real * b3)) / tau2
+        return (p.imag * b4 + 1j * (p.real * b3)) * s2
 
     levels = (4.0 - np.rint(np.log2(scale))).clip(4, LEVELS_MAX).astype(int)
     return integrate_batch(f, np.zeros(scale.size), np.ones(scale.size),

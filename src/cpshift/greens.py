@@ -59,8 +59,9 @@ scan on the real axis, one per (z, xi) of a batch on the imaginary axis.
 Every round evaluates the reflection matrix once, on the nodes of all new
 panels, and each node serves all three kernels, written into one
 [nodes, 3] array.  `scattering_greens_numeric` is the one-point
-case.  The nonresonant shift integrates `_kernels` over tau = 1/s,
-s = k_perp/(i xi), instead (`atomics.nonresonant_shift_grid`).
+case.  The nonresonant shift integrates the same kernels' dipole sandwich
+over tau = 1/s, s = k_perp/(i xi), instead, from the reflection on real
+arguments (`atomics.nonresonant_shift_grid`).
 
 A reflection matrix that does not depend on k_par leaves elementary
 integrals, so the tensor of every such medium has a closed form
@@ -134,8 +135,8 @@ class PlanarTensors(NamedTuple):
 
 def _sandwich(xx, zz, xy, d, c):
     """d . G . conj(d) of complex kernel arrays, c = conj(d): v = d @ M, then
-    v @ c.  PlanarTensors.sandwich and the nonresonant s-integrand both
-    take it here, so the two give the same bits."""
+    v @ c.  PlanarTensors.sandwich and the mirrors' closed-form nonresonant
+    shift take it here."""
     v0 = xx * d[0] - xy * d[1]
     v1 = xy * d[0] + xx * d[1]
     return v0 * c[0] + v1 * c[1] + zz * d[2] * c[2]

@@ -16,6 +16,11 @@ accept real frequencies as well as purely imaginary omega = i*xi, either
 one omega for all nodes or an array of omega aligned with them.  Every
 medium here is nondispersive, r(i lambda xi, lambda k_perp) = r(i xi,
 k_perp) for lambda > 0; `atomics.nonresonant_shift_grid` relies on this.
+On the rotated contour, k_perp = i kappa with kappa >= xi, every wavenumber
+of the Fresnel formulas picks up the same factor i, which cancels from each
+coefficient: r(i xi, i kappa) = r(xi, kappa), the same bits wherever they
+are finite, so the nonresonant s-integral reads the reflection on real
+arguments.
 
 Each medium also states its `constant_reflection`: the reflection matrix
 if it depends neither on k_par nor on omega (the two ideal mirrors, the

@@ -13,6 +13,7 @@ a scaled rate or shift back.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,8 @@ class Transition:
     """One downward atomic transition n -> k.
 
     dipole    : complex 3-vector d_nk, d . d* a positive finite double
-    frequency : transition frequency, > 0
+    frequency : transition frequency, > 0, with a free-space rate
+                w^3 d . d*/(3 pi) that is a positive normal double
     labels    : (upper, lower) level indices
     """
 
@@ -40,10 +42,18 @@ class Transition:
             raise ValueError(f"dipole must be a 3-vector, got shape {d.shape}")
         object.__setattr__(self, "dipole", d)
         d.setflags(write=False)
-        # d . d* scales every rate and shift: one that underflows to 0 or
-        # overflows would make them nan or inf
+        # d . d* scales every rate and shift, and Gamma0 = w^3 d . d*/(3 pi)
+        # normalizes a scan's: one that underflows or overflows would make
+        # them nan or inf
         _check_positive("dipole d . d*", self.dipole_squared)
         _check_positive("transition frequency", self.frequency)
+        try:
+            gamma0 = free_space_rate_formula(self)
+        except OverflowError:  # w ** 3 of a Python float beyond the largest double
+            gamma0 = math.inf
+        if not sys.float_info.min <= gamma0 < math.inf:
+            raise ValueError(f"free-space rate w^3 d . d*/(3 pi) must be a positive "
+                             f"normal double, got {gamma0} at frequency {self.frequency}")
 
     @property
     def dipole_squared(self) -> float:

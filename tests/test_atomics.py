@@ -238,15 +238,20 @@ class _Opaque:
     ConstantReflectionMedium(r_ss=0.3 + 0.1j, r_sp=-0.2j, r_ps=0.4, r_pp=0.7 - 0.3j)])
 def test_closed_form_nonresonant_shift_matches_the_s_integral(medium):
     # the s-integral at its default tolerance is the reference; the worst
-    # difference seen is 4e-15 of the larger term
+    # difference seen is 4e-15 of the larger term.  The s-integrand weighs
+    # the kernels with three weights of the dipole, while the closed form
+    # takes the full sandwich (greens._sandwich): a dipole with every
+    # component complex checks the weights
     z = np.geomspace(1e-3, 100.0, 25)
-    closed = nonresonant_shift_grid(TR, z, medium)
-    reference = nonresonant_shift_grid(TR, z, _Opaque(medium))
-    assert closed.neval.sum() == 0 and np.all(reference.neval > 0)
-    assert np.all(closed.quad_error == 0.0)
-    scale = np.maximum(np.abs(reference.im_term), np.abs(reference.re_term))
-    assert np.all(np.abs(closed.im_term - reference.im_term) <= 1e-12 * scale)
-    assert np.all(np.abs(closed.re_term - reference.re_term) <= 1e-12 * scale)
+    general = Transition(np.array([0.3 + 0.2j, -0.5 + 0.1j, 0.7 - 0.4j]), 1.3)
+    for tr in (TR, general):
+        closed = nonresonant_shift_grid(tr, z, medium)
+        reference = nonresonant_shift_grid(tr, z, _Opaque(medium))
+        assert closed.neval.sum() == 0 and np.all(reference.neval > 0)
+        assert np.all(closed.quad_error == 0.0)
+        scale = np.maximum(np.abs(reference.im_term), np.abs(reference.re_term))
+        assert np.all(np.abs(closed.im_term - reference.im_term) <= 1e-12 * scale)
+        assert np.all(np.abs(closed.re_term - reference.re_term) <= 1e-12 * scale)
 
 
 def _nested_nres(z, medium, config=None):
@@ -323,7 +328,7 @@ def test_xi_moments_against_mpmath():
     b = np.concatenate([np.geomspace(1e-3, 1e7, 41), [2.0 - 1e-12, 2.0, 2.0 + 1e-12],
                         np.geomspace(1e-6, 2.0, 201)[:-1],
                         2.0 - np.geomspace(1e-14, 1e-2, 25)])
-    moments = _moments(b)
+    moments, upper = _moments(b), _moments(b, lower=False)
     for j, x in enumerate(b):
         with mpmath.workdps(60):
             x_mp = mpmath.mpf(float(x))
@@ -335,9 +340,14 @@ def test_xi_moments_against_mpmath():
                     float(2 / x_mp ** 3 - 1 / x_mp + f)]
         for n, ref in enumerate(refs):
             assert abs(moments[n, j] / ref - 1) <= 4e-15, (n, x)
-    # the s-integral's B3 and B4 alone are the same bits, in all three regions
+        # the s-integral's B3 and B4 alone, from the table down to b = 2^-9
+        for n, ref in enumerate(refs[3:]):
+            assert abs(upper[n, j] / ref - 1) <= 4e-15, (n + 3, x)
+    # and the same bits where both read the same branch: the series below
+    # 2^-9, the table from 2 and the asymptotic series from 2^20
+    same = (b < 2.0 ** -9) | (b >= 2.0)
+    assert np.array_equal(upper[:, same], moments[3:, same])
     far = np.geomspace(2.0 ** 20, 1e30, 5)
-    assert np.array_equal(_moments(b, lower=False), moments[3:])
     assert np.array_equal(_moments(far, lower=False), _moments(far)[3:])
 
 
@@ -500,6 +510,20 @@ def test_nonresonant_evaluation_count_on_the_benchmark_pool(monkeypatch):
         assert Counted.calls == 1, zeta
     grid = nonresonant_shift_grid(TR, np.array(list(counts)) / TR.frequency, medium)
     assert grid.neval.tolist() == list(counts.values())
+
+
+def test_real_axis_tensor_fails_below_its_depth_cap_at_its_height():
+    # above a dielectric the rate and the resonant shift come from the
+    # k-quadrature on the real axis, whose panels stop splitting at the
+    # depth cap: from about zeta = 1.07e-16 down (at every epsilon) the
+    # integral fails at the height, as QuadratureError with owner 0
+    for eps in (0.25, 16.0):
+        medium = AxionMedium(epsilon=eps, theta=math.pi)
+        for fn in (decay_rate, resonant_shift):
+            assert math.isfinite(fn(TR, 1e-15 / TR.frequency, medium))
+            with pytest.raises(QuadratureError, match="exceeded 30 levels") as excinfo:
+                fn(TR, 1e-17 / TR.frequency, medium)
+            assert excinfo.value.owner == 0, (eps, fn.__name__)
 
 
 def test_nonresonant_shift_near_contact_holds_its_law_or_names_the_height():

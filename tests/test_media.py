@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from cpshift.constants import ALPHA_FS
 from cpshift.media import (EPSILON_MAX, AxionMedium, ConstantReflectionMedium,
                            PerfectConductor, PerfectNonreciprocalMirror, PoleError,
-                           ReflectionMatrix, delta, nonretarded_limit_coefficients,
-                           retarded_limit_coefficients)
+                           ReflectionMatrix, _AxionDifference, delta,
+                           nonretarded_limit_coefficients, retarded_limit_coefficients)
 
 
 def _k_perp(omega, k_par, epsilon=1.0):
@@ -184,6 +184,30 @@ def test_reflection_is_scale_invariant_on_the_imaginary_axis(lam, xi, k_par, eps
         base = _matrix(_at_k_par(medium, 1j * xi, k_par))
         scaled = _matrix(_at_k_par(medium, 1j * lam * xi, lam * k_par))
         assert np.allclose(scaled, base, rtol=1e-12, atol=1e-15)
+
+
+def test_reflection_on_the_imaginary_axis_is_the_real_axis_one():
+    # r(i xi, i kappa) = r(xi, kappa) for kappa >= xi: every k of the
+    # Fresnel formulas picks up the same factor i, which cancels from each
+    # coefficient, so the s-integral reads the reflection on real arguments.
+    # Both sides are the same bits wherever they are finite, and they
+    # overflow on the same cells (r_pp of r(theta) - r(0) at epsilon = theta
+    # = 1e100, xi = 1e3)
+    ratio = np.geomspace(1.0, 1e8, 200)
+    nonfinite = 0
+    for cls in (AxionMedium, _AxionDifference):
+        for epsilon in (1e-100, 0.25, 1.0, 16.0, EPSILON_MAX):
+            for theta in (0.0, math.pi, -math.pi, 1e100):
+                medium = cls(epsilon=epsilon, theta=theta)
+                for xi in (1e-3, 1.0, 1e3):
+                    with np.errstate(all="ignore"):
+                        imag = _matrix(medium.reflection(1j * xi, 1j * xi * ratio))
+                        real = _matrix(medium.reflection(xi, xi * ratio))
+                    finite = np.isfinite(imag)
+                    assert np.array_equal(finite, np.isfinite(real)), (cls, epsilon, theta, xi)
+                    assert np.array_equal(imag[finite], real[finite]), (cls, epsilon, theta, xi)
+                    nonfinite += np.count_nonzero(~finite)
+    assert nonfinite == 94  # every one an r_pp of that medium
 
 
 def test_reflection_vectorized_matches_scalar():

@@ -3,10 +3,12 @@
 perfbench/make_reference.py records QuadratureConfig's two cutoff constants
 and its derived s-integral tolerance beside its references, and
 perfbench/tracer.py wraps entry points by name.  Both are loaded by path
-and checked here without running a workload; the test leaves sys.path and
-sys.modules as it found them.
+and checked here without running a workload, apart from one nonresonant
+call under the tracer; the tests leave sys.path and sys.modules as they
+found them.
 """
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import cpshift.greens
 import cpshift.media
 import cpshift.scan
 from cpshift.quadrature import QuadratureConfig
+from cpshift.units import canonical_transition
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -75,3 +78,19 @@ def test_tracer_wraps_and_restores_every_entry_point(load_perfbench):
     for (module, attr), fn in original.items():
         assert getattr(module, attr) is fn, (module.__name__, attr)
     assert axion.__dict__["reflection"] is reflection
+
+
+def test_tracer_counts_the_s_integrals_reflection_nodes(load_perfbench):
+    # the tracer reads a reflection call's nodes from its k_perp, the third
+    # positional argument of the bound call: one height above the eps = 16
+    # half-space converges in its start round, one reflection call on all
+    # of its nodes
+    tracer = load_perfbench("tracer")
+    medium = cpshift.media.AxionMedium(epsilon=16.0, theta=math.pi)
+    with tracer.Tracer().patched() as t:
+        terms = cpshift.atomics.nonresonant_shift_terms(canonical_transition(), 0.5, medium)
+    spans = t.take()
+    calls = [counts for _, _, name, _, _, counts in spans if name == "media.reflection"]
+    assert calls == [{"nodes": terms.neval}]
+    assert [counts for _, _, name, _, _, counts in spans
+            if name == "atomics.nonresonant"] == [{"neval": terms.neval}]

@@ -68,6 +68,14 @@ def test_transition_validation():
                    [1.0, 0.0, -math.inf], [1e-170, 1e-170j, 0.0], [1e200, 0.0, 0.0]):
         with pytest.raises(ValueError, match="finite"):
             Transition(np.array(dipole), 1.0)
+    # so must Gamma0 = w^3 d . d*/(3 pi): 0 at w = 1e-110, subnormal at
+    # 1e-105 and inf at 1e110, for the canonical dipole
+    for frequency in (1e-110, 1e-105, 1e110):
+        with pytest.raises(ValueError, match="normal double"):
+            Transition(canonical_transition().dipole, frequency)
+    for frequency in (1e-100, 1e100):
+        assert free_space_rate_formula(Transition(canonical_transition().dipole,
+                                                  frequency)) > 0
     tr = Transition(np.array([1.0, 0.0, 0.0]), 1.0)
     with pytest.raises(ValueError):
         tr.dipole[0] = 2.0                           # stored vector is read-only
