@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .greens import (PlanarTensors, _grid_omega, _heights, _sandwich,
+from .greens import (PlanarTensors, _dipole_weights, _grid_omega, _heights,
                      closed_form_greens, numeric_greens)
 from .media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
                     ReflectionMatrix, _AxionDifference,
@@ -41,7 +41,7 @@ from .quadrature import (DEFAULT_CONFIG, LEVELS_MAX, QuadratureConfig, Quadratur
 # wraps them by these names.
 from .greens import scattering_greens_numeric  # noqa: F401
 from .quadrature import integrate  # noqa: F401
-from .units import AtomModel, Transition, free_space_rate_formula
+from .units import AtomModel, Transition
 
 __all__ = [
     "ShiftBreakdown", "AsymptoticCase", "PopulationState", "NonresonantTerms",
@@ -246,16 +246,16 @@ def _closed_form_nonresonant(r: ReflectionMatrix, dipole, a):
     a > 0, for a reflection matrix r that does not depend on s.
 
     The kernels are then polynomials in s, xx = r_ss - r_pp s^2,
-    zz = 2 r_pp (1 - s^2) and xy = (r_sp + r_ps) s, and so is P.  With
+    zz = 2 r_pp (1 - s^2) and xy = (r_sp + r_ps) s, and so is
+    P = A xx + C zz + iB xy (`_dipole_weights`).  With
     int_1^inf P(s) e^{-l s} ds = e^{-l} [P(1)/l + P'(1)/l^2 + P''(1)/l^3]
     under the x-integral of B_n (l = a x), int_1^inf P(s) B_n(a s) ds
     = P(1) B_(n-1)/a + P'(1) B_(n-2)/a^2 + P''(1) B_(n-3)/a^3.
     """
-    x = r.r_sp + r.r_ps
-    # P(1), P'(1) and P''(1): the sandwich of the kernels' s-derivatives
-    k = np.array([[r.r_ss - r.r_pp, -2.0 * r.r_pp, -2.0 * r.r_pp],
-                  [0.0, -4.0 * r.r_pp, -4.0 * r.r_pp], [x, x, 0.0]], dtype=complex)
-    p = _sandwich(*k, dipole, dipole.conj())
+    wa, wc, wb = _dipole_weights(dipole)
+    ibx = 1j * wb * (r.r_sp + r.r_ps)
+    pp = -2.0 * (wa + 2.0 * wc) * r.r_pp
+    p = (wa * (r.r_ss - r.r_pp) + ibx, pp + ibx, pp)  # P(1), P'(1), P''(1)
     b0, b1, b2, b3, _ = _moments(a)
     # far up a ** 3 overflows to inf (from a ~ 6e102) and its terms to 0,
     # which their true values underflow to anyway (the caller evaluates
@@ -269,11 +269,11 @@ def nonresonant_shift_grid(transition: Transition, z, medium,
     """Both terms of the nonresonant shift at every height z[j] > 0.
 
     With k_perp = i s xi, s(i xi) = (xi/8 pi) int_1^inf ds e^{-2 s xi z}
-    P(s), where P sandwiches the kernels of `greens` (no weight) and, the
-    media being nondispersive, does not depend on xi; the s-integrand forms
-    it from three weights of the dipole and the reflection on real
-    arguments (`_s_integral`).  The xi-integral done first (`_moments`)
-    leaves, with b = 2 s w z,
+    P(s), where P = A xx + C zz + iB xy contracts the kernels of `greens`
+    (no weight) with the dipole's weights (`greens._dipole_weights`) and,
+    the media being nondispersive, does not depend on xi; the s-integrand
+    forms it from the reflection on real arguments (`_s_integral`).  The
+    xi-integral done first (`_moments`) leaves, with b = 2 s w z,
         dw_nres = (w^3/8 pi^2) int_1^inf ds [Im P B4(b) - Re P B3(b)],
     over tau = 1/s in (0, 1] (ds = -dtau/tau^2) at rel_tol / 10
     (`xi_rel_tol`).  The integrand has two scales: tau ~ 1, over which P
@@ -316,12 +316,11 @@ def _s_integral(transition: Transition, scale, medium, cfg: QuadratureConfig):
     With s = 1/tau, the kernels are xx = r_ss - r_pp s^2,
     zz = 2 r_pp (1 - s^2) and xy = (r_sp + r_ps) s, from the reflection on
     real arguments, r(w, w s) = r(i w, i w s) (`media`), and
-    P = A xx + C zz + iB xy with the dipole's weights A = |d_x|^2 + |d_y|^2,
-    C = |d_z|^2 and iB = d_x conj(d_y) - d_y conj(d_x)."""
+    P = A xx + C zz + iB xy with the dipole's weights
+    (`greens._dipole_weights`)."""
     w = transition.frequency
-    dx, dy, dz = transition.dipole.tolist()
-    a, c = abs(dx) ** 2 + abs(dy) ** 2, abs(dz) ** 2
-    ib = dx * dy.conjugate() - dy * dx.conjugate()
+    a, c, b = _dipole_weights(transition.dipole)
+    ib = complex(0.0, b)
 
     def f(tau, owner):
         s = 1.0 / tau
@@ -456,13 +455,16 @@ def _limit_reflection(medium, regime: str) -> ReflectionMatrix:
 def asymptotic(case: AsymptoticCase, transition: Transition, z: float) -> float:
     """Closed-form limit law for the requested (regime, medium, quantity).
 
-    Every entry inserts the coefficients r of `_limit_reflection`: into the
-    leading 1/z oscillation (retarded rate and resonant shift), the z^-2 and
-    z^-3 terms (nonretarded), and d^2 [r_pp/(16 pi^2 w z^4) - r_sp/(16 pi^2
-    w^2 z^5)] or d^2 [r_pp/(64 pi z^3) - r_sp/(16 pi^2 z^3)] (nonresonant
-    shift, retarded or nonretarded).  Nonresonant laws are stated for the
+    Every entry inserts the coefficients r of `_limit_reflection`, each
+    weighed as in s = A xx + C zz + iB xy (`greens._dipole_weights`), so
+    the laws hold for any dipole: r_pp with A in the 1/z oscillation of the
+    retarded rate and resonant shift, A + C in the retarded nonresonant
+    shift and A + 2C near contact, r_sp = r_ps with -B.  The nonresonant
+    laws, (A + C) r_pp/(16 pi^2 w z^4) + B r_sp/(16 pi^2 w^2 z^5) and
+    (A + 2C) r_pp/(64 pi z^3) + B r_sp/(16 pi^2 z^3), are stated for the
     ideal mirrors, and nonretarded also for the first-order axion media.
-    The mirrors' nonretarded rate is their contact limit (-Gamma0, resp. 0).
+    The mirrors' nonretarded rate is their contact limit: for the conductor
+    Gamma0 (C - A)/(A + C), for the nonreciprocal mirror 0.
 
     What the computed values approach as zeta -> 0: the mirrors' laws to
     2 % at zeta = 0.01, the pure axion's nonresonant shift 0.987x (1.001x
@@ -478,36 +480,35 @@ def asymptotic(case: AsymptoticCase, transition: Transition, z: float) -> float:
     _heights(z)
     m, regime = case.medium, case.regime
     w = transition.frequency
-    d2 = transition.dipole_squared
+    a, c, b = _dipole_weights(transition.dipole)
     zeta = w * z
-    gunit = w ** 2 * d2 / (4 * math.pi)
-    ounit = w ** 2 * d2 / (8 * math.pi)
-    nres = case.quantity == "nonresonant_shift"
+    nres, rate = case.quantity == "nonresonant_shift", case.quantity == "rate"
     if nres and not (isinstance(m, (PerfectConductor, PerfectNonreciprocalMirror))
                      or (regime == "nonretarded" and _first_order_axion(m))):
         raise ValueError(f"no {regime} nonresonant law for {m!r}")
     r = _limit_reflection(m, regime)
+    # r_pp's weight
+    pp = a + 2.0 * c if regime == "nonretarded" else (a + c if nres else a)
     if nres:
         if regime == "retarded":
-            return (d2 * r.r_pp / (16 * math.pi ** 2 * w * z ** 4)
-                    - d2 * r.r_sp / (16 * math.pi ** 2 * w ** 2 * z ** 5))
-        return (d2 * r.r_pp / (64 * math.pi * z ** 3)
-                - d2 * r.r_sp / (16 * math.pi ** 2 * z ** 3))
-    if regime == "retarded":
-        if case.quantity == "rate":
-            return gunit / z * (-math.sin(2 * zeta) * r.r_pp
-                                - math.cos(2 * zeta) * r.r_sp)
-        return ounit / z * (math.cos(2 * zeta) * r.r_pp
-                            - math.sin(2 * zeta) * r.r_sp)
-    if case.quantity == "rate":
+            return (pp * r.r_pp / (16 * math.pi ** 2 * w * z ** 4)
+                    + b * r.r_sp / (16 * math.pi ** 2 * w ** 2 * z ** 5))
+        return (pp * r.r_pp / (64 * math.pi * z ** 3)
+                + b * r.r_sp / (16 * math.pi ** 2 * z ** 3))
+    if rate and regime == "nonretarded":
         if isinstance(m, PerfectConductor):
-            return -free_space_rate_formula(transition)
+            return w ** 3 * (c - a) / (3 * math.pi)
         if isinstance(m, PerfectNonreciprocalMirror):
             return 0.0
-        return gunit * (1.0 / (2 * w * z ** 2) * r.r_sp
-                        + 1.0 / (4 * w ** 2 * z ** 3) * r.r_pp)
-    return ounit * (-1.0 / (2 * w * z ** 2) * r.r_sp
-                    - 1.0 / (4 * w ** 2 * z ** 3) * r.r_pp)
+    # w^2 times each term's weight over 4 pi (rate) or 8 pi (resonant shift)
+    upp, usp = (w ** 2 * v / ((4 if rate else 8) * math.pi) for v in (pp, -b))
+    if regime == "retarded":
+        sin, cos = math.sin(2 * zeta), math.cos(2 * zeta)
+        tpp, tsp = (-sin, -cos) if rate else (cos, -sin)
+        return upp / z * (tpp * r.r_pp) + usp / z * (tsp * r.r_sp)
+    sign = 1.0 if rate else -1.0
+    return (upp * (sign / (4 * w ** 2 * z ** 3) * r.r_pp)
+            + usp * (sign / (2 * w * z ** 2) * r.r_sp))
 
 
 def axion_difference(quantity: str, regime: str, epsilon: float, theta: float,

@@ -5,7 +5,9 @@ entries, G_xx = G_yy, G_zz and G_xy = -G_yx; the others vanish.
 `PlanarTensors` holds these three at a batch of points, with the
 quadrature error and evaluation count of each.  It is the one tensor type:
 the closed forms and the quadrature return it, and
-`PlanarTensors.sandwich` contracts it with a dipole.
+`PlanarTensors.sandwich` contracts it with a dipole as A xx + C zz + iB xy,
+with three real weights of the dipole (`_dipole_weights`): d -> conj(d)
+(sigma+ -> sigma-) negates B alone, as theta -> -theta negates xy alone.
 
 The azimuthal integral over the reflected-wave dyadics is done analytically,
 leaving three radial kernels (with q = omega, in the package's units
@@ -59,9 +61,9 @@ scan on the real axis, one per (z, xi) of a batch on the imaginary axis.
 Every round evaluates the reflection matrix once, on the nodes of all new
 panels, and each node serves all three kernels, written into one
 [nodes, 3] array.  `scattering_greens_numeric` is the one-point
-case.  The nonresonant shift integrates the same kernels' dipole sandwich
-over tau = 1/s, s = k_perp/(i xi), instead, from the reflection on real
-arguments (`atomics.nonresonant_shift_grid`).
+case.  The nonresonant shift integrates the same kernels, contracted with
+the same weights, over tau = 1/s, s = k_perp/(i xi), instead, from the
+reflection on real arguments (`atomics.nonresonant_shift_grid`).
 
 A reflection matrix that does not depend on k_par leaves elementary
 integrals, so the tensor of every such medium has a closed form
@@ -115,31 +117,22 @@ class PlanarTensors(NamedTuple):
                              complex(self.xy[j]), float(self.quad_error[j]),
                              int(self.neval[j]))
 
-    def sandwich(self, dipole) -> np.ndarray:
-        """s = d . G . conj(d) at every point (a 0-d array for one point).
-
-        With M the full 3x3 tensor, this is v = d @ M, then s = v @ conj(d),
-        in numpy's order and array arithmetic, so that one point, a batch
-        and (d @ M) @ conj(d) give the same bits.  numpy takes the last
-        step as a BLAS dot product, which fuses its four real sums; each
-        sum has one nonzero term when at most one component of d has a
-        nonzero real part and at most one a nonzero imaginary part (the
-        circular dipoles of the coordinate planes, say).  For other dipoles
-        the two can differ in the last digits.
-        """
-        d = np.asarray(dipole, dtype=complex)
-        # arrays, not numpy scalars: scalar complex products round differently
-        xx, zz, xy = (np.atleast_1d(np.asarray(g, dtype=complex)) for g in self[:3])
-        return _sandwich(xx, zz, xy, d, d.conj()).reshape(np.shape(self.xx))
+    def sandwich(self, dipole) -> np.ndarray | complex:
+        """s = d . G . conj(d) = A xx + C zz + iB xy at every point
+        (`_dipole_weights`), its real and imaginary parts each a real sum:
+        a point and its batch give the same bits, as do conj(d) and -xy."""
+        a, c, b = _dipole_weights(dipole)
+        xx, zz, xy = self.xx, self.zz, self.xy
+        return (a * xx.real + c * zz.real - b * xy.imag
+                + 1j * (a * xx.imag + c * zz.imag + b * xy.real))
 
 
-def _sandwich(xx, zz, xy, d, c):
-    """d . G . conj(d) of complex kernel arrays, c = conj(d): v = d @ M, then
-    v @ c.  PlanarTensors.sandwich and the mirrors' closed-form nonresonant
-    shift take it here."""
-    v0 = xx * d[0] - xy * d[1]
-    v1 = xy * d[0] + xx * d[1]
-    return v0 * c[0] + v1 * c[1] + zz * d[2] * c[2]
+def _dipole_weights(dipole) -> tuple[float, float, float]:
+    """(A, C, B) of d . G . conj(d) = A xx + C zz + iB xy, the package's
+    one contraction: A = |d_x|^2 + |d_y|^2, C = |d_z|^2 and
+    iB = d_x conj(d_y) - d_y conj(d_x).  conj(d) has (A, C, -B), bit for bit."""
+    dx, dy, dz = np.asarray(dipole, dtype=complex).tolist()
+    return abs(dx) ** 2 + abs(dy) ** 2, abs(dz) ** 2, 2.0 * (dx * dy.conjugate()).imag
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ from cpshift.media import (AxionMedium, ConstantReflectionMedium, PerfectConduct
                            PerfectNonreciprocalMirror, PoleError, _AxionDifference)
 from cpshift.quadrature import QuadratureConfig, QuadratureError, integrate
 from cpshift.scan import ScanError, _scan_values
-from cpshift.units import Transition, canonical_transition, circular_dipole
+from cpshift.units import (Transition, canonical_transition, circular_dipole,
+                           free_space_rate_formula)
 
 TR = canonical_transition("plus")
 COND = PerfectConductor()
@@ -238,10 +239,10 @@ class _Opaque:
     ConstantReflectionMedium(r_ss=0.3 + 0.1j, r_sp=-0.2j, r_ps=0.4, r_pp=0.7 - 0.3j)])
 def test_closed_form_nonresonant_shift_matches_the_s_integral(medium):
     # the s-integral at its default tolerance is the reference; the worst
-    # difference seen is 4e-15 of the larger term.  The s-integrand weighs
-    # the kernels with three weights of the dipole, while the closed form
-    # takes the full sandwich (greens._sandwich): a dipole with every
-    # component complex checks the weights
+    # difference seen is 4e-15 of the larger term.  Both read the dipole's
+    # three weights (greens._dipole_weights), the s-integrand at every node
+    # and the closed form in P(1), P'(1) and P''(1): a dipole with every
+    # component complex checks that both weigh the same kernels alike
     z = np.geomspace(1e-3, 100.0, 25)
     general = Transition(np.array([0.3 + 0.2j, -0.5 + 0.1j, 0.7 - 0.4j]), 1.3)
     for tr in (TR, general):
@@ -762,6 +763,43 @@ def test_asymptotic_unsupported_cases():
         AsymptoticCase("midfield", COND, "rate")
     with pytest.raises(ValueError):
         AsymptoticCase("retarded", COND, "force")
+
+
+def _next_order(regime, quantity, zeta, law, gamma0):
+    """A bound on the first term an ideal mirror's limit law drops: 2/zeta^2
+    of Gamma0 in the retarded rate and resonant shift (their 1/zeta laws
+    oscillate through zero), 2 zeta of Gamma0 in the contact rate, and
+    10/zeta^2 (retarded), 10 zeta^2 (resonant) or 5 zeta (nonresonant
+    near contact) of a power law."""
+    if quantity != "nonresonant_shift" and (regime == "retarded" or quantity == "rate"):
+        return gamma0 * (2.0 / zeta ** 2 if regime == "retarded" else 2.0 * zeta)
+    if regime == "retarded":
+        return 10.0 / zeta ** 2 * abs(law)
+    return (10.0 * zeta ** 2 if quantity == "resonant_shift" else 5.0 * zeta) * abs(law)
+
+
+@pytest.mark.parametrize("dipole", [
+    circular_dipole(1.0, "plus"), circular_dipole(1.0, "minus"), np.array([1.0, 0.0, 0.0]),
+    np.array([0.0, 0.0, 1.0]), np.array([0.3 + 0.2j, -0.5 + 0.1j, 0.7 - 0.4j])],
+    ids=["sigma+", "sigma-", "x", "z", "general"])
+def test_asymptotic_laws_hold_for_any_dipole(dipole):
+    # each law weighs r_pp and the cross coefficient with the dipole's
+    # weights, so it holds the computed value to its next order for every
+    # dipole; scaled by d . d* alone, the laws gave sigma- the sign of
+    # sigma+, a z-dipole -Gamma0 at contact and a linear dipole a
+    # nonreciprocal mirror's shift
+    tr = Transition(dipole, 1.3)
+    gamma0 = free_space_rate_formula(tr)
+    computed = {"rate": decay_rate, "resonant_shift": resonant_shift,
+                "nonresonant_shift": nonresonant_shift}
+    for medium in (COND, MIR):
+        for zeta in (200.3, 731.9, 1999.7, 1e-4):
+            regime = "retarded" if zeta > 1.0 else "nonretarded"
+            z = zeta / tr.frequency
+            for quantity, value in computed.items():
+                law = asymptotic(AsymptoticCase(regime, medium, quantity), tr, z)
+                bound = _next_order(regime, quantity, zeta, law, gamma0)
+                assert abs(value(tr, z, medium) - law) <= bound, (medium, zeta, quantity)
 
 
 def test_limit_laws_reject_heights_they_cannot_honour():

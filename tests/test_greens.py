@@ -364,26 +364,30 @@ def _matrix(xx, zz, xy):
     return m
 
 
-def test_sandwich_matches_full_matmul_bit_for_bit():
+def test_sandwich_matches_the_full_product_and_a_point_its_batch():
+    # s = A xx + C zz + iB xy is a real sum per part: it holds the full 3x3
+    # product (d @ M) @ conj(d) to rounding, a point equals its batch bit
+    # for bit, and conj(d) reads the tensor with xy negated, bit for bit
     rng = np.random.default_rng(2024)
     n = 2000
     xx, zz, xy = (rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
                   + 1j * rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
                   for _ in range(3))
     g = PlanarTensors(xx, zz, xy, np.zeros(n), np.zeros(n, dtype=int))
-    # both canonical dipoles, and an xz-plane dipole with d_z != 0
-    for d in (circular_dipole(1.7, "plus"), circular_dipole(1.7, "minus"),
-              np.array([0.6, 0.0, 0.8j])):
+    flipped = g._replace(xy=-xy)
+    dipoles = [circular_dipole(1.7, "plus"), circular_dipole(1.7, "minus"),
+               np.array([0.6, 0.0, 0.8j]), np.array([0.0, 0.0, 1.0])]
+    dipoles += list(rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
+    for d in dipoles:
         s = g.sandwich(d)
-        for j in range(n):
-            full = (d @ _matrix(xx[j], zz[j], xy[j])) @ np.conj(d)
-            assert s[j].real == full.real and s[j].imag == full.imag
+        full = np.array([(d @ _matrix(*t)) @ np.conj(d) for t in zip(xx, zz, xy)])
+        scale = (np.abs(xx) + np.abs(zz) + np.abs(xy)) * np.vdot(d, d).real
+        assert np.all(np.abs(s.real - full.real) <= 1e-14 * scale)
+        assert np.all(np.abs(s.imag - full.imag) <= 1e-14 * scale)
+        for j in range(0, n, 7):
             one = g.point(j).sandwich(d)
-            assert one.shape == () and one == s[j]
-    # any other dipole agrees to rounding, and a point still equals its batch
-    d = np.array([0.3 - 0.2j, 0.7 + 0.1j, -0.5 + 0.4j])
-    s = g.sandwich(d)
-    full = np.array([(d @ _matrix(*t)) @ np.conj(d) for t in zip(xx, zz, xy)])
-    scale = (np.abs(xx) + np.abs(zz) + np.abs(xy)) * np.vdot(d, d).real
-    assert np.all(np.abs(s - full) <= 1e-14 * scale)
-    assert all(g.point(j).sandwich(d) == s[j] for j in range(n))
+            assert one.real == s[j].real and one.imag == s[j].imag
+        conj, read = g.sandwich(np.conj(d)), flipped.sandwich(d)
+        assert np.array_equal(conj, read)
+        assert np.array_equal(np.signbit(conj.real), np.signbit(read.real))
+        assert np.array_equal(np.signbit(conj.imag), np.signbit(read.imag))

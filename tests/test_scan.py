@@ -17,14 +17,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cpshift.atomics import (_tensor_quantities, decay_rate, greens_grid, greens_tensor,
-                             nonresonant_shift, nonresonant_shift_terms, resonant_shift)
+                             nonresonant_shift, nonresonant_shift_grid,
+                             nonresonant_shift_terms, resonant_shift)
 from cpshift.config import ConfigError, ScanConfig
 from cpshift.greens import numeric_greens
 from cpshift.scan import FIGURE_NAMES, ScanError, _format_csv, figure, run_scan
 from cpshift.media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
                            PoleError, _AxionDifference)
 from cpshift.quadrature import _K15_NODES, QuadratureConfig
-from cpshift.units import canonical_transition, free_space_rate_formula
+from cpshift.units import Transition, canonical_transition, free_space_rate_formula
 
 TR = canonical_transition("plus")
 
@@ -316,17 +317,30 @@ def test_minus_pi_difference_tensor_is_the_pi_one_with_xy_negated():
         assert np.array_equal(getattr(minus, name), getattr(plus, name)), name
     assert np.array_equal(minus.xy, -plus.xy)
     # so theta -> -theta is d -> d*: each theta = -pi trace of a TI figure is
-    # the theta = pi tensor read with the sigma- dipole, sign bits included
-    sigma_minus = canonical_transition("minus")
+    # the theta = pi tensor read with the sigma- dipole, sign bits included.
+    # The contraction negates B alone under d -> d*, so this holds for any
+    # dipole, and for the pure axion's closed-form nonresonant shift too
+    rng = np.random.default_rng(31)
+    dipoles = [TR.dipole, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]),
+               np.array([0.6, 0.0, 0.8j])]
+    dipoles += list(rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
     for medium in (_AxionDifference, AxionMedium):
         eps = 16.0 if medium is _AxionDifference else 1.0
-        at_pi, at_minus_pi = (greens_grid(medium(epsilon=eps, theta=theta), zetas, 1.0)
+        at_pi, at_minus_pi = (medium(epsilon=eps, theta=theta)
                               for theta in (math.pi, -math.pi))
-        read_minus = _tensor_quantities(at_pi, sigma_minus)
-        read_plus = _tensor_quantities(at_minus_pi, TR)
-        for q in ("rate", "resonant_shift"):
-            assert np.array_equal(read_minus[q], read_plus[q]), (medium, q)
-            assert np.array_equal(np.signbit(read_minus[q]), np.signbit(read_plus[q]))
+        tensors = [greens_grid(m, zetas, 1.0) for m in (at_pi, at_minus_pi)]
+        for d in dipoles:
+            tr = Transition(d, 1.0)
+            read_minus = _tensor_quantities(tensors[0], tr.conjugated())
+            read_plus = _tensor_quantities(tensors[1], tr)
+            if medium is AxionMedium:
+                conjugated = nonresonant_shift_grid(tr.conjugated(), zetas, at_pi)
+                direct = nonresonant_shift_grid(tr, zetas, at_minus_pi)
+                read_minus["nonresonant_shift"] = conjugated.total
+                read_plus["nonresonant_shift"] = direct.total
+            for q in read_minus:
+                assert np.array_equal(read_minus[q], read_plus[q]), (medium, d, q)
+                assert np.array_equal(np.signbit(read_minus[q]), np.signbit(read_plus[q]))
 
 
 def test_a_ti_figure_evaluates_two_media(tmp_path, monkeypatch):
