@@ -65,7 +65,8 @@ def greens_grid(medium, z, omega,
     r = getattr(medium, "constant_reflection", None)
     if r is None:
         return numeric_greens(z, omega, medium, config)
-    g = closed_form_greens(z, omega, r)  # checks z and omega first, as the quadrature does
+    # checks z and omega first, and takes one height as a grid of one, as the quadrature does
+    g = closed_form_greens(np.atleast_1d(z), omega, r)
     _grid_omega(omega)
     return g
 
@@ -129,6 +130,7 @@ class NonresonantTerms:
 _STEP, _TAYLOR, _NEAR, _FAR = 1.0 + 2.0 ** -10, 5, 2.0 ** -9, 2.0 ** 20
 # the table's nodes b_j = 2 _STEP^j, j >= -_BELOW, start next to _NEAR
 _BELOW = round(math.log(2.0 / _NEAR) / math.log(_STEP))
+_BLOCK = 512  # columns of the table built at a time
 
 
 @functools.cache
@@ -141,22 +143,29 @@ def _moment_table():
     where that depth grows as 1/b, B3 and B4 come from the series of
     `_series` and B5 ... B9 from the upward recurrence
     B_(n+2) = n!/b^(n+1) - B_n, whose subtraction is a small part of
-    n!/b^(n+1) there (at most 28 % of it, next to b = 2)."""
+    n!/b^(n+1) there (at most 28 % of it, next to b = 2).  The table is
+    filled _BLOCK columns at a time, each block on one side of b = 2, so
+    the build holds one block's temporaries beside the table; a column's
+    arithmetic does not depend on its block."""
     b = 2.0 * _STEP ** np.arange(-_BELOW, round(math.log(_FAR / 2.0) / math.log(_STEP)) + 2)
-    low, up = b[:_BELOW], b[_BELOW:]
+    table = np.empty((2 + _TAYLOR, b.size))
     m = np.arange(3.0, 5.0 + _TAYLOR)[:, None]
-    depth = np.ceil(6.0 + 250.0 / up).astype(int)  # falls along b: live points are a prefix
-    t = np.zeros((m.size, up.size), dtype=complex)
-    for k in range(depth[0], 0, -1):
-        n = np.count_nonzero(depth >= k)
-        t[:, :n] = -k * (m + k) / (m + 1 + 2 * k - 1j * up[:n] + t[:, :n])
     m_factorial = np.cumprod(np.arange(1.0, 5.0 + _TAYLOR))[2:, None]
-    upper = m_factorial * (1.0 / (m + 1 - 1j * up + t)).imag / up ** m
-    del t  # the rows below 2 follow without it: the build's peak memory is the fraction's
-    rows = _series(low, lower=False)
-    for n in range(3, 3 + _TAYLOR):
-        rows.append(math.factorial(n) / low ** (n + 1) - rows[n - 3])
-    return b, np.concatenate([np.array(rows), upper], axis=1)
+    for j in [*range(0, _BELOW, _BLOCK), *range(_BELOW, b.size, _BLOCK)]:
+        x = b[j:min(j + _BLOCK, _BELOW if j < _BELOW else b.size)]
+        if j < _BELOW:
+            rows = _series(x, lower=False)
+            for n in range(3, 3 + _TAYLOR):
+                rows.append(math.factorial(n) / x ** (n + 1) - rows[n - 3])
+        else:
+            depth = np.ceil(6.0 + 250.0 / x).astype(int)  # falls: live points are a prefix
+            t = np.zeros((m.size, x.size), dtype=complex)
+            for k in range(depth[0], 0, -1):
+                n = np.count_nonzero(depth >= k)
+                t[:, :n] = -k * (m + k) / (m + 1 + 2 * k - 1j * x[:n] + t[:, :n])
+            rows = m_factorial * (1.0 / (m + 1 - 1j * x + t)).imag / x ** m
+        table[:, j:j + x.size] = rows
+    return b, table
 
 
 # Si(x)/x and Ci(x) - gamma - ln x as power series in x^2 (Abramowitz &
@@ -212,12 +221,13 @@ def _moments(b, lower: bool = True):
     this once per round on a few dozen, all in the table at every height
     from 2 w z = 2^-9 to about 2^8.
     """
-    out = np.empty((5 if lower else 2,) + b.shape)
     near, far = b < (2.0 if lower else _NEAR), b >= _FAR
     nnear, nfar = np.count_nonzero(near), np.count_nonzero(far)
+    table_only = not (lower or nnear or nfar)  # the s-integral's case: no copy
+    out = None if table_only else np.empty((5 if lower else 2,) + b.shape)
     if nnear:
         out[:, near] = _series(b[near], lower)
-    if nnear + nfar < b.size:
+    if nnear + nfar < b.size or table_only:
         hi = ~(near | far) if nnear + nfar else slice(None)  # a view, not a gather
         x = b[hi]
         grid, table = _moment_table()
@@ -227,6 +237,8 @@ def _moments(b, lower: bool = True):
         for k in range(_TAYLOR - 1, -1, -1):
             acc *= h * (-1.0 / (k + 1))
             acc += rows[k:k + 2]
+        if table_only:
+            return acc
         if lower:
             b3, b4 = acc
             b2 = 2.0 / x ** 3 - b4
@@ -333,9 +345,7 @@ def _s_integral(transition: Transition, scale, medium, cfg: QuadratureConfig):
         return (p.imag * b4 + 1j * (p.real * b3)) * s2
 
     levels = (4.0 - np.rint(np.log2(scale))).clip(4, LEVELS_MAX).astype(int)
-    return integrate_batch(f, np.zeros(scale.size), np.ones(scale.size),
-                           rel_tol=cfg.xi_rel_tol, max_panels=cfg.max_panels,
-                           levels=levels)
+    return integrate_batch(f, levels, rel_tol=cfg.xi_rel_tol, max_panels=cfg.max_panels)
 
 
 def _finite(quantities: dict) -> dict:

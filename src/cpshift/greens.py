@@ -176,7 +176,10 @@ def _frequencies(omega) -> np.ndarray:
 
 
 def _heights(z) -> np.ndarray:
+    """z, one height or a 1-d array of them, as a 1-d array of positive finite heights."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
+    if z.ndim > 1:
+        raise ValueError(f"need one atom height or a 1-d array of them, got shape {z.shape}")
     good = (z > 0) & (z < math.inf)  # false at nan
     if not np.logical_and.reduce(good, axis=None):
         raise ValueError(f"atom height must be positive and finite, got z={z[~good]}")
@@ -275,9 +278,8 @@ def numeric_greens(z, omega, medium,
         return _kernels(medium, qo, qo + 1j * u, u * (u - 2j * qo),
                         np.exp(-2.0 * u * zo) / (ao * x * x))
 
-    values, errors, neval = integrate_batch(
-        f, np.zeros(z.size), np.ones(z.size), rel_tol=cfg.rel_tol,
-        max_panels=cfg.max_panels, levels=4)
+    values, errors, neval = integrate_batch(f, np.full(z.size, 4), rel_tol=cfg.rel_tol,
+                                            max_panels=cfg.max_panels)
     # [N, 3]; the engine returns no heights as a flat empty array
     v, e = values.reshape(-1, 3), errors.reshape(-1, 3)
     phase = np.exp(2j * q * z)

@@ -11,34 +11,33 @@ Error control is the usual |K15 - G7| per panel, summed globally, against
 rel_tol * |result|, for each component (`QuadratureConfig.rel_tol`, the
 one accuracy setting; the s-integral runs at a tenth of it).  Panels
 refine to at most MAX_DEPTH = 30 bisection levels: a panel narrower than
-2^(1 - MAX_DEPTH) of its integral's interval does not split.  Exceeding that cap or the
-panel budget raises QuadratureError rather than returning a silently bad
-number, and so does a non-finite integrand value or error estimate, at
-once.  Bounds that are not finite, or so large that a panel's width or
-midpoint would overflow, are refused with ValueError before the
-integrand is called.
+2^(1 - MAX_DEPTH) does not split.  Exceeding that cap or the panel budget
+raises QuadratureError rather than returning a silently bad number, and
+so does a non-finite integrand value or error estimate, at once.
 
-`integrate_batch` runs N independent integrals ("owners") in lockstep:
+`integrate_batch` runs N independent integrals ("owners") over [0, 1] in
+lockstep, the one interval the package's k- and s-integrals take:
 each refinement round makes one integrand call f(x, owner) on the nodes of
 every new panel of every owner, so the per-call cost of the integrand (one
 reflection-matrix evaluation, say) is paid once per round instead of once
 per integral per round.  An owner may have K components that share its
 panels, as in QUADPACK-style vector quadrature: several integrands over
 one interval cost one set of nodes.  Each owner applies the same rule with
-its own tolerance and width cap, and drops out of the rounds once every
-component has converged.  Every owner starts on a dyadic ladder of its
-own depth L, the panels between the fractions 0, 2^-L, ..., 1/4, 1/2, 1
-of its interval (QUADPACK QAGP's breakpoints): [a, b] itself at the
-default L = 0, and for L > 0 fine panels at a, where a half-line mapped
-onto (0, 1] keeps its tail.
+its own tolerance, and drops out of the rounds once every component has
+converged.  Every owner starts on a dyadic ladder of its own depth L, the
+panels between 0, 2^-L, ..., 1/4, 1/2, 1 (QUADPACK QAGP's breakpoints):
+[0, 1] itself at L = 0, and for L > 0 fine panels at 0, where a half-line
+mapped onto (0, 1] keeps its tail.
 `max_panels` bounds the live panels of the whole call: owners that would
 overflow it wait in a queue and restart later on their start ladder, so a
 call's memory does not grow with N.  `integrate` is the one-owner,
-one-component case.
+one-component case on any finite [a, b], mapped onto [0, 1]; bounds that
+are not finite, or so large that b - a would overflow, are refused with
+ValueError before the integrand is called.
 
 A round's cost follows its nodes.  Its bookkeeping is a fixed few dozen
 array operations, whatever the number of panels or owners: every
-ladder's fractions are read off one table of the powers of 2, the first
+ladder's rungs are read off one table of the powers of 2, the first
 round is the start ladders themselves, panels are re-sorted by owner only
 while more than one owner is live, and an owner's evaluation count
 follows from its panel count when it converges.  The integrand's call is
@@ -51,7 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["BOUND_MAX", "DEFAULT_CONFIG", "LEVELS_MAX", "MAX_DEPTH",
+__all__ = ["DEFAULT_CONFIG", "LEVELS_MAX", "MAX_DEPTH",
            "QuadratureConfig", "QuadratureError", "QuadResult", "integrate",
            "integrate_batch"]
 
@@ -98,18 +97,13 @@ _G7_WEIGHTS[1::2] = [
 # ladder no longer rises.
 LEVELS_MAX = 1022
 
-# The ladder's rungs t = 2^-k, k = LEVELS_MAX ... 1, 0, and their 1 - t: a
-# ladder of L levels ends its panels at the last L + 1 of them.
+# The ladder's rungs 2^-k, k = LEVELS_MAX ... 1, 0: a ladder of L levels
+# ends its panels at the last L + 1 of them.
 _RUNGS = np.ldexp(1.0, np.arange(-LEVELS_MAX, 1))
-_ONE_MINUS_RUNGS = 1.0 - _RUNGS
 
-# The bisection cap: no panel narrower than 2^(1 - MAX_DEPTH) of its
-# integral's interval splits (see integrate_batch).
+# The bisection cap: no panel narrower than 2^(1 - MAX_DEPTH) of [0, 1]
+# splits (see integrate_batch).
 MAX_DEPTH = 30
-
-# Bounds must lie below this in magnitude: then no panel's width b - a or
-# midpoint sum a + b overflows, as both stay below the largest double.
-BOUND_MAX = 2.0 ** 1023
 
 
 def _check_positive(name: str, value) -> None:
@@ -175,8 +169,8 @@ def _panels(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
     Returns the integrand's trailing shape (() or (K,)) and every panel's
     K15 sum and |K15 - G7| as [panels, K] arrays.  einsum reduces each row
     on its own, without BLAS, so a panel's sums do not depend on the other
-    panels of the call; complex values are summed as their real and
-    imaginary parts, a float view, which gives the same sums faster.  An
+    panels of the call; complex values are summed and scaled as their real
+    and imaginary parts, a float view, which gives the same sums faster.  An
     exception from f whose `owner` names a node of x is re-pointed at the
     integral that node belongs to.
     """
@@ -192,14 +186,13 @@ def _panels(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
         raise
     shape = y.shape[1:]
     cplx = y.dtype.kind == "c"
-    if cplx:  # half cast to complex once, as each mixed product would cast it
+    if cplx:
         y = np.ascontiguousarray(y, dtype=complex).view(float)
-        half = half.astype(complex)
     y = y.reshape(x.shape + (-1,))
 
     def rule(weights):
-        s = np.einsum("pnk,n->pk", y, weights)
-        return half * (s.view(complex) if cplx else s)
+        s = half * np.einsum("pnk,n->pk", y, weights)
+        return s.view(complex) if cplx else s
 
     k15 = rule(_K15_WEIGHTS)
     return shape, k15, np.abs(k15 - rule(_G7_WEIGHTS))
@@ -211,16 +204,29 @@ def integrate(f, a: float, b: float, *, rel_tol: float = DEFAULT_CONFIG.rel_tol,
 
     f must be vectorized: f(x: ndarray) -> ndarray (real or complex).
     Returns the integral with an error estimate and the evaluation count.
-    This is integrate_batch with one owner.
+    This is integrate_batch with one owner, at x = (1 - t) a + t b, so
+    both ends are exact; value and error are multiplied by b - a after
+    the integral, not inside the integrand, so no panel sum overflows
+    where b - a does not.  The bounds must satisfy
+    -2^1023 < a < b < 2^1023 (finite, and b - a below the largest
+    double); f is not called otherwise.
     """
-    values, errors, neval = integrate_batch(lambda x, owner: f(x), [a], [b],
-                                            rel_tol=rel_tol, max_panels=max_panels)
-    return QuadResult(complex(values[0]), float(errors[0]), int(neval[0]))
+    if not (np.ndim(a) == np.ndim(b) == 0 and -2.0 ** 1023 < a < b < 2.0 ** 1023):
+        raise ValueError(f"need finite bounds a < b of magnitude below 2^1023, "
+                         f"got [{a}, {b}]")
+    a, b = float(a), float(b)
+    values, errors, neval = integrate_batch(lambda t, owner: f((1.0 - t) * a + t * b),
+                                            np.zeros(1, dtype=int), rel_tol=rel_tol,
+                                            max_panels=max_panels)
+    width, v = b - a, values[0]
+    return QuadResult(complex(v.real * width, v.imag * width), float(errors[0]) * width,
+                      int(neval[0]))
 
 
-def integrate_batch(f, a, b, *, rel_tol: float = DEFAULT_CONFIG.rel_tol,
-                    max_panels: int = DEFAULT_CONFIG.max_panels, levels=0):
-    """Integrate N independent integrals, owner i over [a[i], b[i]], in lockstep.
+def integrate_batch(f, levels, *, rel_tol: float = DEFAULT_CONFIG.rel_tol,
+                    max_panels: int = DEFAULT_CONFIG.max_panels):
+    """Integrate N independent integrals over [0, 1] in lockstep, owner i
+    starting on the dyadic ladder of levels[i] levels.
 
     f(x, owner) -> ndarray is called once per refinement round; x holds the
     nodes of every panel evaluated in that round and owner[j] the integral
@@ -229,16 +235,13 @@ def integrate_batch(f, a, b, *, rel_tol: float = DEFAULT_CONFIG.rel_tol,
     every panel that exceeds, in some component, that component's fair
     share tol_k / (2 * panels) of its tolerance rel_tol * |sum_k|, until
     every component's summed |K15 - G7| is within its tolerance.  A panel
-    that would split while hi - lo < 2^(1 - MAX_DEPTH) (b - a) fails the
-    owner instead, so bisection stops at 2^-MAX_DEPTH of [a, b].  The
-    bounds must satisfy -BOUND_MAX < a < b < BOUND_MAX (finite, and no
-    panel's width or midpoint overflows); f is not called otherwise.
+    that would split while narrower than 2^(1 - MAX_DEPTH) fails the owner
+    instead, so bisection stops at 2^-MAX_DEPTH.
 
-    Owner i starts on the L + 1 panels between the fractions 0, 2^-L, ...,
-    1/4, 1/2, 1 of its interval, L = levels[i] (QUADPACK QAGP's
-    breakpoints), each end (1 - t) a + t b, so both ends are exact.
-    `levels` is one integer from 0 to LEVELS_MAX for all owners, or one
-    per owner; the default, 0, starts on [a, b] itself.
+    Owner i starts on the L + 1 panels between 0, 2^-L, ..., 1/4, 1/2, 1,
+    L = levels[i] (QUADPACK QAGP's breakpoints); L = 0 starts on [0, 1]
+    itself.  `levels` is a 1-d array of integers from 0 to LEVELS_MAX,
+    one per owner, and so sets N; f is not called otherwise.
 
     `max_panels` bounds the live panels of the whole call, so memory does
     not grow with N.  Owners start in index order as the budget allows, each
@@ -264,27 +267,15 @@ def integrate_batch(f, a, b, *, rel_tol: float = DEFAULT_CONFIG.rel_tol,
     """
     _check_positive("rel_tol", rel_tol)
     _check_count("max_panels", max_panels, 1)
-    lo0 = np.array(a, dtype=float, ndmin=1)
-    hi0 = np.array(b, dtype=float, ndmin=1)
-    if lo0.ndim != 1 or lo0.shape != hi0.shape:
-        raise ValueError(f"need matching 1-d bounds, got shapes {lo0.shape}, {hi0.shape}")
-    inside = (lo0 > -BOUND_MAX) & (hi0 < BOUND_MAX)  # false at nan
-    if not np.logical_and.reduce(inside):
-        i = int(np.argmin(inside))
-        raise ValueError(f"need finite bounds of magnitude below 2^1023, got "
-                         f"[{lo0[i]}, {hi0[i]}] for integral {i}")
-    if not np.logical_and.reduce(hi0 > lo0):
-        i = int(np.argmin(hi0 > lo0))
-        raise ValueError(f"need b > a, got [{lo0[i]}, {hi0[i]}] for integral {i}")
     depth, deepest = np.asarray(levels), LEVELS_MAX + 1
-    if depth.dtype.kind in "iu" and depth.shape in ((), lo0.shape):
-        depth = np.full(lo0.size, depth, dtype=np.int64)
+    if depth.ndim == 1 and (depth.dtype.kind in "iu" or depth.size == 0):
+        depth = depth.astype(np.int64)
         # one reduction checks both ends: a negative level reads as 2^64 - |L|
         deepest = depth.view(np.uint64).max(initial=0)
     if deepest > LEVELS_MAX:
-        raise ValueError(f"need levels from 0 to {LEVELS_MAX}, one or one per "
-                         f"integral, got {levels!r}")
-    n = lo0.size
+        raise ValueError(f"need levels from 0 to {LEVELS_MAX}, one per integral, "
+                         f"got {levels!r}")
+    n = depth.size
     if n == 0:
         return np.zeros(0, dtype=complex), np.zeros(0), np.zeros(0, dtype=int)
     start = depth + 1  # each owner's start panels
@@ -292,13 +283,11 @@ def integrate_batch(f, a, b, *, rel_tol: float = DEFAULT_CONFIG.rel_tol,
         i = int(np.argmax(start > max_panels))
         raise QuadratureError(f"panel budget {max_panels} exhausted in integral {i} "
                               f"(its start ladder has {start[i]} panels)", owner=i)
-    narrowest = 2.0 ** (1 - MAX_DEPTH) * (hi0 - lo0)  # per owner: no split below
     # the first round: the start panels of the first owners, in owner order
     ends = np.add.accumulate(start)
     first = n if ends[-1] <= max_panels else int(ends.searchsorted(max_panels, "right"))
     pending = np.arange(first, n)  # queued owners, ascending, all above the live ones
-    new_own, new_lo, new_hi = _start_panels(lo0[:first], hi0[:first], np.arange(first),
-                                            start[:first], ends[:first])
+    new_own, new_lo, new_hi = _start_panels(np.arange(first), start[:first], ends[:first])
     nlive = first  # owners holding panels in the coming round
     own = values = None  # live panels, grouped by owner; converged owners
 
@@ -367,7 +356,7 @@ def integrate_batch(f, a, b, *, rel_tol: float = DEFAULT_CONFIG.rel_tol,
             mask &= live
         split = mask.nonzero()[0]
         own_s, lo_s, hi_s = own[split], lo[split], hi[split]
-        deep = hi_s - lo_s < narrowest[own_s]
+        deep = hi_s - lo_s < 2.0 ** (1 - MAX_DEPTH)
         if np.logical_or.reduce(deep):
             i = int(np.searchsorted(owners, own_s[np.argmax(deep)]))
             raise QuadratureError(
@@ -410,18 +399,16 @@ def integrate_batch(f, a, b, *, rel_tol: float = DEFAULT_CONFIG.rel_tol,
         mid = 0.5 * (lo_s + hi_s)
         parts = [(own_s, lo_s, mid), (own_s, mid, hi_s)]
         if admit.size:
-            parts.append(_start_panels(lo0[admit], hi0[admit], admit, start[admit], ends))
+            parts.append(_start_panels(admit, start[admit], ends))
         new_own, new_lo, new_hi = (np.concatenate(p) for p in zip(*parts))
 
 
-def _start_panels(a, b, owners, start, ends):
-    """(owner, lo, hi) of the start panels of `owners` on [a, b], in owner
-    order, given each owner's count start[i] = L + 1 and their running sum
-    `ends`: the panels end at the last L + 1 rungs, (1 - t) a + t b, and
-    the first begins at a."""
-    rung = np.arange(ends[-1]) - ends.repeat(start)  # -(L + 1), ..., -1
-    hi = a.repeat(start) * _ONE_MINUS_RUNGS[rung] + b.repeat(start) * _RUNGS[rung]
+def _start_panels(owners, start, ends):
+    """(owner, lo, hi) of the start panels of `owners`, in owner order, given
+    each owner's count start[i] = L + 1 and their running sum `ends`: the
+    panels end at the last L + 1 rungs, and the first begins at 0."""
+    hi = _RUNGS[np.arange(ends[-1]) - ends.repeat(start)]  # 2^-L, ..., 1/2, 1
     lo = np.empty_like(hi)
     lo[1:] = hi[:-1]
-    lo[ends - start] = a
+    lo[ends - start] = 0.0
     return owners.repeat(start), lo, hi

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -12,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import cpshift
-from cpshift.atomics import (AsymptoticCase, _closed_form_nonresonant, _moment_table,
-                             _moments, _tensor_quantities, asymptotic, axion_difference,
+from cpshift.atomics import (_BELOW, _BLOCK, AsymptoticCase, _closed_form_nonresonant,
+                             _moment_table, _moments, _series, _tensor_quantities,
+                             asymptotic, axion_difference,
                              decay_rate, greens_grid, greens_tensor, nonresonant_shift,
                              nonresonant_shift_grid, nonresonant_shift_terms,
                              resonant_shift, self_consistent_shift, total_shift)
@@ -363,6 +365,48 @@ def test_moments_below_two_build_no_table():
     assert _moment_table.cache_info().currsize == 0
 
 
+def _one_shot_columns(b):
+    """B3 ... B9 at ascending b, each side of b = 2 in one batch: the
+    continued fraction from b = 2 up, the series and the upward recurrence
+    below."""
+    low, up = b[b < 2.0], b[b >= 2.0]
+    m = np.arange(3.0, 10.0)[:, None]
+    depth = np.ceil(6.0 + 250.0 / up).astype(int)
+    t = np.zeros((m.size, up.size), dtype=complex)
+    for k in range(depth[0], 0, -1):
+        n = np.count_nonzero(depth >= k)
+        t[:, :n] = -k * (m + k) / (m + 1 + 2 * k - 1j * up[:n] + t[:, :n])
+    m_factorial = np.cumprod(np.arange(1.0, 10.0))[2:, None]
+    upper = m_factorial * (1.0 / (m + 1 - 1j * up + t)).imag / up ** m
+    rows = _series(low, lower=False)
+    for n in range(3, 8):
+        rows.append(math.factorial(n) / low ** (n + 1) - rows[n - 3])
+    return np.concatenate([np.array(rows), upper], axis=1)
+
+
+def test_moment_table_columns_equal_their_one_shot_formulas():
+    # the table is built a block of columns at a time; each column holds
+    # the bits of the formulas applied to it alone: the first and last
+    # columns, both sides of the seam at b = 2 and of a block boundary on
+    # each side of it
+    grid, table = _moment_table()
+    cols = np.array([0, 1, _BLOCK - 1, _BLOCK, _BELOW - 1, _BELOW, _BELOW + 1,
+                     _BELOW + _BLOCK - 1, _BELOW + _BLOCK, grid.size - 1])
+    assert grid[_BELOW - 1] < 2.0 == grid[_BELOW] and table.shape == (7, grid.size)
+    assert _one_shot_columns(grid[cols]).tobytes() == table[:, cols].tobytes()
+
+
+def test_moment_table_builds_in_a_small_peak():
+    # the table itself is 1.26 MiB; building it whole took 4.7 MiB
+    tracemalloc.start()
+    try:
+        _moment_table.__wrapped__()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
 @pytest.mark.filterwarnings("error")
 def test_far_field_nonresonant_shift_keeps_its_power_law():
     # from b = 2^20 on the moments come from 1/b: b^5 overflowed from
@@ -435,9 +479,9 @@ def _count_calls(monkeypatch):
 
     calls, integrate_batch = [], cpshift.atomics.integrate_batch
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs["levels"])
-        return integrate_batch(*args, **kwargs)
+    def counted(f, levels, **kwargs):
+        calls.append(levels)
+        return integrate_batch(f, levels, **kwargs)
 
     monkeypatch.setattr(cpshift.atomics, "integrate_batch", counted)
     return calls
@@ -635,10 +679,11 @@ if sys.argv[1] == "blocked":
     else:
         raise SystemExit("scipy was not blocked")
 import cpshift
-from cpshift import cli
+from cpshift import atomics, cli
 from cpshift.atomics import evolve_populations, nonresonant_shift
 from cpshift.media import AxionMedium, PerfectConductor, PerfectNonreciprocalMirror
 from cpshift.units import AtomModel, canonical_transition
+assert atomics._moment_table.cache_info().currsize == 0  # no table built at import
 tr = canonical_transition()
 for medium in (PerfectConductor(), PerfectNonreciprocalMirror(),
                AxionMedium(epsilon=16.0, theta=math.pi)):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpshift.atomics import AsymptoticCase, asymptotic, decay_rate, greens_grid
+from cpshift.atomics import (AsymptoticCase, asymptotic, decay_rate, greens_grid,
+                             nonresonant_shift_grid)
 from cpshift.greens import (EvaluationPoint, PlanarTensors, closed_form_greens,
                             generalized_im,
                             generalized_re, greens_nonreciprocal_mirror,
@@ -341,6 +342,29 @@ def test_both_tensor_routes_take_the_same_shapes_of_omega():
             assert greens_grid(medium, z, omega).xx.shape == (2,)
         with pytest.raises(ValueError, match=r"need one real omega, or an array of i\*xi"):
             greens_grid(medium, z, [1.0, 2.0])
+
+
+def test_both_routes_take_the_same_shapes_of_heights(monkeypatch):
+    # one height is a grid of one, and heights of more than one dimension
+    # are refused before any quadrature, by the closed forms as by the
+    # quadrature; a 2x2 grid used to come out 2x2 from the closed forms
+    # and fail inside the integrand or the engine on the quadrature route
+    tr = canonical_transition()
+    for medium in (PerfectConductor(), AxionMedium(epsilon=16.0, theta=math.pi)):
+        assert greens_grid(medium, 0.5, 1.0).xx.shape == (1,)
+        assert nonresonant_shift_grid(tr, 0.5, medium).im_term.shape == (1,)
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature started")
+
+    for module in ("cpshift.greens", "cpshift.atomics"):
+        monkeypatch.setattr(f"{module}.integrate_batch", no_quadrature)
+    for medium in (PerfectConductor(), AxionMedium(epsilon=16.0, theta=math.pi)):
+        for z in ([[0.5, 1.0], [2.0, 3.0]], [[1.0]]):
+            with pytest.raises(ValueError, match="1-d array"):
+                greens_grid(medium, z, 1.0)
+            with pytest.raises(ValueError, match="1-d array"):
+                nonresonant_shift_grid(tr, z, medium)
 
 
 def test_evaluation_point_validation():

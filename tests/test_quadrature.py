@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpshift.quadrature import (_G7_WEIGHTS, _K15_NODES, _K15_WEIGHTS, BOUND_MAX,
-                                LEVELS_MAX, MAX_DEPTH, QuadratureConfig,
-                                QuadratureError, integrate, integrate_batch)
+from cpshift.quadrature import (_G7_WEIGHTS, _K15_NODES, _K15_WEIGHTS, LEVELS_MAX,
+                                MAX_DEPTH, QuadratureConfig, QuadratureError, integrate,
+                                integrate_batch)
 
 
 def test_polynomial_single_pass():
@@ -110,12 +110,12 @@ def test_every_setting_changes_a_result():
     with pytest.raises(TypeError):
         integrate(lambda x: x, 0.0, 1.0, max_depth=30)
     with pytest.raises(TypeError):
-        integrate_batch(lambda x, owner: x, [0.0], [1.0], max_depth=30)
+        integrate_batch(lambda x, owner: x, [0], max_depth=30)
     # the settings are keyword-only: a positional 30 is no depth and no budget
     with pytest.raises(TypeError):
         integrate(lambda x: x, 0.0, 1.0, 1e-9, 30)
     with pytest.raises(TypeError):
-        integrate_batch(lambda x, owner: x, [0.0], [1.0], 1e-9, 30)
+        integrate_batch(lambda x, owner: x, [0], 1e-9, 30)
 
 
 @given(coeffs=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=7),
@@ -156,7 +156,7 @@ def test_engine_rejects_invalid_settings_before_any_evaluation(bad):
         return np.sqrt(x)
 
     with pytest.raises(ValueError, match=next(iter(bad))):
-        integrate_batch(f, [0.0], [1.0], **bad)
+        integrate_batch(f, [0], **bad)
     with pytest.raises(ValueError, match=next(iter(bad))):
         integrate(lambda x: f(x, None), 0.0, 1.0, **bad)
     assert calls == []
@@ -181,7 +181,7 @@ def test_non_finite_integrand_fails_fast():
 
         calls.clear()
         with pytest.raises(QuadratureError, match="integral 1"):
-            integrate_batch(g, [0.0, 0.0], [1.0, 1.0])
+            integrate_batch(g, [0, 0])
         assert len(calls) == 1
 
 
@@ -196,10 +196,22 @@ def _lockstep_integrand(params):
     return f
 
 
-def _alone(f, i, lo, hi, **kw):
+def _over(f, a, b):
+    """f(x, owner) over owner i's [a[i], b[i]] as an integrand over [0, 1]:
+    f at x = (1 - t) a + t b, times b - a."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+
+    def g(t, owner):
+        y = f((1.0 - t) * a[owner] + t * b[owner], owner)
+        width = (b - a)[owner]
+        return y * width.reshape(width.shape + (1,) * (y.ndim - 1))
+    return g
+
+
+def _alone(f, i, level=0, **kw):
     """Owner i of f as a one-owner integrate_batch call, unpacked."""
     values, errors, neval = integrate_batch(lambda x, owner: f(x, np.full(x.shape, i)),
-                                            [lo], [hi], **kw)
+                                            [level], **kw)
     return values[0], errors[0], neval[0]
 
 
@@ -218,12 +230,12 @@ def _assert_same(got, alone):
 def test_lockstep_owners_match_standalone_integrate(owners, rel_tol):
     a = [o[0] for o in owners]
     b = [o[0] + o[1] for o in owners]
-    f = _lockstep_integrand([o[2:] for o in owners])
-    values, errors, neval = integrate_batch(f, a, b, rel_tol=rel_tol)
+    f = _over(_lockstep_integrand([o[2:] for o in owners]), a, b)
+    values, errors, neval = integrate_batch(f, np.zeros(len(owners), dtype=int),
+                                            rel_tol=rel_tol)
     assert values.shape == errors.shape == (len(owners), 2)
-    for i, (lo, hi) in enumerate(zip(a, b)):
-        _assert_same((values[i], errors[i], neval[i]),
-                     _alone(f, i, lo, hi, rel_tol=rel_tol))
+    for i in range(len(owners)):
+        _assert_same((values[i], errors[i], neval[i]), _alone(f, i, rel_tol=rel_tol))
 
 
 def test_zero_owner_stops_after_first_round():
@@ -233,8 +245,8 @@ def test_zero_owner_stops_after_first_round():
         seen.append(set(owner.tolist()))
         return np.where(owner == 1, 0.0, np.cos(30.0 * x) * np.exp(-x))
 
-    values, errors, neval = integrate_batch(f, [0.0, 0.0, 1.0], [5.0, 5.0, 4.0],
-                                            rel_tol=1e-10)
+    values, errors, neval = integrate_batch(_over(f, [0.0, 0.0, 1.0], [5.0, 5.0, 4.0]),
+                                            [0, 0, 0], rel_tol=1e-10)
     assert seen[0] == {0, 1, 2}
     assert len(seen) > 2 and all(1 not in owners for owners in seen[1:])
     assert (values[1], errors[1], neval[1]) == (0.0, 0.0, 15)
@@ -248,49 +260,53 @@ def test_lockstep_failure_in_one_owner_raises():
         return np.where(owner == 1, np.abs(x) ** -0.5, 1.0)
 
     with pytest.raises(QuadratureError, match=f"exceeded {MAX_DEPTH} levels in integral 1"):
-        integrate_batch(singular, [0.0, 0.0], [1.0, 1.0], rel_tol=1e-12)
+        integrate_batch(singular, [0, 0], rel_tol=1e-12)
 
     def kink(x, owner):
         return np.where(owner == 0, np.sqrt(np.abs(x - 0.3)), x)
 
     with pytest.raises(QuadratureError, match="budget 4 exhausted in integral 0"):
-        integrate_batch(kink, [0.0, 0.0], [1.0, 1.0], rel_tol=1e-15, max_panels=4)
+        integrate_batch(kink, [0, 0], rel_tol=1e-15, max_panels=4)
 
 
 def test_lockstep_rejects_empty_intervals():
-    with pytest.raises(ValueError, match=r"need b > a, got \[1.0, 1.0\] for integral 1"):
-        integrate_batch(lambda x, owner: x, [0.0, 1.0], [1.0, 1.0])
+    # the lockstep runs on [0, 1]; integrate maps [a, b] onto it and
+    # refuses an empty or reversed interval
+    for a, b in ((1.0, 1.0), (2.0, 1.0)):
+        with pytest.raises(ValueError, match=rf"finite bounds a < b .*, got \[{a}, {b}\]"):
+            integrate(lambda x: x, a, b)
 
 
 @pytest.mark.parametrize("a, b", [
     (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan),
-    (math.inf, math.inf), (-1e308, 1e308), (1e308, 1.7e308), (0.0, BOUND_MAX)])
+    (math.inf, math.inf), (-1e308, 1e308), (1e308, 1.7e308), (0.0, 2.0 ** 1023)])
 @pytest.mark.filterwarnings("error")
 def test_bounds_out_of_range_rejected_before_any_evaluation(a, b):
     # [0, inf) used to evaluate f once on 15 nan nodes, (-1e308, 1e308) to
     # overflow b - a, and [1e308, 1.7e308] a panel midpoint's a + b
-    def f(x, owner):
+    def f(x):
         raise AssertionError("integrand called")
 
-    with pytest.raises(ValueError, match=r"2\^1023, got .* for integral 1"):
-        integrate_batch(f, [0.0, a], [1.0, b])
-    with pytest.raises(ValueError, match=r"2\^1023, got .* for integral 0"):
-        integrate(lambda x: f(x, None), a, b)
+    with pytest.raises(ValueError, match=r"2\^1023, got \[.*\]"):
+        integrate(f, a, b)
 
 
 @pytest.mark.parametrize("a, b", [
     ([0.0, 0.0], [1.0]), ([[0.0]], [[1.0]]), (0.0, [1.0, 2.0])])
 def test_bounds_of_different_shapes_rejected_before_any_evaluation(a, b):
-    def f(x, owner):
+    # integrate takes one interval; the lockstep's owners are its levels
+    def f(x):
         raise AssertionError("integrand called")
 
-    with pytest.raises(ValueError, match="need matching 1-d bounds"):
-        integrate_batch(f, a, b)
+    with pytest.raises(ValueError, match="need finite bounds a < b"):
+        integrate(f, a, b)
 
 
 @pytest.mark.filterwarnings("error")
 def test_bounds_just_below_the_limit_integrate():
-    top = np.nextafter(BOUND_MAX, 0.0)
+    # b - a is the largest double; a panel sum of the integrand times it
+    # would overflow, so integrate scales after the integral
+    top = np.nextafter(2.0 ** 1023, 0.0)
     res = integrate(np.ones_like, -top, top)
     assert (res.value, res.neval) == (2.0 * top, 15)
 
@@ -299,7 +315,7 @@ def test_zero_owners_return_empty_arrays_without_calling_f():
     def f(x, owner):
         raise AssertionError("integrand called without owners")
 
-    values, errors, neval = integrate_batch(f, [], [])
+    values, errors, neval = integrate_batch(f, [])
     assert values.shape == errors.shape == neval.shape == (0,)
     assert values.dtype == complex and neval.dtype.kind == "i"
 
@@ -315,9 +331,8 @@ def test_panel_budget_evicts_and_owners_still_match_standalone(owners, share):
     a = [o[0] for o in owners]
     b = [o[0] + o[1] for o in owners]
     levels = np.array([o[6] for o in owners])
-    f = _lockstep_integrand([o[2:6] for o in owners])
-    alone = [_alone(f, i, lo, hi, rel_tol=1e-10, levels=levels[i])
-             for i, (lo, hi) in enumerate(zip(a, b))]
+    f = _over(_lockstep_integrand([o[2:6] for o in owners]), a, b)
+    alone = [_alone(f, i, levels[i], rel_tol=1e-10) for i in range(len(owners))]
     # each owner evaluates at least as many panels as it ever holds, so a
     # lone owner fits; anything below the sum forces evictions
     largest = max(r[2] // 15 for r in alone)
@@ -337,34 +352,52 @@ def test_panel_budget_evicts_and_owners_still_match_standalone(owners, share):
         peaks.append(sum(live.values()))
         return f(x, owner)
 
-    values, errors, neval = integrate_batch(counted, a, b, rel_tol=1e-10,
-                                            max_panels=budget, levels=levels)
+    values, errors, neval = integrate_batch(counted, levels, rel_tol=1e-10,
+                                            max_panels=budget)
     assert max(peaks) <= budget
     for i, res in enumerate(alone):
         _assert_same((values[i], errors[i], neval[i]), res)
 
 
 def test_start_mesh_is_its_panels_with_exact_ends():
-    # each owner starts on its own ladder 0, 2^-L, ..., 1/2, 1 of [a, b]
+    # each owner starts on its own ladder 0, 2^-L, ..., 1/2, 1 of [0, 1]
     rounds = []
 
     def f(x, owner):
         rounds.append(x.reshape(-1, 15))
         return np.exp(x)
 
-    values, _, neval = integrate_batch(f, [-1.0, 0.2], [3.0, 0.9], rel_tol=1e-12,
-                                       levels=[4, 2])
+    values, _, neval = integrate_batch(f, [4, 2], rel_tol=1e-12)
     assert neval.tolist() == [75, 45] and len(rounds) == 1
     first = 0
-    for i, (lo, hi, level) in enumerate(((-1.0, 3.0, 4), (0.2, 0.9, 2))):
-        t = np.array([0.0] + [2.0 ** -k for k in range(level, -1, -1)])
-        ends = (1.0 - t) * lo + t * hi
-        assert (ends[0], ends[-1]) == (lo, hi)
+    for i, level in enumerate((4, 2)):
+        ends = np.array([0.0] + [2.0 ** -k for k in range(level, -1, -1)])
         mid, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
         assert np.array_equal(rounds[0][first:first + level + 1],
                               mid[:, None] + half[:, None] * _K15_NODES)
-        assert abs(values[i] - (math.exp(hi) - math.exp(lo))) <= 1e-12 * math.exp(hi)
+        assert abs(values[i] - (math.e - 1.0)) <= 1e-12 * math.e
         first += level + 1
+    # integrate puts the nodes of [0, 1] at x = (1 - t) a + t b, which is
+    # a at t = 0 and b at t = 1 exactly, where a + t (b - a) misses
+    # b = 0.9 from a = 0.2
+    t = 0.5 + 0.5 * _K15_NODES
+    for lo, hi in ((0.2, 0.9), (0.1, 0.7), (-0.3, 0.2)):
+        rounds.clear()
+        res = integrate(lambda x: f(x, None), lo, hi, rel_tol=1e-12)
+        assert res.neval == 15 and np.array_equal(rounds[0][0], (1.0 - t) * lo + t * hi)
+        assert abs(res.value - (math.exp(hi) - math.exp(lo))) <= 1e-12 * math.exp(hi)
+
+
+def test_integrate_on_the_unit_interval_is_its_one_owner_batch():
+    # on [0, 1] the map is x = t and the width 1: the same bits, also for
+    # the narrow bump, which refines
+    for f in (np.cos, lambda x: np.exp(7j * x) / (1e-3 + x),
+              lambda x: np.exp(-0.5 * ((x - 0.3) / 1e-3) ** 2)):
+        res = integrate(f, 0, 1, rel_tol=1e-10)
+        values, errors, neval = integrate_batch(lambda x, owner: f(x), [0], rel_tol=1e-10)
+        assert np.array([res.value]).tobytes() == values.tobytes()
+        assert np.array([res.error]).tobytes() == errors.tobytes()
+        assert res.neval == neval[0]
 
 
 @pytest.mark.parametrize("levels", [0, 4])
@@ -380,7 +413,7 @@ def test_start_panels_count_at_their_dyadic_level(levels):
         return x.ravel() ** -0.5
 
     with pytest.raises(QuadratureError, match=f"exceeded {MAX_DEPTH} levels"):
-        integrate_batch(singular, [0.0], [1.0], rel_tol=1e-12, levels=levels)
+        integrate_batch(singular, [levels], rel_tol=1e-12)
     assert widths[0] == pytest.approx(2.0 ** -levels, rel=1e-12)  # the finest rung
     assert min(widths) * 2.0 ** MAX_DEPTH == pytest.approx(1.0, rel=1e-12)
 
@@ -390,11 +423,11 @@ def test_budget_below_the_start_mesh_names_owner_zero():
         raise AssertionError("integrand called")
 
     with pytest.raises(QuadratureError, match="budget 4 exhausted in integral 0") as exc:
-        integrate_batch(f, [0.0, 0.0], [1.0, 1.0], max_panels=4, levels=4)
+        integrate_batch(f, [4, 4], max_panels=4)
     assert exc.value.owner == 0
     # five panels fit one owner at a time, and both still finish
-    values, _, neval = integrate_batch(lambda x, owner: np.cos(x), [0.0, 0.0], [1.0, 2.0],
-                                       max_panels=5, levels=4)
+    values, _, neval = integrate_batch(_over(lambda x, owner: np.cos(x), [0.0, 0.0],
+                                             [1.0, 2.0]), [4, 4], max_panels=5)
     assert neval.tolist() == [75, 75]
     assert abs(values[1] - math.sin(2.0)) < 1e-12
 
@@ -406,22 +439,22 @@ def test_a_ladder_beyond_the_budget_names_its_owner_before_any_evaluation():
 
     with pytest.raises(QuadratureError, match="budget 10 exhausted in integral 2 "
                        r"\(its start ladder has 12 panels\)") as exc:
-        integrate_batch(f, np.zeros(4), np.ones(4), max_panels=10, levels=[4, 9, 11, 0])
+        integrate_batch(f, [4, 9, 11, 0], max_panels=10)
     assert exc.value.owner == 2
 
 
 @pytest.mark.parametrize("levels", [
-    -1, LEVELS_MAX + 1, 2 ** 70, 2.0, True, "4", None, [4, 4, 4], [4], [[4, 4]]],
+    [4, -1], [LEVELS_MAX + 1], [2 ** 70], [2.0], [True], ["4"], None, 4, [[4, 4]]],
     ids=["negative", "beyond_max", "beyond_int64", "float", "bool", "text", "none",
-         "three_for_two", "one_for_two", "two_dimensional"])
+         "scalar", "two_dimensional"])
 def test_bad_start_mesh_rejected(levels):
-    # one level from 0 to LEVELS_MAX for all owners, or one per owner: a
-    # single-entry array is not broadcast
+    # one level from 0 to LEVELS_MAX per owner, in a 1-d array: a scalar
+    # does not say how many owners there are
     def f(x, owner):
         raise AssertionError("integrand called")
 
     with pytest.raises(ValueError, match="need levels from 0 to 1022"):
-        integrate_batch(f, [0.0, 0.0], [1.0, 1.0], levels=levels)
+        integrate_batch(f, levels)
 
 
 def test_panel_budget_bounds_the_whole_call():
@@ -439,8 +472,9 @@ def test_panel_budget_bounds_the_whole_call():
         nodes.append(x.size)
         return f(x, owner)
 
-    values, _, neval = integrate_batch(counted, np.zeros(10), np.full(10, 4.0),
-                                       rel_tol=1e-12, max_panels=40)
+    values, _, neval = integrate_batch(_over(counted, np.zeros(10), np.full(10, 4.0)),
+                                       np.zeros(10, dtype=int), rel_tol=1e-12,
+                                       max_panels=40)
     assert max(nodes) <= 15 * 40
     assert sum(nodes) > neval.sum()  # evicted work was redone
     assert neval.tolist() == [r.neval for r in alone]
@@ -457,8 +491,8 @@ def test_vector_owner_meets_every_component_and_matches_its_one_owner_call():
         return np.stack([np.cos((1.0 + owner) * x), bump, np.zeros_like(x)], axis=-1)
 
     n, rel_tol = 4, 1e-10
-    a, b = np.zeros(n), np.ones(n)
-    values, errors, neval = integrate_batch(f, a, b, rel_tol=rel_tol)
+    levels = np.zeros(n, dtype=int)
+    values, errors, neval = integrate_batch(f, levels, rel_tol=rel_tol)
     assert values.shape == errors.shape == (n, 3)
     smooth = np.sin(1.0 + np.arange(n)) / (1.0 + np.arange(n))
     assert np.all(np.abs(values[:, 0] - smooth) <= rel_tol * np.abs(smooth))
@@ -468,11 +502,11 @@ def test_vector_owner_meets_every_component_and_matches_its_one_owner_call():
     assert np.all(neval > integrate(np.cos, 0.0, 1.0, rel_tol=rel_tol).neval)
 
     # the zero component holds no owner open
-    assert integrate_batch(lambda x, owner: f(x, owner)[:, :2], a, b,
+    assert integrate_batch(lambda x, owner: f(x, owner)[:, :2], levels,
                            rel_tol=rel_tol)[2].tolist() == neval.tolist()
 
     # each owner is its one-owner call, also when a small budget evicts
-    alone = [_alone(f, i, 0.0, 1.0, rel_tol=rel_tol) for i in range(n)]
+    alone = [_alone(f, i, rel_tol=rel_tol) for i in range(n)]
     budget = max(r[2] for r in alone) // 15
     nodes = []
 
@@ -482,7 +516,7 @@ def test_vector_owner_meets_every_component_and_matches_its_one_owner_call():
 
     for max_panels in (20000, budget):
         nodes.clear()
-        got = integrate_batch(counted, a, b, rel_tol=rel_tol, max_panels=max_panels)
+        got = integrate_batch(counted, levels, rel_tol=rel_tol, max_panels=max_panels)
         for i, res in enumerate(alone):
             _assert_same((got[0][i], got[1][i], got[2][i]), res)
     assert max(nodes) <= 15 * budget
