@@ -32,8 +32,7 @@ import numpy as np
 
 from .greens import (PlanarTensors, _dipole_weights, _grid_omega, _heights,
                      closed_form_greens, numeric_greens)
-from .media import (AxionMedium, PerfectConductor, PerfectNonreciprocalMirror,
-                    ReflectionMatrix, _AxionDifference,
+from .media import (AxionMedium, ReflectionMatrix, _AxionDifference,
                     nonretarded_limit_coefficients, retarded_limit_coefficients)
 from .quadrature import (DEFAULT_CONFIG, LEVELS_MAX, QuadratureConfig, QuadratureError,
                          _check_count, _check_positive, integrate_batch)
@@ -253,21 +252,27 @@ def _moments(b, lower: bool = True):
     return out
 
 
-def _closed_form_nonresonant(r: ReflectionMatrix, dipole, a):
-    """(int_1^inf Im P(s) B4(a s) ds, int_1^inf Re P(s) B3(a s) ds) at every
-    a > 0, for a reflection matrix r that does not depend on s.
-
-    The kernels are then polynomials in s, xx = r_ss - r_pp s^2,
-    zz = 2 r_pp (1 - s^2) and xy = (r_sp + r_ps) s, and so is
-    P = A xx + C zz + iB xy (`_dipole_weights`).  With
-    int_1^inf P(s) e^{-l s} ds = e^{-l} [P(1)/l + P'(1)/l^2 + P''(1)/l^3]
-    under the x-integral of B_n (l = a x), int_1^inf P(s) B_n(a s) ds
-    = P(1) B_(n-1)/a + P'(1) B_(n-2)/a^2 + P''(1) B_(n-3)/a^3.
-    """
+def _polynomial_p(r: ReflectionMatrix, dipole):
+    """(P(1), P'(1), P''(1)) of P = A xx + C zz + iB xy (`_dipole_weights`)
+    for r that does not depend on s = k_perp/q: the kernels r_ss - r_pp s^2,
+    2 r_pp (1 - s^2) and (r_sp + r_ps) s make P quadratic, and every closed
+    form of such a medium and every limit law (`asymptotic`) a sum of these."""
     wa, wc, wb = _dipole_weights(dipole)
     ibx = 1j * wb * (r.r_sp + r.r_ps)
     pp = -2.0 * (wa + 2.0 * wc) * r.r_pp
-    p = (wa * (r.r_ss - r.r_pp) + ibx, pp + ibx, pp)  # P(1), P'(1), P''(1)
+    return wa * (r.r_ss - r.r_pp) + ibx, pp + ibx, pp
+
+
+def _closed_form_nonresonant(r: ReflectionMatrix, dipole, a):
+    """(int_1^inf Im P(s) B4(a s) ds, int_1^inf Re P(s) B3(a s) ds) at every
+    a > 0, for a reflection matrix r that does not depend on s, whose P is
+    quadratic in s (`_polynomial_p`).  With
+    int_1^inf P(s) e^{-l s} ds = e^{-l} [P(1)/l + P'(1)/l^2 + P''(1)/l^3]
+    under the x-integral of B_n (l = a x), int_1^inf P(s) B_n(a s) ds
+    = P(1) B_(n-1)/a + P'(1) B_(n-2)/a^2 + P''(1) B_(n-3)/a^3.  Its leading
+    moments are the nonresonant limit laws (`asymptotic`).
+    """
+    p = _polynomial_p(r, dipole)
     b0, b1, b2, b3, _ = _moments(a)
     # far up a ** 3 overflows to inf (from a ~ 6e102) and its terms to 0,
     # which their true values underflow to anyway (the caller evaluates
@@ -410,13 +415,13 @@ def self_consistent_shift(transition: Transition, z: float, medium,
     for it in range(1, max_iter + 1):
         breakdown = total_shift(replace(transition, frequency=w), z, medium, config)
         w_next = omega0 + breakdown.total
-        if tol is not None and abs(w_next - w) < tol * omega0:
+        update, w = abs(w_next - w), w_next
+        if tol is not None and update < tol * omega0:
             return breakdown, it
-        w = w_next
     if tol is not None:
         raise RuntimeError(
             f"shift iteration did not converge in {max_iter} steps "
-            f"(last update {abs(w_next - w):.3e}, tol {tol * omega0:.3e})")
+            f"(last update {update:.3e}, tol {tol * omega0:.3e})")
     return breakdown, max_iter
 
 
@@ -463,62 +468,57 @@ def _limit_reflection(medium, regime: str) -> ReflectionMatrix:
 
 
 def asymptotic(case: AsymptoticCase, transition: Transition, z: float) -> float:
-    """Closed-form limit law for the requested (regime, medium, quantity).
-
-    Every entry inserts the coefficients r of `_limit_reflection`, each
-    weighed as in s = A xx + C zz + iB xy (`greens._dipole_weights`), so
-    the laws hold for any dipole: r_pp with A in the 1/z oscillation of the
-    retarded rate and resonant shift, A + C in the retarded nonresonant
-    shift and A + 2C near contact, r_sp = r_ps with -B.  The nonresonant
-    laws, (A + C) r_pp/(16 pi^2 w z^4) + B r_sp/(16 pi^2 w^2 z^5) and
-    (A + 2C) r_pp/(64 pi z^3) + B r_sp/(16 pi^2 z^3), are stated for the
-    ideal mirrors, and nonretarded also for the first-order axion media.
-    The mirrors' nonretarded rate is their contact limit: for the conductor
-    Gamma0 (C - A)/(A + C), for the nonreciprocal mirror 0.
+    """Closed-form limit law for the requested (regime, medium, quantity):
+    the leading power of a closed form at the constant coefficients of
+    `_limit_reflection`, through P, P', P'' at s = 1 (`_polynomial_p`), so
+    it holds for any dipole and any such coefficients.  With zeta = w z,
+    y = 1/(2 i zeta), a = 2 w z and pref = w^3/(8 pi^2):
+    - retarded rate and resonant shift: 2 w^2 Im s and -w^2 Re s of the
+      sandwich's leading term s = e^{2 i zeta} P/(16 pi z);
+    - nonretarded resonant shift: -w^2 s, s = Re(P'' y^2 - (P' - P'') y)
+      /(16 pi z); the rate is 2 w^2 s, a formal insertion, for the
+      first-order axion media and the media without a constant reflection,
+      and the contact value (w^3/4 pi) Re(P - P'/2 + P''/6) of 2 w^2 Im s
+      for every other medium: Gamma0 (C - A)/(A + C) for the conductor, 0
+      for the nonreciprocal mirror;
+    - nonresonant shift: pref [Im(6P + 2P' + P'')/a^5 - Re(2P + P' +
+      P'')/a^4] retarded, pref [Im(P + P') - (pi/2) Re P'']/a^3 near
+      contact, the leading moments of `_closed_form_nonresonant`: for the
+      media with a constant reflection except the first-order axion media,
+      and near contact for these too; any other medium raises ValueError.
 
     What the computed values approach as zeta -> 0: the mirrors' laws to
     2 % at zeta = 0.01, the pure axion's nonresonant shift 0.987x (1.001x
-    at 1e-3).  A first-order axion medium's nonretarded rate law is a
-    formal insertion: the rate of r(theta) - r(0) at eps = 16 is -0.2 % of
-    it at zeta = 0.01.  At eps != 1 its nonresonant law is the quasi-static
-    insertion, but the s-integral weights s ~ 1 (B4(b) ~ 2/b^3 for b << 1),
-    where dr_sp is -0.080 Delta against -Delta/17 at s -> inf for eps = 16:
-    the shift reads 1.221x the law at zeta = 0.01 and 1.235x at 1e-3
-    (1.048x, 1.062x at eps = 4).  The laws also need Delta << zeta: the
+    at 1e-3); the rate of r(theta) - r(0) at eps = 16 is -0.2 % of its
+    formal law.  Its nonresonant law is the quasi-static insertion, but the
+    s-integral weights s ~ 1, where dr_sp is -0.080 Delta against -Delta/17
+    at s -> inf: the shift reads 1.221x the law at zeta = 0.01 and 1.235x at
+    1e-3 (1.048x, 1.062x at eps = 4).  The laws need Delta << zeta: its
     resonant shift reads 0.976x at zeta = 0.01 but 0.785x at 1e-3.
     """
     _heights(z)
-    m, regime = case.medium, case.regime
-    w = transition.frequency
-    a, c, b = _dipole_weights(transition.dipole)
-    zeta = w * z
-    nres, rate = case.quantity == "nonresonant_shift", case.quantity == "rate"
-    if nres and not (isinstance(m, (PerfectConductor, PerfectNonreciprocalMirror))
-                     or (regime == "nonretarded" and _first_order_axion(m))):
+    m, regime, quantity = case.medium, case.regime, case.quantity
+    first_order = _first_order_axion(m)
+    constant = getattr(m, "constant_reflection", None) is not None and not first_order
+    if quantity == "nonresonant_shift" and not (
+            constant or (first_order and regime == "nonretarded")):
         raise ValueError(f"no {regime} nonresonant law for {m!r}")
-    r = _limit_reflection(m, regime)
-    # r_pp's weight
-    pp = a + 2.0 * c if regime == "nonretarded" else (a + c if nres else a)
-    if nres:
+    p, dp, ddp = _polynomial_p(_limit_reflection(m, regime), transition.dipole)
+    w = transition.frequency
+    zeta, a, pref = w * z, 2.0 * w * z, w ** 3 / (8 * math.pi ** 2)
+    if quantity == "nonresonant_shift":
         if regime == "retarded":
-            return (pp * r.r_pp / (16 * math.pi ** 2 * w * z ** 4)
-                    + b * r.r_sp / (16 * math.pi ** 2 * w ** 2 * z ** 5))
-        return (pp * r.r_pp / (64 * math.pi * z ** 3)
-                + b * r.r_sp / (16 * math.pi ** 2 * z ** 3))
-    if rate and regime == "nonretarded":
-        if isinstance(m, PerfectConductor):
-            return w ** 3 * (c - a) / (3 * math.pi)
-        if isinstance(m, PerfectNonreciprocalMirror):
-            return 0.0
-    # w^2 times each term's weight over 4 pi (rate) or 8 pi (resonant shift)
-    upp, usp = (w ** 2 * v / ((4 if rate else 8) * math.pi) for v in (pp, -b))
+            return pref * ((6.0 * p + 2.0 * dp + ddp).imag / a ** 5
+                           - (2.0 * p + dp + ddp).real / a ** 4)
+        return pref * ((p + dp).imag - 0.5 * math.pi * ddp.real) / a ** 3
     if regime == "retarded":
-        sin, cos = math.sin(2 * zeta), math.cos(2 * zeta)
-        tpp, tsp = (-sin, -cos) if rate else (cos, -sin)
-        return upp / z * (tpp * r.r_pp) + usp / z * (tsp * r.r_sp)
-    sign = 1.0 if rate else -1.0
-    return (upp * (sign / (4 * w ** 2 * z ** 3) * r.r_pp)
-            + usp * (sign / (2 * w * z ** 2) * r.r_sp))
+        s = complex(math.cos(2 * zeta), math.sin(2 * zeta)) * p / (16 * math.pi * z)
+        return 2.0 * w ** 2 * s.imag if quantity == "rate" else -w ** 2 * s.real
+    if quantity == "rate" and constant:
+        return w ** 3 / (4 * math.pi) * (p - 0.5 * dp + ddp / 6.0).real
+    y = -0.5j / zeta
+    s = (ddp * y * y - (dp - ddp) * y).real / (16 * math.pi * z)
+    return 2.0 * w ** 2 * s if quantity == "rate" else -w ** 2 * s
 
 
 def axion_difference(quantity: str, regime: str, epsilon: float, theta: float,

@@ -232,19 +232,17 @@ def greens_nonreciprocal_mirror(z, omega, sign: float = -1.0) -> PlanarTensors:
     return closed_form_greens(z, omega, r)
 
 
-def _kernels(medium, omega, kp, kpar2, weight=None):
+def _kernels(medium, omega, kp, kpar2, weight):
     """The radial kernels at nodes of (complex) vacuum k_perp kp with
     k_par^2 = kpar2, as the columns (xx, zz, xy) of one [M, 3] array, each
-    times `weight` if one is given (the k-quadrature passes e^{-2 u z}
-    times its Jacobian); omega and weight are scalars or arrays aligned
-    with the nodes."""
+    times `weight` (the k-quadrature passes e^{-2 u z} times its Jacobian),
+    an array aligned with the nodes; omega is a scalar or one such array."""
     r = medium.reflection(omega, kp)
     out = np.empty(np.shape(kp) + (3,), dtype=complex)
     out[..., 0] = r.r_ss - r.r_pp * kp ** 2 / omega ** 2
     out[..., 1] = 2.0 * r.r_pp * kpar2 / omega ** 2
     out[..., 2] = (r.r_sp + r.r_ps) * kp / omega
-    if weight is not None:
-        out *= np.asarray(weight)[..., None]
+    out *= weight[..., None]
     return out
 
 

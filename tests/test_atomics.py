@@ -798,9 +798,13 @@ def test_asymptotic_unsupported_cases():
         asymptotic(AsymptoticCase("retarded", m16, "nonresonant_shift"), TR, 5.0)
     with pytest.raises(ValueError, match="no nonretarded nonresonant law for AxionMedium"):
         asymptotic(AsymptoticCase("nonretarded", m16, "nonresonant_shift"), TR, 0.01)
-    with pytest.raises(ValueError, match="nonresonant law for ConstantReflectionMedium"):
-        asymptotic(AsymptoticCase("nonretarded", ConstantReflectionMedium(r_sp=0.5),
-                                  "nonresonant_shift"), TR, 0.01)
+    # a medium that states a constant reflection has both nonresonant laws,
+    # the leading moments of its closed form: r_sp = 0.5 alone weighs a
+    # quarter of the nonreciprocal mirror's cross term, with its sign reversed
+    half_sp = ConstantReflectionMedium(r_sp=0.5)
+    law = asymptotic(AsymptoticCase("nonretarded", half_sp, "nonresonant_shift"), TR, 0.01)
+    assert law == pytest.approx(-3.0 / (64 * math.pi * 0.01 ** 3), rel=1e-14)
+    assert abs(nonresonant_shift(TR, 0.01, half_sp) / law - 1) < 0.02      # 0.984
     pure = AxionMedium(epsilon=1.0, theta=math.pi)
     with pytest.raises(ValueError, match="no retarded nonresonant law"):
         asymptotic(AsymptoticCase("retarded", pure, "nonresonant_shift"), TR, 5.0)
@@ -844,6 +848,46 @@ def test_asymptotic_laws_hold_for_any_dipole(dipole):
             for quantity, value in computed.items():
                 law = asymptotic(AsymptoticCase(regime, medium, quantity), tr, z)
                 bound = _next_order(regime, quantity, zeta, law, gamma0)
+                assert abs(value(tr, z, medium) - law) <= bound, (medium, zeta, quantity)
+
+
+def _dropped_order(regime, quantity, zeta, gamma0):
+    """The power of zeta a limit law drops, in units of Gamma0: 2/zeta^2
+    in the retarded rate and resonant shift, 1/zeta^6 in the retarded
+    nonresonant shift, 2 zeta in the contact rate, and 1/zeta (resonant) or
+    1/zeta^2 (nonresonant) near contact.  An absolute bound, since the law
+    of a medium can vanish where its value does not: r_ss alone has no
+    zeta^-3 term in either shift near contact."""
+    factor, power = {("retarded", "rate"): (2.0, -2),
+                     ("retarded", "resonant_shift"): (2.0, -2),
+                     ("retarded", "nonresonant_shift"): (1.0, -6),
+                     ("nonretarded", "rate"): (2.0, 1),
+                     ("nonretarded", "resonant_shift"): (1.0, -1),
+                     ("nonretarded", "nonresonant_shift"): (1.0, -2)}[regime, quantity]
+    return factor * gamma0 * zeta ** power
+
+
+@pytest.mark.parametrize("dipole", [
+    circular_dipole(1.0, "plus"), np.array([0.0, 0.0, 1.0]),
+    np.array([0.3 + 0.2j, -0.5 + 0.1j, 0.7 - 0.4j])], ids=["sigma+", "z", "general"])
+def test_asymptotic_laws_hold_for_any_constant_reflection(dipole):
+    # each law is the leading power of a closed form in P(1), P'(1), P''(1),
+    # so it holds for coefficients with r_ss != -r_pp or r_sp != r_ps too;
+    # the laws had weighed r_pp and r_sp alone, and refused the nonresonant
+    # shift of every medium but the ideal mirrors
+    tr = Transition(dipole, 1.3)
+    gamma0 = free_space_rate_formula(tr)
+    computed = {"rate": decay_rate, "resonant_shift": resonant_shift,
+                "nonresonant_shift": nonresonant_shift}
+    for medium in (ConstantReflectionMedium(r_ss=1.0), ConstantReflectionMedium(r_sp=1.0),
+                   ConstantReflectionMedium(r_ps=1.0),
+                   ConstantReflectionMedium(r_ss=0.3, r_sp=0.2, r_ps=-0.5, r_pp=-0.7)):
+        for zeta in (300.3, 2999.7, 1e-4, 1e-5):
+            regime = "retarded" if zeta > 1.0 else "nonretarded"
+            z = zeta / tr.frequency
+            for quantity, value in computed.items():
+                law = asymptotic(AsymptoticCase(regime, medium, quantity), tr, z)
+                bound = _dropped_order(regime, quantity, zeta, gamma0)
                 assert abs(value(tr, z, medium) - law) <= bound, (medium, zeta, quantity)
 
 
@@ -1031,6 +1075,10 @@ def test_self_consistent_nonconvergence_raises():
     strong = Transition(circular_dipole(5.0, "plus"), 1.0)
     with pytest.raises(RuntimeError):
         self_consistent_shift(strong, 0.3, COND, max_iter=1, tol=1e-15)
+    # the message reports the last update, |0.710839 - 0.708930|; it read 0,
+    # formed after the iterate had taken the new value
+    with pytest.raises(RuntimeError, match=r"in 3 steps \(last update 1\.909e-03, "):
+        self_consistent_shift(TR, 0.5, COND, max_iter=3, tol=1e-12)
     with pytest.raises(ValueError):
         self_consistent_shift(TR, 1.0, COND, max_iter=0)
     for tol in (0.0, -1e-12, math.nan, math.inf, True, np.True_):   # True is no tolerance
